@@ -1,8 +1,8 @@
-// Command kcoverd runs the sharded network ingest daemon for the
-// streaming Max k-Cover estimator. It accepts framed MKC1 edge batches on
-// the ingest port (the protocol in internal/wire), shards them across
-// per-session worker estimators, and serves live queries plus metrics
-// over HTTP.
+// Command kcoverd runs the network ingest daemon for the streaming Max
+// k-Cover estimator. It accepts framed edge batches on the ingest port
+// (the protocol in internal/wire), applies them in arrival order to one
+// estimator per session — whose batch engine fans each batch across the
+// machine's cores — and serves live queries plus metrics over HTTP.
 //
 // Usage:
 //
@@ -30,8 +30,7 @@
 //
 // Multi-tenancy: with -mem-budget BYTES (requires -data) the daemon
 // oversubscribes sessions against a fixed memory budget — cold sessions
-// are LRU-evicted down to their checkpoints (workers stopped, estimators
-// freed, WAL parked) and transparently rehydrated on their next ingest or
+// are LRU-evicted down to their checkpoints (estimator freed, WAL parked) and transparently rehydrated on their next ingest or
 // query, bit-identical to never having been evicted. -session-quota caps
 // one session's serialized size; -rehydrate-concurrency bounds
 // simultaneous rehydrations (excess wakers get a retryable busy answer).
@@ -43,8 +42,8 @@
 // onto -replicas nodes by consistent hash; the placement's first node
 // leads, the rest follow, mirroring the leader's WAL byte for byte over
 // the ingest port (bootstrap rides a checkpoint snapshot) and replaying
-// it at the same fixed worker count — so replica estimator state is
-// byte-identical and /digest can prove it. Followers reject client
+// it in log order — so replica estimator state is byte-identical and
+// /digest can prove it. Followers reject client
 // writes with a leader redirect but serve staleness-bounded reads.
 // Cluster mode requires -data (replication ships the WAL). The control
 // endpoints /cluster, /digest, /fence, /promote and /leader drive
@@ -54,7 +53,7 @@
 //	kcoverd -listen :7600 -http :7601 -data /var/lib/kcoverd \
 //	  -node-id host1:7600 -peers host1:7600,host2:7600,host3:7600
 //
-// SIGINT/SIGTERM shut down gracefully: listeners close, worker queues
+// SIGINT/SIGTERM shut down gracefully: listeners close, apply queues
 // drain, a final checkpoint is written, then the process exits.
 package main
 
@@ -73,12 +72,10 @@ import (
 
 func main() {
 	var (
-		listen  = flag.String("listen", ":7600", "TCP ingest listen address")
-		httpA   = flag.String("http", ":7601", "HTTP query/metrics listen address (empty disables)")
-		workers = flag.Int("workers", 0, "shard workers per session (0 = GOMAXPROCS)")
-		engineW = flag.Int("engine-workers", 1, "batch-engine goroutines inside each worker's estimator (raise when cores outnumber busy shard workers)")
-		queue   = flag.Int("queue", 64, "per-worker batch queue depth (backpressure bound)")
-		drain   = flag.Duration("drain", 60*time.Second, "graceful shutdown budget (with -data this includes a final checkpoint, which scales with estimator size)")
+		listen = flag.String("listen", ":7600", "TCP ingest listen address")
+		httpA  = flag.String("http", ":7601", "HTTP query/metrics listen address (empty disables)")
+		queue  = flag.Int("queue", 64, "per-session apply queue depth in batches (backpressure bound)")
+		drain  = flag.Duration("drain", 60*time.Second, "graceful shutdown budget (with -data this includes a final checkpoint, which scales with estimator size)")
 
 		dataDir    = flag.String("data", "", "durability directory: checkpoints + WAL per session (empty = in-memory only)")
 		checkpoint = flag.Duration("checkpoint", 30*time.Second, "checkpoint cadence (<=0 disables the timer; /checkpoint still works)")
@@ -128,7 +125,7 @@ func main() {
 		*checkpoint = -1 // Config treats 0 as "use default": make <=0 mean off
 	}
 	srv := server.New(server.Config{
-		Workers: *workers, EngineWorkers: *engineW, QueueDepth: *queue,
+		QueueDepth:           *queue,
 		DataDir:              *dataDir,
 		CheckpointEvery:      *checkpoint,
 		WALSegmentBytes:      *walSegment,

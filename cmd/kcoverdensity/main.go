@@ -188,7 +188,7 @@ func (c benchConfig) run(budget int64) (runStats, error) {
 	defer os.RemoveAll(dir)
 
 	srv := server.New(server.Config{
-		Workers: 1, DataDir: dir,
+		DataDir:         dir,
 		CheckpointEvery: -1, // charges come from explicit sweeps
 		WALNoSync:       true,
 		MemBudget:       budget,

@@ -20,7 +20,7 @@ import (
 func TestBusyRejectionParksAndReplays(t *testing.T) {
 	inj := fault.NewInjector(nil)
 	s := server.New(server.Config{
-		Workers: 2, QueueDepth: 4,
+		QueueDepth:      4,
 		DataDir:         t.TempDir(),
 		CheckpointEvery: -1,
 		FS:              inj,

@@ -14,7 +14,7 @@ import (
 
 func startServer(t *testing.T) *server.Server {
 	t.Helper()
-	s := server.New(server.Config{Workers: 2, QueueDepth: 2})
+	s := server.New(server.Config{QueueDepth: 2})
 	if err := s.Start("127.0.0.1:0", ""); err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func newChaosProxy(t *testing.T, target string) *fault.Proxy {
 // mid-conversation must surface as the typed ErrSessionClosed, not a raw
 // TCP error the caller has to string-match.
 func TestSessionClosedTyped(t *testing.T) {
-	s := server.New(server.Config{Workers: 2, QueueDepth: 2})
+	s := server.New(server.Config{QueueDepth: 2})
 	if err := s.Start("127.0.0.1:0", ""); err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestReconnectExactlyOnceThroughProxy(t *testing.T) {
 // typed ErrSessionClosed after exhausting its attempt budget rather than
 // retrying forever.
 func TestReconnectGivesUp(t *testing.T) {
-	s := server.New(server.Config{Workers: 1, QueueDepth: 2})
+	s := server.New(server.Config{QueueDepth: 2})
 	if err := s.Start("127.0.0.1:0", ""); err != nil {
 		t.Fatal(err)
 	}

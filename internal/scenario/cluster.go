@@ -260,8 +260,7 @@ func (ns *nodeSet) awaitDrain(session string, leaderIdx int, leaderSrv *server.S
 // session, every follower's applied watermark has reached the leader's
 // durable head, and all estimator digests are byte-equal — the
 // replication subsystem's strongest invariant: deterministic WAL replay
-// at a fixed worker count makes equality checkable byte for byte, not
-// approximately. Returns the final per-node rows either way; the error
+// makes equality checkable byte for byte, not approximately. Returns the final per-node rows either way; the error
 // carries what was still divergent at the deadline.
 func (ns *nodeSet) awaitConvergence(session string, timeout time.Duration) ([]ReplicaReport, string, error) {
 	deadline := time.Now().Add(timeout)

@@ -67,11 +67,9 @@ func newDaemon(spec DaemonSpec, dataDir string) *daemon {
 
 func (d *daemon) config() server.Config {
 	cfg := server.Config{
-		Workers:       d.spec.Workers,
-		EngineWorkers: d.spec.EngineWorkers,
-		QueueDepth:    d.spec.QueueDepth,
-		RetryMin:      d.spec.RetryMin.Duration,
-		RetryMax:      d.spec.RetryMax.Duration,
+		QueueDepth: d.spec.QueueDepth,
+		RetryMin:   d.spec.RetryMin.Duration,
+		RetryMax:   d.spec.RetryMax.Duration,
 	}
 	if d.spec.Durable {
 		cfg.DataDir = d.dataDir

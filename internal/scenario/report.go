@@ -90,7 +90,7 @@ type LifecycleReport struct {
 
 // ReplicaReport is one live node's row in the cluster convergence
 // snapshot: its role, applied watermark, and the SHA-256 digest of its
-// per-worker estimator state — byte-equal digests across the fleet are
+// estimator state — byte-equal digests across the fleet are
 // the replication subsystem's correctness claim.
 type ReplicaReport struct {
 	Node             string  `json:"node"`

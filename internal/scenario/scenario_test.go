@@ -180,7 +180,7 @@ func TestRunTenantChurnMini(t *testing.T) {
 		"name": "tenant-churn-mini", "seed": 23,
 		"workload": {"family": "uniform", "n": 500, "m": 60, "k": 5},
 		"fleet": {"connections": 2, "batch_edges": 256, "tenants": 12, "skew": 1.1},
-		"daemon": {"durable": true, "wal_nosync": true, "workers": 1, "checkpoint_every": "250ms", "mem_budget": 2000000},
+		"daemon": {"durable": true, "wal_nosync": true, "checkpoint_every": "250ms", "mem_budget": 2000000},
 		"phases": [{"name": "churn", "duration": "3s"}],
 		"gates": {"require_exactly_once": true}
 	}`))

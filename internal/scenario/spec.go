@@ -134,8 +134,6 @@ type FleetSpec struct {
 // ingest TCP and the health/metrics HTTP traffic through a fault.Proxy so
 // partition/delay/drop windows apply to everything the harness observes.
 type DaemonSpec struct {
-	Workers         int      `json:"workers,omitempty"`          // default 2
-	EngineWorkers   int      `json:"engine_workers,omitempty"`   // default 1
 	QueueDepth      int      `json:"queue_depth,omitempty"`      // default 64
 	Durable         bool     `json:"durable,omitempty"`          // WAL + checkpoints in a temp data dir
 	WALNoSync       bool     `json:"wal_nosync,omitempty"`       //
@@ -292,12 +290,6 @@ func (s *Spec) applyDefaults() {
 	if s.Fleet.Tenants == 0 {
 		s.Fleet.Tenants = 1
 	}
-	if s.Daemon.Workers == 0 {
-		s.Daemon.Workers = 2
-	}
-	if s.Daemon.EngineWorkers == 0 {
-		s.Daemon.EngineWorkers = 1
-	}
 	if s.Daemon.QueueDepth == 0 {
 		s.Daemon.QueueDepth = 64
 	}
@@ -350,8 +342,7 @@ func (s *Spec) validate() error {
 	}{
 		{"workload.n", s.Workload.N}, {"workload.m", s.Workload.M}, {"workload.k", s.Workload.K},
 		{"fleet.connections", s.Fleet.Connections}, {"fleet.batch_edges", s.Fleet.BatchEdges},
-		{"fleet.max_pending", s.Fleet.MaxPending}, {"daemon.workers", s.Daemon.Workers},
-		{"daemon.engine_workers", s.Daemon.EngineWorkers}, {"daemon.queue_depth", s.Daemon.QueueDepth},
+		{"fleet.max_pending", s.Fleet.MaxPending}, {"daemon.queue_depth", s.Daemon.QueueDepth},
 	} {
 		if v.val < 0 {
 			return fmt.Errorf("%s is negative", v.name)

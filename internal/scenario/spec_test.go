@@ -25,7 +25,7 @@ func TestParseSpecMinimalDefaults(t *testing.T) {
 	if s.Fleet.Connections != 2 || s.Fleet.BatchEdges != 2048 || s.Fleet.MaxPending != 32 {
 		t.Fatalf("fleet defaults not applied: %+v", s.Fleet)
 	}
-	if s.Daemon.Workers != 2 || s.Daemon.RetryMin.Duration != 25*time.Millisecond {
+	if s.Daemon.QueueDepth != 64 || s.Daemon.RetryMin.Duration != 25*time.Millisecond {
 		t.Fatalf("daemon defaults not applied: %+v", s.Daemon)
 	}
 	if s.TotalDuration() != time.Second {

@@ -2,9 +2,7 @@ package server_test
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 	"time"
 
@@ -14,12 +12,11 @@ import (
 )
 
 // BenchmarkServerIngest measures client→server edge throughput over
-// localhost: the full path of batch encode, framed write, decode, shard
-// and worker Process, with pipelined acks. Sub-benchmarks cross the wire
-// layout (columnar MKC2 default vs legacy row MKC1) with the daemon's
-// worker count; on a single-CPU host the higher worker tiers measure
-// dispatch overhead only, on multi-core they measure scaling. Headline
-// numbers live in BENCH_hotpath.json; regenerate with
+// localhost: the full path of batch encode, framed write, decode, queue
+// dispatch and the session estimator's ProcessColumns, with pipelined
+// acks. Sub-benchmarks cross the wire layout (columnar MKC2 default vs
+// legacy row MKC1). The estimator's batch engine fans out at GOMAXPROCS,
+// so running under different GOMAXPROCS settings gives the scaling curve.
 //
 //	go test -run=NONE -bench=ServerIngest -benchtime=3x ./internal/server/
 func BenchmarkServerIngest(b *testing.B) {
@@ -32,21 +29,17 @@ func BenchmarkServerIngest(b *testing.B) {
 	}
 	for _, w := range wires {
 		b.Run("wire="+w.name, func(b *testing.B) {
-			for _, workers := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
-				b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-					benchServerIngest(b, workers, w.opts)
-				})
-			}
+			benchServerIngest(b, w.opts)
 		})
 	}
 }
 
-func benchServerIngest(b *testing.B, workers int, opts []client.Option) {
+func benchServerIngest(b *testing.B, opts []client.Option) {
 	const (
 		m, n, k = 2000, 100000, 40
 		alpha   = 8.0
 	)
-	s := server.New(server.Config{Workers: workers})
+	s := server.New(server.Config{})
 	if err := s.Start("127.0.0.1:0", ""); err != nil {
 		b.Fatal(err)
 	}

@@ -3,9 +3,9 @@
 // over the peer IDs, leaders stream their sessions' WALs to subscribed
 // followers (internal/replica), and followers mirror each record into
 // their own log at the same position before applying it through the
-// replay path. Because replay is bit-identical at a fixed worker count,
-// a caught-up follower's estimators — and its on-disk checkpoint+WAL —
-// are byte-for-byte the leader's, which is why Promote can reuse the
+// replay path. Because a session applies its log one batch per record in
+// log order, a caught-up follower's estimator — and its on-disk
+// checkpoint+WAL — is byte-for-byte the leader's, which is why Promote can reuse the
 // crash-recovery path verbatim and why convergence is checkable by
 // comparing SessionDigest across nodes.
 //
@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"net"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"streamcover/internal/replica"
@@ -165,9 +164,9 @@ func (t *followerTarget) Bootstrap(walPos uint64, ckpt []byte) error {
 
 // Apply mirrors one leader WAL record: append it to the local log (it
 // must land at the leader's position — the logs are byte-identical), then
-// run it through the same dedup check and shard dispatch recovery replay
-// uses. Unlike leader ingest, the append is not overlapped with the
-// dispatch: the estimators must never get ahead of the mirror, or a
+// run it through the same dedup check recovery replay uses and queue it.
+// Unlike leader ingest, the append is not overlapped with the dispatch:
+// the estimator must never get ahead of the mirror, or a
 // follower crash could recover to a state its own log cannot reproduce.
 func (t *followerTarget) Apply(pos uint64, rec []byte) error {
 	sess := t.sess
@@ -251,11 +250,11 @@ func (s *Server) repairFollowerWAL(sess *session) error {
 	return nil
 }
 
-// rebootstrap replaces the session's state with a leader checkpoint: stop
-// and rebuild the worker estimators from its parts, adopt its dedup
-// horizons, persist it, and re-base the mirror log at its WAL position.
-// Runs on the applier goroutine; ckptMu excludes concurrent checkpoints
-// and swapMu excludes query clone enqueues during the worker swap.
+// rebootstrap replaces the session's state with a leader checkpoint:
+// swap in the checkpoint's estimator, adopt its dedup horizons, persist
+// it, and re-base the mirror log at its WAL position. Runs on the applier
+// goroutine — the follower's only dispatcher — and ckptMu excludes
+// concurrent checkpoints.
 func (s *session) rebootstrap(cfg Config, walPos uint64, payload []byte, metrics *Metrics) error {
 	st, err := decodeCheckpoint(payload)
 	if err != nil {
@@ -265,53 +264,27 @@ func (s *session) rebootstrap(cfg Config, walPos uint64, payload []byte, metrics
 		return fmt.Errorf("server: bootstrap checkpoint is for session %q (%d,%d,%d), want %q (%d,%d,%d)",
 			st.name, st.m, st.n, st.k, s.name, s.m, s.n, s.k)
 	}
-	ests, err := estimatorsFromCheckpoint(st, cfg)
+	est, err := estimatorFromCheckpoint(st, cfg.arena)
 	if err != nil {
 		return err
 	}
 	if err := s.begin(); err != nil {
+		est.Close()
 		return err
 	}
 	defer s.ops.Done()
 	d := s.dur
 	d.ckptMu.Lock()
 	defer d.ckptMu.Unlock()
-	s.swapMu.Lock()
-	defer s.swapMu.Unlock()
 
-	// Drain and stop the old workers, release their estimators, start the
-	// replacements. Clone requests already queued are still answered — a
-	// worker consumes its whole queue before exiting.
-	for _, ch := range s.workers {
-		close(ch)
-	}
-	s.wg.Wait()
-	for _, est := range s.ests {
-		est.Close()
-	}
-	w := len(ests)
-	s.ests = ests
-	s.hdrPool = sync.Pool{New: func() any { h := make([]colShard, w); return &h }}
-	s.workers = make([]chan workerMsg, w)
-	s.recycle = make([]chan colShard, w)
-	for i, est := range ests {
-		ch := make(chan workerMsg, s.queueDepth)
-		s.workers[i] = ch
-		s.recycle[i] = make(chan colShard, s.queueDepth+1)
-		s.wg.Add(1)
-		go s.runWorker(est, ch, s.recycle[i])
-	}
+	s.edges.Store(int64(est.Edges()))
+	s.setEstimator(est)
 	s.dmu.Lock()
 	s.dedup = make(map[uint64]dedupEntry, len(st.dedup))
 	for src, seq := range st.dedup {
 		s.dedup[src] = dedupEntry{seq: seq}
 	}
 	s.dmu.Unlock()
-	var total int64
-	for _, est := range ests {
-		total += int64(est.Edges())
-	}
-	s.edges.Store(total)
 
 	// Persist the checkpoint, then re-base the log under it. A crash
 	// between the two leaves the checkpoint ahead of the log — recovery
@@ -365,7 +338,7 @@ func (s *Server) Promote(name string) error {
 	s.promoting[name] = true
 	s.mu.Unlock()
 
-	sess.close() // stops the applier, drains workers
+	sess.close() // stops the applier, drains the apply queue
 	dir := sess.dur.dir
 	sess.dur.close()
 	fresh, err := recoverSession(dir, s.cfg, &s.metrics)
@@ -477,10 +450,9 @@ func (s *Server) queryStaleSession(name string, maxStale time.Duration) (wire.Re
 }
 
 // SessionDigest hashes the session's live state: SHA-256 over the
-// per-worker estimator encodings in worker order. Replicas with the same
-// worker count converge to the same digest exactly when their estimators
-// are byte-identical — the replication invariant, made checkable in one
-// comparison.
+// estimator's encoding. Replicas converge to the same digest exactly when
+// their estimators are byte-identical — the replication invariant, made
+// checkable in one comparison.
 func (s *Server) SessionDigest(name string) (string, error) {
 	sess, err := s.session(name)
 	if err != nil {
@@ -491,31 +463,20 @@ func (s *Server) SessionDigest(name string) (string, error) {
 
 func (s *session) digest() (string, error) {
 	// beginResident: digesting an evicted session rehydrates it first
-	// (clone requests need live workers).
+	// (the clone request needs a live apply queue).
 	release, err := s.beginResident()
 	if err != nil {
 		return "", err
 	}
 	defer release()
-	s.swapMu.RLock()
-	replies := make([]chan cloneReply, len(s.workers))
-	for i, ch := range s.workers {
-		r := make(chan cloneReply, 1)
-		replies[i] = r
-		ch <- workerMsg{clone: r}
+	rep := <-s.requestClone()
+	if rep.err != nil {
+		return "", rep.err
 	}
-	s.swapMu.RUnlock()
-	h := sha256.New()
-	for _, r := range replies {
-		rep := <-r
-		if rep.err != nil {
-			return "", rep.err
-		}
-		blob, err := rep.est.Encode()
-		if err != nil {
-			return "", err
-		}
-		h.Write(blob)
+	blob, err := rep.est.Encode()
+	if err != nil {
+		return "", err
 	}
-	return hex.EncodeToString(h.Sum(nil)), nil
+	sum := sha256.Sum256(blob)
+	return hex.EncodeToString(sum[:]), nil
 }

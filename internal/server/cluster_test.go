@@ -20,9 +20,6 @@ const (
 	cluK     = 4
 	cluAlpha = 4.0
 	cluSeed  = 9
-	// All replicas (and the single-node reference) must share one worker
-	// count: byte-identical replay is defined at a fixed shard fan-out.
-	cluWorkers = 4
 )
 
 // reserveAddrs grabs n distinct loopback addresses. Cluster node IDs are
@@ -45,7 +42,6 @@ func reserveAddrs(t *testing.T, n int) []string {
 func startClusterNode(t *testing.T, nodeID string, peers []string) *Server {
 	t.Helper()
 	srv := New(Config{
-		Workers:         cluWorkers,
 		QueueDepth:      16,
 		DataDir:         t.TempDir(),
 		WALNoSync:       true,
@@ -82,12 +78,11 @@ func clusterEdges(seed uint64, count int) []streamcover.Edge {
 }
 
 // clusterReference runs the same edges through a fault-free single-node
-// in-memory server with the same worker count and returns its query
-// result and state digest — the byte-level ground truth every replica
-// must converge to.
+// in-memory server and returns its query result and state digest — the
+// byte-level ground truth every replica must converge to.
 func clusterReference(t *testing.T, name string, edges []streamcover.Edge) (client.Result, string) {
 	t.Helper()
-	srv := New(Config{Workers: cluWorkers, QueueDepth: 16})
+	srv := New(Config{QueueDepth: 16})
 	if err := srv.Start("127.0.0.1:0", ""); err != nil {
 		t.Fatal(err)
 	}

@@ -97,7 +97,7 @@ func (s *session) recoverLoop() {
 // (clearing its sticky error and truncating any torn tail) under the
 // checkpoint lock so no append races the rescan, then take a fresh
 // checkpoint. The checkpoint is what restores the ack invariant — batches
-// that were applied to the workers but never became durable are inside
+// that were applied to the estimator but never became durable are inside
 // the snapshot, and the WAL tail the fault interrupted is truncated away
 // beneath it. Only then is the degradation cleared.
 func (s *session) tryRecover() bool {

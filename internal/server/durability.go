@@ -21,15 +21,15 @@ import (
 )
 
 // durability is one session's crash-safety state: a checkpoint snapshot
-// of every worker estimator plus a WAL of the batches acknowledged since.
+// of the session's estimator plus a WAL of the batches acknowledged since.
 //
 // The invariant tying the two together: an ingest holds pmu.RLock across
-// its dedup update, WAL append and worker dispatch, and a checkpoint
-// holds pmu.Lock while it reads the WAL position, copies the dedup map
-// and enqueues clone requests on every worker queue. Everything logged at
-// or below the recorded position is therefore already in the queues ahead
-// of the clone requests, so the snapshot contains exactly the WAL prefix
-// it claims to — recovery restores the snapshot and replays only the tail.
+// its dedup update, WAL append and queue dispatch, and a checkpoint holds
+// pmu.Lock while it reads the WAL position, copies the dedup map and
+// enqueues a clone request on the apply queue. Everything logged at or
+// below the recorded position is therefore already in the queue ahead of
+// the clone request, so the snapshot contains exactly the WAL prefix it
+// claims to — recovery restores the snapshot and replays only the tail.
 type durability struct {
 	dir string
 	wal *wal.Log
@@ -114,7 +114,20 @@ type checkpointState struct {
 	seed    int64
 	walPos  uint64
 	dedup   map[uint64]uint64
-	parts   [][]byte // one sealed Estimator.Encode blob per worker
+	// parts holds sealed Estimator.Encode blobs: one, or one per shard
+	// estimator in a checkpoint from a kcoverd that split each session
+	// across several (estimatorFromCheckpoint merges those).
+	parts [][]byte
+}
+
+// size is the checkpoint's summed estimator encoding — the session's
+// serialized size, which the overseer charges against the memory budget.
+func (st *checkpointState) size() int64 {
+	var n int64
+	for _, p := range st.parts {
+		n += int64(len(p))
+	}
+	return n
 }
 
 // encodeCheckpoint serializes a checkpoint payload (the caller seals it).
@@ -208,7 +221,7 @@ func decodeCheckpoint(data []byte) (checkpointState, error) {
 	}
 	nParts, ok := next()
 	if !ok || nParts == 0 || nParts > 1<<16 {
-		return bad("worker count")
+		return bad("part count")
 	}
 	st.parts = make([][]byte, 0, nParts)
 	for i := uint64(0); i < nParts; i++ {
@@ -231,7 +244,7 @@ func decodeCheckpoint(data []byte) (checkpointState, error) {
 // and drop WAL segments the snapshot has subsumed.
 //
 // An evicted session needs no checkpoint — the checkpoint file on disk IS
-// its entire state (eviction wrote it before stopping the workers), so the
+// its entire state (eviction wrote it before stopping the apply), so the
 // cadence ticker and CheckpointAll skip it rather than rehydrate it.
 func (s *session) checkpoint(metrics *Metrics) error {
 	s.resMu.RLock()
@@ -268,33 +281,20 @@ func (s *session) checkpointLocked(metrics *Metrics) error {
 		dedup[src] = e.seq
 	}
 	s.dmu.Unlock()
-	replies := make([]chan cloneReply, len(s.workers))
-	for i, ch := range s.workers {
-		r := make(chan cloneReply, 1)
-		replies[i] = r
-		ch <- workerMsg{clone: r}
-	}
+	reply := s.requestClone()
 	d.pmu.Unlock()
 
-	parts := make([][]byte, len(replies))
-	for i, r := range replies {
-		rep := <-r
-		if rep.err != nil {
-			return rep.err
-		}
-		blob, err := rep.est.Encode()
-		if err != nil {
-			return err
-		}
-		parts[i] = blob
+	rep := <-reply
+	if rep.err != nil {
+		return rep.err
 	}
-	var encoded int64
-	for _, p := range parts {
-		encoded += int64(len(p))
+	blob, err := rep.est.Encode()
+	if err != nil {
+		return err
 	}
 	payload := encodeCheckpoint(checkpointState{
 		name: s.name, m: s.m, n: s.n, k: s.k, alpha: s.alpha, seed: s.seed,
-		walPos: pos, dedup: dedup, parts: parts,
+		walPos: pos, dedup: dedup, parts: [][]byte{blob},
 	})
 	if err := snapshot.WriteFileFS(d.fs, filepath.Join(d.dir, checkpointFile), payload); err != nil {
 		return err
@@ -304,9 +304,9 @@ func (s *session) checkpointLocked(metrics *Metrics) error {
 	}
 	d.ckptPos.Store(pos)
 	d.lastCkptNanos.Store(time.Now().UnixNano())
-	// The summed estimator blobs are the session's real serialized size —
-	// the budget the overseer charges it against while hydrated.
-	s.setResidentBytes(encoded)
+	// The estimator blob is the session's real serialized size — the
+	// budget the overseer charges it against while hydrated.
+	s.setResidentBytes(int64(len(blob)))
 	if metrics != nil {
 		metrics.Checkpoints.Add(1)
 		metrics.CheckpointNanos.Add(time.Since(start).Nanoseconds())
@@ -315,8 +315,8 @@ func (s *session) checkpointLocked(metrics *Metrics) error {
 }
 
 // recoverSession rebuilds one session from its data directory: decode the
-// checkpoint into per-worker estimators, then replay the WAL tail through
-// the same shard-and-batch path the live server uses. Returns nil (no
+// checkpoint's estimator, then replay the WAL tail into it one batch per
+// record, as the live server applies them. Returns nil (no
 // error) for directories without a checkpoint — a crash between directory
 // creation and the initial checkpoint left nothing acknowledged to lose.
 // Checkpoint temp files orphaned by a crash mid-write are swept first.
@@ -335,7 +335,7 @@ func recoverSession(dir string, cfg Config, metrics *Metrics) (*session, error) 
 	if !ok {
 		return nil, nil
 	}
-	ests, err := estimatorsFromCheckpoint(st, cfg)
+	est, err := estimatorFromCheckpoint(st, cfg.arena)
 	if err != nil {
 		return nil, fmt.Errorf("server: %s: %w", dir, err)
 	}
@@ -343,14 +343,15 @@ func recoverSession(dir string, cfg Config, metrics *Metrics) (*session, error) 
 	if err != nil {
 		return nil, fmt.Errorf("server: %s: %w", dir, err)
 	}
-	if err := replayTail(log, &st, ests, metrics); err != nil {
+	if err := replayTail(log, &st, est, metrics); err != nil {
 		log.Close()
 		return nil, fmt.Errorf("server: %s: wal replay: %w", dir, err)
 	}
+	edges := int64(est.Edges()) // read before the apply goroutine owns est
 	d := &durability{dir: dir, wal: log, fs: fsys}
 	d.ckptPos.Store(st.walPos)
 	d.lastCkptNanos.Store(time.Now().UnixNano())
-	sess := newSessionWith(st.name, st.m, st.n, st.k, st.alpha, st.seed, cfg.QueueDepth, metrics, ests)
+	sess := newSessionWith(st.name, st.m, st.n, st.k, st.alpha, st.seed, cfg.QueueDepth, metrics, est)
 	sess.dur = d
 	if cfg.RetryMin > 0 {
 		sess.retryMin = cfg.RetryMin
@@ -362,19 +363,11 @@ func recoverSession(dir string, cfg Config, metrics *Metrics) (*session, error) 
 	for src, seq := range st.dedup {
 		sess.dedup[src] = dedupEntry{seq: seq}
 	}
-	var total int64
-	for _, est := range ests {
-		total += int64(est.Edges())
-	}
-	sess.edges.Store(total)
+	sess.edges.Store(edges)
 	// Seed the resident footprint from the snapshot we just restored; the
 	// caller attaches the overseer (none exists yet here) and folds this
 	// into the budget total.
-	var encoded int64
-	for _, p := range st.parts {
-		encoded += int64(len(p))
-	}
-	sess.residentBytes.Store(encoded)
+	sess.residentBytes.Store(st.size())
 	return sess, nil
 }
 
@@ -396,12 +389,13 @@ func loadCheckpoint(fsys fault.FS, dir string) (checkpointState, bool, error) {
 	return st, true, nil
 }
 
-// replayTail replays the WAL tail past st.walPos into ests through the
-// same shard-and-batch path the live server uses, advancing st.dedup to
-// the replayed horizon. Shared by crash recovery and rehydration: an
-// evicted session's parked WAL replays through the identical code, so a
-// rehydrated estimator is bit-identical to one that was never evicted.
-func replayTail(log *wal.Log, st *checkpointState, ests []*streamcover.Estimator, metrics *Metrics) error {
+// replayTail replays the WAL tail past st.walPos into est, one
+// ProcessColumns per record exactly as the live apply does, advancing
+// st.dedup to the replayed horizon. Shared by crash recovery, rehydration
+// and promotion: an evicted session's parked WAL replays through the
+// identical code, so a rehydrated estimator is bit-identical to one that
+// was never evicted.
+func replayTail(log *wal.Log, st *checkpointState, est *streamcover.Estimator, metrics *Metrics) error {
 	start := time.Now()
 	var batches, edgesReplayed int64
 	var cols stream.Columns // reused decode arena across the whole tail
@@ -416,7 +410,9 @@ func replayTail(log *wal.Log, st *checkpointState, ests []*streamcover.Estimator
 			}
 			st.dedup[source] = seq
 		}
-		replayBatch(ests, cols.Sets, cols.Elems)
+		if err := est.ProcessColumns(cols.Sets, cols.Elems); err != nil {
+			return fmt.Errorf("record %d: %w", pos, err)
+		}
 		batches++
 		edgesReplayed += int64(cols.Len())
 		return nil
@@ -432,45 +428,27 @@ func replayTail(log *wal.Log, st *checkpointState, ests []*streamcover.Estimator
 	return nil
 }
 
-// estimatorsFromCheckpoint decodes a checkpoint's per-worker estimator
-// parts into this server's worker layout. The snapshot is per-worker:
-// with the same worker count the restored state is bit-identical to the
-// uninterrupted one; with a different count, everything merges into one
-// worker and fresh same-seed estimators absorb the future shards (still
-// a correct summary — the query path merges all workers anyway).
-// Parallelism is an execution knob the snapshot deliberately omits; this
-// server's setting is applied to every decoded part.
-func estimatorsFromCheckpoint(st checkpointState, cfg Config) ([]*streamcover.Estimator, error) {
-	ests := make([]*streamcover.Estimator, 0, len(st.parts))
+// estimatorFromCheckpoint decodes a checkpoint's estimator. A checkpoint
+// written by a kcoverd that split each session across several same-seed
+// shard estimators holds one part per shard; those parts merge into the
+// one estimator, a correct summary of the union of their shards
+// (internal/core/merge.go). The decoded estimator runs its batch engine at
+// the facade default and draws batch scratch from arena.
+func estimatorFromCheckpoint(st checkpointState, arena *streamcover.InternArena) (*streamcover.Estimator, error) {
+	var est *streamcover.Estimator
 	for i, part := range st.parts {
-		est, err := streamcover.DecodeEstimator(part)
+		p, err := streamcover.DecodeEstimator(part)
 		if err != nil {
-			return nil, fmt.Errorf("worker %d: %w", i, err)
+			return nil, fmt.Errorf("checkpoint part %d: %w", i, err)
 		}
-		est.SetParallelism(cfg.EngineWorkers)
-		est.SetInternArena(cfg.arena)
-		ests = append(ests, est)
-	}
-	if cfg.Workers != len(ests) {
-		merged := ests[0]
-		for _, est := range ests[1:] {
-			if err := merged.Merge(est); err != nil {
-				return nil, fmt.Errorf("merging snapshot parts: %w", err)
-			}
-		}
-		ests = make([]*streamcover.Estimator, cfg.Workers)
-		ests[0] = merged
-		for i := 1; i < cfg.Workers; i++ {
-			est, err := streamcover.NewEstimator(st.m, st.n, st.k, st.alpha,
-				streamcover.WithSeed(st.seed), streamcover.WithParallelism(cfg.EngineWorkers))
-			if err != nil {
-				return nil, err
-			}
-			est.SetInternArena(cfg.arena)
-			ests[i] = est
+		if est == nil {
+			est = p
+		} else if err := est.Merge(p); err != nil {
+			return nil, fmt.Errorf("merging checkpoint parts: %w", err)
 		}
 	}
-	return ests, nil
+	est.SetInternArena(arena)
+	return est, nil
 }
 
 // decodeWALRecord parses one logged batch into cols: a frame-type byte
@@ -500,22 +478,4 @@ func decodeWALRecord(rec []byte, wantName string, wantM, wantN int, cols *stream
 			name, m, n, wantName, wantM, wantN)
 	}
 	return source, seq, nil
-}
-
-// replayBatch applies one batch synchronously with exactly the sharding
-// the live dispatch path uses, so a recovered worker sees the same edge
-// sequence it would have seen without the crash.
-func replayBatch(ests []*streamcover.Estimator, sets, elems []uint32) {
-	w := len(ests)
-	shards := make([]colShard, w)
-	for j, set := range sets {
-		i := int(splitmix64(uint64(set)<<32|uint64(elems[j])) % uint64(w))
-		shards[i].sets = append(shards[i].sets, set)
-		shards[i].elems = append(shards[i].elems, elems[j])
-	}
-	for i := range shards {
-		if len(shards[i].sets) > 0 {
-			ests[i].ProcessColumns(shards[i].sets, shards[i].elems)
-		}
-	}
 }

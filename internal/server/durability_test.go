@@ -72,24 +72,27 @@ func sendAll(t *testing.T, sess *client.Session, edges []streamcover.Edge) {
 	}
 }
 
-// referenceResult runs the same stream against an uninterrupted in-memory
-// server with the same worker count and returns its final answer.
-func referenceResult(t *testing.T, workers int, edges []streamcover.Edge) client.Result {
+// referenceResult is what an uninterrupted daemon answers after the
+// stream: a same-seed in-process estimator fed every edge, finalized
+// through a clone as a query is (Result draws the reported sets from the
+// estimator's rng, so the clone's fresh draw is the one a query matches).
+func referenceResult(t *testing.T, edges []streamcover.Edge) client.Result {
 	t.Helper()
-	s := startDurServer(t, server.Config{Workers: workers, QueueDepth: 8}, "127.0.0.1:0")
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		s.Shutdown(ctx)
-	}()
-	c := dialDur(t, s.TCPAddr().String(), client.WithBatchSize(512))
-	sess := createDur(t, c, "ref")
-	sendAll(t, sess, edges)
-	res, err := sess.Query()
+	est, err := streamcover.NewEstimator(durM, durN, durK, durAlpha, streamcover.WithSeed(durSeed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	defer est.Close()
+	if err := est.ProcessAll(edges); err != nil {
+		t.Fatal(err)
+	}
+	c, err := est.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := c.Result()
+	return client.Result{Coverage: res.Coverage, Feasible: res.Feasible, SetIDs: res.SetIDs,
+		SpaceWords: res.SpaceWords, Edges: c.Edges()}
 }
 
 func requireSameResult(t *testing.T, got, want client.Result, what string) {
@@ -116,8 +119,8 @@ func requireSameResult(t *testing.T, got, want client.Result, what string) {
 func TestCrashRecoveryBitIdentical(t *testing.T) {
 	dir := t.TempDir()
 	cfg := server.Config{
-		Workers: 3, QueueDepth: 8,
-		DataDir: dir, CheckpointEvery: -1, WALNoSync: true,
+		QueueDepth: 8,
+		DataDir:    dir, CheckpointEvery: -1, WALNoSync: true,
 	}
 	edges := durEdges(1, 20000)
 
@@ -145,7 +148,7 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameResult(t, got, referenceResult(t, cfg.Workers, edges), "recovered estimate")
+	requireSameResult(t, got, referenceResult(t, edges), "recovered estimate")
 }
 
 // TestShutdownCheckpointRecovery: a graceful shutdown checkpoints, so a
@@ -154,8 +157,8 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 func TestShutdownCheckpointRecovery(t *testing.T) {
 	dir := t.TempDir()
 	cfg := server.Config{
-		Workers: 2, QueueDepth: 8,
-		DataDir: dir, CheckpointEvery: -1, WALNoSync: true,
+		QueueDepth: 8,
+		DataDir:    dir, CheckpointEvery: -1, WALNoSync: true,
 	}
 	edges := durEdges(2, 12000)
 
@@ -182,7 +185,7 @@ func TestShutdownCheckpointRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameResult(t, got, referenceResult(t, cfg.Workers, edges), "post-shutdown estimate")
+	requireSameResult(t, got, referenceResult(t, edges), "post-shutdown estimate")
 }
 
 // TestCrashRestartWithReconnectingClient drives the full loop one level
@@ -193,8 +196,8 @@ func TestShutdownCheckpointRecovery(t *testing.T) {
 func TestCrashRestartWithReconnectingClient(t *testing.T) {
 	dir := t.TempDir()
 	cfg := server.Config{
-		Workers: 2, QueueDepth: 8,
-		DataDir: dir, CheckpointEvery: -1, WALNoSync: true,
+		QueueDepth: 8,
+		DataDir:    dir, CheckpointEvery: -1, WALNoSync: true,
 	}
 	edges := durEdges(3, 16000)
 
@@ -215,13 +218,13 @@ func TestCrashRestartWithReconnectingClient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameResult(t, got, referenceResult(t, cfg.Workers, edges), "post-restart estimate")
+	requireSameResult(t, got, referenceResult(t, edges), "post-restart estimate")
 }
 
 // TestSequencedDedupInMemory: replay protection works without a data dir
 // too — a duplicated (source, seq) batch is acknowledged but not applied.
 func TestSequencedDedupInMemory(t *testing.T) {
-	s := startDurServer(t, server.Config{Workers: 2, QueueDepth: 4}, "127.0.0.1:0")
+	s := startDurServer(t, server.Config{QueueDepth: 4}, "127.0.0.1:0")
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()

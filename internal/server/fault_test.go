@@ -61,8 +61,8 @@ func waitHealth(t *testing.T, httpAddr, want string, code int) {
 func TestFsyncFaultDegradesThenRecovers(t *testing.T) {
 	inj := fault.NewInjector(nil)
 	cfg := server.Config{
-		Workers: 2, QueueDepth: 4,
-		DataDir: t.TempDir(), CheckpointEvery: -1,
+		QueueDepth: 4,
+		DataDir:    t.TempDir(), CheckpointEvery: -1,
 		FS:       inj,
 		RetryMin: 5 * time.Millisecond, RetryMax: 50 * time.Millisecond,
 	}
@@ -142,8 +142,8 @@ func TestFsyncFaultDegradesThenRecovers(t *testing.T) {
 func TestDiskFullPutsServerReadOnly(t *testing.T) {
 	inj := fault.NewInjector(nil)
 	cfg := server.Config{
-		Workers: 2, QueueDepth: 4,
-		DataDir: t.TempDir(), CheckpointEvery: -1,
+		QueueDepth: 4,
+		DataDir:    t.TempDir(), CheckpointEvery: -1,
 		FS:       inj,
 		RetryMin: 5 * time.Millisecond, RetryMax: 50 * time.Millisecond,
 	}
@@ -213,7 +213,7 @@ func TestDiskFullPutsServerReadOnly(t *testing.T) {
 // deadline reaps it: the server closes the socket and counts the reap.
 func TestSilentPeerReapedByReadDeadline(t *testing.T) {
 	s := startServer(t, server.Config{
-		Workers: 1, QueueDepth: 2,
+		QueueDepth:  2,
 		ReadTimeout: 50 * time.Millisecond,
 	})
 	conn, err := net.Dial("tcp", s.TCPAddr().String())
@@ -245,8 +245,8 @@ func TestSilentPeerReapedByReadDeadline(t *testing.T) {
 func TestOrphanCheckpointTempsSwept(t *testing.T) {
 	dir := t.TempDir()
 	cfg := server.Config{
-		Workers: 2, QueueDepth: 4,
-		DataDir: dir, CheckpointEvery: -1, WALNoSync: true,
+		QueueDepth: 4,
+		DataDir:    dir, CheckpointEvery: -1, WALNoSync: true,
 	}
 	edges := durEdges(13, 4000)
 

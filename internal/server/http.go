@@ -12,19 +12,20 @@ import (
 
 // sessionInfo is one row of the /sessions listing.
 type sessionInfo struct {
-	Name        string  `json:"name"`
-	M           int     `json:"m"`
-	N           int     `json:"n"`
-	K           int     `json:"k"`
-	Alpha       float64 `json:"alpha"`
-	Seed        int64   `json:"seed"`
-	Edges       int64   `json:"edges"`
-	Batches     int64   `json:"batches"`
-	Queries     int64   `json:"queries"`
-	QueueDepths []int   `json:"queue_depths"`
+	Name       string  `json:"name"`
+	M          int     `json:"m"`
+	N          int     `json:"n"`
+	K          int     `json:"k"`
+	Alpha      float64 `json:"alpha"`
+	Seed       int64   `json:"seed"`
+	Edges      int64   `json:"edges"`
+	Batches    int64   `json:"batches"`
+	Queries    int64   `json:"queries"`
+	QueueDepth int     `json:"queue_depths"` // apply-queue occupancy
 
-	// Residency (oversubscription). Hydrated sessions have live workers;
-	// evicted ones are parked at their checkpoints until the next op.
+	// Residency (oversubscription). Hydrated sessions have a live
+	// estimator; evicted ones are parked at their checkpoints until the
+	// next op.
 	Hydrated      bool    `json:"hydrated"`
 	ResidentBytes int64   `json:"resident_bytes"`
 	LastAccessAge float64 `json:"last_access_age_seconds,omitempty"`
@@ -42,7 +43,7 @@ type queryResponse struct {
 }
 
 // httpHandler builds the live query/observability endpoint: /query runs
-// the same snapshot-merge path as the TCP protocol, /sessions inventories
+// the same clone-and-finalize path as the TCP protocol, /sessions inventories
 // the live sessions, /metrics dumps the counters, and /debug/pprof/*
 // exposes the standard Go profiler so ingest hot paths can be profiled
 // in production (mounted explicitly — the server uses its own mux, so
@@ -89,7 +90,7 @@ func (s *Server) httpHandler() http.Handler {
 				Edges:         sess.edges.Load(),
 				Batches:       sess.batches.Load(),
 				Queries:       sess.queries.Load(),
-				QueueDepths:   sess.queueDepths(),
+				QueueDepth:    sess.queueLen(),
 				Hydrated:      hydrated,
 				ResidentBytes: bytes,
 				Rehydrations:  rehyd,
@@ -105,12 +106,12 @@ func (s *Server) httpHandler() http.Handler {
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		counters := s.metrics.snapshot()
-		queues := map[string][]int{}
+		queues := map[string]int{}
 		durability := map[string]durabilityInfo{}
 		var hydrated, evicted, residentBytes int64
 		s.mu.Lock()
 		for name, sess := range s.sessions {
-			queues[name] = sess.queueDepths()
+			queues[name] = sess.queueLen()
 			if d := sess.dur; d != nil {
 				ckptPos := d.ckptPos.Load()
 				durability[name] = durabilityInfo{

@@ -9,8 +9,8 @@ import (
 
 // Metrics are plain expvar-style counters updated with atomics on the hot
 // path and snapshotted by the /metrics HTTP handler, plus two
-// power-of-two-bucketed latency histograms (per-worker batch processing
-// and query merge+finalize) whose derived p50/p95/p99 let operators — and
+// power-of-two-bucketed latency histograms (per-batch processing
+// and query clone+finalize) whose derived p50/p95/p99 let operators — and
 // the kcoverload collector — read percentile latency server-side instead
 // of inferring it from averages. The snapshot derives ingest edges/sec
 // from the edge counter and the server's uptime.
@@ -22,14 +22,13 @@ type Metrics struct {
 	ConnsTotal     atomic.Int64
 	Frames         atomic.Int64 // frames handled (all types)
 	Errors         atomic.Int64 // error responses sent
-	MergeNanos     atomic.Int64 // cumulative query merge+finalize time
+	MergeNanos     atomic.Int64 // cumulative query clone+finalize time
 	LastMergeNanos atomic.Int64
 
-	// Batched-ingest latency, measured around each worker's ProcessBatch
-	// call (post-shard, so one wire batch contributes one sample per
-	// worker that received a shard of it).
+	// Batched-ingest latency, measured around each session's
+	// ProcessColumns call on its apply goroutine: one sample per wire batch.
 	BatchesProcessed atomic.Int64
-	BatchNanos       atomic.Int64 // cumulative worker batch-processing time
+	BatchNanos       atomic.Int64 // cumulative batch-processing time
 	LastBatchNanos   atomic.Int64
 
 	// Durability counters. DupBatches counts sequenced batches dropped by
@@ -81,9 +80,8 @@ type Metrics struct {
 	QuotaRejects      atomic.Int64
 	OrphansSwept      atomic.Int64
 
-	// Latency histograms. IngestHist records each worker's per-shard
-	// ProcessBatch time; QueryHist records each query's merge+finalize
-	// time; RehydrateHist each checkpoint-restore + tail-replay. All in
+	// Latency histograms. IngestHist records each batch's ProcessColumns
+	// time; QueryHist records each query's clone+finalize time; RehydrateHist each checkpoint-restore + tail-replay. All in
 	// nanoseconds.
 	IngestHist    phist.Hist
 	QueryHist     phist.Hist

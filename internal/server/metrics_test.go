@@ -16,7 +16,7 @@ import (
 // p50/p95/p99 for both the ingest and query histograms, plus the raw
 // power-of-two buckets the kcoverload collector scrapes.
 func TestMetricsLatencyPercentiles(t *testing.T) {
-	s := server.New(server.Config{Workers: 2, QueueDepth: 8})
+	s := server.New(server.Config{QueueDepth: 8})
 	if err := s.Start("127.0.0.1:0", "127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}

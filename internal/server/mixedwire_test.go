@@ -121,28 +121,13 @@ func requireSameWireResult(t *testing.T, got, want wire.Result, what string) {
 	}
 }
 
-// mixedReference answers what an uninterrupted same-worker-count daemon
-// holds after the stream — fed as plain row batches, since the claim
-// under test is exactly that the mixed-encoding stream converges to it.
-func mixedReference(t *testing.T, workers int, name string, edges []streamcover.Edge) wire.Result {
+// mixedReference answers what an uninterrupted daemon holds after the
+// stream, whatever encodings it arrived in: the in-process reference.
+func mixedReference(t *testing.T, edges []streamcover.Edge) wire.Result {
 	t.Helper()
-	s := startDurServer(t, server.Config{Workers: workers, QueueDepth: 8}, "127.0.0.1:0")
-	t.Cleanup(s.Abort)
-	r := dialRaw(t, s.TCPAddr().String())
-	create := wire.Create{Name: name, M: durM, N: durN, K: durK, Alpha: durAlpha, Seed: durSeed}
-	r.expectOK(t, wire.TCreate, create.Encode())
-	rows := make([]stream.Edge, len(edges))
-	for j, e := range edges {
-		rows[j] = stream.Edge{Set: e.Set, Elem: e.Elem}
-	}
-	for off := 0; off < len(rows); off += 500 {
-		end := off + 500
-		if end > len(rows) {
-			end = len(rows)
-		}
-		r.expectOK(t, wire.TIngest, wire.EncodeIngest(nil, name, rows[off:end], durM, durN))
-	}
-	return queryRaw(t, r, name)
+	r := referenceResult(t, edges)
+	return wire.Result{Coverage: r.Coverage, Feasible: r.Feasible, SpaceWords: r.SpaceWords,
+		Edges: r.Edges, SetIDs: r.SetIDs}
 }
 
 // TestMixedWireWALRecovery is the mixed-encoding durability suite: one
@@ -155,8 +140,8 @@ func mixedReference(t *testing.T, workers int, name string, edges []streamcover.
 func TestMixedWireWALRecovery(t *testing.T) {
 	dir := t.TempDir()
 	cfg := server.Config{
-		Workers: 3, QueueDepth: 8,
-		DataDir: dir, CheckpointEvery: -1, WALNoSync: true,
+		QueueDepth: 8,
+		DataDir:    dir, CheckpointEvery: -1, WALNoSync: true,
 		WALSegmentBytes: 4096, // ~1 batch per segment: the tail spans rotations
 	}
 	edges := durEdges(5, 12000)
@@ -181,7 +166,7 @@ func TestMixedWireWALRecovery(t *testing.T) {
 	}
 	r2 := dialRaw(t, s2.TCPAddr().String())
 	got := queryRaw(t, r2, "mixed")
-	requireSameWireResult(t, got, mixedReference(t, cfg.Workers, "mixed-ref", edges), "recovered mixed-wire estimate")
+	requireSameWireResult(t, got, mixedReference(t, edges), "recovered mixed-wire estimate")
 }
 
 // TestMixedWireTornTailRecovery tears the final record of a mixed log —
@@ -191,8 +176,8 @@ func TestMixedWireWALRecovery(t *testing.T) {
 func TestMixedWireTornTailRecovery(t *testing.T) {
 	dir := t.TempDir()
 	cfg := server.Config{
-		Workers: 2, QueueDepth: 8,
-		DataDir: dir, CheckpointEvery: -1, WALNoSync: true,
+		QueueDepth: 8,
+		DataDir:    dir, CheckpointEvery: -1, WALNoSync: true,
 	}
 	edges := durEdges(6, 8000)
 	var seq uint64
@@ -223,7 +208,7 @@ func TestMixedWireTornTailRecovery(t *testing.T) {
 	defer s2.Abort()
 	r2 := dialRaw(t, s2.TCPAddr().String())
 	got := queryRaw(t, r2, "torn")
-	requireSameWireResult(t, got, mixedReference(t, cfg.Workers, "torn-ref", edges[:7500]), "post-torn-tail estimate")
+	requireSameWireResult(t, got, mixedReference(t, edges[:7500]), "post-torn-tail estimate")
 }
 
 // newestWALSegment returns the path of the highest-numbered WAL segment

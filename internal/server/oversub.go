@@ -19,8 +19,8 @@ var ErrOverloaded = errors.New("server overloaded")
 // It tracks the summed resident footprint of hydrated sessions — each
 // charged its real serialized size, measured at its last checkpoint — and
 // when the total exceeds the budget it evicts the coldest sessions down to
-// their canonical checkpoints: checkpoint, stop the workers, free the
-// estimators, park the WAL. The next operation on an evicted session
+// their canonical checkpoints: checkpoint, stop the apply goroutine, free
+// the estimator, park the WAL. The next operation on an evicted session
 // rehydrates it through the crash-recovery path (snapshot restore + WAL
 // tail replay), which makes rehydration bit-identical by construction. A
 // bounded admission gate keeps a stampede of simultaneous rehydrations
@@ -54,10 +54,10 @@ func newOverseer(srv *Server) *overseer {
 }
 
 // rehydrate brings an evicted session back to hydrated: decode the
-// checkpoint into fresh worker estimators, replay the parked WAL's tail
-// (empty unless a crash interleaved), restore the dedup horizons, restart
-// the workers. Runs under the residency write lock, so every operation
-// parked in beginResident resumes against the fully rebuilt worker set.
+// checkpoint's estimator, replay the parked WAL's tail (empty unless a
+// crash interleaved), restore the dedup horizons, restart the apply
+// goroutine. Runs under the residency write lock, so every operation
+// parked in beginResident resumes against the fully rebuilt session.
 //
 // Admission is non-blocking: with all tokens taken the caller gets a
 // typed transient rejection rather than a queue of goroutines each
@@ -89,12 +89,12 @@ func (o *overseer) rehydrate(s *session) error {
 		s.resMu.Unlock()
 		return fmt.Errorf("server: %w: session %q rehydration: %v", ErrOverloaded, s.name, err)
 	}
-	ests, err := estimatorsFromCheckpoint(st, o.srv.cfg)
+	est, err := estimatorFromCheckpoint(st, o.srv.cfg.arena)
 	if err == nil {
-		err = replayTail(d.wal, &st, ests, o.metrics)
+		err = replayTail(d.wal, &st, est, o.metrics)
 	}
 	if err != nil {
-		for _, est := range ests {
+		if est != nil {
 			est.Close()
 		}
 		s.resMu.Unlock()
@@ -106,18 +106,10 @@ func (o *overseer) rehydrate(s *session) error {
 		s.dedup[src] = dedupEntry{seq: seq}
 	}
 	s.dmu.Unlock()
-	var total int64
-	for _, est := range ests {
-		total += int64(est.Edges())
-	}
-	s.edges.Store(total)
-	s.startWorkers(ests)
+	s.edges.Store(int64(est.Edges()))
+	s.setEstimator(est)
 	s.evicted = false
-	var encoded int64
-	for _, p := range st.parts {
-		encoded += int64(len(p))
-	}
-	s.setResidentBytes(encoded)
+	s.setResidentBytes(st.size())
 	s.rehydrations.Add(1)
 	s.lastAccess.Store(time.Now().UnixNano())
 	s.resMu.Unlock()
@@ -135,8 +127,8 @@ func (o *overseer) rehydrate(s *session) error {
 // evict parks one session at its canonical checkpoint, reporting whether
 // it did. The checkpoint (taken under the residency write lock, so no
 // operation is in flight) captures estimators + dedup horizons and
-// truncates the WAL behind itself; then the workers stop, the estimators
-// free, and the WAL parks — same Log object, file handle closed, replay
+// truncates the WAL behind itself; then the apply goroutine stops, the
+// estimator frees, and the WAL parks — same Log object, file handle closed, replay
 // still possible. Sessions that are closed, degraded (recovery owns
 // them), replication roles (followers mirror a leader's stream; fenced
 // leaders are mid-failover), or have pinned WAL readers (an attached
@@ -170,7 +162,7 @@ func (o *overseer) evict(s *session) bool {
 	if err := s.checkpointLocked(o.metrics); err != nil {
 		return false
 	}
-	s.stopWorkers()
+	s.setEstimator(nil)
 	s.dur.wal.Close()
 	s.evicted = true
 	s.setResidentBytes(0)

@@ -92,8 +92,8 @@ func sessionResidency(t *testing.T, httpAddr string) map[string]bool {
 func TestEvictRehydrateBitIdentical(t *testing.T) {
 	edges := ovEdges(31, 4096)
 
-	// Reference: no durability, no budget, same worker count.
-	refSrv := startDurServer(t, server.Config{Workers: 2, QueueDepth: 8}, "127.0.0.1:0")
+	// Reference: no durability, no budget.
+	refSrv := startDurServer(t, server.Config{QueueDepth: 8}, "127.0.0.1:0")
 	defer shutdownOv(t, refSrv)
 	refSess := createOv(t, dialDur(t, refSrv.TCPAddr().String(), client.WithBatchSize(512)), "ref")
 	sendAll(t, refSess, edges)
@@ -107,8 +107,8 @@ func TestEvictRehydrateBitIdentical(t *testing.T) {
 	// chunk so it owns the hottest slot and "subj" is always the eviction
 	// victim.
 	cfg := server.Config{
-		Workers: 2, QueueDepth: 8,
-		DataDir: t.TempDir(), CheckpointEvery: -1, WALNoSync: true,
+		QueueDepth: 8,
+		DataDir:    t.TempDir(), CheckpointEvery: -1, WALNoSync: true,
 		MemBudget: 1,
 	}
 	s := server.New(cfg)
@@ -158,8 +158,8 @@ func TestOversubscriptionIngestEvictRace(t *testing.T) {
 		t.Skip("concurrent eviction soak")
 	}
 	cfg := server.Config{
-		Workers: 1, QueueDepth: 4,
-		DataDir: t.TempDir(), CheckpointEvery: 50 * time.Millisecond, WALNoSync: true,
+		QueueDepth: 4,
+		DataDir:    t.TempDir(), CheckpointEvery: 50 * time.Millisecond, WALNoSync: true,
 		MemBudget: 3_000_000,
 		RetryMin:  5 * time.Millisecond, RetryMax: 50 * time.Millisecond,
 	}
@@ -237,8 +237,8 @@ func TestQueryDuringRehydration(t *testing.T) {
 		t.Skip("concurrent rehydration soak")
 	}
 	cfg := server.Config{
-		Workers: 1, QueueDepth: 4,
-		DataDir: t.TempDir(), CheckpointEvery: -1, WALNoSync: true,
+		QueueDepth: 4,
+		DataDir:    t.TempDir(), CheckpointEvery: -1, WALNoSync: true,
 		MemBudget: 1,
 		RetryMin:  5 * time.Millisecond, RetryMax: 50 * time.Millisecond,
 	}
@@ -313,8 +313,8 @@ func TestQueryDuringRehydration(t *testing.T) {
 func TestEvictionSkipsDegraded(t *testing.T) {
 	inj := fault.NewInjector(nil)
 	cfg := server.Config{
-		Workers: 1, QueueDepth: 4,
-		DataDir: t.TempDir(), CheckpointEvery: -1,
+		QueueDepth: 4,
+		DataDir:    t.TempDir(), CheckpointEvery: -1,
 		FS:        inj,
 		MemBudget: 1,
 		// Slow recovery probes: the degraded window must comfortably
@@ -424,8 +424,8 @@ func TestEvictionSkipsDegraded(t *testing.T) {
 func TestOrphanSessionDirSwept(t *testing.T) {
 	dir := t.TempDir()
 	cfg := server.Config{
-		Workers: 1, QueueDepth: 4,
-		DataDir: dir, CheckpointEvery: -1, WALNoSync: true,
+		QueueDepth: 4,
+		DataDir:    dir, CheckpointEvery: -1, WALNoSync: true,
 	}
 	s1 := startDurServer(t, cfg, "127.0.0.1:0")
 	keeper := createOv(t, dialDur(t, s1.TCPAddr().String(), client.WithBatchSize(512)), "keeper")

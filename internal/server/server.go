@@ -1,17 +1,20 @@
-// Package server implements kcoverd: a sharded network ingest daemon for
-// the streaming Max k-Cover estimator. Clients open named sessions, push
-// framed MKC1 batches of (set, element) edges over TCP, and query a live
+// Package server implements kcoverd: a network ingest daemon for the
+// streaming Max k-Cover estimator. Clients open named sessions, push
+// framed batches of (set, element) edges over TCP, and query a live
 // coverage estimate at any time; an HTTP sidecar exposes queries, session
 // listings and metrics to humans and scrapers.
 //
-// Concurrency model: each session shards edges by hash across a fixed set
-// of worker goroutines, each owning a same-seed streamcover.Estimator
-// behind a bounded queue (backpressure). Queries snapshot the workers via
-// Estimator.Clone and merge the clones off the ingest path, so a slow
-// merge never stalls arriving edges. Responses on a connection are
-// strictly ordered (clients pipeline against that), but applying an
-// ingest — the WAL group-commit fsync overlapped with the worker
-// dispatch — runs on a per-connection apply goroutine while the handler
+// Concurrency model: each session owns one streamcover.Estimator, fed by
+// one apply goroutine from a bounded queue (backpressure). The estimator's
+// batch engine fans each batch across its (guess, repetition) oracle units
+// on up to GOMAXPROCS goroutines, bit-identically at any count, so the
+// session's state is the paper's single estimator and its durable
+// identity does not depend on the host. Queries enqueue a clone request
+// behind the batches already queued and finalize the clone off the ingest
+// path, so a slow finalize never stalls arriving edges. Responses on a
+// connection are strictly ordered (clients pipeline against that), but
+// applying an ingest — the WAL group-commit fsync overlapped with the
+// queue dispatch — runs on a per-connection apply goroutine while the handler
 // reads and decodes the next pipelined frame, so a burst's decode cost
 // hides behind the previous batch's fsync. Both wire batch layouts (row
 // MKC1 and columnar MKC2) decode straight into column arenas; edges never
@@ -27,7 +30,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"time"
 
@@ -40,19 +42,9 @@ import (
 
 // Config sizes a Server. Zero values pick sane defaults.
 type Config struct {
-	// Workers is the number of shard workers (and estimator replicas)
-	// per session. Default: GOMAXPROCS.
-	Workers int
-	// QueueDepth is each worker's batch-queue capacity; full queues block
-	// ingest dispatch (backpressure). Default: 64.
+	// QueueDepth is each session's apply-queue capacity in batches; a
+	// full queue blocks ingest dispatch (backpressure). Default: 64.
 	QueueDepth int
-	// EngineWorkers is the per-estimator batch-engine worker count: how
-	// many goroutines each shard worker's estimator fans its oracle units
-	// across (streamcover.WithParallelism). Default: 1. The shard workers
-	// already provide cross-core parallelism, so in-estimator fan-out
-	// only pays when cores outnumber busy shard workers — few sessions on
-	// a large machine; raise it (and usually lower Workers) for that shape.
-	EngineWorkers int
 	// DataDir enables durability: each session keeps a checkpoint
 	// snapshot plus a WAL of acknowledged batches under this directory,
 	// and Start recovers every session found there before accepting
@@ -123,14 +115,8 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
-	}
-	if c.EngineWorkers <= 0 {
-		c.EngineWorkers = 1
 	}
 	if c.CheckpointEvery == 0 {
 		c.CheckpointEvery = 30 * time.Second
@@ -385,7 +371,7 @@ func (s *Server) serveTCP(ln net.Listener) {
 //
 // Ingest frames are pipelined one deep: after an ingest is decoded and
 // validated it is handed to the connection's apply goroutine (which runs
-// the WAL fsync overlapped with the worker dispatch), and this goroutine
+// the WAL fsync overlapped with the queue dispatch), and this goroutine
 // immediately reads and decodes the next frame — but only while another
 // frame is already buffered. A peer that waits for the ack before
 // sending more gets the ack at once; a pipelining peer gets its next
@@ -707,7 +693,7 @@ func (s *Server) createSession(c wire.Create) error {
 // cadence tick still recovers the session (and its WAL tail). Runs with
 // no server locks held; the caller's per-name guard keeps it single.
 func (s *Server) buildSession(c wire.Create) (*session, error) {
-	sess, err := newSession(c.Name, c.M, c.N, c.K, c.Alpha, c.Seed, s.cfg.Workers, s.cfg.EngineWorkers, s.cfg.QueueDepth, &s.metrics, s.cfg.arena)
+	sess, err := newSession(c.Name, c.M, c.N, c.K, c.Alpha, c.Seed, s.cfg.QueueDepth, &s.metrics, s.cfg.arena)
 	if err != nil {
 		return nil, err
 	}
@@ -905,7 +891,7 @@ func (s *Server) prepareIngest(typ byte, payload []byte, cols *stream.Columns) (
 }
 
 // applyIngest runs one prepared ingest — the WAL append overlapped with
-// the worker dispatch inside the session — and settles the server-wide
+// the queue dispatch inside the session — and settles the server-wide
 // counters. An ack on its nil return means "durably logged and applied
 // (or, for sequenced batches, a recognized replay)".
 func (s *Server) applyIngest(j ingestJob) error {
@@ -963,9 +949,9 @@ func (s *Server) closeSession(name string) error {
 
 // Shutdown stops the server gracefully: listeners close first, every
 // session is checkpointed (so a restart recovers from the snapshot alone,
-// without WAL replay), sessions drain (workers consume everything already
-// queued), then remaining connections are closed. The context bounds the
-// wait.
+// without WAL replay), sessions drain (apply goroutines consume
+// everything already queued), then remaining connections are closed. The
+// context bounds the wait.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if s.closed {
@@ -1032,7 +1018,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // close immediately, with no checkpoint and no WAL truncation. Everything
 // the server acknowledged must still be recoverable by a fresh Server
 // starting on the same data dir. Sessions are then quiesced (in-flight
-// ingests finish, workers drain, WAL handles close) so the dead process's
+// ingests finish, apply queues drain, WAL handles close) so the dead process's
 // goroutines cannot keep appending to a data dir a successor has already
 // recovered from — the quiesce is bookkeeping the real SIGKILL would do
 // by ceasing to exist.

@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -14,6 +15,7 @@ import (
 	"streamcover/internal/client"
 	"streamcover/internal/server"
 	"streamcover/internal/stream"
+	"streamcover/internal/wire"
 	"streamcover/internal/workload"
 )
 
@@ -65,7 +67,7 @@ func TestEndToEndMatchesInProcess(t *testing.T) {
 		alpha = 4.0
 		seed  = int64(7)
 	)
-	s := startServer(t, server.Config{Workers: 4, QueueDepth: 8})
+	s := startServer(t, server.Config{QueueDepth: 8})
 	edges, m, n, k := plantedStream(1)
 	want := reference(t, edges, m, n, k, alpha, seed)
 
@@ -109,7 +111,7 @@ func TestConcurrentClientsBitIdentical(t *testing.T) {
 		seed    = int64(5)
 		clients = 8
 	)
-	s := startServer(t, server.Config{Workers: 4, QueueDepth: 4})
+	s := startServer(t, server.Config{QueueDepth: 4})
 	edges, m, n, k := plantedStream(2)
 	want := reference(t, edges, m, n, k, alpha, seed)
 
@@ -179,7 +181,7 @@ func TestConcurrentClientsBitIdentical(t *testing.T) {
 // with ingest and must return monotonically growing edge counts without
 // stalling either side.
 func TestQueryDuringIngest(t *testing.T) {
-	s := startServer(t, server.Config{Workers: 2, QueueDepth: 2})
+	s := startServer(t, server.Config{QueueDepth: 2})
 	edges, m, n, k := plantedStream(3)
 
 	c, err := client.Dial(s.TCPAddr().String(), client.WithBatchSize(512))
@@ -230,8 +232,117 @@ func TestQueryDuringIngest(t *testing.T) {
 	}
 }
 
+// TestQuerySeesWholeBatches pins query/batch atomicity: while connection A
+// sends sequenced batches of distinct sizes, connection B queries in a
+// loop, and every answer must count a prefix of whole batches — never part
+// of one. (A session that split each batch across several shard queues
+// let a query's clone requests land between one batch's shards.)
+func TestQuerySeesWholeBatches(t *testing.T) {
+	s := startServer(t, server.Config{QueueDepth: 4})
+	const name = "atomic"
+	writer := dialRaw(t, s.TCPAddr().String())
+	create := wire.Create{Name: name, M: durM, N: durN, K: durK, Alpha: durAlpha, Seed: durSeed}
+	writer.expectOK(t, wire.TCreate, create.Encode())
+
+	const batches = 150
+	sizes := make([]int, batches)
+	prefix := map[int]bool{0: true}
+	total := 0
+	for i := range sizes {
+		sizes[i] = 100 + i
+		total += sizes[i]
+		prefix[total] = true
+	}
+	edges := durEdges(9, total)
+
+	reader := dialRaw(t, s.TCPAddr().String())
+	stop := make(chan struct{})
+	type answer struct {
+		edges []int
+		err   error
+	}
+	answers := make(chan answer, 1)
+	go func() {
+		var seen []int
+		for {
+			select {
+			case <-stop:
+				answers <- answer{edges: seen}
+				return
+			default:
+			}
+			err := wire.WriteFrame(reader.conn, wire.TQuery, wire.EncodeRef(name))
+			var typ byte
+			var payload []byte
+			if err == nil {
+				typ, payload, err = wire.ReadFrame(reader.br, reader.scratch)
+			}
+			if err == nil && typ != wire.TResult {
+				err = fmt.Errorf("query answered 0x%02x: %s", typ, payload)
+			}
+			var res wire.Result
+			if err == nil {
+				res, err = wire.DecodeResult(payload)
+			}
+			if err != nil {
+				answers <- answer{err: err}
+				return
+			}
+			seen = append(seen, res.Edges)
+		}
+	}()
+
+	// The writer pipelines every batch without waiting for acks, so the
+	// apply queue stays full and the queries' clone requests contend with
+	// batches for its slots.
+	var frames bytes.Buffer
+	off := 0
+	for i, size := range sizes {
+		sets := make([]uint32, size)
+		elems := make([]uint32, size)
+		for j, e := range edges[off : off+size] {
+			sets[j], elems[j] = e.Set, e.Elem
+		}
+		off += size
+		payload := wire.EncodeIngestSeqColumns(nil, name, 5, uint64(i+1), sets, elems, durM, durN)
+		if err := wire.WriteFrame(&frames, wire.TIngestSeq, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	written := make(chan error, 1)
+	go func() {
+		_, err := writer.conn.Write(frames.Bytes())
+		written <- err
+	}()
+	for range sizes {
+		typ, payload, err := wire.ReadFrame(writer.br, writer.scratch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if typ != wire.TOK {
+			t.Fatalf("batch answered 0x%02x: %s", typ, payload)
+		}
+	}
+	if err := <-written; err != nil {
+		t.Fatal(err)
+	}
+	close(stop)
+	got := <-answers
+	if got.err != nil {
+		t.Fatal(got.err)
+	}
+	if len(got.edges) == 0 {
+		t.Fatal("no query raced the batches")
+	}
+	for _, e := range got.edges {
+		if !prefix[e] {
+			t.Fatalf("a query counted %d edges, not a prefix of whole batches (%d queries)", e, len(got.edges))
+		}
+	}
+}
+
 func TestSessionLifecycleAndErrors(t *testing.T) {
-	s := startServer(t, server.Config{Workers: 2})
+	s := startServer(t, server.Config{})
 	c, err := client.Dial(s.TCPAddr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -275,7 +386,7 @@ func TestSessionLifecycleAndErrors(t *testing.T) {
 }
 
 func TestHTTPEndpoints(t *testing.T) {
-	s := startServer(t, server.Config{Workers: 2})
+	s := startServer(t, server.Config{})
 	edges, m, n, k := plantedStream(4)
 	c, err := client.Dial(s.TCPAddr().String())
 	if err != nil {
@@ -334,7 +445,7 @@ func TestHTTPEndpoints(t *testing.T) {
 
 	var metrics struct {
 		Counters    map[string]int64 `json:"counters"`
-		QueueDepths map[string][]int `json:"queue_depths"`
+		QueueDepths map[string]int   `json:"queue_depths"`
 	}
 	getJSON("/metrics", &metrics)
 	if metrics.Counters["edges_ingested"] != int64(len(edges)) {
@@ -359,7 +470,7 @@ func TestHTTPEndpoints(t *testing.T) {
 }
 
 func TestGracefulShutdown(t *testing.T) {
-	s := server.New(server.Config{Workers: 2})
+	s := server.New(server.Config{})
 	if err := s.Start("127.0.0.1:0", ""); err != nil {
 		t.Fatal(err)
 	}

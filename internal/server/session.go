@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,11 +11,13 @@ import (
 	"streamcover/internal/wire"
 )
 
-// A session is one named estimation run: a set of shard workers, each
-// owning a same-seed streamcover.Estimator, fed disjoint edge shards by
-// hash. Because equal-seed estimators merge into a summary of the union
-// of their shards (internal/core/merge.go), a query merges per-worker
-// clones and finalizes the merged copy — ingest never stops.
+// A session is one named estimation run: one streamcover.Estimator fed by
+// one apply goroutine from one bounded queue. Batches and clone requests
+// share the queue, so a clone observes every batch enqueued before it and
+// no part of any batch enqueued after it; a query finalizes its clone off
+// the ingest path — ingest never stops. The estimator's own batch engine
+// fans each batch across its (guess, repetition) oracle units, which is
+// where the session's parallelism comes from.
 type session struct {
 	name  string
 	m, n  int
@@ -24,18 +25,22 @@ type session struct {
 	alpha float64
 	seed  int64
 
-	workers []chan workerMsg
-	ests    []*streamcover.Estimator // one per worker; owned so close can release their engines
-	recycle []chan colShard          // per-worker shard-buffer free lists (see dispatch)
-	hist    shardSizeHist            // recent shard lengths, drives shard capacity reservation
-	hdrPool sync.Pool                // *[]colShard dispatch headers
-	wg      sync.WaitGroup           // worker goroutines
-	metrics *Metrics                 // server-wide counters (batch latency); may be nil in tests
+	// swapMu guards queue against replacement: a follower bootstrap, an
+	// eviction and a rehydration swap the estimator and its queue
+	// wholesale (see setEstimator), so clone enqueues and queue-length
+	// probes hold the read side. Ingest dispatch does not: it runs under
+	// a residency pin, and on followers on the one goroutine that also
+	// bootstraps.
+	swapMu   sync.RWMutex
+	queue    chan applyMsg  // nil while evicted or closed
+	queueCap int            // capacity each new queue is built with
+	applyWG  sync.WaitGroup // the apply goroutine
+	metrics  *Metrics       // server-wide counters (batch latency); may be nil in tests
 
 	dur *durability // nil without a data dir
 
 	// Degraded state (see degrade.go). A WAL append or checkpoint failure
-	// leaves a batch applied to the workers without being durable, so no
+	// leaves a batch applied to the estimator without being durable, so no
 	// later ingest may be acknowledged — an ack promises the whole
 	// acknowledged prefix survives a crash. Unlike a permanent poison, the
 	// condition is repairable in place: the recovery loop resets the WAL
@@ -53,36 +58,31 @@ type session struct {
 	dmu   sync.Mutex
 	dedup map[uint64]dedupEntry // client source → replay horizon
 
-	// omu orders durable ingest: WAL position assignment and worker
+	// omu orders durable ingest: WAL position assignment and queue
 	// dispatch are one atomic step (see logAndDispatch), so the log's
 	// replay order — the only order replicas and crash recovery ever see —
-	// is the order the leader's own estimators saw.
+	// is the order the leader's own estimator saw.
 	omu sync.Mutex
 
 	// Cluster role (see cluster.go). A session is born leader; on nodes
 	// that do not lead it, the server marks it a follower and attaches an
-	// applier pulling the leader's WAL. swapMu guards the worker/estimator
-	// set against replacement: a bootstrap swaps it wholesale, so clone
-	// enqueues (query, digest) hold the read side. queueDepth is kept so
-	// the swap can rebuild the queues at the configured capacity.
+	// applier pulling the leader's WAL.
 	// fenced stops a leader from accepting new writes ahead of an orderly
 	// failover: acks are durable the moment they are sent, but shipping is
 	// asynchronous, so a promotion is lossless only if the leader first
 	// stops acking and the chosen follower drains the remaining tail.
-	follower   atomic.Bool
-	fenced     atomic.Bool
-	appMu      sync.Mutex
-	applier    *replica.Applier
-	swapMu     sync.RWMutex
-	queueDepth int
+	follower atomic.Bool
+	fenced   atomic.Bool
+	appMu    sync.Mutex
+	applier  *replica.Applier
 
 	// Residency (oversubscription; see oversub.go). A session is born
 	// hydrated; the overseer may evict it down to its canonical checkpoint
-	// — workers stopped, estimators freed, WAL parked — and any later
-	// operation rehydrates it. evicted is guarded by resMu: operations pin
-	// residency with the read side for their whole duration, eviction and
-	// rehydration take the write side, so workers can never disappear
-	// under a dispatch. The zero value (hydrated, no overseer) keeps every
+	// — apply goroutine stopped, estimator freed, WAL parked — and any
+	// later operation rehydrates it. evicted is guarded by resMu:
+	// operations pin residency with the read side for their whole
+	// duration, eviction and rehydration take the write side, so the queue
+	// can never disappear under a dispatch. The zero value (hydrated, no overseer) keeps every
 	// pre-oversubscription construction path valid.
 	resMu         sync.RWMutex
 	evicted       bool
@@ -107,18 +107,22 @@ type session struct {
 	queries atomic.Int64
 }
 
-// colShard is one worker's share of a dispatched batch in column form —
+// colBatch is a dispatched batch's private copy of its columns —
 // parallel set-ID and element-ID slices, the exact layout the estimator's
-// ProcessColumns ingests with no per-edge conversion.
-type colShard struct {
+// ProcessColumns ingests with no per-edge conversion. The copy frees the
+// connection's decode arena for the next frame; batchPool recycles it once
+// the estimator is done reading.
+type colBatch struct {
 	sets, elems []uint32
 }
 
-// workerMsg is either a batch shard (clone == nil) or a snapshot
-// request. A single channel per worker keeps the two ordered: a snapshot
-// enqueued after a batch observes that batch.
-type workerMsg struct {
-	shard colShard
+var batchPool = sync.Pool{New: func() any { return new(colBatch) }}
+
+// applyMsg is either a batch (clone == nil) or a snapshot request. One
+// queue keeps the two ordered: a snapshot enqueued after a batch observes
+// all of it.
+type applyMsg struct {
+	batch *colBatch
 	clone chan<- cloneReply
 }
 
@@ -145,90 +149,71 @@ type dedupEntry struct {
 // group-commit fsync.
 var testHookAfterAccept func(source, seq uint64)
 
-func newSession(name string, m, n, k int, alpha float64, seed int64, workers, engineWorkers, queueDepth int, metrics *Metrics, arena *streamcover.InternArena) (*session, error) {
-	ests := make([]*streamcover.Estimator, workers)
-	for i := range ests {
-		est, err := streamcover.NewEstimator(m, n, k, alpha,
-			streamcover.WithSeed(seed), streamcover.WithParallelism(engineWorkers))
-		if err != nil {
-			return nil, err
-		}
-		est.SetInternArena(arena)
-		ests[i] = est
+func newSession(name string, m, n, k int, alpha float64, seed int64, queueCap int, metrics *Metrics, arena *streamcover.InternArena) (*session, error) {
+	est, err := streamcover.NewEstimator(m, n, k, alpha, streamcover.WithSeed(seed))
+	if err != nil {
+		return nil, err
 	}
-	return newSessionWith(name, m, n, k, alpha, seed, queueDepth, metrics, ests), nil
+	est.SetInternArena(arena)
+	return newSessionWith(name, m, n, k, alpha, seed, queueCap, metrics, est), nil
 }
 
-// newSessionWith builds a session around pre-made worker estimators —
-// fresh ones for a new session, restored ones during crash recovery.
-func newSessionWith(name string, m, n, k int, alpha float64, seed int64, queueDepth int, metrics *Metrics, ests []*streamcover.Estimator) *session {
+// newSessionWith builds a session around a pre-made estimator — a fresh
+// one for a new session, a restored one during crash recovery.
+func newSessionWith(name string, m, n, k int, alpha float64, seed int64, queueCap int, metrics *Metrics, est *streamcover.Estimator) *session {
 	s := &session{
 		name: name, m: m, n: n, k: k, alpha: alpha, seed: seed,
-		metrics: metrics, dedup: make(map[uint64]dedupEntry), ests: ests,
+		metrics: metrics, dedup: make(map[uint64]dedupEntry),
 		recStop: make(chan struct{}), retryMin: 50 * time.Millisecond, retryMax: 5 * time.Second,
-		queueDepth: queueDepth,
+		queueCap: queueCap,
 	}
-	w := len(ests)
-	s.hdrPool.New = func() any { h := make([]colShard, w); return &h }
-	s.startWorkers(ests)
+	s.setEstimator(est)
 	return s
 }
 
-// startWorkers builds the worker channel set around ests and starts one
-// goroutine per estimator. Takes the swap lock: the worker set is the
-// same one queries and queue-depth probes read under swapMu.RLock. The
-// worker count must match the hdrPool's width (eviction and rehydration
-// always rebuild at the configured count, so this holds).
-func (s *session) startWorkers(ests []*streamcover.Estimator) {
+// setEstimator replaces the session's estimator and its apply goroutine.
+// The old queue closes and its goroutine exits after consuming what was
+// already enqueued (clone requests included, so they are still answered),
+// releasing the old estimator's engine. A non-nil est gets a fresh queue
+// and goroutine; nil leaves the session without one (evicted or
+// closed), and is a no-op when it already has none. Callers must exclude
+// concurrent dispatches (close does it via ops.Wait, eviction via resMu,
+// a follower bootstrap by running on the only goroutine that dispatches).
+func (s *session) setEstimator(est *streamcover.Estimator) {
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
-	s.ests = ests
-	s.workers = make([]chan workerMsg, len(ests))
-	s.recycle = make([]chan colShard, len(ests))
-	for i, est := range ests {
-		ch := make(chan workerMsg, s.queueDepth)
-		s.workers[i] = ch
-		s.recycle[i] = make(chan colShard, s.queueDepth+1)
-		s.wg.Add(1)
-		go s.runWorker(est, ch, s.recycle[i])
+	if s.queue != nil {
+		close(s.queue)
+		s.applyWG.Wait()
+		s.queue = nil
+	}
+	if est != nil {
+		s.queue = make(chan applyMsg, s.queueCap)
+		s.applyWG.Add(1)
+		go s.runApply(est, s.queue)
 	}
 }
 
-// stopWorkers drains and stops the worker set: queues close, each worker
-// exits after consuming what was already enqueued, and the estimators
-// release their engines. Idempotent — close after evict (or vice versa)
-// finds no workers and returns. Callers must exclude concurrent
-// dispatches (close does it via ops.Wait; eviction via resMu).
-func (s *session) stopWorkers() {
-	s.swapMu.Lock()
-	workers, ests := s.workers, s.ests
-	s.workers, s.ests, s.recycle = nil, nil, nil
-	s.swapMu.Unlock()
-	for _, ch := range workers {
-		close(ch)
-	}
-	s.wg.Wait()
-	for _, est := range ests {
-		est.Close()
-	}
-}
-
-// scratchIdleAfter is how long a worker sits without traffic before it
-// hands its batch scratch (interner tables) back to the shared arena. The
-// delay keeps a single busy session from thrashing its scratch — release
-// on every queue-empty observation would reallocate per batch — while an
-// idle one among thousands still returns its working memory for the
-// active sessions to reuse.
+// scratchIdleAfter is how long an apply goroutine sits without traffic
+// before it hands its batch scratch (interner tables) back to the shared
+// arena. The delay keeps a single busy session from thrashing its scratch
+// — release on every queue-empty observation would reallocate per batch —
+// while an idle one among thousands still returns its working memory for
+// the active sessions to reuse.
 const scratchIdleAfter = 250 * time.Millisecond
 
-func (s *session) runWorker(est *streamcover.Estimator, ch chan workerMsg, recycle chan colShard) {
-	defer s.wg.Done()
+// runApply is the session's apply goroutine: it owns est, applies batches
+// and answers clone requests in queue order, and releases est's engine
+// when the queue closes.
+func (s *session) runApply(est *streamcover.Estimator, queue <-chan applyMsg) {
+	defer s.applyWG.Done()
+	defer est.Close()
 	idle := time.NewTimer(scratchIdleAfter)
 	defer idle.Stop()
 	for {
-		var msg workerMsg
+		var msg applyMsg
 		select {
-		case m, ok := <-ch:
+		case m, ok := <-queue:
 			// A closed channel still drains its buffered messages first, so
 			// this keeps the drain-everything-then-exit contract.
 			if !ok {
@@ -237,7 +222,7 @@ func (s *session) runWorker(est *streamcover.Estimator, ch chan workerMsg, recyc
 			msg = m
 		case <-idle.C:
 			est.ReleaseScratch()
-			continue // timer not reset: release once, then block on ch
+			continue // timer not reset: release once, then block on the queue
 		}
 		if !idle.Stop() {
 			select {
@@ -253,24 +238,16 @@ func (s *session) runWorker(est *streamcover.Estimator, ch chan workerMsg, recyc
 		}
 		start := time.Now()
 		// IDs were validated against the session dims at decode time, so
-		// the batched ingest cannot fail here. The shard columns feed the
-		// estimator directly — the old path converted every shard into a
-		// []streamcover.Edge first, a copy per edge the columnar layout
-		// makes unnecessary.
-		est.ProcessColumns(msg.shard.sets, msg.shard.elems)
+		// the batched ingest cannot fail here.
+		est.ProcessColumns(msg.batch.sets, msg.batch.elems)
+		d := time.Since(start).Nanoseconds()
+		msg.batch.sets, msg.batch.elems = msg.batch.sets[:0], msg.batch.elems[:0]
+		batchPool.Put(msg.batch)
 		if s.metrics != nil {
-			d := time.Since(start).Nanoseconds()
 			s.metrics.BatchNanos.Add(d)
 			s.metrics.LastBatchNanos.Store(d)
 			s.metrics.BatchesProcessed.Add(1)
 			s.metrics.IngestHist.Observe(d)
-		}
-		// Hand the buffers back once the estimator is done reading them.
-		// (They cannot go back earlier as in the row days — ProcessColumns
-		// reads the columns in place instead of converting them.)
-		select {
-		case recycle <- colShard{msg.shard.sets[:0], msg.shard.elems[:0]}:
-		default:
 		}
 	}
 }
@@ -293,15 +270,6 @@ func (s *session) residency() (resident bool, bytes, lastAccess, rehydrations in
 	return resident, s.residentBytes.Load(), s.lastAccess.Load(), s.rehydrations.Load()
 }
 
-// splitmix64 is the edge-shard hash: cheap, stateless, and well mixed so
-// hot sets spread across workers.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // begin registers an operation if the session is still open.
 func (s *session) begin() error {
 	s.mu.Lock()
@@ -313,16 +281,15 @@ func (s *session) begin() error {
 	return nil
 }
 
-// logAndDispatch logs one batch and shards it to the workers, returning
+// logAndDispatch logs one batch and queues it for the estimator, returning
 // a channel that delivers the append's durability error. The WAL position
 // assignment and the dispatch happen as one atomic step under omu:
-// replicas (and crash recovery) replay the log in position order on a
-// single goroutine, so the leader's own per-worker apply order must equal
-// log order — otherwise two concurrent connections could interleave into
-// the worker queues in one order and into the log in the other, and the
-// leader's estimator bytes would diverge from every follower's. Only the
-// group-commit fsync — the slow half — runs outside the lock, so it still
-// overlaps the dispatch and later batches. The caller must receive from
+// replicas (and crash recovery) replay the log in position order, so the
+// leader's own apply order must equal log order — otherwise two concurrent
+// connections could interleave into the queue in one order and into the
+// log in the other, and the leader's estimator bytes would diverge from
+// every follower's. Only the group-commit fsync — the slow half — runs
+// outside the lock, so it still overlaps the dispatch and later batches. The caller must receive from
 // the channel before acknowledging (an ack still implies durability) and
 // before releasing pmu (the checkpoint invariant requires no in-flight
 // append under pmu.Lock).
@@ -354,11 +321,10 @@ func (s *session) logAndDispatch(d *durability, rec []byte, sets, elems []uint32
 	return ch
 }
 
-// ingest logs and shards one validated unsequenced batch, overlapping the
-// WAL fsync with the worker dispatch. sets/elems are the batch's columns
-// (both wire encodings decode into this form); rec is the WAL record for
-// the batch (type byte + wire payload), ignored when the session has no
-// durability.
+// ingest logs and queues one validated unsequenced batch, overlapping the
+// WAL fsync with the apply. sets/elems are the batch's columns (both wire
+// encodings decode into this form); rec is the WAL record for the batch
+// (type byte + wire payload), ignored when the session has no durability.
 func (s *session) ingest(sets, elems []uint32, rec []byte) error {
 	release, err := s.beginResident()
 	if err != nil {
@@ -382,7 +348,7 @@ func (s *session) ingest(sets, elems []uint32, rec []byte) error {
 		// state) and answer with the typed transient error so the client
 		// parks the batch instead of treating the session as dead. The
 		// ingest counters are bumped here because the handler, seeing an
-		// error, will not: the edges are in the estimators.
+		// error, will not: the edges are in the estimator.
 		if s.metrics != nil {
 			s.metrics.WALAppendFailures.Add(1)
 			s.metrics.EdgesIngested.Add(int64(len(sets)))
@@ -395,7 +361,7 @@ func (s *session) ingest(sets, elems []uint32, rec []byte) error {
 }
 
 // ingestSeq is the exactly-once ingest path: drop the batch if this
-// (source, seq) was already applied, otherwise log it durably and shard
+// (source, seq) was already applied, otherwise log it durably and queue
 // it. The ack the caller sends on a nil error therefore promises the
 // batch survives a crash, and a client replaying unacknowledged batches
 // after a reconnect cannot double-count. Returns whether the batch was
@@ -408,8 +374,8 @@ func (s *session) ingest(sets, elems []uint32, rec []byte) error {
 // outruns the durability of the batch it vouches for, which is exactly
 // the reconnect-then-crash window the sequence numbers exist to cover.
 //
-// Like ingest, the WAL append and the worker dispatch run concurrently;
-// the return (and so the ack) waits for both. On append failure the batch
+// Like ingest, the WAL append and the apply run concurrently; the return
+// (and so the ack) waits for both. On append failure the batch
 // has already been applied, so instead of rolling back, the accepted
 // horizon is KEPT (a resend of this seq must not be applied twice) and
 // the session degrades — the resend is answered with the typed transient
@@ -489,93 +455,36 @@ func (s *session) ingestSeq(source, seq uint64, rec []byte, sets, elems []uint32
 	}
 }
 
-// shardSizeHist is a histogram of recently observed shard lengths in
-// power-of-two buckets. dispatch reserves the largest recently seen
-// bucket's upper bound for fresh shard buffers: the old len(edges)/w+1
-// reservation under-reserved for roughly half the shards every batch
-// (hash sharding scatters around the mean), paying a grow-copy per
-// overfull shard. Counts are halved periodically so the hint tracks the
-// current batch-size regime instead of a historical spike. All methods
-// are safe for concurrent dispatchers.
-type shardSizeHist struct {
-	buckets [21]atomic.Uint32 // bucket b counts shard lengths < 2^b
-	n       atomic.Uint32
-}
-
-func (h *shardSizeHist) record(sz int) {
-	b := bits.Len(uint(sz))
-	if b >= len(h.buckets) {
-		b = len(h.buckets) - 1
-	}
-	h.buckets[b].Add(1)
-	if h.n.Add(1)%256 == 0 {
-		for i := range h.buckets {
-			for {
-				v := h.buckets[i].Load()
-				if h.buckets[i].CompareAndSwap(v, v/2) {
-					break
-				}
-			}
-		}
-	}
-}
-
-// hint returns the reservation covering the largest populated bucket
-// (0 before any batch: dispatch then falls back to the mean).
-func (h *shardSizeHist) hint() int {
-	for b := len(h.buckets) - 1; b >= 0; b-- {
-		if h.buckets[b].Load() > 0 {
-			return 1 << b
-		}
-	}
-	return 0
-}
-
-// dispatch shards one batch of columns across the workers. Sends block
-// when a worker's queue is full — that backpressure propagates to the TCP
-// reader, which stops acking, which stalls the client's pipeline.
-//
-// Per-batch allocations are pooled: the shard header comes from hdrPool,
-// and each worker's shard columns are reclaimed from that worker's free
-// list (runWorker returns them after processing), sized by the
-// shard-length histogram when fresh ones are needed. The caller's columns
-// are only read here — on return they may be reused for the next decode.
+// dispatch queues one batch of columns for the estimator. The send blocks
+// when the queue is full — that backpressure propagates to the TCP reader,
+// which stops acking, which stalls the client's pipeline. The columns are
+// copied into a pooled buffer, so on return the caller may reuse them for
+// the next decode.
 func (s *session) dispatch(sets, elems []uint32) {
-	w := len(s.workers)
-	hdr := s.hdrPool.Get().(*[]colShard)
-	shards := *hdr
-	per := s.hist.hint()
-	if per == 0 {
-		per = len(sets)/w + 1
-	}
-	for j, set := range sets {
-		elem := elems[j]
-		i := int(splitmix64(uint64(set)<<32|uint64(elem)) % uint64(w))
-		if shards[i].sets == nil {
-			select {
-			case shards[i] = <-s.recycle[i]:
-			default:
-				shards[i] = colShard{make([]uint32, 0, per), make([]uint32, 0, per)}
-			}
-		}
-		shards[i].sets = append(shards[i].sets, set)
-		shards[i].elems = append(shards[i].elems, elem)
-	}
-	for i := range shards {
-		if len(shards[i].sets) > 0 { // buffers are only claimed on a shard's first edge
-			s.hist.record(len(shards[i].sets))
-			s.workers[i] <- workerMsg{shard: shards[i]}
-		}
-		shards[i] = colShard{} // drop the references before pooling the header
-	}
-	s.hdrPool.Put(hdr)
+	b := batchPool.Get().(*colBatch)
+	b.sets = append(b.sets, sets...)
+	b.elems = append(b.elems, elems...)
+	s.queue <- applyMsg{batch: b}
 	s.edges.Add(int64(len(sets)))
 	s.batches.Add(1)
 }
 
-// query snapshots every worker (a clone request rides the same queue as
-// batches, so everything acked before the query is included), then merges
-// the clones and finalizes off the ingest path.
+// requestClone enqueues a snapshot request behind every batch already
+// queued; the reply carries a deep copy of the estimator at that point.
+// The caller must hold a residency pin (or the residency write lock), so
+// the queue exists. The send may wait on a full queue under the read
+// lock; the apply goroutine never takes swapMu, so the queue drains.
+func (s *session) requestClone() <-chan cloneReply {
+	r := make(chan cloneReply, 1)
+	s.swapMu.RLock()
+	s.queue <- applyMsg{clone: r}
+	s.swapMu.RUnlock()
+	return r
+}
+
+// query clones the estimator (the request rides the apply queue, so
+// everything acked before the query is included) and finalizes the clone
+// off the ingest path.
 func (s *session) query(metrics *Metrics) (wire.Result, error) {
 	release, err := s.beginResident()
 	if err != nil {
@@ -583,31 +492,13 @@ func (s *session) query(metrics *Metrics) (wire.Result, error) {
 	}
 	defer release()
 	s.queries.Add(1)
-	// The read lock covers only the enqueue: once the clone requests are
-	// queued they are answered even if a bootstrap swaps the workers out —
-	// an exiting worker drains its whole queue first.
-	s.swapMu.RLock()
-	replies := make([]chan cloneReply, len(s.workers))
-	for i, ch := range s.workers {
-		r := make(chan cloneReply, 1)
-		replies[i] = r
-		ch <- workerMsg{clone: r}
-	}
-	s.swapMu.RUnlock()
+	reply := s.requestClone()
 	start := time.Now()
-	var merged *streamcover.Estimator
-	for _, r := range replies {
-		rep := <-r
-		if rep.err != nil {
-			return wire.Result{}, rep.err
-		}
-		if merged == nil {
-			merged = rep.est
-		} else if err := merged.Merge(rep.est); err != nil {
-			return wire.Result{}, err
-		}
+	rep := <-reply
+	if rep.err != nil {
+		return wire.Result{}, rep.err
 	}
-	res := merged.Result()
+	res := rep.est.Result()
 	if metrics != nil {
 		d := time.Since(start).Nanoseconds()
 		metrics.MergeNanos.Add(d)
@@ -618,15 +509,15 @@ func (s *session) query(metrics *Metrics) (wire.Result, error) {
 		Coverage:   res.Coverage,
 		Feasible:   res.Feasible,
 		SpaceWords: res.SpaceWords,
-		Edges:      merged.Edges(),
+		Edges:      rep.est.Edges(),
 		SetIDs:     res.SetIDs,
 	}, nil
 }
 
-// close drains and stops the workers: new operations are rejected,
-// in-flight dispatches finish, then the queues close, each worker exits
-// after consuming what was already enqueued, and the estimators release
-// their batch-engine helpers.
+// close drains and stops the apply goroutine: new operations are
+// rejected, in-flight dispatches finish, then the queue closes, the
+// goroutine exits after consuming what was already enqueued, and the
+// estimator releases its batch-engine helpers.
 func (s *session) close() {
 	s.mu.Lock()
 	if s.closed {
@@ -642,10 +533,10 @@ func (s *session) close() {
 	s.ops.Wait()
 	s.stopRecovery()
 	// resMu serializes against a concurrent eviction or rehydration;
-	// stopWorkers is idempotent, so closing an evicted session (workers
-	// already gone, state safe in the checkpoint) is a no-op here.
+	// closing an evicted session (estimator already gone, state safe in
+	// the checkpoint) is a no-op here.
 	s.resMu.Lock()
-	s.stopWorkers()
+	s.setEstimator(nil)
 	s.resMu.Unlock()
 	// A closed session no longer counts against the memory budget.
 	s.setResidentBytes(0)
@@ -681,15 +572,11 @@ func (s *session) beginResident() (func(), error) {
 	}
 }
 
-// queueDepths reports the live per-worker queue occupancy.
-func (s *session) queueDepths() []int {
+// queueLen reports the live apply-queue occupancy (0 while evicted).
+func (s *session) queueLen() int {
 	s.swapMu.RLock()
 	defer s.swapMu.RUnlock()
-	d := make([]int, len(s.workers))
-	for i, ch := range s.workers {
-		d[i] = len(ch)
-	}
-	return d
+	return len(s.queue)
 }
 
 // getApplier returns the session's replication applier, nil on leaders.

@@ -29,8 +29,8 @@ func TestCrashStormSoak(t *testing.T) {
 	const cycles = 24
 	inj := fault.NewInjector(nil)
 	cfg := server.Config{
-		Workers: 2, QueueDepth: 8,
-		DataDir: t.TempDir(), CheckpointEvery: -1,
+		QueueDepth: 8,
+		DataDir:    t.TempDir(), CheckpointEvery: -1,
 		FS:       inj,
 		RetryMin: 2 * time.Millisecond, RetryMax: 20 * time.Millisecond,
 	}
@@ -126,5 +126,5 @@ func TestCrashStormSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameResult(t, got, referenceResult(t, cfg.Workers, edges), "post-storm estimate")
+	requireSameResult(t, got, referenceResult(t, edges), "post-storm estimate")
 }
