@@ -2,6 +2,7 @@ package core
 
 import (
 	"streamcover/internal/hash"
+	"streamcover/internal/sketch"
 	"streamcover/internal/stream"
 )
 
@@ -146,6 +147,10 @@ type BatchScratch struct {
 	ssKeys  []uint64 // distinct superset IDs, first-appearance order
 	ssPos   []int32  // per distinct set: index into ssKeys
 	occ     []int32  // per sampled edge, in order: index into ssKeys
+
+	// Heavy-hitter batch memory, lent to every contributing battery this
+	// worker feeds.
+	hh sketch.BatchMemory
 }
 
 // NewBatchScratch returns an empty scratch owning its prepass; buffers
@@ -233,8 +238,8 @@ func (ls *LargeSet) processBatch(edges []stream.Edge, sc *BatchScratch) {
 			}
 		}
 		sc.occ = occ
-		rep.cntrSmall.AddBatch(sc.ssKeys, occ)
-		rep.cntrLarge.AddBatch(sc.ssKeys, occ)
+		rep.cntrSmall.AddBatch(sc.ssKeys, occ, &sc.hh)
+		rep.cntrLarge.AddBatch(sc.ssKeys, occ, &sc.hh)
 		if len(rep.sampled) > 0 {
 			for j := range edges {
 				if !sc.bits[elemRef[j]] {

@@ -115,8 +115,11 @@ func newFleet(spec *Spec, addr string, nodes []client.ClusterNode, edges []strea
 	if spec.Fleet.Wire == "row" {
 		dialOpts = append(dialOpts, client.WithRowWire())
 	}
+	// Pacers start at phase 0's rate: the drivers begin sending as soon as
+	// start returns, before the run loop's first setPhase.
+	rate0 := spec.Phases[0].Rate / float64(conns)
 	for i := 0; i < conns; i++ {
-		f.pacers[i] = workload.NewPacer(0)
+		f.pacers[i] = workload.NewPacer(rate0)
 		f.pickers[i] = workload.NewTenantPicker(spec.Fleet.Tenants, spec.Fleet.Skew, spec.Seed+int64(i))
 		if nodes != nil {
 			// A finite reconnect budget is load-bearing here: exhausting
@@ -234,7 +237,8 @@ func (f *fleet) drive(ci int) error {
 }
 
 // setPhase switches ack accounting to phase pi and retargets every pacer
-// to its per-connection share of the phase's total rate.
+// to its per-connection share of the phase's total rate (newFleet already
+// set phase 0's).
 func (f *fleet) setPhase(pi int, totalRate float64) {
 	f.phaseIdx.Store(int64(pi))
 	per := totalRate / float64(len(f.pacers))

@@ -141,8 +141,8 @@ func Run(spec *Spec, opts Options) (*ScenarioReport, error) {
 
 	// Server latency histograms are snapshotted at every phase boundary
 	// so each phase gets its own server-side percentile diff. The first
-	// snapshot lands before the fleet starts — the drivers run unpaced
-	// until the first setPhase, so the scrape must not widen that window.
+	// snapshot lands before the fleet starts, so phase 0's diff covers
+	// every batch the drivers send.
 	snaps := make([]serverHists, 0, len(spec.Phases)+1)
 	snaps = append(snaps, scrapeHists(ns.liveHTTPAddrs()))
 

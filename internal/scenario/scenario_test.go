@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"testing"
+	"time"
 )
 
 // TestBuildWorkloadDeterministic is the harness-level determinism proof:
@@ -86,6 +87,44 @@ func TestRunSteadyMini(t *testing.T) {
 	warm := rep.Phases[0]
 	if warm.EdgesPerSec > 12000 {
 		t.Fatalf("paced phase ran at %.0f edges/s against a 4000 target", warm.EdgesPerSec)
+	}
+}
+
+// TestFleetPacedFromStart pins that the drivers are paced at phase 0's
+// rate from the moment they start, not only from the run loop's first
+// setPhase: at 1 edge/s in total, each connection's first batch leaves its
+// pacer over a minute in debt, so a driver may send one batch at most.
+func TestFleetPacedFromStart(t *testing.T) {
+	spec, err := ParseSpec([]byte(`{
+		"name": "paced-start", "seed": 3,
+		"workload": {"family": "uniform", "n": 2000, "m": 200, "k": 10},
+		"fleet": {"connections": 2, "batch_edges": 64},
+		"phases": [{"name": "trickle", "duration": "1s", "rate": 1}]
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges, _, m, n, k, err := buildWorkload(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := newDaemon(spec.Daemon, "")
+	if err := d.start(); err != nil {
+		t.Fatal(err)
+	}
+	defer d.shutdown(10 * time.Second)
+	fl, err := newFleet(spec, d.clientAddr(), nil, edges, m, n, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fl.closeAll()
+	fl.start()
+	time.Sleep(300 * time.Millisecond)
+	if err := fl.halt(); err != nil {
+		t.Fatal(err)
+	}
+	if sent, limit := fl.totalSent(), int64(2*64); sent > limit {
+		t.Fatalf("drivers sent %d edges before the first phase switch, want at most %d", sent, limit)
 	}
 }
 

@@ -31,10 +31,22 @@ func batchStream(nOcc int, universe int, rng *rand.Rand) (keys []uint64, occ []i
 	return
 }
 
+// candSet materializes the candidate set (slot layout is representation,
+// the set is the state).
+func (hh *HeavyHitters) candSet() map[uint64]bool {
+	out := make(map[uint64]bool, hh.n)
+	for i, u := range hh.used {
+		if u {
+			out[hh.ids[i]] = true
+		}
+	}
+	return out
+}
+
 // TestHeavyHittersBatchEquivalence drives identically-seeded sketches
 // through the scalar and batched paths (batches split at random
 // boundaries) and requires identical internal state: counters, candidate
-// table with priorities, totals, and reports.
+// set, totals, and reports.
 func TestHeavyHittersBatchEquivalence(t *testing.T) {
 	for _, phi := range []float64{0.5, 0.05, 0.005} {
 		rng := rand.New(rand.NewSource(11))
@@ -45,9 +57,10 @@ func TestHeavyHittersBatchEquivalence(t *testing.T) {
 		for _, x := range raw {
 			seq.Add(x)
 		}
+		var mem BatchMemory
 		for start := 0; start < len(occ); {
 			end := start + rng.Intn(len(occ)-start+1)
-			bat.BeginBatch(keys)
+			bat.BeginBatch(keys, &mem)
 			for _, ki := range occ[start:end] {
 				bat.AddBatched(ki)
 			}
@@ -61,8 +74,8 @@ func TestHeavyHittersBatchEquivalence(t *testing.T) {
 		if !reflect.DeepEqual(seq.cs.table, bat.cs.table) {
 			t.Errorf("phi=%v: CountSketch counters diverged", phi)
 		}
-		if !reflect.DeepEqual(seq.candMap(), bat.candMap()) {
-			t.Errorf("phi=%v: candidate tables diverged:\n seq %v\n bat %v", phi, seq.candMap(), bat.candMap())
+		if !reflect.DeepEqual(seq.candSet(), bat.candSet()) {
+			t.Errorf("phi=%v: candidate tables diverged:\n seq %v\n bat %v", phi, seq.candSet(), bat.candSet())
 		}
 		if !reflect.DeepEqual(seq.Report(), bat.Report()) {
 			t.Errorf("phi=%v: reports diverged", phi)
@@ -106,9 +119,10 @@ func TestContributingBatchEquivalence(t *testing.T) {
 	for _, x := range raw {
 		seq.Add(x)
 	}
+	var mem BatchMemory
 	for start := 0; start < len(occ); {
 		end := start + rng.Intn(len(occ)-start+1)
-		bat.AddBatch(keys, occ[start:end])
+		bat.AddBatch(keys, occ[start:end], &mem)
 		start = end
 	}
 
@@ -120,7 +134,7 @@ func TestContributingBatchEquivalence(t *testing.T) {
 		if !reflect.DeepEqual(a.cs.table, b.cs.table) {
 			t.Errorf("level %d: counters diverged", i)
 		}
-		if !reflect.DeepEqual(a.candMap(), b.candMap()) {
+		if !reflect.DeepEqual(a.candSet(), b.candSet()) {
 			t.Errorf("level %d: candidate tables diverged", i)
 		}
 	}

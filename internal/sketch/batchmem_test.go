@@ -1,0 +1,182 @@
+package sketch
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sync"
+	"testing"
+)
+
+// TestBatchMemorySharedEquivalence lends ONE BatchMemory to several
+// heavy-hitter sketches and contributing batteries of different seeds and
+// thresholds, interleaving their batches at random split points, exactly
+// as one engine worker feeds many oracle units. Every instance must end
+// bit-identical to a twin fed the same keys through scalar Add: counters,
+// totals, candidate sets and reports. All instances index the same keys
+// slice, so a key index resident in one sketch's batch is non-resident in
+// the next borrower's first batch; the small φ forces refreshes in the
+// middle of batches.
+func TestBatchMemorySharedEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	keys, occ, _ := batchStream(24000, 500, rng)
+
+	type hhPair struct{ seq, bat *HeavyHitters }
+	type cPair struct{ seq, bat *Contributing }
+	var hhs []hhPair
+	for i, phi := range []float64{0.5, 0.05, 0.2} {
+		seed := int64(40 + i)
+		seq := NewF2HeavyHitters(phi, rand.New(rand.NewSource(seed)))
+		bat := NewF2HeavyHitters(phi, rand.New(rand.NewSource(seed)))
+		if i == 2 { // one dense-domain sketch beside the hashing ones
+			seq.EnableDenseDomain(500)
+			bat.EnableDenseDomain(500)
+		}
+		hhs = append(hhs, hhPair{seq, bat})
+	}
+	var cs []cPair
+	for i, gamma := range []float64{0.05, 0.2} {
+		seed := int64(60 + i)
+		cfg := DefaultContribConfig()
+		cs = append(cs, cPair{
+			NewF2Contributing(gamma, 64, 500, cfg, rand.New(rand.NewSource(seed))),
+			NewF2Contributing(gamma, 64, 500, cfg, rand.New(rand.NewSource(seed))),
+		})
+	}
+
+	var mem BatchMemory
+	n := len(hhs) + len(cs)
+	pos := make([]int, n)
+	// feed runs instance i's next batch, up to occurrence end, and checks
+	// its candidate sets right away: a wrong residency answer skips an
+	// admission, which a later refresh may hide again.
+	feed := func(i, end int) {
+		part := occ[pos[i]:end]
+		pos[i] = end
+		if i < len(hhs) {
+			p := hhs[i]
+			p.bat.BeginBatch(keys, &mem)
+			for _, ki := range part {
+				p.bat.AddBatched(ki)
+				p.seq.Add(keys[ki])
+			}
+			p.bat.EndBatch()
+			if !reflect.DeepEqual(p.seq.candSet(), p.bat.candSet()) {
+				t.Fatalf("hh %d: candidate sets diverged at occurrence %d", i, end)
+			}
+			return
+		}
+		p := cs[i-len(hhs)]
+		p.bat.AddBatch(keys, part, &mem)
+		for _, ki := range part {
+			p.seq.Add(keys[ki])
+		}
+		for l := range p.seq.levels {
+			if !reflect.DeepEqual(p.seq.levels[l].hh.candSet(), p.bat.levels[l].hh.candSet()) {
+				t.Fatalf("contributing %d level %d: candidate sets diverged at occurrence %d", i-len(hhs), l, end)
+			}
+		}
+	}
+	// Every instance's first batch in turn, over the same leading keys: a
+	// per-sketch epoch would be equal across these first batches, so the
+	// previous borrower's residency marks would read as valid.
+	for i := 0; i < n; i++ {
+		feed(i, 300)
+	}
+	for done := 0; done < n; {
+		i := rng.Intn(n)
+		if pos[i] == len(occ) {
+			continue
+		}
+		end := pos[i] + rng.Intn(len(occ)-pos[i]+1)
+		if rng.Intn(4) == 0 {
+			end = len(occ) // some whole-stream batches: many refreshes each
+		}
+		if feed(i, end); end == len(occ) {
+			done++
+		}
+	}
+
+	same := func(name string, a, b *HeavyHitters) {
+		t.Helper()
+		if a.total != b.total {
+			t.Errorf("%s: total %d != %d", name, a.total, b.total)
+		}
+		if !reflect.DeepEqual(a.cs.table, b.cs.table) {
+			t.Errorf("%s: counters diverged", name)
+		}
+		if !reflect.DeepEqual(a.candSet(), b.candSet()) {
+			t.Errorf("%s: candidate sets diverged", name)
+		}
+		if !reflect.DeepEqual(a.Report(), b.Report()) {
+			t.Errorf("%s: reports diverged", name)
+		}
+	}
+	for i, p := range hhs {
+		same(fmt.Sprintf("hh %d", i), p.seq, p.bat)
+	}
+	for i, p := range cs {
+		for l := range p.seq.levels {
+			same(fmt.Sprintf("contributing %d level %d", i, l), p.seq.levels[l].hh, p.bat.levels[l].hh)
+		}
+		if !reflect.DeepEqual(p.seq.Report(), p.bat.Report()) {
+			t.Errorf("contributing %d: reports diverged", i)
+		}
+	}
+}
+
+// TestHeavyHittersScalarRefreshAllocs pins that scalar Add, which has no
+// lent BatchMemory, reuses a refresh buffer: on a warmed sketch, a stream
+// of fresh keys that forces a refresh per run allocates nothing.
+func TestHeavyHittersScalarRefreshAllocs(t *testing.T) {
+	hh := NewF2HeavyHitters(0.05, rand.New(rand.NewSource(1)))
+	next := uint64(0)
+	feed := func() {
+		// More fresh keys than half the capacity: at least one refresh.
+		for i := 0; i < hh.cap; i++ {
+			hh.Add(next)
+			next++
+		}
+	}
+	for i := 0; i < 4; i++ {
+		feed()
+	}
+	if allocs := testing.AllocsPerRun(50, feed); allocs != 0 {
+		t.Fatalf("scalar Add allocated %.0f times per refresh-forcing run", allocs)
+	}
+}
+
+// TestHeavyHittersScalarConcurrentRefresh feeds independent sketches from
+// several goroutines at once, so their refreshes contend for the shared
+// scalar refresh buffer; each must end as a sketch fed alone does.
+func TestHeavyHittersScalarConcurrentRefresh(t *testing.T) {
+	const workers = 4
+	feed := func(hh *HeavyHitters, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		for i := 0; i < 20000; i++ {
+			hh.Add(uint64(rng.Intn(3000)))
+		}
+	}
+	var want [workers]map[uint64]bool
+	for w := range want {
+		hh := NewF2HeavyHitters(0.05, rand.New(rand.NewSource(int64(w))))
+		feed(hh, int64(100+w))
+		want[w] = hh.candSet()
+	}
+	var got [workers]*HeavyHitters
+	var wg sync.WaitGroup
+	for w := range got {
+		got[w] = NewF2HeavyHitters(0.05, rand.New(rand.NewSource(int64(w))))
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			feed(got[w], int64(100+w))
+		}(w)
+	}
+	wg.Wait()
+	for w := range got {
+		if !reflect.DeepEqual(got[w].candSet(), want[w]) {
+			t.Errorf("worker %d: candidate set differs from a sketch fed alone", w)
+		}
+	}
+}

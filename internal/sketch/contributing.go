@@ -32,7 +32,6 @@ type contribLevel struct {
 	rate    float64
 	sampler *hash.Poly
 	hh      *HeavyHitters
-	bits    []bool // batch scratch: sampling bit per distinct key
 
 	// Persistent sampling-bit memo for the dense key universe [0, m): the
 	// Bernoulli decision is a pure function of (key, rate), so it is
@@ -163,18 +162,19 @@ func (c *Contributing) Add(x uint64) {
 // once per occurrence, and CountSketch updates are deferred per distinct
 // key through the HeavyHitters batch API. Levels are independent, so
 // running them level-major instead of occurrence-major changes no state.
-func (c *Contributing) AddBatch(keys []uint64, occ []int32) {
+// mem is the caller's batch memory, lent to each level in turn.
+func (c *Contributing) AddBatch(keys []uint64, occ []int32, mem *BatchMemory) {
 	for i := range c.levels {
 		lv := &c.levels[i]
-		lv.hh.BeginBatch(keys)
+		lv.hh.BeginBatch(keys, mem)
 		if lv.rate >= 1 {
 			for _, ki := range occ {
 				lv.hh.AddBatched(ki)
 			}
 		} else {
-			lv.bits = lv.sampleBatch(keys, c.m, lv.bits)
+			mem.bits = lv.sampleBatch(keys, c.m, mem.bits)
 			for _, ki := range occ {
-				if lv.bits[ki] {
+				if mem.bits[ki] {
 					lv.hh.AddBatched(ki)
 				}
 			}

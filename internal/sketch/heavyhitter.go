@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 )
 
 // WeightedItem is a reported coordinate together with its approximate
@@ -17,17 +18,21 @@ type WeightedItem struct {
 // HeavyHitters finds the φ-heavy hitters of F2: coordinates j with
 // a[j]² ≥ φ·F2(a). It instantiates Theorem 2.10 for insertion-only
 // streams: a CountSketch provides (1±1/2)-accurate point estimates, and a
-// candidate dictionary of capacity O(1/φ) is maintained on arrival — every
-// update re-estimates its own coordinate and competes for a slot, so any
-// coordinate that is heavy at the end of the stream occupies a slot (its
-// last occurrence finds its estimate already above every light candidate).
+// candidate set of capacity O(1/φ) is maintained on arrival. A key that is
+// not a candidate is admitted on arrival; when the set is full, every
+// candidate is first re-estimated from the sketch and the weaker half is
+// evicted. A coordinate that is heavy at the end of the stream therefore
+// holds a slot: its estimate ranks it in the top half of every refresh
+// after it is heavy, and its next occurrence re-admits it after any
+// earlier eviction. Candidates carry no weights of their own — refreshes,
+// Report and MarshalBinary all re-estimate from the sketch.
 //
-// The candidate dictionary is an open-addressed linear-probing table
-// rather than a Go map: the per-update lookup is the single hottest
-// operation in the whole estimator, candidates are only ever deleted
-// wholesale (refreshEvict rebuilds the table), and every consumer of the
-// candidate SET orders it deterministically before acting — so slot
-// layout is never observable and no tombstones are needed.
+// The candidate set is an open-addressed linear-probing table rather
+// than a Go map: the per-update lookup is the single hottest operation in
+// the whole estimator, candidates are only ever deleted wholesale
+// (refreshEvict rebuilds the table), and every consumer of the candidate
+// SET orders it deterministically before acting — so slot layout is never
+// observable and no tombstones are needed.
 type HeavyHitters struct {
 	phi   float64
 	cs    *CountSketch
@@ -35,13 +40,12 @@ type HeavyHitters struct {
 	total int64 // number of updates (weight 1 each)
 
 	// Open-addressed candidate table, power-of-two size > 2·cap (a merge
-	// may briefly hold up to 2·cap entries before trimming). used/ids/pri
-	// are the table proper; ki/kiEp attach a batch key index to a slot,
-	// valid only while kiEp matches the current batch epoch, so refreshes
-	// during a batch can estimate through the CountSketch memos without a
-	// per-batch key→index map.
+	// may briefly hold up to 2·cap entries before trimming). used/ids are
+	// the table proper; ki/kiEp attach a batch key index to a slot, valid
+	// only while kiEp matches the current batch epoch, so refreshes during
+	// a batch can estimate through the CountSketch's per-batch memo without
+	// a per-batch key→index map.
 	ids  []uint64
-	pri  []int64
 	used []bool
 	ki   []int32
 	kiEp []uint32
@@ -53,25 +57,49 @@ type HeavyHitters struct {
 	// order-independent (the order is strict), so only the unobservable
 	// slot layout depends on it.
 
-	// Transient batch/refresh working memory (see BeginBatch). None of it
-	// survives a batch or refresh, so it is excluded from SpaceWords, never
-	// serialized, and never merged.
-	epoch       uint32 // monotone batch counter; slot tags from older batches never match
-	refresh     []hhKV
-	batchKeys   []uint64
-	pending     []int64 // deferred CountSketch deltas, indexed like batchKeys
-	touched     []int32 // indices with pending[i] != 0
-	bump        []int64 // deferred priority bumps for resident keys
-	bumpTouched []int32 // indices with bump[i] != 0
+	// The open batch (see BeginBatch): its keys, the caller's lent memory
+	// (nil outside a batch) and the batch counter slot tags are checked
+	// against. None of it is sketch state, so it is excluded from
+	// SpaceWords, never serialized, and never merged.
+	batchKeys []uint64
+	mem       *BatchMemory
+	epoch     uint32 // monotone batch counter; slot tags from older batches never match
+}
 
-	// Residency cache: key ki is known resident iff residentEp[ki] == resEp.
-	// Bumping resEp invalidates every entry in O(1) — batch starts and
-	// refreshes would otherwise clear O(keys) flags each. resEp is uint64 so
-	// it never wraps; fresh (zeroed) entries never match because resEp ≥ 1
-	// from the first batch on.
-	resEp      uint64
-	residentEp []uint64 // per key: resEp value at which residency was recorded
-	slot       []int32  // per key: candidate slot, valid while resident
+// BatchMemory is the working memory of the heavy-hitter batch path. It
+// belongs to the goroutine that runs the batch, which lends it to one
+// sketch at a time: HeavyHitters.BeginBatch borrows it and EndBatch gives
+// it back, and Contributing.AddBatch lends it to each level in turn.
+// Nothing in it outlives a batch — pending deltas are flushed by EndBatch
+// and residency marks expire with the epoch — so one BatchMemory per
+// worker replaces a copy per sketch. The zero value is ready to use; a
+// BatchMemory must not be shared by concurrent goroutines.
+type BatchMemory struct {
+	pending []int64 // per batch key: deferred CountSketch delta
+	touched []int32 // batch keys with pending != 0
+
+	// Residency cache: key ki is a known candidate of the borrowing sketch
+	// iff resident[ki] == epoch. epoch rises at every BeginBatch and every
+	// refresh, whichever sketch runs it, so a mark recorded for one sketch
+	// (or before an eviction) never reads as valid afterwards. It is
+	// uint64 so it never wraps; zeroed entries never match because epoch
+	// is ≥ 1 from the first batch on.
+	epoch    uint64
+	resident []uint64
+
+	refresh []hhKV // refreshEvict's candidate list
+	bits    []bool // Contributing: sampling bit per batch key
+}
+
+// scalarMemory is the refresh buffer of the scalar Add path, which runs
+// without a caller's BatchMemory. One buffer serves every sketch; a
+// refresh holds the lock for O(cap) work once per cap/2 admissions. A
+// sync.Pool would not do: its per-P private entries are invisible to a
+// goroutine that has moved to another P, which then reallocates and
+// regrows the buffer.
+var scalarMemory struct {
+	sync.Mutex
+	BatchMemory
 }
 
 type hhKV struct {
@@ -134,7 +162,6 @@ func (hh *HeavyHitters) initTable() {
 		size *= 2
 	}
 	hh.ids = make([]uint64, size)
-	hh.pri = make([]int64, size)
 	hh.used = make([]bool, size)
 	hh.ki = make([]int32, size)
 	hh.kiEp = make([]uint32, size)
@@ -167,115 +194,71 @@ func (hh *HeavyHitters) findSlot(id uint64) (int, bool) {
 // insert fills an empty slot (from findSlot) with a new candidate. The
 // slot's batch-index tag is invalidated; callers that know the batch index
 // overwrite it.
-func (hh *HeavyHitters) insert(slot int, id uint64, pri int64) {
+func (hh *HeavyHitters) insert(slot int, id uint64) {
 	hh.used[slot] = true
 	hh.ids[slot] = id
-	hh.pri[slot] = pri
 	hh.kiEp[slot] = 0
 	hh.live = append(hh.live, int32(slot))
 	hh.n++
 }
 
-// candMap materializes the candidate set as id → priority (tests and
-// non-hot consumers; slot layout is representation, this is the state).
-func (hh *HeavyHitters) candMap() map[uint64]int64 {
-	out := make(map[uint64]int64, hh.n)
-	for i, u := range hh.used {
-		if u {
-			out[hh.ids[i]] = hh.pri[i]
-		}
-	}
-	return out
-}
-
-// Add feeds one unit-weight occurrence of key x. Resident candidates take
-// a cheap path (their priority is bumped by one, tracking frequency
-// accrued while resident); sketch point estimates are computed only when
-// a new key competes for a full table, and authoritative weights are
-// re-estimated from the sketch at Report time.
+// Add feeds one unit-weight occurrence of key x: one CountSketch update,
+// plus an admission if x is not a candidate. A full table is refreshed
+// first (refreshEvict), through the shared scalarMemory since the scalar
+// path has no lent BatchMemory.
 func (hh *HeavyHitters) Add(x uint64) {
 	hh.total++
 	hh.cs.Add(x, 1)
-	if i, ok := hh.findSlot(x); ok {
-		hh.pri[i]++
+	slot, ok := hh.findSlot(x)
+	if ok {
 		return
 	}
-	hh.admit(x)
-}
-
-// admit inserts non-resident x into the candidate table. When the table is
-// full it refreshes every candidate's priority from the sketch and evicts
-// the weaker half in one batch first. The O(cap) selection runs once per
-// cap/2 admissions, so admission cost is amortized O(1); heavy coordinates
-// always survive the batch because their refreshed estimates rank in the
-// top half. Ties break on id so the surviving half is deterministic.
-func (hh *HeavyHitters) admit(x uint64) {
 	if hh.n >= hh.cap {
-		hh.refreshEvict()
+		scalarMemory.Lock()
+		hh.refreshEvict(&scalarMemory.BatchMemory)
+		scalarMemory.Unlock()
+		slot, _ = hh.findSlot(x)
 	}
-	slot, _ := hh.findSlot(x)
-	hh.insert(slot, x, hh.cs.Estimate(x))
+	hh.insert(slot, x)
 }
 
 // refreshEvict re-estimates every candidate from the sketch and keeps the
 // stronger half — the SET of survivors under the (estimate desc, id asc)
 // total order, found by quickselect rather than a full sort; since the
-// table is unordered the survivor set is all that matters. It also
-// invalidates the batch path's residency cache: evictions change who is
-// resident. During a batch, candidates touched this batch carry their
-// batch key index and estimate through the CountSketch memos; the rest
-// fall back to the scalar path — same values either way.
-func (hh *HeavyHitters) refreshEvict() {
-	all := hh.refresh[:0]
-	if hh.cs.domain > 0 {
-		// Dense-domain mode: the batch-tagged and scalar estimate routes
-		// converge on the same persistent per-key memo, so the tag
-		// bookkeeping selects between identical values — skip it. Slot tags
-		// left stale by the rebuild are never read in this mode.
-		for _, si := range hh.live {
-			id := hh.ids[si]
-			all = append(all, hhKV{id: id, est: hh.cs.Estimate(id)})
-		}
-		keep := hh.cap / 2
-		selectTopKV(all, keep)
-		hh.refresh = all
-		clear(hh.used)
-		hh.live = hh.live[:0]
-		hh.n = 0
-		for _, p := range all[:keep] {
-			slot, _ := hh.findSlot(p.id)
-			hh.insert(slot, p.id, p.est)
-		}
-		hh.resEp++ // invalidate the residency cache: evictions changed who is resident
-		return
-	}
-	inBatch := hh.batchKeys != nil
-	ep := hh.epoch
+// table is unordered the survivor set is all that matters. The O(cap)
+// selection runs once per cap/2 admissions, so admission cost is
+// amortized O(1). Evictions change who is resident, so it advances mem's
+// residency epoch. During a batch, sketches without the dense-domain memo
+// estimate candidates touched this batch through the CountSketch's
+// per-batch memo (their slot tags carry the batch key index); everything
+// else takes the scalar route — same values either way.
+func (hh *HeavyHitters) refreshEvict(mem *BatchMemory) {
+	all := mem.refresh[:0]
+	tagged := hh.batchKeys != nil && hh.cs.domain == 0
 	for _, si := range hh.live {
 		id := hh.ids[si]
-		var est int64
+		kv := hhKV{id: id, ki: hh.ki[si], ep: hh.kiEp[si]}
 		// The key equality re-check makes a stale tag (epoch wraparound)
 		// harmless: a wrong ki can never alias another key's memo.
-		if k := hh.ki[si]; inBatch && hh.kiEp[si] == ep &&
-			int(k) < len(hh.batchKeys) && hh.batchKeys[k] == id {
-			est = hh.cs.EstimateBatched(k)
+		if tagged && kv.ep == hh.epoch && int(kv.ki) < len(hh.batchKeys) && hh.batchKeys[kv.ki] == id {
+			kv.est = hh.cs.EstimateBatched(kv.ki)
 		} else {
-			est = hh.cs.Estimate(id)
+			kv.est = hh.cs.Estimate(id)
 		}
-		all = append(all, hhKV{id: id, est: est, ki: hh.ki[si], ep: hh.kiEp[si]})
+		all = append(all, kv)
 	}
 	keep := hh.cap / 2
 	selectTopKV(all, keep)
-	hh.refresh = all
+	mem.refresh = all
 	clear(hh.used)
 	hh.live = hh.live[:0]
 	hh.n = 0
 	for _, p := range all[:keep] {
 		slot, _ := hh.findSlot(p.id)
-		hh.insert(slot, p.id, p.est)
+		hh.insert(slot, p.id)
 		hh.ki[slot], hh.kiEp[slot] = p.ki, p.ep
 	}
-	hh.resEp++ // invalidate the residency cache: evictions changed who is resident
+	mem.epoch++
 }
 
 // selectTopKV partially orders a so that a[:k] holds the k strongest
@@ -338,110 +321,77 @@ func selectTopKV(a []hhKV, k int) {
 }
 
 // BeginBatch enters deferred-update mode for a batch whose occurrences are
-// indices into keys (one entry per distinct key). While a batch is open:
-//
-//   - CountSketch deltas accumulate per distinct key (the counters are
-//     plain sums, so flushing the total in one update per key is
-//     bit-identical) and the sketch memoizes each key's bucket/sign row
-//     on first use, so a key is hashed once per batch, not per update.
-//   - Priority bumps for keys known to be resident accumulate per key and
-//     are flushed before any event that could read or evict them.
-//
-// Deferred deltas are flushed before every point estimate (admissions and
-// refreshes), so every estimate observes exactly the counters the
-// per-occurrence path would have; deferred bumps are flushed before every
-// refresh, and a refresh resets the residency cache, so the candidate
-// table evolves identically to the per-occurrence path. The keys slice is
-// only read; it must stay valid until EndBatch.
-func (hh *HeavyHitters) BeginBatch(keys []uint64) {
-	hh.batchKeys = keys
+// indices into keys (one entry per distinct key), borrowing mem until
+// EndBatch. While a batch is open, CountSketch deltas accumulate per
+// distinct key in mem (the counters are plain sums, so flushing the total
+// in one update per key is bit-identical), and the sketch memoizes each
+// key's bucket/sign row on first use, so a key is hashed once per batch,
+// not per update. Admissions read no counters; refreshes do, so deferred
+// deltas are flushed before every refresh, and every refresh observes
+// exactly the counters the per-occurrence path would have. The candidate
+// table therefore evolves identically to the per-occurrence path. The
+// keys slice is only read; it must stay valid until EndBatch.
+func (hh *HeavyHitters) BeginBatch(keys []uint64, mem *BatchMemory) {
+	hh.batchKeys, hh.mem = keys, mem
 	hh.epoch++
 	if hh.epoch == 0 {
 		hh.epoch = 1
 	}
 	hh.cs.BeginBatch(keys)
-	if cap(hh.pending) < len(keys) {
-		hh.pending = make([]int64, len(keys))
-		hh.bump = make([]int64, len(keys))
+	// Invariant: pending is all zero between batches (flushPending
+	// re-zeroes what it visits), so it needs no clearing.
+	if cap(mem.pending) < len(keys) {
+		mem.pending = make([]int64, len(keys))
+		mem.resident = make([]uint64, len(keys))
 	}
-	// Invariant: every entry of the backing arrays is zero between batches
-	// (the flushes re-zero what they visit), so no clearing needed.
-	hh.pending = hh.pending[:len(keys)]
-	hh.bump = hh.bump[:len(keys)]
-	hh.touched = hh.touched[:0]
-	hh.bumpTouched = hh.bumpTouched[:0]
-	if cap(hh.residentEp) < len(keys) {
-		hh.residentEp = make([]uint64, len(keys))
-		hh.slot = make([]int32, len(keys))
-	}
-	hh.residentEp = hh.residentEp[:len(keys)]
-	hh.slot = hh.slot[:len(keys)]
-	hh.resEp++ // invalidate residency carried over from the previous batch
+	mem.pending = mem.pending[:len(keys)]
+	mem.resident = mem.resident[:len(keys)]
+	mem.touched = mem.touched[:0]
+	mem.epoch++ // invalidate residency recorded by the previous borrower
 }
 
 // AddBatched feeds one occurrence of batchKeys[ki]; identical to
-// Add(batchKeys[ki]) given the flush discipline above.
+// Add(batchKeys[ki]) given the flush discipline above. A key known to be
+// resident only accrues its pending delta.
 func (hh *HeavyHitters) AddBatched(ki int32) {
 	hh.total++
-	if hh.pending[ki] == 0 {
-		hh.touched = append(hh.touched, ki)
+	mem := hh.mem
+	if mem.pending[ki] == 0 {
+		mem.touched = append(mem.touched, ki)
 	}
-	hh.pending[ki]++
-	if hh.residentEp[ki] == hh.resEp {
-		if hh.bump[ki] == 0 {
-			hh.bumpTouched = append(hh.bumpTouched, ki)
-		}
-		hh.bump[ki]++
+	mem.pending[ki]++
+	if mem.resident[ki] == mem.epoch {
 		return
 	}
 	x := hh.batchKeys[ki]
 	slot, ok := hh.findSlot(x)
-	if ok {
-		hh.pri[slot]++
-		hh.ki[slot], hh.kiEp[slot] = ki, hh.epoch
-		hh.residentEp[ki] = hh.resEp
-		hh.slot[ki] = int32(slot)
-		return
+	if !ok {
+		if hh.n >= hh.cap {
+			hh.flushPending()
+			hh.refreshEvict(mem)
+			slot, _ = hh.findSlot(x)
+		}
+		hh.insert(slot, x)
 	}
-	hh.flushPending()
-	hh.flushBumps()
-	if hh.n >= hh.cap {
-		hh.refreshEvict()
-		slot, _ = hh.findSlot(x)
-	}
-	// The flushes touch only counters and priorities, so slot stays the
-	// insertion point unless the refresh rebuilt the table.
-	hh.insert(slot, x, hh.cs.EstimateBatched(ki))
 	hh.ki[slot], hh.kiEp[slot] = ki, hh.epoch
-	hh.residentEp[ki] = hh.resEp
-	hh.slot[ki] = int32(slot)
+	mem.resident[ki] = mem.epoch
 }
 
 func (hh *HeavyHitters) flushPending() {
-	for _, ki := range hh.touched {
-		hh.cs.AddBatched(ki, hh.pending[ki])
-		hh.pending[ki] = 0
+	mem := hh.mem
+	for _, ki := range mem.touched {
+		hh.cs.AddBatched(ki, mem.pending[ki])
+		mem.pending[ki] = 0
 	}
-	hh.touched = hh.touched[:0]
+	mem.touched = mem.touched[:0]
 }
 
-// flushBumps applies deferred priority bumps. Every bumped key is still
-// resident (bumps only accrue while resident, and residency changes only
-// at refreshes, which flush first), so its recorded slot is still valid.
-func (hh *HeavyHitters) flushBumps() {
-	for _, ki := range hh.bumpTouched {
-		hh.pri[hh.slot[ki]] += hh.bump[ki]
-		hh.bump[ki] = 0
-	}
-	hh.bumpTouched = hh.bumpTouched[:0]
-}
-
-// EndBatch flushes remaining deferred state and leaves batch mode.
+// EndBatch flushes the deferred deltas, leaves batch mode and gives the
+// borrowed BatchMemory back.
 func (hh *HeavyHitters) EndBatch() {
 	hh.flushPending()
-	hh.flushBumps()
 	hh.cs.EndBatch()
-	hh.batchKeys = nil
+	hh.batchKeys, hh.mem = nil, nil
 }
 
 // Total reports the number of updates fed.
@@ -501,7 +451,8 @@ func (hh *HeavyHitters) NoiseCeiling() float64 {
 	return math.Sqrt(f2/w) * math.Sqrt(2*math.Log(w))
 }
 
-// SpaceWords counts the CountSketch plus two words per candidate slot.
+// SpaceWords counts the CountSketch plus two words per candidate slot (the
+// id and the weight MarshalBinary writes for it).
 func (hh *HeavyHitters) SpaceWords() int {
 	return hh.cs.SpaceWords() + 2*hh.cap + 2
 }

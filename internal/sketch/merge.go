@@ -110,7 +110,7 @@ func (hh *HeavyHitters) Merge(other *HeavyHitters) error {
 		}
 		id := other.ids[i]
 		if slot, ok := hh.findSlot(id); !ok {
-			hh.insert(slot, id, hh.cs.Estimate(id))
+			hh.insert(slot, id)
 		}
 	}
 	if hh.n > hh.cap {
@@ -127,7 +127,7 @@ func (hh *HeavyHitters) Merge(other *HeavyHitters) error {
 		hh.n = 0
 		for _, p := range all[:hh.cap] {
 			slot, _ := hh.findSlot(p.id)
-			hh.insert(slot, p.id, p.est)
+			hh.insert(slot, p.id)
 		}
 	}
 	return nil

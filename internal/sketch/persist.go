@@ -16,20 +16,19 @@ import (
 // a decoded sketch keeps absorbing updates and merges with equal-seed
 // siblings.
 //
-// Transient batch working memory (the deferred-delta buffers behind
-// BeginBatch, Contributing's per-level sampling-bit scratch) is never
-// encoded: it holds nothing that survives a batch, mirroring the
-// SpaceWords contract. Encoding is only legal between batches.
+// Batch working memory (BatchMemory, lent by the caller for one batch at
+// a time) is never encoded: it holds nothing that survives a batch,
+// mirroring the SpaceWords contract. Encoding is only legal between
+// batches.
 
 // MarshalBinary encodes threshold, totals, the CountSketch and the
-// candidate dictionary. The encoding is canonical: candidates are sorted
-// by id, and each candidate's priority is re-estimated from the
-// CountSketch rather than copied. Stored priorities are write-only —
-// refreshEvict and Report both re-estimate from the sketch, so they never
-// influence future outputs — but they drift between behaviorally equal
-// sketches (arrival order accrues increments, Merge re-estimates), and
-// encoding the canonical value makes "behaviorally equal" and "encodes
-// equally" the same thing. It must not be called while a batch is open.
+// candidate set. The encoding is canonical: candidates are sorted by id,
+// and each is written with a weight word, its current estimate from the
+// CountSketch. The sketch keeps no per-candidate weight (refreshes and
+// Report re-estimate), so the word is a pure function of the encoded
+// counters: UnmarshalBinary reads and ignores it, and it stays only so
+// the checkpoint format is unchanged. It must not be called while a batch
+// is open.
 func (hh *HeavyHitters) MarshalBinary() ([]byte, error) {
 	if hh.batchKeys != nil {
 		return nil, fmt.Errorf("sketch: cannot marshal HeavyHitters mid-batch")
@@ -102,7 +101,7 @@ func (hh *HeavyHitters) UnmarshalBinary(data []byte) error {
 		if dup {
 			return fmt.Errorf("sketch: HeavyHitters duplicate candidate %d", id)
 		}
-		out.insert(slot, id, int64(binary.LittleEndian.Uint64(rest[16*i+8:])))
+		out.insert(slot, id) // rest[16*i+8:] is the ignored weight word
 	}
 	*hh = out
 	return nil
@@ -111,7 +110,7 @@ func (hh *HeavyHitters) UnmarshalBinary(data []byte) error {
 // Restore adopts the state of a decoded snapshot into a freshly built
 // empty sketch with the same parameters, verifying that the snapshot's
 // hash functions are identical to the construction's (same seed). Unlike
-// Merge it preserves candidate priorities exactly, so a restored sketch
+// Merge it adopts the candidate set without a trim, so a restored sketch
 // is bit-identical to the one that was encoded.
 func (hh *HeavyHitters) Restore(dec *HeavyHitters) error {
 	if dec == nil || hh.phi != dec.phi || hh.cap != dec.cap {
@@ -123,7 +122,7 @@ func (hh *HeavyHitters) Restore(dec *HeavyHitters) error {
 		return err
 	}
 	hh.total = dec.total
-	hh.ids, hh.pri, hh.used = dec.ids, dec.pri, dec.used
+	hh.ids, hh.used = dec.ids, dec.used
 	hh.ki, hh.kiEp, hh.live = dec.ki, dec.kiEp, dec.live
 	hh.mask, hh.n = dec.mask, dec.n
 	return nil

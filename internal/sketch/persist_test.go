@@ -82,7 +82,7 @@ func TestHeavyHittersRestoreRejectsOtherSeed(t *testing.T) {
 
 func TestHeavyHittersMarshalMidBatchFails(t *testing.T) {
 	hh := loadedHH(3, 100)
-	hh.BeginBatch([]uint64{1, 2, 3})
+	hh.BeginBatch([]uint64{1, 2, 3}, new(BatchMemory))
 	if _, err := hh.MarshalBinary(); err == nil {
 		t.Fatal("mid-batch marshal must fail")
 	}
