@@ -318,3 +318,33 @@ func BenchmarkEstimatorMerge(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkEstimatorClone measures kcoverd's per-query snapshot, a clone
+// of the session's estimator, in bulk-ingest's shape (m=2000, n=100000,
+// k=40, α=8, 200k uniform edges preloaded in 8192-edge batches). B/op is
+// what one query allocates before it finalizes.
+func BenchmarkEstimatorClone(b *testing.B) {
+	const m, n = 2000, 100000
+	est, err := streamcover.NewEstimator(m, n, 40, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer est.Close()
+	rng := rand.New(rand.NewSource(1))
+	batch := make([]streamcover.Edge, 8192)
+	for fed := 0; fed < 200000; fed += len(batch) {
+		for i := range batch {
+			batch[i] = streamcover.Edge{Set: uint32(rng.Intn(m)), Elem: uint32(rng.Intn(n))}
+		}
+		if err := est.ProcessBatch(batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := est.Clone(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

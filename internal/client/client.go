@@ -301,6 +301,16 @@ func (cn *netConn) lost(err error) {
 	cn.errMu.Unlock()
 }
 
+// fail records a transport error as the epoch's loss and returns the
+// epoch's first recorded cause. When the reader retires the epoch on a
+// busy rejection, it closes the socket under any concurrent write; the
+// writer then reports that rejection, which Flush and the reconnect loop
+// retry, rather than the closed-socket error it caused.
+func (cn *netConn) fail(err error) error {
+	cn.lost(wrapLost(err))
+	return cn.err()
+}
+
 func (cn *netConn) err() error {
 	cn.errMu.Lock()
 	defer cn.errMu.Unlock()
@@ -668,9 +678,7 @@ func (c *Client) reestablish(cn *netConn) error {
 		}
 	}
 	if err := cn.bw.Flush(); err != nil {
-		err = wrapLost(err)
-		cn.lost(err)
-		return err
+		return cn.fail(err)
 	}
 	return nil
 }
@@ -687,9 +695,7 @@ func writeOn(cn *netConn, typ byte, payload []byte, w waiter) error {
 		// the server can ack them — blocking with frames stuck in our
 		// own write buffer would deadlock the pipeline.
 		if err := cn.bw.Flush(); err != nil {
-			err = wrapLost(err)
-			cn.lost(err)
-			return err
+			return cn.fail(err)
 		}
 		select {
 		case cn.pending <- w:
@@ -698,9 +704,7 @@ func writeOn(cn *netConn, typ byte, payload []byte, w waiter) error {
 		}
 	}
 	if err := wire.WriteFrame(cn.bw, typ, payload); err != nil {
-		err = wrapLost(err)
-		cn.lost(err)
-		return err
+		return cn.fail(err)
 	}
 	return nil
 }
@@ -779,9 +783,7 @@ func (c *Client) roundTripOn(cn *netConn, typ byte, payload []byte) error {
 		return err
 	}
 	if err := cn.bw.Flush(); err != nil {
-		err = wrapLost(err)
-		cn.lost(err)
-		return err
+		return cn.fail(err)
 	}
 	resp, err := awaitResponse(cn, ch)
 	if err != nil {
@@ -856,8 +858,7 @@ func (c *Client) roundTripOnce(typ byte, payload []byte) (response, error) {
 	}
 	if err == nil {
 		if err = cn.bw.Flush(); err != nil {
-			err = wrapLost(err)
-			cn.lost(err)
+			err = cn.fail(err)
 		}
 	}
 	c.mu.Unlock()

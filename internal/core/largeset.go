@@ -203,11 +203,10 @@ func (ls *LargeSet) Estimate() LargeSetResult {
 	return best
 }
 
-// CandidateSets recovers the winning superset's member sets (≤ k of them;
-// supersets hold at most w ≤ k sets w.h.p. per Claim 4.9). Returns nil if
-// infeasible.
-func (ls *LargeSet) CandidateSets() []uint32 {
-	res := ls.Estimate()
+// CandidateSets recovers the member sets (≤ k of them; supersets hold at
+// most w ≤ k sets w.h.p. per Claim 4.9) of res, the winning superset that
+// Estimate returned. Returns nil if infeasible.
+func (ls *LargeSet) CandidateSets(res LargeSetResult) []uint32 {
 	if !res.Feasible {
 		return nil
 	}

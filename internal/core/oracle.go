@@ -87,7 +87,7 @@ func (o *Oracle) Result() OracleResult {
 		res = OracleResult{Value: v, Feasible: true, SetIDs: o.lc.CandidateSets(o.rng)}
 	}
 	if lsr := o.ls.Estimate(); lsr.Feasible && lsr.Value > res.Value {
-		res = OracleResult{Value: lsr.Value, Feasible: true, SetIDs: o.ls.CandidateSets()}
+		res = OracleResult{Value: lsr.Value, Feasible: true, SetIDs: o.ls.CandidateSets(lsr)}
 	}
 	if ssr := o.ss.Estimate(); ssr.Feasible && ssr.Value > res.Value {
 		res = OracleResult{Value: ssr.Value, Feasible: true, SetIDs: ssr.SetIDs}

@@ -284,7 +284,7 @@ func TestLargeSetCandidateSetsCover(t *testing.T) {
 	d := mustDerive(t, in, 4)
 	ls := NewLargeSet(d, rng)
 	feed(t, in, 19, ls.Process)
-	ids := ls.CandidateSets()
+	ids := ls.CandidateSets(ls.Estimate())
 	if ids == nil {
 		t.Fatal("no candidates")
 	}

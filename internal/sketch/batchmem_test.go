@@ -24,14 +24,14 @@ func TestBatchMemorySharedEquivalence(t *testing.T) {
 	type hhPair struct{ seq, bat *HeavyHitters }
 	type cPair struct{ seq, bat *Contributing }
 	var hhs []hhPair
-	for i, phi := range []float64{0.5, 0.05, 0.2} {
+	// A domain of 0 hashes every key; 500 makes a dense-domain sketch
+	// beside the hashing ones, and 450 one that a key past its domain
+	// widens (mid-batch on bat).
+	for i, phi := range []float64{0.5, 0.05, 0.2, 0.1} {
 		seed := int64(40 + i)
-		seq := NewF2HeavyHitters(phi, rand.New(rand.NewSource(seed)))
-		bat := NewF2HeavyHitters(phi, rand.New(rand.NewSource(seed)))
-		if i == 2 { // one dense-domain sketch beside the hashing ones
-			seq.EnableDenseDomain(500)
-			bat.EnableDenseDomain(500)
-		}
+		domain := []int{0, 0, 500, 450}[i]
+		seq := newF2HeavyHitters(phi, domain, rand.New(rand.NewSource(seed)))
+		bat := newF2HeavyHitters(phi, domain, rand.New(rand.NewSource(seed)))
 		hhs = append(hhs, hhPair{seq, bat})
 	}
 	var cs []cPair
@@ -114,6 +114,9 @@ func TestBatchMemorySharedEquivalence(t *testing.T) {
 	}
 	for i, p := range hhs {
 		same(fmt.Sprintf("hh %d", i), p.seq, p.bat)
+	}
+	if hhs[2].bat.cs.domain == 0 || hhs[3].bat.cs.domain != 0 {
+		t.Error("hh 2 must stay dense and hh 3 must widen")
 	}
 	for i, p := range cs {
 		for l := range p.seq.levels {

@@ -96,11 +96,11 @@ func NewF2Contributing(gamma float64, r int, m int, cfg ContribConfig, rng *rand
 		if rate > 1 {
 			rate = 1
 		}
-		hh := NewF2HeavyHitters(phi, rng)
 		// The caller's keys live in [0, m) (coordinate/superset IDs), so
-		// every level's hash evaluations — CountSketch rows and sampling
-		// bits — are memoized once per key for the sketch's lifetime.
-		hh.EnableDenseDomain(m)
+		// every level's CountSketch is dense over that domain, and its hash
+		// evaluations — CountSketch rows and sampling bits — are memoized
+		// once per key for the sketch's lifetime.
+		hh := newF2HeavyHitters(phi, m, rng)
 		c.levels = append(c.levels, contribLevel{
 			rate:    rate,
 			sampler: newSampler(),

@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sort"
 
@@ -14,62 +15,87 @@ import (
 // giving |est(x) − a[x]| ≤ √(F2(a)/width) per row with probability 2/3 and
 // exponentially better after the median.
 //
-// The counter matrix is stored flat (row r occupies
-// table[r*width : (r+1)*width]) so the batch memos can cache absolute
-// cell offsets: a batched update or estimate is then a handful of direct
-// loads with no per-row slice indirection.
+// The counters are stored in one of two forms. A wide sketch holds the
+// full flat matrix (row r occupies table[r*width : (r+1)*width]) so the
+// batch memos can cache absolute cell offsets: a batched update or
+// estimate is then a handful of direct loads with no per-row slice
+// indirection. A dense-domain sketch (see newCountSketch) holds only
+// the cells some key of its domain can reach, in (row, bucket) order,
+// through a shared denseLayout, and nothing at all before its first
+// write. Both forms encode, estimate and merge to the same values; the
+// paper's depth×width accounting (SpaceWords) covers either.
 type CountSketch struct {
 	depth, width int
-	table        []int64      // flat depth×width, row-major
+	table        []int64      // wide: flat depth×width, row-major; dense: reachable cells; nil while unbuilt
 	bucket       []*hash.Poly // 2-wise bucket hash per row
 	sign         []*hash.Poly // 4-wise sign hash per row
 
 	// Per-batch hash memos (see BeginBatch): absolute table offset
 	// (r*width + bucket) and sign per (key, row), computed lazily on a
 	// key's first batched update. Purely transient working memory —
-	// excluded from SpaceWords, never serialized or merged.
+	// excluded from SpaceWords, never serialized or merged. Dense-domain
+	// sketches never use them.
 	bKeys  []uint64
 	bOff   []int32 // ki*depth + r -> flat table offset
 	bSign  []int8  // ki*depth + r
 	bReady []bool  // per key: memo row filled
 
-	// Persistent dense-domain memo (see EnableDenseDomain): when the key
-	// universe is a small dense range [0, domain), offsets and signs — pure
-	// functions of the key — are computed once ever and reused across
-	// batches AND scalar calls, instead of re-memoized per batch. A
-	// reconstructible cache of hash evaluations: excluded from SpaceWords,
-	// never serialized or merged. Keys ≥ domain fall back to hashing.
-	// Depth-5 sketches (the estimator's only depth) use the packed dCell
-	// layout; other depths use the parallel arrays.
+	// domain > 0 makes this a dense-domain sketch over keys [0, domain);
+	// lay is its layout, nil until the first write (an unbuilt sketch,
+	// all counters zero). A write of a key outside the domain widens the
+	// sketch for good: domain drops to 0 and table becomes the full matrix.
 	domain uint64
-	dCell  []dense5 // depth == 5 only
-	dOff   []int32  // x*depth + r -> flat table offset
-	dSign  []int8   // x*depth + r
-	dReady []bool   // per key x: memo row filled
+	lay    *denseLayout
 }
 
-// dense5 packs one in-domain key's memo — five cell offsets, five signs,
-// and the ready flag — into a single 32-byte record (two per cache line),
-// so a dense add or estimate touches one cache line instead of three
-// parallel arrays, and the fixed-size arrays are indexed without bounds
-// checks.
+// denseLayout maps a dense domain onto the cells its keys reach. It is a
+// pure function of the sketch's hashes, width and domain, so it is built
+// once, never written afterwards, and shared by every sketch that merges
+// from the one that built it (a query's clone shares its source's). It
+// is a reconstructible cache of hash evaluations: excluded from
+// SpaceWords, never serialized.
+type denseLayout struct {
+	cell  []dense5 // per in-domain key: compact offsets and signs, one per row
+	reach []uint64 // per row, a bitmap of the buckets some key reaches
+	start [6]int32 // compact index of row r's first cell; start[5] is the cell count
+}
+
+// dense5 packs one in-domain key's five compact cell offsets and five
+// signs into a single 32-byte record (two per cache line), so a dense add
+// or estimate touches one cache line, and the fixed-size arrays are
+// indexed without bounds checks.
 type dense5 struct {
 	off [5]int32
 	sg  [5]int8
-	rdy uint8
-	_   [6]byte
+	_   [7]byte
 }
+
+// maxDenseDomain bounds a dense domain so the layout stays under the
+// 2³⁰-cell limit the flat matrix has.
+const maxDenseDomain = 1 << 30 / 5
 
 // NewCountSketch builds a sketch with the given depth (number of
 // independent rows, odd is best for medians) and width (counters per row).
 func NewCountSketch(depth, width int, rng *rand.Rand) *CountSketch {
+	return newCountSketch(depth, width, 0, rng)
+}
+
+// newCountSketch builds a sketch for keys that (almost) all lie in
+// [0, domain). Such a dense-domain sketch stores only the counters those
+// keys can reach, allocates them at its first write, and computes each
+// key's cell offsets and signs once over its lifetime, all at that write;
+// results are bit-identical to a wide sketch's because offsets and signs
+// are pure functions of the key. A key outside the domain widens the
+// sketch back to the full matrix. domain 0 builds a wide sketch, and so
+// does a depth other than 5 (the estimator's only depth) or a domain past
+// maxDenseDomain.
+func newCountSketch(depth, width, domain int, rng *rand.Rand) *CountSketch {
 	if depth < 1 || width < 1 || depth*width > 1<<30 {
 		panic(fmt.Sprintf("sketch: CountSketch depth %d width %d", depth, width))
 	}
 	cs := &CountSketch{
 		depth:  depth,
 		width:  width,
-		table:  make([]int64, depth*width),
 		bucket: make([]*hash.Poly, depth),
 		sign:   make([]*hash.Poly, depth),
 	}
@@ -77,60 +103,177 @@ func NewCountSketch(depth, width int, rng *rand.Rand) *CountSketch {
 		cs.bucket[r] = hash.NewPairwise(rng)
 		cs.sign[r] = hash.New4Wise(rng)
 	}
+	if depth == 5 && domain > 0 && domain <= maxDenseDomain {
+		cs.domain = uint64(domain)
+	} else {
+		cs.table = make([]int64, depth*width)
+	}
 	return cs
 }
 
-// row exposes one row of the flat counter matrix.
-func (cs *CountSketch) row(r int) []int64 {
-	return cs.table[r*cs.width : (r+1)*cs.width]
-}
-
-// EnableDenseDomain declares that (almost) every key fed to this sketch
-// lies in [0, n) and turns on the persistent hash memo for that range.
-// Each key's cell offsets and signs are then computed once over the
-// sketch's lifetime rather than once per batch (or per scalar call) —
-// results are bit-identical because offsets and signs are pure functions
-// of the key. Out-of-range keys still work via the hashing fallback.
-func (cs *CountSketch) EnableDenseDomain(n int) {
-	if n <= 0 || n*cs.depth > 1<<30 {
-		return
+// build lays the domain out: every in-domain key is hashed once per row
+// through the batch kernels, its buckets mark the row bitmaps, and the
+// memo offsets are then rewritten from buckets to compact indices, the
+// bucket's rank among its row's reachable buckets. It allocates the
+// compact counters, all zero.
+func (cs *CountSketch) build() {
+	n := int(cs.domain)
+	words := (cs.width + 63) >> 6
+	lay := &denseLayout{cell: make([]dense5, n), reach: make([]uint64, 5*words)}
+	keys := make([]uint64, n)
+	for i := range keys {
+		keys[i] = uint64(i)
 	}
-	cs.domain = uint64(n)
-	if cs.depth == 5 {
-		cs.dCell = make([]dense5, n)
-		return
-	}
-	cs.dOff = make([]int32, n*cs.depth)
-	cs.dSign = make([]int8, n*cs.depth)
-	cs.dReady = make([]bool, n)
-}
-
-// fillDense5 computes in-domain key x's packed memo cell. Called at most
-// once per key over the sketch's lifetime; kept out of the hot paths so
-// their rdy fast path stays small.
-func (cs *CountSketch) fillDense5(x uint64) *dense5 {
-	c := &cs.dCell[x]
-	off := 0
+	var hv []uint64
 	for r := 0; r < 5; r++ {
-		c.off[r] = int32(off + int(cs.bucket[r].Range(x, uint64(cs.width))))
-		c.sg[r] = int8(cs.sign[r].Sign(x))
-		off += cs.width
+		row := lay.reach[r*words : (r+1)*words]
+		hv = cs.bucket[r].RangeBatch(keys, uint64(cs.width), hv)
+		for x, b := range hv {
+			row[b>>6] |= 1 << (b & 63)
+			lay.cell[x].off[r] = int32(b)
+		}
+		hv = cs.sign[r].EvalBatch(keys, hv)
+		for x, v := range hv {
+			lay.cell[x].sg[r] = int8(1 - 2*int(v&1)) // Poly.Sign: even hash → +1
+		}
 	}
-	c.rdy = 1
-	return c
+	rank := make([]int32, words)
+	var k int32
+	for r := 0; r < 5; r++ {
+		lay.start[r] = k
+		row := lay.reach[r*words : (r+1)*words]
+		for w, v := range row {
+			rank[w] = k
+			k += int32(bits.OnesCount64(v))
+		}
+		for x := range lay.cell {
+			b := lay.cell[x].off[r]
+			lay.cell[x].off[r] = rank[b>>6] + int32(bits.OnesCount64(row[b>>6]&(1<<(b&63)-1)))
+		}
+	}
+	lay.start[5] = k
+	cs.lay, cs.table = lay, make([]int64, k)
 }
 
-// fillDense computes in-domain key x's memo row (base = x*depth). Called
-// at most once per key over the sketch's lifetime; kept out of the hot
-// paths so their dReady fast path stays small.
-func (cs *CountSketch) fillDense(x uint64, base int) {
-	off := 0
-	for r := 0; r < cs.depth; r++ {
-		cs.dOff[base+r] = int32(off + int(cs.bucket[r].Range(x, uint64(cs.width))))
-		cs.dSign[base+r] = int8(cs.sign[r].Sign(x))
-		off += cs.width
+// reachRow is row r's bitmap of reachable buckets.
+func (lay *denseLayout) reachRow(r, width int) []uint64 {
+	words := (width + 63) >> 6
+	return lay.reach[r*words : (r+1)*words]
+}
+
+// storedRow returns row r's stored counters in bucket order: the whole
+// row of a wide sketch, the reachable cells of a dense one (none while
+// unbuilt). Every cell it leaves out is zero.
+func (cs *CountSketch) storedRow(r int) []int64 {
+	if cs.domain == 0 {
+		return cs.table[r*cs.width : (r+1)*cs.width]
 	}
-	cs.dReady[x] = true
+	if cs.lay == nil {
+		return nil
+	}
+	return cs.table[cs.lay.start[r]:cs.lay.start[r+1]]
+}
+
+// expandRow writes row r at full width into dst (len width).
+func (cs *CountSketch) expandRow(r int, dst []int64) {
+	stored := cs.storedRow(r)
+	if cs.domain == 0 {
+		copy(dst, stored)
+		return
+	}
+	clear(dst)
+	if cs.lay == nil {
+		return
+	}
+	k := 0
+	for w, v := range cs.lay.reachRow(r, cs.width) {
+		for ; v != 0; v &= v - 1 {
+			dst[w<<6+bits.TrailingZeros64(v)] = stored[k]
+			k++
+		}
+	}
+}
+
+// full returns the counters as the flat depth×width matrix: the table
+// itself when wide, an expanded copy when dense, nil (all zero) while
+// unbuilt.
+func (cs *CountSketch) full() []int64 {
+	if cs.domain == 0 {
+		return cs.table
+	}
+	if cs.lay == nil {
+		return nil
+	}
+	out := make([]int64, cs.depth*cs.width)
+	for r := 0; r < cs.depth; r++ {
+		cs.expandRow(r, out[r*cs.width:(r+1)*cs.width])
+	}
+	return out
+}
+
+// widen turns a dense sketch into a wide one holding the same counters.
+// The shared layout is dropped, not modified.
+func (cs *CountSketch) widen() {
+	t := cs.full()
+	if t == nil {
+		t = make([]int64, cs.depth*cs.width)
+	}
+	cs.table, cs.lay, cs.domain = t, nil, 0
+}
+
+// addFull adds a flat depth×width counter matrix (nil for all zero) into
+// cs. A dense sketch stays dense when every nonzero cell of full is one
+// its domain reaches, building its layout first if it has none, and
+// widens otherwise.
+func (cs *CountSketch) addFull(full []int64) {
+	if cs.domain != 0 {
+		if allZero(full) {
+			return
+		}
+		if cs.lay == nil {
+			cs.build()
+		}
+		if cs.reachesAll(full) {
+			k := 0
+			for r := 0; r < cs.depth; r++ {
+				row := full[r*cs.width : (r+1)*cs.width]
+				for w, v := range cs.lay.reachRow(r, cs.width) {
+					for ; v != 0; v &= v - 1 {
+						cs.table[k] += row[w<<6+bits.TrailingZeros64(v)]
+						k++
+					}
+				}
+			}
+			return
+		}
+		cs.widen()
+	}
+	for i, c := range full {
+		cs.table[i] += c
+	}
+}
+
+// reachesAll reports whether every nonzero cell of full is reachable in
+// the built layout.
+func (cs *CountSketch) reachesAll(full []int64) bool {
+	for r := 0; r < cs.depth; r++ {
+		reach := cs.lay.reachRow(r, cs.width)
+		for b, c := range full[r*cs.width : (r+1)*cs.width] {
+			if c != 0 && reach[b>>6]&(1<<(b&63)) == 0 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func allZero(t []int64) bool {
+	for _, c := range t {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // addMemo applies a delta through one memoized (offset, sign) row of
@@ -182,25 +325,11 @@ func (cs *CountSketch) estMemo(off []int32, sg []int8) int64 {
 // Add applies update a[x] += delta.
 func (cs *CountSketch) Add(x uint64, delta int64) {
 	if x < cs.domain {
-		if cs.depth == 5 {
-			c := &cs.dCell[x]
-			if c.rdy == 0 {
-				c = cs.fillDense5(x)
-			}
-			t := cs.table
-			t[c.off[0]] += int64(c.sg[0]) * delta
-			t[c.off[1]] += int64(c.sg[1]) * delta
-			t[c.off[2]] += int64(c.sg[2]) * delta
-			t[c.off[3]] += int64(c.sg[3]) * delta
-			t[c.off[4]] += int64(c.sg[4]) * delta
-			return
-		}
-		b := int(x) * cs.depth
-		if !cs.dReady[x] {
-			cs.fillDense(x, b)
-		}
-		cs.addMemo(cs.dOff[b:b+cs.depth:b+cs.depth], cs.dSign[b:b+cs.depth:b+cs.depth], delta)
+		cs.addDense(x, delta)
 		return
+	}
+	if cs.domain != 0 {
+		cs.widen()
 	}
 	base := 0
 	for r := 0; r < cs.depth; r++ {
@@ -208,6 +337,21 @@ func (cs *CountSketch) Add(x uint64, delta int64) {
 		cs.table[base+int(b)] += int64(cs.sign[r].Sign(x)) * delta
 		base += cs.width
 	}
+}
+
+// addDense applies a[x] += delta for an in-domain key of a dense sketch,
+// building the layout on the sketch's first write.
+func (cs *CountSketch) addDense(x uint64, delta int64) {
+	if cs.lay == nil {
+		cs.build()
+	}
+	c := &cs.lay.cell[x]
+	t := cs.table
+	t[c.off[0]] += int64(c.sg[0]) * delta
+	t[c.off[1]] += int64(c.sg[1]) * delta
+	t[c.off[2]] += int64(c.sg[2]) * delta
+	t[c.off[3]] += int64(c.sg[3]) * delta
+	t[c.off[4]] += int64(c.sg[4]) * delta
 }
 
 // median5 selects the median of five values with six comparisons — the
@@ -243,31 +387,24 @@ func median5(e0, e1, e2, e3, e4 int64) int64 {
 }
 
 // Estimate returns the median-of-rows point estimate of a[x]. It sits on
-// the ingest hot path (every heavy-hitter admission and refresh calls it),
-// so depth-5 sketches go through a branchless-ish selection network and
-// other depths through a stack-buffer insertion sort — never sort.Slice's
-// reflection or an allocation.
+// the ingest hot path (every heavy-hitter refresh calls it), so depth-5
+// sketches go through a branchless-ish selection network and other
+// depths through a stack-buffer insertion sort — never sort.Slice's
+// reflection or an allocation. It never modifies the sketch.
 func (cs *CountSketch) Estimate(x uint64) int64 {
-	if x < cs.domain {
-		if cs.depth == 5 {
-			c := &cs.dCell[x]
-			if c.rdy == 0 {
-				c = cs.fillDense5(x)
-			}
-			t := cs.table
-			return median5(
-				int64(c.sg[0])*t[c.off[0]],
-				int64(c.sg[1])*t[c.off[1]],
-				int64(c.sg[2])*t[c.off[2]],
-				int64(c.sg[3])*t[c.off[3]],
-				int64(c.sg[4])*t[c.off[4]],
-			)
-		}
-		b := int(x) * cs.depth
-		if !cs.dReady[x] {
-			cs.fillDense(x, b)
-		}
-		return cs.estMemo(cs.dOff[b:b+cs.depth:b+cs.depth], cs.dSign[b:b+cs.depth:b+cs.depth])
+	if x < cs.domain && cs.lay != nil {
+		c := &cs.lay.cell[x]
+		t := cs.table
+		return median5(
+			int64(c.sg[0])*t[c.off[0]],
+			int64(c.sg[1])*t[c.off[1]],
+			int64(c.sg[2])*t[c.off[2]],
+			int64(c.sg[3])*t[c.off[3]],
+			int64(c.sg[4])*t[c.off[4]],
+		)
+	}
+	if cs.domain != 0 {
+		return cs.estimateOutside(x)
 	}
 	if cs.depth == 5 {
 		w := uint64(cs.width)
@@ -300,6 +437,31 @@ func (cs *CountSketch) Estimate(x uint64) int64 {
 	return ests[cs.depth/2]
 }
 
+// estimateOutside is Estimate on a dense sketch that is unbuilt or asked
+// about a key outside its domain: the key is hashed, and a bucket the
+// domain never reaches reads as zero. A reachable bucket's compact index
+// is its rank in the row bitmap.
+func (cs *CountSketch) estimateOutside(x uint64) int64 {
+	if cs.lay == nil {
+		return 0
+	}
+	var e [5]int64
+	for r := range e {
+		b := cs.bucket[r].Range(x, uint64(cs.width))
+		reach := cs.lay.reachRow(r, cs.width)
+		bit := uint64(1) << (b & 63)
+		if reach[b>>6]&bit == 0 {
+			continue
+		}
+		k := int(cs.lay.start[r]) + bits.OnesCount64(reach[b>>6]&(bit-1))
+		for _, v := range reach[:b>>6] {
+			k += bits.OnesCount64(v)
+		}
+		e[r] = int64(cs.sign[r].Sign(x)) * cs.table[k]
+	}
+	return median5(e[0], e[1], e[2], e[3], e[4])
+}
+
 // BeginBatch enters batched mode for a set of distinct keys: cell offsets
 // and signs — pure functions of (key, row) — are memoized per key on first
 // use, so repeated updates and estimates of the same key within the batch
@@ -309,7 +471,7 @@ func (cs *CountSketch) BeginBatch(keys []uint64) {
 	cs.bKeys = keys
 	if cs.domain > 0 {
 		// Dense-domain keys never touch the per-batch memo; size it lazily
-		// on the first out-of-domain key instead (usually never).
+		// if an out-of-domain key widens the sketch (usually never).
 		cs.bReady = cs.bReady[:0]
 		return
 	}
@@ -353,29 +515,15 @@ func (cs *CountSketch) memo(ki int32) {
 }
 
 // AddBatched applies a[keys[ki]] += delta via the memos; identical to
-// Add(keys[ki], delta). Dense-domain keys go through the persistent memo
-// (no per-batch rehash); the rest use the per-batch memo.
+// Add(keys[ki], delta). Dense-domain keys go through the layout (no
+// per-batch rehash); the rest use the per-batch memo.
 func (cs *CountSketch) AddBatched(ki int32, delta int64) {
 	if x := cs.bKeys[ki]; x < cs.domain {
-		if cs.depth == 5 {
-			c := &cs.dCell[x]
-			if c.rdy == 0 {
-				c = cs.fillDense5(x)
-			}
-			t := cs.table
-			t[c.off[0]] += int64(c.sg[0]) * delta
-			t[c.off[1]] += int64(c.sg[1]) * delta
-			t[c.off[2]] += int64(c.sg[2]) * delta
-			t[c.off[3]] += int64(c.sg[3]) * delta
-			t[c.off[4]] += int64(c.sg[4]) * delta
-			return
-		}
-		b := int(x) * cs.depth
-		if !cs.dReady[x] {
-			cs.fillDense(x, b)
-		}
-		cs.addMemo(cs.dOff[b:b+cs.depth:b+cs.depth], cs.dSign[b:b+cs.depth:b+cs.depth], delta)
+		cs.addDense(x, delta)
 		return
+	}
+	if cs.domain != 0 {
+		cs.widen()
 	}
 	cs.memo(ki)
 	base := int(ki) * cs.depth
@@ -384,26 +532,8 @@ func (cs *CountSketch) AddBatched(ki int32, delta int64) {
 
 // EstimateBatched is Estimate(keys[ki]) via the memos.
 func (cs *CountSketch) EstimateBatched(ki int32) int64 {
-	if x := cs.bKeys[ki]; x < cs.domain {
-		if cs.depth == 5 {
-			c := &cs.dCell[x]
-			if c.rdy == 0 {
-				c = cs.fillDense5(x)
-			}
-			t := cs.table
-			return median5(
-				int64(c.sg[0])*t[c.off[0]],
-				int64(c.sg[1])*t[c.off[1]],
-				int64(c.sg[2])*t[c.off[2]],
-				int64(c.sg[3])*t[c.off[3]],
-				int64(c.sg[4])*t[c.off[4]],
-			)
-		}
-		b := int(x) * cs.depth
-		if !cs.dReady[x] {
-			cs.fillDense(x, b)
-		}
-		return cs.estMemo(cs.dOff[b:b+cs.depth:b+cs.depth], cs.dSign[b:b+cs.depth:b+cs.depth])
+	if cs.domain != 0 {
+		return cs.Estimate(cs.bKeys[ki])
 	}
 	cs.memo(ki)
 	base := int(ki) * cs.depth
@@ -416,12 +546,14 @@ func (cs *CountSketch) EndBatch() { cs.bKeys = nil }
 // F2Estimate estimates F2(a) as the median across rows of the row's sum of
 // squared counters (each row is an AMS-style estimator when width ≥ 1; the
 // sum of squared bucket totals is an unbiased F2 estimate under 4-wise
-// signs).
+// signs). Each row sums its stored cells in bucket order; a cell a dense
+// sketch does not store would add an exact +0.0, so every form sums to
+// the same bits.
 func (cs *CountSketch) F2Estimate() float64 {
 	sums := make([]float64, cs.depth)
 	for r := 0; r < cs.depth; r++ {
 		var s float64
-		for _, c := range cs.row(r) {
+		for _, c := range cs.storedRow(r) {
 			f := float64(c)
 			s += f * f
 		}
@@ -441,7 +573,7 @@ func (cs *CountSketch) RowMaxAbs() []int64 {
 	out := make([]int64, cs.depth)
 	for r := 0; r < cs.depth; r++ {
 		var m int64
-		for _, c := range cs.row(r) {
+		for _, c := range cs.storedRow(r) {
 			if c < 0 {
 				c = -c
 			}
@@ -458,7 +590,8 @@ func (cs *CountSketch) RowMaxAbs() []int64 {
 func (cs *CountSketch) Depth() int { return cs.depth }
 func (cs *CountSketch) Width() int { return cs.width }
 
-// SpaceWords counts counters plus hash coefficients.
+// SpaceWords counts counters plus hash coefficients: the paper's
+// depth×width table, whichever form stores it.
 func (cs *CountSketch) SpaceWords() int {
 	words := cs.depth*cs.width + 2
 	for r := 0; r < cs.depth; r++ {

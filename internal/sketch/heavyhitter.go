@@ -129,31 +129,37 @@ func (s hhKVs) Less(i, j int) bool { return kvLess(s[i], s[j]) }
 // NewF2HeavyHitters builds a heavy-hitter sketch with threshold phi for a
 // stream of unit-weight updates over an arbitrary uint64 key space.
 func NewF2HeavyHitters(phi float64, rng *rand.Rand) *HeavyHitters {
+	return newF2HeavyHitters(phi, 0, rng)
+}
+
+// newF2HeavyHitters builds a heavy-hitter sketch whose CountSketch is
+// dense over [0, domain) (wide for domain 0).
+func newF2HeavyHitters(phi float64, domain int, rng *rand.Rand) *HeavyHitters {
 	if phi <= 0 || phi > 1 {
 		panic(fmt.Sprintf("sketch: HeavyHitters phi %v out of (0,1]", phi))
 	}
-	// Per-row error is √(F2/width); we need genuinely heavy coordinates
-	// (a[j] ≥ √(φF2) = √(φ·width)·σ) to clear the extreme-value noise
-	// ceiling σ·√(2·ln width) that Report gates on, which needs
-	// φ·width ≳ 2·ln width with slack. width = 24/φ gives √(φ·width) ≈ 4.9
-	// against a gate of ~√(2·ln width) ≈ 3.3–4.5 at practical widths.
-	width := int(24.0/phi) + 1
-	depth := 5
-	capacity := int(4.0/phi) + 4
+	width, capacity := hhDims(phi)
 	hh := &HeavyHitters{
 		phi: phi,
-		cs:  NewCountSketch(depth, width, rng),
+		cs:  newCountSketch(hhDepth, width, domain, rng),
 		cap: capacity,
 	}
 	hh.initTable()
 	return hh
 }
 
-// EnableDenseDomain declares that (almost) every key fed to this sketch
-// lies in [0, n); the underlying CountSketch then memoizes each key's hash
-// row once over the sketch's lifetime. Bit-identical; see
-// CountSketch.EnableDenseDomain.
-func (hh *HeavyHitters) EnableDenseDomain(n int) { hh.cs.EnableDenseDomain(n) }
+// hhDepth is the CountSketch depth of every heavy-hitter sketch.
+const hhDepth = 5
+
+// hhDims returns the CountSketch width and the candidate capacity for
+// threshold phi. Per-row error is √(F2/width); we need genuinely heavy
+// coordinates (a[j] ≥ √(φF2) = √(φ·width)·σ) to clear the extreme-value
+// noise ceiling σ·√(2·ln width) that Report gates on, which needs
+// φ·width ≳ 2·ln width with slack. width = 24/φ gives √(φ·width) ≈ 4.9
+// against a gate of ~√(2·ln width) ≈ 3.3–4.5 at practical widths.
+func hhDims(phi float64) (width, capacity int) {
+	return int(24.0/phi) + 1, int(4.0/phi) + 4
+}
 
 // initTable (re)allocates the candidate table for hh.cap.
 func (hh *HeavyHitters) initTable() {
@@ -411,7 +417,7 @@ func (hh *HeavyHitters) F2Estimate() float64 { return hh.cs.F2Estimate() }
 func (hh *HeavyHitters) Report() []WeightedItem {
 	f2 := hh.cs.F2Estimate()
 	thresh := hh.phi * f2
-	noise := hh.NoiseCeiling()
+	noise := hh.noiseCeiling(f2)
 	var out []WeightedItem
 	for i, u := range hh.used {
 		if !u {
@@ -436,15 +442,14 @@ func (hh *HeavyHitters) Report() []WeightedItem {
 // Estimate exposes the point estimate for a specific key.
 func (hh *HeavyHitters) Estimate(x uint64) int64 { return hh.cs.Estimate(x) }
 
-// NoiseCeiling is the expected magnitude of the largest pure-noise point
-// estimate: per-bucket standard deviation √(F2/width) inflated by the
-// extreme-value factor √(2·ln width).
-func (hh *HeavyHitters) NoiseCeiling() float64 {
+// noiseCeiling is the expected magnitude of the largest pure-noise point
+// estimate for a sketch whose F2 estimate is f2: per-bucket standard
+// deviation √(f2/width) inflated by the extreme-value factor √(2·ln width).
+func (hh *HeavyHitters) noiseCeiling(f2 float64) float64 {
 	w := float64(hh.cs.Width())
 	if w < 2 {
 		w = 2
 	}
-	f2 := hh.cs.F2Estimate()
 	if f2 < 1 {
 		f2 = 1
 	}

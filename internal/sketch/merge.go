@@ -15,7 +15,11 @@ import (
 
 // Merge folds other into cs. Both must have identical dimensions and hash
 // functions (i.e. be copies created from the same seed, or decoded from
-// the same serialized ancestor).
+// the same serialized ancestor). The storage forms may differ: sketches
+// dense over the same domain add their compact cells (an unbuilt cs
+// adopts other's layout), and any other pairing adds other's full matrix,
+// which widens a dense cs only if it carries a cell cs's domain cannot
+// reach (see addFull).
 func (cs *CountSketch) Merge(other *CountSketch) error {
 	if other == nil || cs.depth != other.depth || cs.width != other.width {
 		return fmt.Errorf("sketch: CountSketch dimension mismatch")
@@ -25,8 +29,20 @@ func (cs *CountSketch) Merge(other *CountSketch) error {
 			return fmt.Errorf("sketch: CountSketch hash mismatch in row %d", r)
 		}
 	}
-	for i, c := range other.table {
-		cs.table[i] += c
+	switch {
+	case other.domain != 0 && other.lay == nil:
+		// Unbuilt: every counter is zero.
+	case cs.domain != 0 && cs.domain == other.domain:
+		// Equal hashes and domain give equal layouts, so the compact
+		// tables line up cell for cell.
+		if cs.lay == nil {
+			cs.lay, cs.table = other.lay, make([]int64, len(other.table))
+		}
+		for i, c := range other.table {
+			cs.table[i] += c
+		}
+	default:
+		cs.addFull(other.full())
 	}
 	return nil
 }

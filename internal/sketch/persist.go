@@ -90,6 +90,13 @@ func (hh *HeavyHitters) UnmarshalBinary(data []byte) error {
 	if n > capacity {
 		return fmt.Errorf("sketch: HeavyHitters candidates %d exceed capacity %d", n, capacity)
 	}
+	// Every sketch is built by newF2HeavyHitters, so its dimensions follow
+	// from phi. Checking that bounds the candidate table allocated below by
+	// the size of the CountSketch the blob really holds.
+	if width, c := hhDims(phi); capacity != c || cs.width != width || cs.depth != hhDepth {
+		return fmt.Errorf("sketch: HeavyHitters phi=%v wants cap %d and a %dx%d CountSketch, blob has cap %d and %dx%d",
+			phi, c, hhDepth, width, capacity, cs.depth, cs.width)
+	}
 	if len(rest) != 16*n {
 		return fmt.Errorf("sketch: HeavyHitters candidate payload %d bytes, want %d", len(rest), 16*n)
 	}

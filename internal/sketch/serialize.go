@@ -54,13 +54,18 @@ func readPoly(data []byte) (*hash.Poly, []byte, error) {
 	return &p, rest, nil
 }
 
-// MarshalBinary encodes dimensions, hash functions and counters.
+// MarshalBinary encodes dimensions, hash functions and counters, every
+// row at full width whatever the storage form, so equal counters encode
+// to equal bytes.
 func (cs *CountSketch) MarshalBinary() ([]byte, error) {
 	var buf bytes.Buffer
+	buf.Grow(8 + cs.depth*8*cs.width)
 	var hdr [8]byte
 	binary.LittleEndian.PutUint32(hdr[:4], uint32(cs.depth))
 	binary.LittleEndian.PutUint32(hdr[4:], uint32(cs.width))
 	buf.Write(hdr[:])
+	row := make([]int64, cs.width)
+	cells := make([]byte, 0, 8*cs.width)
 	for r := 0; r < cs.depth; r++ {
 		if err := writePoly(&buf, cs.bucket[r]); err != nil {
 			return nil, err
@@ -68,16 +73,18 @@ func (cs *CountSketch) MarshalBinary() ([]byte, error) {
 		if err := writePoly(&buf, cs.sign[r]); err != nil {
 			return nil, err
 		}
-		var cell [8]byte
-		for _, c := range cs.row(r) {
-			binary.LittleEndian.PutUint64(cell[:], uint64(c))
-			buf.Write(cell[:])
+		cs.expandRow(r, row)
+		cells = cells[:0]
+		for _, c := range row {
+			cells = binary.LittleEndian.AppendUint64(cells, uint64(c))
 		}
+		buf.Write(cells)
 	}
 	return buf.Bytes(), nil
 }
 
-// UnmarshalBinary decodes a sketch written by MarshalBinary.
+// UnmarshalBinary decodes a sketch written by MarshalBinary. The result
+// is wide; Merge or Restore into a dense sketch compacts it.
 func (cs *CountSketch) UnmarshalBinary(data []byte) error {
 	if len(data) < 8 {
 		return fmt.Errorf("sketch: truncated CountSketch header")
@@ -88,6 +95,11 @@ func (cs *CountSketch) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("sketch: implausible CountSketch dims %dx%d", depth, width)
 	}
 	rest := data[8:]
+	// The counters alone take 8·depth·width bytes: check the blob holds
+	// them before allocating what the header claims.
+	if len(rest) < 8*depth*width {
+		return fmt.Errorf("sketch: CountSketch %dx%d needs %d counter bytes, blob has %d", depth, width, 8*depth*width, len(rest))
+	}
 	out := CountSketch{
 		depth:  depth,
 		width:  width,
@@ -106,7 +118,7 @@ func (cs *CountSketch) UnmarshalBinary(data []byte) error {
 		if len(rest) < 8*width {
 			return fmt.Errorf("sketch: truncated CountSketch row %d", r)
 		}
-		row := out.row(r)
+		row := out.storedRow(r)
 		for b := 0; b < width; b++ {
 			row[b] = int64(binary.LittleEndian.Uint64(rest[8*b:]))
 		}
@@ -163,7 +175,8 @@ func (s *L0) UnmarshalBinary(data []byte) error {
 	if len(rest) != 8*n {
 		return fmt.Errorf("sketch: L0 payload %d bytes, want %d", len(rest), 8*n)
 	}
-	out := L0{h: h, k: k, adds: adds, vals: make(maxHeap, 0, k), seen: make(map[uint64]struct{}, k)}
+	// Size by the n values the blob holds, not the k it claims.
+	out := L0{h: h, k: k, adds: adds, vals: make(maxHeap, 0, n), seen: make(map[uint64]struct{}, n)}
 	for i := 0; i < n; i++ {
 		out.insertValue(binary.LittleEndian.Uint64(rest[8*i:]))
 	}

@@ -1,7 +1,10 @@
 package streamcover
 
 import (
+	"bytes"
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -341,6 +344,80 @@ func TestCloneSnapshotsState(t *testing.T) {
 	if fr.Coverage != or.Coverage || !equalIDs(fr.SetIDs, or.SetIDs) {
 		t.Errorf("clone+rest %+v != original %+v", fr, or)
 	}
+}
+
+// TestCloneFinalizeDuringIngest is kcoverd's query path under the race
+// detector: a clone taken between batches shares its source's dense
+// CountSketch layouts, and is finalized (Result and Encode) on another
+// goroutine while the source keeps ingesting through the parallel batch
+// engine. Every clone must answer and encode exactly as a clone of an
+// undisturbed reference at the same prefix.
+func TestCloneFinalizeDuringIngest(t *testing.T) {
+	const (
+		m, n, k = 120, 1000, 6
+		alpha   = 4.0
+		chunks  = 4
+	)
+	edges := snapEdges(41, m, n, 6000)
+	part := func(i int) []Edge { return edges[i*len(edges)/chunks : (i+1)*len(edges)/chunks] }
+	type answer struct {
+		res Result
+		enc []byte
+	}
+	finalize := func(e *Estimator) (answer, error) {
+		enc, err := e.Encode()
+		return answer{e.Result(), enc}, err
+	}
+
+	ref, err := NewEstimator(m, n, k, alpha, WithSeed(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]answer, chunks)
+	for i := range want {
+		if err := ref.ProcessBatch(part(i)); err != nil {
+			t.Fatal(err)
+		}
+		c, err := ref.Clone()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[i], err = finalize(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	est, err := NewEstimator(m, n, k, alpha, WithSeed(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer est.Close()
+	var wg sync.WaitGroup
+	for i := 0; i < chunks; i++ {
+		if err := est.ProcessBatch(part(i)); err != nil {
+			t.Fatal(err)
+		}
+		c, err := est.Clone()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func(i int, c *Estimator) {
+			defer wg.Done()
+			got, err := finalize(c)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if !reflect.DeepEqual(got.res, want[i].res) {
+				t.Errorf("clone %d: result %+v, reference %+v", i, got.res, want[i].res)
+			}
+			if !bytes.Equal(got.enc, want[i].enc) {
+				t.Errorf("clone %d: encoding differs from the reference's", i)
+			}
+		}(i, c)
+	}
+	wg.Wait()
 }
 
 func equalIDs(a, b []uint32) bool {
