@@ -319,20 +319,18 @@ func BenchmarkEstimatorMerge(b *testing.B) {
 	}
 }
 
-// BenchmarkEstimatorClone measures kcoverd's per-query snapshot, a clone
-// of the session's estimator, in bulk-ingest's shape (m=2000, n=100000,
-// k=40, α=8, 200k uniform edges preloaded in 8192-edge batches). B/op is
-// what one query allocates before it finalizes.
-func BenchmarkEstimatorClone(b *testing.B) {
+// bulkShapeEstimator is bulk-ingest's estimator (m=2000, n=100000, k=40,
+// α=8) after edges uniform edges fed in 8192-edge batches.
+func bulkShapeEstimator(b *testing.B, edges int) *streamcover.Estimator {
+	b.Helper()
 	const m, n = 2000, 100000
 	est, err := streamcover.NewEstimator(m, n, 40, 8)
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer est.Close()
 	rng := rand.New(rand.NewSource(1))
 	batch := make([]streamcover.Edge, 8192)
-	for fed := 0; fed < 200000; fed += len(batch) {
+	for fed := 0; fed < edges; fed += len(batch) {
 		for i := range batch {
 			batch[i] = streamcover.Edge{Set: uint32(rng.Intn(m)), Elem: uint32(rng.Intn(n))}
 		}
@@ -340,11 +338,75 @@ func BenchmarkEstimatorClone(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	return est
+}
+
+// BenchmarkEstimatorClone measures kcoverd's per-query snapshot, a clone
+// of the session's estimator, in bulk-ingest's shape with 200k edges
+// preloaded. B/op is what one query allocates before it finalizes.
+func BenchmarkEstimatorClone(b *testing.B) {
+	est := bulkShapeEstimator(b, 200000)
+	defer est.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := est.Clone(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// encodeShapes are the checkpoint benchmarks' states: bulk-ingest's
+// estimator as a session creates it (its initial checkpoint) and after
+// 200k edges.
+var encodeShapes = []struct {
+	name  string
+	edges int
+}{{"fresh", 0}, {"200k", 200000}}
+
+// BenchmarkEstimatorEncode measures a checkpoint's encode in bulk-ingest's
+// shape; encoded-B is the blob a checkpoint writes and fsyncs.
+func BenchmarkEstimatorEncode(b *testing.B) {
+	for _, sh := range encodeShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			est := bulkShapeEstimator(b, sh.edges)
+			defer est.Close()
+			var blob []byte
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var err error
+				if blob, err = est.Encode(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(blob)), "encoded-B")
+		})
+	}
+}
+
+// BenchmarkEstimatorDecode measures recovery's and rehydration's decode of
+// a bulk-ingest-shaped checkpoint; B/op includes the construction the
+// blob is restored into.
+func BenchmarkEstimatorDecode(b *testing.B) {
+	for _, sh := range encodeShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			est := bulkShapeEstimator(b, sh.edges)
+			blob, err := est.Encode()
+			est.Close()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dec, err := streamcover.DecodeEstimator(blob)
+				if err != nil {
+					b.Fatal(err)
+				}
+				dec.Close()
+			}
+			b.ReportMetric(float64(len(blob)), "encoded-B")
+		})
 	}
 }

@@ -31,8 +31,10 @@
 // Multi-tenancy: with -mem-budget BYTES (requires -data) the daemon
 // oversubscribes sessions against a fixed memory budget — cold sessions
 // are LRU-evicted down to their checkpoints (estimator freed, WAL parked) and transparently rehydrated on their next ingest or
-// query, bit-identical to never having been evicted. -session-quota caps
-// one session's serialized size; -rehydrate-concurrency bounds
+// query, bit-identical to never having been evicted. A session counts 8
+// bytes per word of its estimator's space accounting (SpaceWords) against
+// the budget. -session-quota caps one session's resident size;
+// -rehydrate-concurrency bounds
 // simultaneous rehydrations (excess wakers get a retryable busy answer).
 // /sessions and /metrics report per-session residency and the
 // eviction/rehydration counters.
@@ -83,7 +85,7 @@ func main() {
 		walNoSync  = flag.Bool("wal-nosync", false, "skip fsync on WAL appends (fast, loses acked batches on power loss)")
 
 		memBudget    = flag.Int64("mem-budget", 0, "session memory budget in bytes: LRU-evict cold sessions to their checkpoints past this (0 disables; requires -data)")
-		sessionQuota = flag.Int64("session-quota", 0, "per-session serialized-size cap in bytes; ingest over quota is rejected (0 = no cap)")
+		sessionQuota = flag.Int64("session-quota", 0, "per-session resident-size cap in bytes (8 per estimator space word); ingest over quota is rejected (0 = no cap)")
 		rehydrateC   = flag.Int("rehydrate-concurrency", 2, "simultaneous session rehydrations; excess wakers get a retryable busy rejection")
 
 		readTimeout  = flag.Duration("read-timeout", 5*time.Minute, "per-frame read deadline; idle or hung peers are reaped after this (<=0 disables)")

@@ -249,7 +249,7 @@ func (c benchConfig) run(budget int64) (runStats, error) {
 	}
 
 	// Pass A: spread. Every tenant accumulates state; the sweep then
-	// charges real serialized sizes — and, under a budget, immediately
+	// charges each its resident size — and, under a budget, immediately
 	// evicts the cold tail down to it.
 	start := time.Now()
 	sentA, err := pass()

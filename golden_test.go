@@ -10,21 +10,30 @@ import (
 	"testing"
 )
 
-// updateGolden rewrites the golden checkpoints. The committed files pin
-// the checkpoint format across refactors of the sketch internals, so
+// updateGolden rewrites the v2 golden checkpoints. The committed files
+// pin the checkpoint format across refactors of the sketch internals, so
 // regenerate them only for a deliberate format change, never to make this
-// test pass.
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_*.bin.gz")
+// test pass. The golden_v1_* files are read fixtures for the previous
+// format, written by the code that wrote v1; nothing rewrites them.
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_v2_*.bin.gz")
 
-// goldenEstimator is the seeded estimator behind the golden files: small
-// enough to commit, busy enough that every heavy-hitter candidate table
-// has gone through refreshes.
-func goldenEstimator(t *testing.T) *Estimator {
+// newGoldenEstimator is the seeded, never-written estimator behind the
+// golden files.
+func newGoldenEstimator(t *testing.T) *Estimator {
 	t.Helper()
 	est, err := NewEstimator(24, 100, 2, 4, WithSeed(13))
 	if err != nil {
 		t.Fatal(err)
 	}
+	return est
+}
+
+// goldenEstimator is the golden estimator after its first stream: small
+// enough to commit, busy enough that every heavy-hitter candidate table
+// has gone through refreshes.
+func goldenEstimator(t *testing.T) *Estimator {
+	t.Helper()
+	est := newGoldenEstimator(t)
 	if err := est.ProcessBatch(snapEdges(31, 24, 100, 6000)); err != nil {
 		t.Fatal(err)
 	}
@@ -34,9 +43,9 @@ func goldenEstimator(t *testing.T) *Estimator {
 // goldenBatch is the fixed batch fed to the decoded golden checkpoint.
 func goldenBatch() []Edge { return snapEdges(32, 24, 100, 2500) }
 
-// readGolden returns the decompressed contents of testdata/name.gz (the
+// readGolden returns the decompressed contents of testdata/name.gz (v1
 // checkpoints are mostly zero counters and gzip to a few percent).
-func readGolden(t *testing.T, name string) []byte {
+func readGolden(t testing.TB, name string) []byte {
 	t.Helper()
 	f, err := os.Open(filepath.Join("testdata", name+".gz"))
 	if err != nil {
@@ -54,7 +63,7 @@ func readGolden(t *testing.T, name string) []byte {
 	return data
 }
 
-// golden compares got with the golden file name, or rewrites it under
+// golden compares got with the v2 golden file name, or rewrites it under
 // -update-golden.
 func golden(t *testing.T, name string, got []byte) {
 	t.Helper()
@@ -76,53 +85,65 @@ func golden(t *testing.T, name string, got []byte) {
 	}
 }
 
-// TestGoldenCheckpointBatch pins the checkpoint bytes: a committed
-// checkpoint must decode and re-encode byte-identically, and the decoded
-// estimator fed a fixed batch must encode exactly as the committed
-// post-batch checkpoint. Both files were written before the heavy-hitter
-// candidate priorities were deleted from memory, so this holds the format
-// (including the canonical per-candidate weight word) steady across it.
+// encodeGolden encodes est, failing the test on error.
+func encodeGolden(t *testing.T, est *Estimator) []byte {
+	t.Helper()
+	b, err := est.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// decodeGolden decodes the golden file name and checks the envelope
+// version it was sealed with.
+func decodeGolden(t *testing.T, name string, version byte) *Estimator {
+	t.Helper()
+	data := readGolden(t, name)
+	if data[4] != version {
+		t.Fatalf("%s is sealed as version %d, want %d", name, data[4], version)
+	}
+	est, err := DecodeEstimator(data)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return est
+}
+
+// TestGoldenCheckpointBatch pins the checkpoint bytes. The live golden
+// estimator — never written, after its stream, after a fixed batch —
+// must encode exactly as the v2 golden files, and each v2 file must
+// decode and re-encode byte-identically. Each v1 fixture, written by the
+// code before estimator encoding v2, must decode and re-encode to its v2
+// golden, and the fixed batch on the decoded v1 or v2 checkpoint must
+// encode as the v2 after-batch golden.
 func TestGoldenCheckpointBatch(t *testing.T) {
+	est := newGoldenEstimator(t)
+	golden(t, "golden_v2_fresh.bin", encodeGolden(t, est))
+	est = goldenEstimator(t)
+	golden(t, "golden_v2_checkpoint.bin", encodeGolden(t, est))
+	if err := est.ProcessBatch(goldenBatch()); err != nil {
+		t.Fatal(err)
+	}
+	golden(t, "golden_v2_after_batch.bin", encodeGolden(t, est))
 	if *updateGolden {
-		est := goldenEstimator(t)
-		base, err := est.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		golden(t, "golden_checkpoint.bin", base)
-		if err := est.ProcessBatch(goldenBatch()); err != nil {
-			t.Fatal(err)
-		}
-		after, err := est.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		golden(t, "golden_after_batch.bin", after)
 		return
 	}
-	dec, err := DecodeEstimator(readGolden(t, "golden_checkpoint.bin"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	re, err := dec.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden(t, "golden_checkpoint.bin", re)
 
-	// The current code builds the same checkpoint from scratch.
-	fresh, err := goldenEstimator(t).Encode()
-	if err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"fresh.bin", "checkpoint.bin", "after_batch.bin"} {
+		golden(t, "golden_v2_"+name, encodeGolden(t, decodeGolden(t, "golden_v2_"+name, 2)))
 	}
-	golden(t, "golden_checkpoint.bin", fresh)
-
-	if err := dec.ProcessBatch(goldenBatch()); err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"checkpoint.bin", "after_batch.bin"} {
+		golden(t, "golden_v2_"+name, encodeGolden(t, decodeGolden(t, "golden_v1_"+name, 1)))
 	}
-	after, err := dec.Encode()
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name    string
+		version byte
+	}{{"golden_v1_checkpoint.bin", 1}, {"golden_v2_checkpoint.bin", 2}} {
+		dec := decodeGolden(t, tc.name, tc.version)
+		if err := dec.ProcessBatch(goldenBatch()); err != nil {
+			t.Fatal(err)
+		}
+		golden(t, "golden_v2_after_batch.bin", encodeGolden(t, dec))
 	}
-	golden(t, "golden_after_batch.bin", after)
 }

@@ -99,8 +99,11 @@ func (lc *LargeCommon) Estimate() (val, beta float64, ok bool) {
 // estimate: a uniformly random k-subset of the layer's sampled sets
 // (a random group of the implicit β-way partition retains a 1/β fraction
 // of the sampled coverage in expectation, per Observation 2.4). Returns
-// nil if no layer accepted.
-func (lc *LargeCommon) CandidateSets(rng *rand.Rand) []uint32 {
+// nil if no layer accepted. The subset is drawn from a source seeded by
+// the subroutine's own hash at a key no set uses, one per layer, so the
+// report is a pure function of the seed and the state a checkpoint
+// carries: repeated calls, clones and decoded copies all agree.
+func (lc *LargeCommon) CandidateSets() []uint32 {
 	_, beta, ok := lc.Estimate()
 	if !ok {
 		return nil
@@ -116,6 +119,7 @@ func (lc *LargeCommon) CandidateSets(rng *rand.Rand) []uint32 {
 			}
 		}
 		if len(ids) > lc.d.K {
+			rng := rand.New(rand.NewSource(int64(lc.h.Eval(uint64(lc.d.M + i)))))
 			rng.Shuffle(len(ids), func(a, b int) { ids[a], ids[b] = ids[b], ids[a] })
 			ids = ids[:lc.d.K]
 		}

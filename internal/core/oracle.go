@@ -47,21 +47,19 @@ type OracleFactory func(d Derived, rng *rand.Rand) CoverageOracle
 // with w = min(k, α) and practical constants sα < 2k always holds, and an
 // extra subroutine can only raise the max, so all three always run.)
 type Oracle struct {
-	d   Derived
-	lc  *LargeCommon
-	ls  *LargeSet
-	ss  *SmallSet
-	rng *rand.Rand
+	d  Derived
+	lc *LargeCommon
+	ls *LargeSet
+	ss *SmallSet
 }
 
 // NewOracle builds the three-subroutine oracle.
 func NewOracle(d Derived, rng *rand.Rand) *Oracle {
 	return &Oracle{
-		d:   d,
-		lc:  NewLargeCommon(d, rng),
-		ls:  NewLargeSet(d, rng),
-		ss:  NewSmallSet(d, rng),
-		rng: rng,
+		d:  d,
+		lc: NewLargeCommon(d, rng),
+		ls: NewLargeSet(d, rng),
+		ss: NewSmallSet(d, rng),
 	}
 }
 
@@ -84,7 +82,7 @@ func (o *Oracle) Process(e stream.Edge) {
 func (o *Oracle) Result() OracleResult {
 	res := OracleResult{}
 	if v, _, ok := o.lc.Estimate(); ok && v > res.Value {
-		res = OracleResult{Value: v, Feasible: true, SetIDs: o.lc.CandidateSets(o.rng)}
+		res = OracleResult{Value: v, Feasible: true, SetIDs: o.lc.CandidateSets()}
 	}
 	if lsr := o.ls.Estimate(); lsr.Feasible && lsr.Value > res.Value {
 		res = OracleResult{Value: lsr.Value, Feasible: true, SetIDs: o.ls.CandidateSets(lsr)}

@@ -29,9 +29,12 @@ import (
 // contract: it holds nothing that survives a batch and is rebuilt lazily
 // by the first ProcessBatch after restore.
 
-// stateReader walks a state blob with bounds-checked reads.
+// stateReader walks a state blob with bounds-checked reads. v1 marks a
+// blob in the estimator encoding v1, whose LargeSet batteries hold every
+// CountSketch row at full width; the rest of the layout is the same.
 type stateReader struct {
 	data []byte
+	v1   bool
 }
 
 func (r *stateReader) uvarint(what string) (uint64, error) {
@@ -198,6 +201,20 @@ func (lc *LargeCommon) restoreState(r *stateReader) error {
 	return nil
 }
 
+// restoreBattery reads a battery blob into the constructed battery: a v2
+// blob straight through RestoreState, a v1 blob (full-width CountSketch
+// rows) by decoding it standalone and adopting it with Restore.
+func (r *stateReader) restoreBattery(into *sketch.Contributing, b []byte) error {
+	if !r.v1 {
+		return into.RestoreState(b)
+	}
+	dec := new(sketch.Contributing)
+	if err := dec.UnmarshalBinary(b); err != nil {
+		return err
+	}
+	return into.Restore(dec)
+}
+
 // appendState serializes the case-II subroutine.
 func (ls *LargeSet) appendState(buf []byte) ([]byte, error) {
 	buf = binary.AppendUvarint(buf, uint64(len(ls.reps)))
@@ -212,7 +229,7 @@ func (ls *LargeSet) appendState(buf []byte) ([]byte, error) {
 		}
 		buf = binary.AppendUvarint(buf, uint64(rep.part.q))
 		for _, cntr := range []*sketch.Contributing{rep.cntrSmall, rep.cntrLarge} {
-			b, err := cntr.MarshalBinary()
+			b, err := cntr.AppendState(nil)
 			if err != nil {
 				return nil, err
 			}
@@ -249,11 +266,7 @@ func (ls *LargeSet) restoreState(r *stateReader) error {
 			if err != nil {
 				return err
 			}
-			dec := new(sketch.Contributing)
-			if err := dec.UnmarshalBinary(b); err != nil {
-				return fmt.Errorf("core: snapshot: LargeSet rep %d battery %d: %w", i, bi, err)
-			}
-			if err := cntr.Restore(dec); err != nil {
+			if err := r.restoreBattery(cntr, b); err != nil {
 				return fmt.Errorf("core: snapshot: LargeSet rep %d battery %d: %w", i, bi, err)
 			}
 		}
@@ -471,7 +484,17 @@ func (est *Estimator) AppendState(buf []byte) ([]byte, error) {
 // abort with an error and leave est in an undefined state (callers build
 // a new estimator per attempt).
 func (est *Estimator) RestoreState(data []byte) error {
-	r := &stateReader{data: data}
+	return est.restoreState(&stateReader{data: data})
+}
+
+// RestoreStateV1 is RestoreState for a blob in the estimator encoding v1,
+// written before the LargeSet batteries stored only their reachable
+// CountSketch cells.
+func (est *Estimator) RestoreStateV1(data []byte) error {
+	return est.restoreState(&stateReader{data: data, v1: true})
+}
+
+func (est *Estimator) restoreState(r *stateReader) error {
 	trivial, err := r.byte("estimator header")
 	if err != nil {
 		return err

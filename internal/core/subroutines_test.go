@@ -236,7 +236,7 @@ func TestLargeCommonCandidateSets(t *testing.T) {
 	d := mustDerive(t, in, 4)
 	lc := NewLargeCommon(d, rng)
 	feed(t, in, 15, lc.Process)
-	ids := lc.CandidateSets(rng)
+	ids := lc.CandidateSets()
 	if ids == nil {
 		t.Fatal("no candidates from accepting LargeCommon")
 	}

@@ -120,16 +120,6 @@ type checkpointState struct {
 	parts [][]byte
 }
 
-// size is the checkpoint's summed estimator encoding — the session's
-// serialized size, which the overseer charges against the memory budget.
-func (st *checkpointState) size() int64 {
-	var n int64
-	for _, p := range st.parts {
-		n += int64(len(p))
-	}
-	return n
-}
-
 // encodeCheckpoint serializes a checkpoint payload (the caller seals it).
 // Dedup entries are sorted by source so equal states encode equally.
 func encodeCheckpoint(st checkpointState) []byte {
@@ -304,14 +294,21 @@ func (s *session) checkpointLocked(metrics *Metrics) error {
 	}
 	d.ckptPos.Store(pos)
 	d.lastCkptNanos.Store(time.Now().UnixNano())
-	// The estimator blob is the session's real serialized size — the
-	// budget the overseer charges it against while hydrated.
-	s.setResidentBytes(int64(len(blob)))
+	s.setResidentBytes(residentCharge(rep.est))
 	if metrics != nil {
 		metrics.Checkpoints.Add(1)
 		metrics.CheckpointNanos.Add(time.Since(start).Nanoseconds())
 	}
 	return nil
+}
+
+// residentCharge is what a hydrated session's estimator counts against
+// the memory budget: 8 bytes per word of its SpaceWords, the paper's
+// space accounting, which follows the live state and not the size of any
+// encoding. It reads est without finalizing it, so the caller must own
+// est (a checkpoint's clone, or an estimator no apply goroutine runs yet).
+func residentCharge(est *streamcover.Estimator) int64 {
+	return 8 * int64(est.SpaceWords())
 }
 
 // recoverSession rebuilds one session from its data directory: decode the
@@ -347,7 +344,8 @@ func recoverSession(dir string, cfg Config, metrics *Metrics) (*session, error) 
 		log.Close()
 		return nil, fmt.Errorf("server: %s: wal replay: %w", dir, err)
 	}
-	edges := int64(est.Edges()) // read before the apply goroutine owns est
+	// Read before the apply goroutine owns est.
+	edges, charge := int64(est.Edges()), residentCharge(est)
 	d := &durability{dir: dir, wal: log, fs: fsys}
 	d.ckptPos.Store(st.walPos)
 	d.lastCkptNanos.Store(time.Now().UnixNano())
@@ -364,10 +362,9 @@ func recoverSession(dir string, cfg Config, metrics *Metrics) (*session, error) 
 		sess.dedup[src] = dedupEntry{seq: seq}
 	}
 	sess.edges.Store(edges)
-	// Seed the resident footprint from the snapshot we just restored; the
-	// caller attaches the overseer (none exists yet here) and folds this
-	// into the budget total.
-	sess.residentBytes.Store(st.size())
+	// Seed the resident footprint; the caller attaches the overseer (none
+	// exists yet here) and folds this into the budget total.
+	sess.residentBytes.Store(charge)
 	return sess, nil
 }
 

@@ -17,10 +17,11 @@ var ErrOverloaded = errors.New("server overloaded")
 
 // overseer is the session-memory governor (enabled by Config.MemBudget).
 // It tracks the summed resident footprint of hydrated sessions — each
-// charged its real serialized size, measured at its last checkpoint — and
-// when the total exceeds the budget it evicts the coldest sessions down to
-// their canonical checkpoints: checkpoint, stop the apply goroutine, free
-// the estimator, park the WAL. The next operation on an evicted session
+// charged 8 bytes per SpaceWords word (residentCharge), measured at its
+// last checkpoint, recovery or rehydration — and when the total exceeds
+// the budget it evicts the coldest sessions down to their canonical
+// checkpoints: checkpoint, stop the apply goroutine, free the estimator,
+// park the WAL. The next operation on an evicted session
 // rehydrates it through the crash-recovery path (snapshot restore + WAL
 // tail replay), which makes rehydration bit-identical by construction. A
 // bounded admission gate keeps a stampede of simultaneous rehydrations
@@ -33,7 +34,8 @@ type overseer struct {
 	admit  chan struct{} // rehydration tokens (capacity = RehydrateConcurrency)
 
 	// residentBytes is the hydrated total, maintained by
-	// session.setResidentBytes from checkpoint encodes and evictions.
+	// session.setResidentBytes from checkpoints, rehydrations and
+	// evictions.
 	residentBytes atomic.Int64
 
 	metrics *Metrics
@@ -107,9 +109,9 @@ func (o *overseer) rehydrate(s *session) error {
 	}
 	s.dmu.Unlock()
 	s.edges.Store(int64(est.Edges()))
+	s.setResidentBytes(residentCharge(est)) // before the apply goroutine owns est
 	s.setEstimator(est)
 	s.evicted = false
-	s.setResidentBytes(st.size())
 	s.rehydrations.Add(1)
 	s.lastAccess.Store(time.Now().UnixNano())
 	s.resMu.Unlock()

@@ -77,13 +77,13 @@ type Config struct {
 	FS fault.FS
 
 	// MemBudget, when positive, enables session oversubscription: the
-	// summed serialized size of hydrated sessions is kept at or under this
-	// many bytes by evicting the least-recently-used sessions down to
-	// their checkpoints; the next operation rehydrates them transparently.
-	// Requires a DataDir (eviction parks state on disk). 0: every session
-	// stays hydrated.
+	// summed resident size of hydrated sessions — 8 bytes per word of each
+	// estimator's SpaceWords — is kept at or under this many bytes by
+	// evicting the least-recently-used sessions down to their checkpoints;
+	// the next operation rehydrates them transparently. Requires a DataDir
+	// (eviction parks state on disk). 0: every session stays hydrated.
 	MemBudget int64
-	// SessionQuota, when positive, caps one session's serialized size (as
+	// SessionQuota, when positive, caps one session's resident size (as
 	// of its last checkpoint): ingest into a session over quota is
 	// rejected permanently until it shrinks. 0: no per-session cap.
 	SessionQuota int64

@@ -87,7 +87,7 @@ type session struct {
 	resMu         sync.RWMutex
 	evicted       bool
 	ovs           *overseer    // nil when the server runs without a budget
-	residentBytes atomic.Int64 // last checkpoint's encoded size (0 while evicted)
+	residentBytes atomic.Int64 // residentCharge at the last checkpoint (0 while evicted)
 	lastAccess    atomic.Int64 // unix nanos of the last op touch (LRU clock)
 	rehydrations  atomic.Int64
 	// wakers counts operations between arrival and their residency pin —
@@ -107,23 +107,14 @@ type session struct {
 	queries atomic.Int64
 }
 
-// colBatch is a dispatched batch's private copy of its columns —
-// parallel set-ID and element-ID slices, the exact layout the estimator's
-// ProcessColumns ingests with no per-edge conversion. The copy frees the
-// connection's decode arena for the next frame; batchPool recycles it once
-// the estimator is done reading.
-type colBatch struct {
-	sets, elems []uint32
-}
-
-var batchPool = sync.Pool{New: func() any { return new(colBatch) }}
-
 // applyMsg is either a batch (clone == nil) or a snapshot request. One
 // queue keeps the two ordered: a snapshot enqueued after a batch observes
-// all of it.
+// all of it. A batch is the dispatcher's private copy of its columns —
+// parallel set-ID and element-ID slices, the exact layout the estimator's
+// ProcessColumns ingests with no per-edge conversion.
 type applyMsg struct {
-	batch *colBatch
-	clone chan<- cloneReply
+	sets, elems []uint32
+	clone       chan<- cloneReply
 }
 
 type cloneReply struct {
@@ -239,10 +230,8 @@ func (s *session) runApply(est *streamcover.Estimator, queue <-chan applyMsg) {
 		start := time.Now()
 		// IDs were validated against the session dims at decode time, so
 		// the batched ingest cannot fail here.
-		est.ProcessColumns(msg.batch.sets, msg.batch.elems)
+		est.ProcessColumns(msg.sets, msg.elems)
 		d := time.Since(start).Nanoseconds()
-		msg.batch.sets, msg.batch.elems = msg.batch.sets[:0], msg.batch.elems[:0]
-		batchPool.Put(msg.batch)
 		if s.metrics != nil {
 			s.metrics.BatchNanos.Add(d)
 			s.metrics.LastBatchNanos.Store(d)
@@ -322,7 +311,10 @@ func (s *session) logAndDispatch(d *durability, rec []byte, sets, elems []uint32
 }
 
 // ingest logs and queues one validated unsequenced batch, overlapping the
-// WAL fsync with the apply. sets/elems are the batch's columns (both wire
+// WAL fsync with the apply. The return (and so the ack) waits for the WAL
+// append's fsync and for the batch's enqueue, not for its apply: a later
+// query still sees the batch, because the query's clone request rides the
+// same queue behind it. sets/elems are the batch's columns (both wire
 // encodings decode into this form); rec is the WAL record for the batch
 // (type byte + wire payload), ignored when the session has no durability.
 func (s *session) ingest(sets, elems []uint32, rec []byte) error {
@@ -375,10 +367,11 @@ func (s *session) ingest(sets, elems []uint32, rec []byte) error {
 // the reconnect-then-crash window the sequence numbers exist to cover.
 //
 // Like ingest, the WAL append and the apply run concurrently; the return
-// (and so the ack) waits for both. On append failure the batch
-// has already been applied, so instead of rolling back, the accepted
-// horizon is KEPT (a resend of this seq must not be applied twice) and
-// the session degrades — the resend is answered with the typed transient
+// (and so the ack) waits for the append's fsync and the batch's enqueue,
+// not for its apply — queries stay ordered behind it on the apply queue.
+// On append failure the batch has been dispatched, so instead of rolling
+// back, the accepted horizon is KEPT (a resend of this seq must not be
+// applied twice) and the session degrades — the resend is answered with the typed transient
 // error rather than a false durability ack, and recovery's fresh
 // checkpoint makes the applied batch durable before ingest resumes.
 func (s *session) ingestSeq(source, seq uint64, rec []byte, sets, elems []uint32) (bool, error) {
@@ -458,13 +451,17 @@ func (s *session) ingestSeq(source, seq uint64, rec []byte, sets, elems []uint32
 // dispatch queues one batch of columns for the estimator. The send blocks
 // when the queue is full — that backpressure propagates to the TCP reader,
 // which stops acking, which stalls the client's pipeline. The columns are
-// copied into a pooled buffer, so on return the caller may reuse them for
-// the next decode.
+// copied into one fresh allocation, so on return the caller may reuse them
+// for the next decode; the copy is garbage once applied. The copies are
+// not pooled: a pool would keep up to a full queue's worth alive across
+// the next GC, so the heap after a burst would depend on whether a
+// collection had run.
 func (s *session) dispatch(sets, elems []uint32) {
-	b := batchPool.Get().(*colBatch)
-	b.sets = append(b.sets, sets...)
-	b.elems = append(b.elems, elems...)
-	s.queue <- applyMsg{batch: b}
+	n := len(sets)
+	cols := make([]uint32, 2*n)
+	copy(cols, sets)
+	copy(cols[n:], elems)
+	s.queue <- applyMsg{sets: cols[:n:n], elems: cols[n:]}
 	s.edges.Add(int64(len(sets)))
 	s.batches.Add(1)
 }

@@ -111,12 +111,17 @@ func newCountSketch(depth, width, domain int, rng *rand.Rand) *CountSketch {
 	return cs
 }
 
-// build lays the domain out: every in-domain key is hashed once per row
-// through the batch kernels, its buckets mark the row bitmaps, and the
-// memo offsets are then rewritten from buckets to compact indices, the
-// bucket's rank among its row's reachable buckets. It allocates the
-// compact counters, all zero.
+// build lays the domain out and allocates the compact counters, all zero.
 func (cs *CountSketch) build() {
+	cs.lay = cs.layout()
+	cs.table = make([]int64, cs.lay.start[5])
+}
+
+// layout computes the domain's layout: every in-domain key is hashed once
+// per row through the batch kernels, its buckets mark the row bitmaps, and
+// the memo offsets are then rewritten from buckets to compact indices, the
+// bucket's rank among its row's reachable buckets.
+func (cs *CountSketch) layout() *denseLayout {
 	n := int(cs.domain)
 	words := (cs.width + 63) >> 6
 	lay := &denseLayout{cell: make([]dense5, n), reach: make([]uint64, 5*words)}
@@ -152,7 +157,7 @@ func (cs *CountSketch) build() {
 		}
 	}
 	lay.start[5] = k
-	cs.lay, cs.table = lay, make([]int64, k)
+	return lay
 }
 
 // reachRow is row r's bitmap of reachable buckets.

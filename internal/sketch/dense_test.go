@@ -407,23 +407,49 @@ func TestCloneSharesLayout(t *testing.T) {
 
 // TestDecodersBoundAllocation feeds each decoder a tiny blob whose header
 // claims a huge structure. A decoder must check the claim against the
-// blob before allocating for it: each blob may cost at most 1 MB.
+// blob before allocating for it: each blob may cost at most 1 MB. The v2
+// state blobs decode into a construction built beforehand; those must
+// also fail.
 func TestDecodersBoundAllocation(t *testing.T) {
 	poly := []byte{12, 0, 0, 0, 1, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0} // blob: degree-1 poly, coefficient 5
 	le32 := func(v uint32) []byte { return []byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)} }
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 	cs1x1 := cat(le32(1), le32(1), poly, poly, make([]byte, 8))
+
+	// A fed heavy-hitter sketch's v2 state: 20 header bytes, the
+	// CountSketch state as a 4-byte-length blob, then the candidates.
+	const domain = 1 << 12
+	fresh := func() *HeavyHitters { return newF2HeavyHitters(0.05, domain, rand.New(rand.NewSource(5))) }
+	src := fresh()
+	for x := uint64(0); x < 3000; x++ {
+		src.Add(x * 7 % domain)
+	}
+	hhState, err := src.appendState(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	csState, err := src.cs.appendState(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	candidates := hhState[24+len(csState):]
+	shortRow := cat(hhState[:20], le32(uint32(len(csState)-8)), csState[:len(csState)-8], candidates)
+	cutRow := hhState[:24+len(csState)/2]
+
 	for _, tc := range []struct {
-		name   string
-		data   []byte
-		decode func([]byte) error
+		name     string
+		data     []byte
+		decode   func([]byte) error
+		mustFail bool
 	}{
 		{"CountSketch 1x2^28", cat(le32(1), le32(1<<28)),
-			func(b []byte) error { return new(CountSketch).UnmarshalBinary(b) }},
+			func(b []byte) error { return new(CountSketch).UnmarshalBinary(b) }, false},
 		{"L0 k=2^24", cat(poly, le32(1<<24), le32(1), make([]byte, 8), le32(9), le32(0)),
-			func(b []byte) error { return new(L0).UnmarshalBinary(b) }},
+			func(b []byte) error { return new(L0).UnmarshalBinary(b) }, false},
 		{"HeavyHitters cap=2^24", cat(make([]byte, 6), []byte{0xe0, 0x3f}, le32(1<<24), make([]byte, 8), le32(uint32(len(cs1x1))), cs1x1, le32(0)),
-			func(b []byte) error { return new(HeavyHitters).UnmarshalBinary(b) }},
+			func(b []byte) error { return new(HeavyHitters).UnmarshalBinary(b) }, false},
+		{"v2 compact row one cell short of the layout", shortRow, fresh().restoreState, true},
+		{"v2 row cut short", cutRow, fresh().restoreState, true},
 	} {
 		var before, after runtime.MemStats
 		runtime.GC()
@@ -432,6 +458,9 @@ func TestDecodersBoundAllocation(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
 			t.Errorf("%s (%d bytes): decoding allocated %d MB (err %v)", tc.name, len(tc.data), n>>20, err)
+		}
+		if tc.mustFail && err == nil {
+			t.Errorf("%s: decoded without error", tc.name)
 		}
 	}
 }

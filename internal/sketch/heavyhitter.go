@@ -24,8 +24,8 @@ type WeightedItem struct {
 // evicted. A coordinate that is heavy at the end of the stream therefore
 // holds a slot: its estimate ranks it in the top half of every refresh
 // after it is heavy, and its next occurrence re-admits it after any
-// earlier eviction. Candidates carry no weights of their own — refreshes,
-// Report and MarshalBinary all re-estimate from the sketch.
+// earlier eviction. Candidates carry no weights of their own: refreshes
+// and Report re-estimate from the sketch, and checkpoints write ids only.
 //
 // The candidate set is an open-addressed linear-probing table rather
 // than a Go map: the per-update lookup is the single hottest operation in
@@ -456,8 +456,9 @@ func (hh *HeavyHitters) noiseCeiling(f2 float64) float64 {
 	return math.Sqrt(f2/w) * math.Sqrt(2*math.Log(w))
 }
 
-// SpaceWords counts the CountSketch plus two words per candidate slot (the
-// id and the weight MarshalBinary writes for it).
+// SpaceWords counts the CountSketch plus two words per candidate slot: an
+// id and the weight Theorem 2.10's sketch keeps with it (this one
+// re-estimates weights instead, but keeps the paper's accounting).
 func (hh *HeavyHitters) SpaceWords() int {
 	return hh.cs.SpaceWords() + 2*hh.cap + 2
 }

@@ -183,3 +183,109 @@ func TestContributingUnmarshalMalformed(t *testing.T) {
 		}
 	}
 }
+
+// TestContributingStateRoundTrip drives the checkpoint codec (estimator
+// encoding v2) over batteries in every storage state — unbuilt, built,
+// built but merged back to all-zero counters, and widened by
+// out-of-domain keys — on random streams. AppendState, RestoreState into
+// a fresh same-seed battery and AppendState again must give identical
+// bytes; the restored battery must hold the source's counters
+// (full-width v1 encodings equal) in the same storage form, and an
+// all-zero dense level must write no cells.
+func TestContributingStateRoundTrip(t *testing.T) {
+	const m = 300
+	build := func(seed int64) *Contributing {
+		return NewF2Contributing(0.1, 64, m, DefaultContribConfig(), rand.New(rand.NewSource(seed)))
+	}
+	feed := func(c *Contributing, rng *rand.Rand, n int) []uint64 {
+		keys := make([]uint64, n)
+		for i := range keys {
+			keys[i] = uint64(rng.Intn(m))
+			c.Add(keys[i])
+		}
+		return keys
+	}
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed + 100))
+		built := build(seed)
+		feed(built, rng, 200+rng.Intn(3000))
+
+		// Merged to zero: a twin fed the same keys, its counters negated,
+		// cancels every counter but leaves the layouts built.
+		zero, twin := build(seed), build(seed)
+		keys := feed(zero, rng, 100+rng.Intn(500))
+		for _, x := range keys {
+			twin.Add(x)
+		}
+		for i := range twin.levels {
+			for j := range twin.levels[i].hh.cs.table {
+				twin.levels[i].hh.cs.table[j] = -twin.levels[i].hh.cs.table[j]
+			}
+		}
+		if err := zero.Merge(twin); err != nil {
+			t.Fatal(err)
+		}
+
+		widened := build(seed)
+		feed(widened, rng, 500)
+		for i := 0; i < 40; i++ {
+			widened.Add(m + uint64(rng.Intn(1000)))
+		}
+
+		for _, tc := range []struct {
+			name string
+			c    *Contributing
+		}{{"unbuilt", build(seed)}, {"built", built}, {"merged to zero", zero}, {"widened", widened}} {
+			enc, err := tc.c.AppendState(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh := build(seed)
+			if err := fresh.RestoreState(enc); err != nil {
+				t.Fatalf("seed %d %s: %v", seed, tc.name, err)
+			}
+			again, err := fresh.AppendState(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(enc, again) {
+				t.Fatalf("seed %d %s: restored battery re-encodes differently", seed, tc.name)
+			}
+			v1src, _ := tc.c.MarshalBinary()
+			v1got, _ := fresh.MarshalBinary()
+			if !bytes.Equal(v1src, v1got) {
+				t.Fatalf("seed %d %s: restored counters differ from the source's", seed, tc.name)
+			}
+			var wide, srcStored, stored int
+			for i := range tc.c.levels {
+				src, got := tc.c.levels[i].hh.cs, fresh.levels[i].hh.cs
+				if src.domain == 0 {
+					wide++
+				}
+				if (got.domain == 0) != (src.domain == 0) {
+					t.Fatalf("seed %d %s level %d: restored domain %d, source %d", seed, tc.name, i, got.domain, src.domain)
+				}
+				srcStored += len(src.table)
+				stored += len(got.table)
+			}
+			switch tc.name {
+			case "unbuilt":
+				if stored != 0 {
+					t.Fatalf("seed %d unbuilt: restored %d cells, want none", seed, stored)
+				}
+			case "merged to zero":
+				if srcStored == 0 || stored != 0 {
+					t.Fatalf("seed %d merged to zero: source stores %d cells, restored %d, want some and none", seed, srcStored, stored)
+				}
+			case "widened":
+				if wide == 0 {
+					t.Fatalf("seed %d: no level widened", seed)
+				}
+			case "built":
+				if wide != 0 || stored == 0 {
+					t.Fatalf("seed %d built: %d wide levels, %d cells", seed, wide, stored)
+				}
+			}
+		}
+	}
+}

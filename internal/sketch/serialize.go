@@ -9,11 +9,13 @@ import (
 	"streamcover/internal/hash"
 )
 
-// Serialization: every sketch implements encoding.BinaryMarshaler /
-// BinaryUnmarshaler. The encodings carry the hash functions, so a decoded
-// sketch keeps absorbing updates and merging with siblings — this is the
-// message format of the Section 5 one-way communication protocol, whose
-// per-hop cost the experiments measure in real serialized bytes.
+// Serialization: the primitive sketches (CountSketch, L0, HLL) implement
+// encoding.BinaryMarshaler / BinaryUnmarshaler. The encodings carry the
+// hash functions, so a decoded sketch keeps absorbing updates and merging
+// with siblings — this is the message format of the Section 5 one-way
+// communication protocol, whose per-hop cost the experiments measure in
+// real serialized bytes. The composite sketches' checkpoint codec is in
+// persist.go.
 
 func writeBlob(buf *bytes.Buffer, b []byte) {
 	var hdr [4]byte

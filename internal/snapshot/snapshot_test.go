@@ -9,13 +9,32 @@ import (
 
 func TestSealOpenRoundTrip(t *testing.T) {
 	for _, payload := range [][]byte{nil, {}, []byte("x"), bytes.Repeat([]byte{0xAB, 0x00, 0x7F}, 4096)} {
-		got, err := Open(Seal(payload))
+		got, v, err := Open(Seal(payload))
 		if err != nil {
 			t.Fatalf("payload %d bytes: %v", len(payload), err)
 		}
-		if !bytes.Equal(got, payload) {
-			t.Fatalf("payload %d bytes: round trip changed content", len(payload))
+		if !bytes.Equal(got, payload) || v != Version {
+			t.Fatalf("payload %d bytes: round trip changed content or version (%d)", len(payload), v)
 		}
+	}
+}
+
+// TestOpenReportsOlderVersion: an envelope sealed by the previous format
+// version still opens, and Open says which version it was, so a payload
+// decoder can pick the older format's reader.
+func TestOpenReportsOlderVersion(t *testing.T) {
+	sealed := Seal([]byte("a v1 estimator blob"))
+	sealed[4] = 1 // the CRC covers the payload only
+	payload, v, err := Open(sealed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v != 1 || string(payload) != "a v1 estimator blob" {
+		t.Fatalf("opened version %d payload %q", v, payload)
+	}
+	sealed[4] = 0
+	if _, _, err := Open(sealed); err == nil {
+		t.Fatal("version 0 must be rejected")
 	}
 }
 
@@ -36,7 +55,7 @@ func TestOpenRejectsCorruption(t *testing.T) {
 	crcFlip[6] ^= 0x01
 	cases["crc bit flip"] = crcFlip
 	for name, data := range cases {
-		if _, err := Open(data); err == nil {
+		if _, _, err := Open(data); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
 	}
@@ -90,18 +109,21 @@ func TestReadFileRejectsTornWrite(t *testing.T) {
 }
 
 // FuzzOpen: arbitrary bytes must never panic, and anything Open accepts
-// must be a faithful envelope (re-sealing the payload reproduces it).
+// must be a faithful envelope (re-sealing the payload under the version
+// Open reported reproduces it).
 func FuzzOpen(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(Seal(nil))
 	f.Add(Seal([]byte("payload")))
 	f.Add([]byte("SCSN garbage that is not an envelope"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		payload, err := Open(data)
+		payload, v, err := Open(data)
 		if err != nil {
 			return
 		}
-		if !bytes.Equal(Seal(payload), data) {
+		resealed := Seal(payload)
+		resealed[4] = byte(v)
+		if !bytes.Equal(resealed, data) {
 			t.Fatal("accepted envelope is not canonical")
 		}
 	})

@@ -40,9 +40,12 @@ func (e *Estimator) Encode() ([]byte, error) {
 	return snapshot.Seal(state), nil
 }
 
-// DecodeEstimator rebuilds an estimator from an Encode blob.
+// DecodeEstimator rebuilds an estimator from an Encode blob. It reads the
+// current encoding (v2, whose sketches hold only their stored counters)
+// and v1, which wrote every CountSketch row at full width; Encode writes
+// v2 only.
 func DecodeEstimator(data []byte) (*Estimator, error) {
-	payload, err := snapshot.Open(data)
+	payload, version, err := snapshot.Open(data)
 	if err != nil {
 		return nil, fmt.Errorf("streamcover: decode: %w", err)
 	}
@@ -106,7 +109,11 @@ func DecodeEstimator(data []byte) (*Estimator, error) {
 	if err != nil {
 		return nil, fmt.Errorf("streamcover: decode: %w", err)
 	}
-	if err := est.inner.RestoreState(payload); err != nil {
+	restore := est.inner.RestoreState
+	if version == 1 {
+		restore = est.inner.RestoreStateV1
+	}
+	if err := restore(payload); err != nil {
 		return nil, fmt.Errorf("streamcover: decode: %w", err)
 	}
 	est.edges = int(edges)

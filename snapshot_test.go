@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"streamcover/internal/workload"
 )
 
 func snapEdges(seed int64, m, n, count int) []Edge {
@@ -156,6 +158,8 @@ func TestSnapshotBatchScratchInterplay(t *testing.T) {
 // FuzzDecodeEstimator drives the full snapshot decoder — envelope, header
 // and the recursive state codec underneath — with arbitrary bytes. Every
 // outcome must be a clean error or a working estimator, never a panic.
+// The corpus holds a current (v2) blob and the v1 golden fixture, so both
+// readers are reached.
 func FuzzDecodeEstimator(f *testing.F) {
 	small, err := NewEstimator(10, 50, 2, 4)
 	if err != nil {
@@ -175,6 +179,8 @@ func FuzzDecodeEstimator(f *testing.F) {
 	mangled := append([]byte{}, blob...)
 	mangled[len(mangled)/3] ^= 0x10
 	f.Add(mangled)
+	f.Add(readGolden(f, "golden_v1_checkpoint.bin"))
+	f.Add(readGolden(f, "golden_v2_fresh.bin"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		est, err := DecodeEstimator(data)
 		if err != nil {
@@ -212,6 +218,43 @@ func TestDecodeEstimatorMalformed(t *testing.T) {
 	} {
 		if _, err := DecodeEstimator(tc.data); err == nil {
 			t.Fatalf("%s: expected error", tc.name)
+		}
+	}
+}
+
+// TestResultIsPureFunctionOfState: Result reports sets as a function of
+// the estimator's state and seed alone. When LargeCommon wins with more
+// than k sampled sets it reports a random k-subset; drawing that subset
+// from the construction's RNG made a second Result report other sets, and
+// a decoded estimator (whose RNG restarts) report the live one's first
+// answer instead of its latest. The commonheavy family reaches that
+// branch on several of these seeds.
+func TestResultIsPureFunctionOfState(t *testing.T) {
+	for seed := int64(1); seed <= 10; seed++ {
+		in := workload.CommonHeavy(1500, 300, 8, 40, 0.4, 2, rand.New(rand.NewSource(seed*101)))
+		est, err := NewEstimator(in.System.M(), in.System.N, in.K, 4, WithSeed(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := est.ProcessBatch(shuffledEdges(in, seed*7+1)); err != nil {
+			t.Fatal(err)
+		}
+		first := est.Result()
+		for i := 0; i < 3; i++ {
+			if got := est.Result(); !reflect.DeepEqual(got, first) {
+				t.Fatalf("seed %d: Result call %d reports %v, first reported %v", seed, i+2, got.SetIDs, first.SetIDs)
+			}
+		}
+		blob, err := est.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := DecodeEstimator(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := dec.Result(); !reflect.DeepEqual(got, est.Result()) {
+			t.Fatalf("seed %d: decoded estimator reports %v, live one %v", seed, got.SetIDs, est.Result().SetIDs)
 		}
 	}
 }

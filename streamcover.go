@@ -338,9 +338,13 @@ func (e *Estimator) Result() Result {
 		Coverage:   r.Value,
 		Feasible:   r.Feasible,
 		SetIDs:     r.SetIDs,
-		SpaceWords: e.inner.SpaceWords(),
+		SpaceWords: e.SpaceWords(),
 	}
 }
+
+// SpaceWords is the number of 64-bit words of state the estimator
+// retains, the figure Result reports, read without finalizing.
+func (e *Estimator) SpaceWords() int { return e.inner.SpaceWords() }
 
 // Merge folds another estimator into this one. Both must have been
 // created with identical dimensions, options and seed; each may have
