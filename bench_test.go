@@ -322,8 +322,14 @@ func BenchmarkEstimatorMerge(b *testing.B) {
 // bulkShapeEstimator is bulk-ingest's estimator (m=2000, n=100000, k=40,
 // α=8) after edges uniform edges fed in 8192-edge batches.
 func bulkShapeEstimator(b *testing.B, edges int) *streamcover.Estimator {
+	return uniformEstimator(b, 2000, 100000, edges)
+}
+
+// uniformEstimator is an estimator over m sets and n elements with k=40
+// and α=8 (bulk-ingest's and crash-recover's k and α) after edges
+// uniform edges fed in 8192-edge batches.
+func uniformEstimator(b *testing.B, m, n, edges int) *streamcover.Estimator {
 	b.Helper()
-	const m, n = 2000, 100000
 	est, err := streamcover.NewEstimator(m, n, 40, 8)
 	if err != nil {
 		b.Fatal(err)
@@ -339,6 +345,63 @@ func bulkShapeEstimator(b *testing.B, edges int) *streamcover.Estimator {
 		}
 	}
 	return est
+}
+
+// BenchmarkEstimatorNew measures a session's construction in
+// paced-tenants' shape (m=60, n=500, k=5, α=4) and bulk-ingest's; B/op
+// is what a fresh estimator allocates before its first edge.
+func BenchmarkEstimatorNew(b *testing.B) {
+	for _, sh := range []struct {
+		name    string
+		m, n, k int
+		alpha   float64
+	}{{"paced-tenant", 60, 500, 5, 4}, {"bulk-ingest", 2000, 100000, 40, 8}} {
+		b.Run(sh.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				est, err := streamcover.NewEstimator(sh.m, sh.n, sh.k, sh.alpha, streamcover.WithParallelism(1))
+				if err != nil {
+					b.Fatal(err)
+				}
+				est.Close()
+			}
+		})
+	}
+}
+
+// BenchmarkEstimatorRecover measures crash recovery in crash-recover's
+// shape (m=2000, n=20000, k=40, α=8): decode a checkpoint taken after
+// 200k edges, then replay a 100k-edge tail in 8192-edge column batches on
+// one worker, as kcoverd's WAL replay does.
+func BenchmarkEstimatorRecover(b *testing.B) {
+	const m, n, tail, batch = 2000, 20000, 100000, 8192
+	est := uniformEstimator(b, m, n, 200000)
+	blob, err := est.Encode()
+	est.Close()
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(2))
+	sets, elems := make([]uint32, tail), make([]uint32, tail)
+	for i := range sets {
+		sets[i], elems[i] = uint32(rng.Intn(m)), uint32(rng.Intn(n))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dec, err := streamcover.DecodeEstimator(blob)
+		if err != nil {
+			b.Fatal(err)
+		}
+		dec.SetParallelism(1)
+		for off := 0; off < tail; off += batch {
+			end := min(off+batch, tail)
+			if err := dec.ProcessColumns(sets[off:end], elems[off:end]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		dec.Close()
+	}
 }
 
 // BenchmarkEstimatorClone measures kcoverd's per-query snapshot, a clone

@@ -17,13 +17,14 @@ import (
 // per batch and replays the edges in arrival order against the memoized
 // values.
 //
-// The batch path is bit-for-bit identical to feeding every edge through
-// Process sequentially: the memo tables cache pure functions of the IDs
-// (identical field reductions, identical thresholds), every stateful
-// structure (distinct counters, contributing batteries, stored pairs)
-// still receives exactly the same updates in exactly the same order, and
-// subroutines are mutually independent so running them batch-at-a-time
-// instead of edge-interleaved leaves their post-pass state unchanged.
+// ProcessColumns, the one batch entry point, is bit-for-bit identical to
+// feeding every edge through Process sequentially: the memo tables cache
+// pure functions of the IDs (identical field reductions, identical
+// thresholds), every stateful structure (distinct counters, contributing
+// batteries, stored pairs) still receives exactly the same updates in
+// exactly the same order, and subroutines are mutually independent so
+// running them batch-at-a-time instead of edge-interleaved leaves their
+// post-pass state unchanged.
 //
 // Space accounting: BatchScratch is transient working memory, not sketch
 // state. It holds no information that survives the current batch (every
@@ -39,56 +40,34 @@ const maxBatchChunk = 1 << 15
 
 // Prepass is the chunk-wide shared prepass: the deduped set and element
 // ID columns of the chunk being processed. It is computed once per chunk
-// (Index) and then only READ — every (guess, repetition) oracle unit
-// consumes the same columns, which is what lets the parallel batch engine
-// hand one Prepass to every worker while each worker keeps its own
+// (IndexColumns) and then only READ — every (guess, repetition) oracle
+// unit consumes the same columns, which is what lets the parallel batch
+// engine hand one Prepass to every worker while each worker keeps its own
 // mutable BatchScratch.
 type Prepass struct {
 	sets  hash.Interner // distinct set IDs + per-edge positions
 	elems hash.Interner // distinct element IDs + per-edge positions
 
 	// arena, when set, is the shared pool the interner tables are leased
-	// from at the top of Index/IndexColumns and returned to by release().
+	// from at the top of IndexColumns and returned to by release().
 	// Reset clears a leased table before use, so pooling cannot change
 	// interning results.
 	arena *hash.Arena
 
 	// setIDs is the chunk's raw set-ID column in arrival order — the
 	// per-edge view processChunkUnit replays when rebuilding each unit's
-	// reduced edges. IndexColumns aliases the caller's column directly
-	// (for wire batches that's the decoded arena: zero transform);
-	// Index materializes it from the edge structs once per chunk.
+	// reduced edges. It aliases the caller's column (for wire batches
+	// that's the decoded arena: zero transform).
 	setIDs []uint32
-	setBuf []uint32 // backing storage for Index's materialized column
 }
 
-// Index dedups both ID columns of the chunk. After Index returns the
-// Prepass is immutable until the next Index call; concurrent readers are
-// safe provided they synchronize with the indexing goroutine (the engine
-// publishes the Prepass through a channel send).
-func (p *Prepass) Index(edges []stream.Edge) {
-	p.arena.Lease(&p.sets)
-	p.arena.Lease(&p.elems)
-	p.sets.Reset()
-	p.elems.Reset()
-	if cap(p.setBuf) < len(edges) {
-		p.setBuf = make([]uint32, len(edges))
-	}
-	col := p.setBuf[:len(edges)]
-	for i, e := range edges {
-		p.sets.Add(e.Set)
-		p.elems.Add(e.Elem)
-		col[i] = e.Set
-	}
-	p.setIDs = col
-}
-
-// IndexColumns is Index for a chunk already in struct-of-arrays form: the
-// interners consume the columns directly and the set column is aliased,
-// not copied. The caller must keep both columns unmodified until the next
-// Index/IndexColumns call. Interning per column instead of per edge visits
-// each column contiguously; the resulting prepass is identical to Index
-// over the corresponding edge structs.
+// IndexColumns dedups both ID columns of the chunk: the interners consume
+// the columns directly and the set column is aliased, not copied. The
+// caller must keep both columns unmodified until the next IndexColumns
+// call. After IndexColumns returns the Prepass is immutable until the
+// next call; concurrent readers are safe provided they synchronize with
+// the indexing goroutine (the engine publishes the Prepass through a
+// channel send).
 func (p *Prepass) IndexColumns(sets, elems []uint32) {
 	p.arena.Lease(&p.sets)
 	p.arena.Lease(&p.elems)
@@ -113,8 +92,9 @@ func (p *Prepass) release() {
 // BatchScratch is the reusable per-batch working memory of the batched
 // ingest path: a reference to the chunk's (possibly shared) prepass plus
 // value buffers for memoized hash decisions. A scratch may be reused
-// across batches (Index resets it) but never shared between concurrent
-// goroutines; only the Prepass it points at may be shared, read-only.
+// across batches (IndexColumns resets it) but never shared between
+// concurrent goroutines; only the Prepass it points at may be shared,
+// read-only.
 type BatchScratch struct {
 	pre *Prepass // chunk prepass: owned by the sequential path, shared under the engine
 
@@ -157,35 +137,15 @@ type BatchScratch struct {
 // grow on first use.
 func NewBatchScratch() *BatchScratch { return &BatchScratch{pre: new(Prepass)} }
 
-// Index dedups both ID columns of the batch into the scratch's own
+// IndexColumns dedups both ID columns of the batch into the scratch's own
 // prepass and exposes the identity element view (elemKeys = the distinct
 // raw element IDs), which is what Oracle.ProcessBatch expects when it is
 // driven directly rather than through the estimator's universe reduction.
-func (sc *BatchScratch) Index(edges []stream.Edge) {
-	sc.pre.Index(edges)
-	sc.elemKeys = sc.pre.elems.Keys
-	sc.elemRef = sc.pre.elems.Pos
-}
-
-// IndexColumns is Index for a batch in columnar form.
 func (sc *BatchScratch) IndexColumns(sets, elems []uint32) {
 	sc.pre.IndexColumns(sets, elems)
 	sc.elemKeys = sc.pre.elems.Keys
 	sc.elemRef = sc.pre.elems.Pos
 }
-
-// BatchOracle is a CoverageOracle with a batched ingest path.
-// ProcessBatch(edges, sc) must leave the oracle in exactly the state a
-// Process call per edge (in order) would, with sc indexed over edges
-// (sc.Index, or the estimator's reduced view).
-type BatchOracle interface {
-	CoverageOracle
-	ProcessBatch(edges []stream.Edge, sc *BatchScratch)
-}
-
-// The paper's three-subroutine oracle implements the batched path; the
-// engine's fast path depends on it.
-var _ BatchOracle = (*Oracle)(nil)
 
 // ProcessBatch fans the batch out to all three subroutines. Each
 // subroutine consumes the whole batch before the next starts; because the
@@ -306,36 +266,14 @@ func (ss *SmallSet) processBatch(edges []stream.Edge, sc *BatchScratch) {
 	}
 }
 
-// ProcessBatch consumes a batch of edges through the batched hot path,
+// ProcessColumns consumes a batch in struct-of-arrays form — sets[i] and
+// elems[i] are edge i's endpoint IDs — through the batched hot path,
 // chunking internally so scratch memory stays O(maxBatchChunk) regardless
-// of batch size. It is bit-for-bit identical to calling Process on every
-// edge in order and, like Process, not safe for concurrent use.
-func (est *Estimator) ProcessBatch(edges []stream.Edge) {
-	if est.trivial || len(edges) == 0 {
-		return
-	}
-	if est.scratch == nil {
-		est.scratch = NewBatchScratch()
-		est.scratch.pre.arena = est.arena
-	}
-	for start := 0; start < len(edges); start += maxBatchChunk {
-		end := start + maxBatchChunk
-		if end > len(edges) {
-			end = len(edges)
-		}
-		est.scratch.Index(edges[start:end])
-		est.processIndexedChunk(end-start, est.scratch)
-	}
-}
-
-// ProcessColumns is ProcessBatch for a batch in struct-of-arrays form:
-// sets[i] and elems[i] are edge i's endpoint IDs. It is the
-// zero-transform ingest entry point — the columns a wire decoder filled
-// feed the prepass interners directly, with no edge structs in between —
-// and is bit-for-bit identical to ProcessBatch over the corresponding
-// edges (the prepass built from a column pair is identical to one built
-// from edge structs, and everything downstream reads only the prepass).
-// Both slices must stay unmodified for the duration of the call.
+// of batch size. The columns a wire decoder filled feed the prepass
+// interners directly, with no edge structs in between. It is bit-for-bit
+// identical to calling Process on every edge in order and, like Process,
+// not safe for concurrent use. Both slices must stay unmodified for the
+// duration of the call.
 func (est *Estimator) ProcessColumns(sets, elems []uint32) {
 	if len(sets) != len(elems) {
 		panic("core: ProcessColumns with mismatched column lengths")
@@ -382,14 +320,12 @@ func (est *Estimator) processIndexedChunk(count int, sc *BatchScratch) {
 // processChunkUnit applies one repetition's universe reduction to the
 // indexed chunk of count edges — one Range per distinct element instead
 // of one per edge — and hands the reduced edges to the oracle's batch
-// path. The raw edges are never touched: the prepass position arrays and
-// its set-ID column carry everything needed to rebuild each reduced edge,
-// which is what lets row and columnar ingest share this path bit for bit.
-// When z is smaller than the chunk's distinct-element count the reduced
-// values are deduped again (dense table over [z]), so downstream
-// element-keyed hashes run once per distinct PSEUDO-element: the small
-// guesses at the bottom of the ladder collapse to at most z evaluations
-// per hash per chunk.
+// path. The prepass position arrays and its set-ID column carry
+// everything needed to rebuild each reduced edge. When z is smaller than
+// the chunk's distinct-element count the reduced values are deduped
+// again (dense table over [z]), so downstream element-keyed hashes run
+// once per distinct PSEUDO-element: the small guesses at the bottom of
+// the ladder collapse to at most z evaluations per hash per chunk.
 func (est *Estimator) processChunkUnit(count int, sc *BatchScratch, g *zGuess, rep *zRep) {
 	z := uint64(g.z)
 	sc.rawVals = rep.h.RangeBatch(sc.pre.elems.Keys, z, sc.rawVals)
@@ -416,13 +352,7 @@ func (est *Estimator) processChunkUnit(count int, sc *BatchScratch, g *zGuess, r
 	}
 	sc.elemKeys, sc.elemRef = keys, ref
 
-	if bo, ok := rep.oracle.(BatchOracle); ok {
-		bo.ProcessBatch(red, sc)
-	} else {
-		for _, e := range red {
-			rep.oracle.Process(e)
-		}
-	}
+	rep.oracle.ProcessBatch(red, sc)
 }
 
 // dedupReduced collapses rawVals (reduced pseudo-elements in [0, z)) to

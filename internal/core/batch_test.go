@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"streamcover/internal/stream"
@@ -14,6 +16,19 @@ import (
 func collectShuffled(in *workload.Instance, seed int64) []stream.Edge {
 	return stream.Linearize(in.System, stream.Shuffled, rand.New(rand.NewSource(seed))).Edges()
 }
+
+// columns splits edges into the set and element columns that
+// ProcessColumns and IndexColumns take.
+func columns(edges []stream.Edge) (sets, elems []uint32) {
+	sets, elems = make([]uint32, len(edges)), make([]uint32, len(edges))
+	for i, e := range edges {
+		sets[i], elems[i] = e.Set, e.Elem
+	}
+	return sets, elems
+}
+
+// processEdges feeds edges to the estimator's batch path as one batch.
+func processEdges(est *Estimator, edges []stream.Edge) { est.ProcessColumns(columns(edges)) }
 
 // splitAt partitions edges into batches at the given sorted boundaries.
 func splitAt(edges []stream.Edge, cuts []int) [][]stream.Edge {
@@ -57,7 +72,7 @@ func TestOracleBatchEquivalence(t *testing.T) {
 	}
 	sc := NewBatchScratch()
 	for _, batch := range splitAt(edges, randomCuts(len(edges), 5, rng)) {
-		sc.Index(batch)
+		sc.IndexColumns(columns(batch))
 		bat.ProcessBatch(batch, sc)
 	}
 
@@ -81,8 +96,8 @@ func TestOracleBatchEquivalence(t *testing.T) {
 }
 
 // TestEstimatorBatchEquivalence checks the full ladder: Process,
-// ProcessBatch (whole slice and random splits) and ProcessAllParallel
-// must agree bit-for-bit on Estimate/Report output and retained space.
+// ProcessColumns (whole slice and random splits) and ProcessColumns at
+// parallelism 4 must agree bit-for-bit on Estimate/Report output and retained space.
 func TestEstimatorBatchEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	in := workload.PlantedCover(2000, 400, 10, 0.8, 3, rng)
@@ -102,13 +117,14 @@ func TestEstimatorBatchEquivalence(t *testing.T) {
 		seq.Process(e)
 	}
 	whole := build()
-	whole.ProcessBatch(edges)
+	processEdges(whole, edges)
 	split := build()
 	for _, batch := range splitAt(edges, randomCuts(len(edges), 7, rng)) {
-		split.ProcessBatch(batch)
+		processEdges(split, batch)
 	}
 	par := build()
-	par.ProcessAllParallel(edges, 4)
+	par.SetParallelism(4)
+	processEdges(par, edges)
 
 	want := seq.Result()
 	for name, est := range map[string]*Estimator{"batch": whole, "split": split, "parallel": par} {
@@ -117,6 +133,77 @@ func TestEstimatorBatchEquivalence(t *testing.T) {
 		}
 		if got, w := est.SpaceWords(), seq.SpaceWords(); got != w {
 			t.Errorf("%s SpaceWords %d != sequential %d", name, got, w)
+		}
+	}
+}
+
+// countingOracle is the paper's oracle behind a wrapper that counts its
+// ProcessBatch calls and delegates, the way a tracing or timing wrapper
+// built by a custom OracleFactory does.
+type countingOracle struct {
+	*Oracle
+	calls *atomic.Int64
+}
+
+func (o countingOracle) ProcessBatch(edges []stream.Edge, sc *BatchScratch) {
+	o.calls.Add(1)
+	o.Oracle.ProcessBatch(edges, sc)
+}
+
+// TestOracleBatchContract pins what the estimator owes a factory's
+// oracle: its own ProcessBatch runs once per (guess, repetition) unit per
+// chunk, at every parallelism, and a wrapper that delegates leaves the
+// state and the answer equal to an unwrapped estimator's.
+func TestOracleBatchContract(t *testing.T) {
+	const m, n = 200, 3000
+	rng := rand.New(rand.NewSource(4))
+	edges := make([]stream.Edge, 40000)
+	for i := range edges {
+		edges[i] = stream.Edge{Set: uint32(rng.Intn(m)), Elem: uint32(rng.Intn(n))}
+	}
+	// Batches of 1000, 0, 4000 and 35000 edges: the last spans two chunks.
+	batches := splitAt(edges, []int{1000, 1000, 5000})
+	chunks := 0
+	for _, b := range batches {
+		chunks += (len(b) + maxBatchChunk - 1) / maxBatchChunk
+	}
+	for _, par := range []int{1, 2} {
+		var calls atomic.Int64
+		counting := func(d Derived, rng *rand.Rand) CoverageOracle {
+			return countingOracle{NewOracle(d, rng), &calls}
+		}
+		wrapped, err := NewEstimator(m, n, 5, 4, Practical(), counting, rand.New(rand.NewSource(9)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := NewEstimator(m, n, 5, 4, Practical(), NewOracleFactory(), rand.New(rand.NewSource(9)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wrapped.SetParallelism(par)
+		plain.SetParallelism(par)
+		for _, b := range batches {
+			processEdges(wrapped, b)
+			processEdges(plain, b)
+		}
+		wrapped.Close()
+		plain.Close()
+		if want := int64(len(wrapped.units()) * chunks); calls.Load() != want {
+			t.Errorf("parallelism %d: %d ProcessBatch calls, want %d units × %d chunks", par, calls.Load(), len(wrapped.units()), chunks)
+		}
+		got, err := wrapped.AppendState(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := plain.AppendState(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("parallelism %d: wrapped oracles' state differs from the unwrapped estimator's", par)
+		}
+		if a, b := wrapped.Result(), plain.Result(); !reflect.DeepEqual(a, b) {
+			t.Errorf("parallelism %d: Result %+v, unwrapped %+v", par, a, b)
 		}
 	}
 }
@@ -143,7 +230,7 @@ func TestSmallSetDeadShortCircuit(t *testing.T) {
 	}
 	sc := NewBatchScratch()
 	for _, batch := range splitAt(edges, randomCuts(len(edges), 4, rng)) {
-		sc.Index(batch)
+		sc.IndexColumns(columns(batch))
 		bat.processBatch(batch, sc)
 	}
 	if seq.live != 0 {
@@ -163,7 +250,7 @@ func TestSmallSetDeadShortCircuit(t *testing.T) {
 	for _, e := range edges[:100] {
 		seq.Process(e)
 	}
-	sc.Index(edges[:100])
+	sc.IndexColumns(columns(edges[:100]))
 	bat.processBatch(edges[:100], sc)
 	if seq.SpaceWords() != before || bat.SpaceWords() != before {
 		t.Errorf("dead SmallSet grew: seq %d bat %d want %d", seq.SpaceWords(), bat.SpaceWords(), before)

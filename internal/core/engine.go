@@ -12,17 +12,16 @@ import (
 // is read-only during processing, its oracle is private), so a chunk can
 // be fanned across workers with no locking as long as each unit is
 // processed by exactly one worker per chunk. The engine keeps a fixed set
-// of helper goroutines alive for the estimator's lifetime — spawning
-// goroutines per ProcessBatch call (the old ProcessAllParallel) costs a
-// scheduler round-trip per batch and loses the helpers' warmed-up
-// BatchScratch buffers.
+// of helper goroutines alive for the estimator's lifetime: spawning
+// goroutines per batch would cost a scheduler round-trip per batch and
+// lose the helpers' warmed-up BatchScratch buffers.
 //
 // Work distribution is work-stealing over an atomic unit-index cursor:
 // units differ wildly in cost (a guess at the bottom of the ladder
 // collapses the element column to a handful of pseudo-elements; the top
 // guess sketches the full chunk), so static unit partitions leave workers
 // idle. Every participant — the helpers AND the goroutine that called
-// ProcessBatch — claims the next unclaimed unit until the cursor runs off
+// ProcessColumns — claims the next unclaimed unit until the cursor runs off
 // the end.
 //
 // Bit-identity: a unit's edges are processed in arrival order by a single
@@ -91,8 +90,7 @@ func (e *engine) work(r *engineRun, sc *BatchScratch) {
 
 // run fans one indexed chunk of count edges across the helpers plus the
 // calling goroutine and returns once every unit has been processed.
-// callerSc must already hold the chunk's prepass (sc.Index or
-// sc.IndexColumns ran).
+// callerSc must already hold the chunk's prepass (sc.IndexColumns ran).
 func (e *engine) run(est *Estimator, count int, callerSc *BatchScratch) {
 	r := &engineRun{est: est, count: count, pre: callerSc.pre}
 	r.done.Add(len(est.unitList))

@@ -79,6 +79,12 @@ func (o *exactOracle) Process(e stream.Edge) {
 	s[e.Elem] = struct{}{}
 }
 
+func (o *exactOracle) ProcessBatch(edges []stream.Edge, _ *BatchScratch) {
+	for _, e := range edges {
+		o.Process(e)
+	}
+}
+
 func (o *exactOracle) Result() OracleResult {
 	pairs := make(map[uint32][]uint32, len(o.sets))
 	for id, elems := range o.sets {

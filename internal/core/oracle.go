@@ -24,8 +24,13 @@ type OracleResult struct {
 // single-pass structure whose post-pass Result must (1) never overestimate
 // the optimal coverage w.h.p. and (2) reach OPT/α whenever OPT ≥ |U|/η.
 // EstimateMaxCover (Theorem 3.6) is generic over this interface.
+// ProcessBatch(edges, sc) is the estimator's ingest path: it must leave
+// the oracle in exactly the state a Process call per edge (in order)
+// would, with sc indexed over edges (the estimator's reduced view, or
+// sc.IndexColumns over the edges' columns).
 type CoverageOracle interface {
 	Process(e stream.Edge)
+	ProcessBatch(edges []stream.Edge, sc *BatchScratch)
 	Result() OracleResult
 	SpaceWords() int
 }

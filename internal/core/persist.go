@@ -24,10 +24,10 @@ import (
 //     future outputs under any further Process/Merge/Result sequence,
 //     same SpaceWords.
 //
-// Transient working memory — the BatchScratch and the sketches' deferred
-// batch buffers — is deliberately excluded, mirroring the SpaceWords
-// contract: it holds nothing that survives a batch and is rebuilt lazily
-// by the first ProcessBatch after restore.
+// Transient working memory — the BatchScratch and the heavy-hitter
+// BatchMemory it lends to the sketches — is deliberately excluded,
+// mirroring the SpaceWords contract: it holds nothing that survives a
+// batch and is rebuilt lazily by the first ProcessColumns after restore.
 
 // stateReader walks a state blob with bounds-checked reads. v1 marks a
 // blob in the estimator encoding v1, whose LargeSet batteries hold every

@@ -61,7 +61,7 @@ func TestEstimatorStateRoundTrip(t *testing.T) {
 		if end > len(suffix) {
 			end = len(suffix)
 		}
-		restored.ProcessBatch(suffix[off:end])
+		processEdges(restored, suffix[off:end])
 	}
 
 	b1, err := orig.AppendState(nil)

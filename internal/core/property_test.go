@@ -188,7 +188,8 @@ func TestParallelProcessingDeterministic(t *testing.T) {
 	}
 	for _, workers := range []int{1, 3, 16} {
 		par := build()
-		par.ProcessAllParallel(edges, workers)
+		par.SetParallelism(workers)
+		processEdges(par, edges)
 		if par.Result().Value != seq.Result().Value {
 			t.Errorf("workers=%d diverged: %v vs %v", workers, par.Result().Value, seq.Result().Value)
 		}

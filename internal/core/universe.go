@@ -31,7 +31,7 @@ type Estimator struct {
 	guesses []zGuess
 
 	// scratch is the batched ingest path's transient working memory,
-	// lazily allocated by ProcessBatch. It is not sketch state: it holds
+	// lazily allocated by ProcessColumns. It is not sketch state: it holds
 	// nothing beyond the current batch and is excluded from SpaceWords
 	// (see internal/core/batch.go).
 	scratch *BatchScratch
@@ -42,7 +42,7 @@ type Estimator struct {
 	arena *hash.Arena
 
 	// Parallel batch engine state (see internal/core/engine.go). par is
-	// the target worker count for ProcessBatch (≤1 means sequential; the
+	// the target worker count for ProcessColumns (≤1 means sequential; the
 	// default). unitList flattens the (guess, repetition) grid once;
 	// eng holds the lazily started helper pool, sized min(par, units)-1
 	// because the calling goroutine is always a worker too.
@@ -160,12 +160,12 @@ func (est *Estimator) units() []oracleUnit {
 	return est.unitList
 }
 
-// SetParallelism sets the worker count ProcessBatch fans oracle units
+// SetParallelism sets the worker count ProcessColumns fans oracle units
 // across. p ≤ 0 selects GOMAXPROCS; 1 is the default (fully sequential,
 // no helper goroutines exist). The setting persists until changed: every
-// subsequent ProcessBatch uses it. Parallelism is an execution knob, not
+// subsequent ProcessColumns uses it. Parallelism is an execution knob, not
 // sketch state — it never affects results (bit-identical for every p) or
-// the encoded form. Not safe to call concurrently with ProcessBatch.
+// the encoded form. Not safe to call concurrently with ProcessColumns.
 func (est *Estimator) SetParallelism(p int) {
 	if p <= 0 {
 		p = runtime.GOMAXPROCS(0)
@@ -183,7 +183,7 @@ func (est *Estimator) SetParallelism(p int) {
 }
 
 // Close stops the parallel engine's helper goroutines, if any. The
-// estimator remains fully usable afterwards (ProcessBatch restarts the
+// estimator remains fully usable afterwards (ProcessColumns restarts the
 // pool lazily); Close exists so long-lived owners (the server's sessions)
 // can release goroutines when a session ends.
 func (est *Estimator) Close() {
@@ -217,28 +217,16 @@ func (est *Estimator) SetInternArena(a *hash.Arena) {
 // ReleaseScratch drops the batched ingest path's transient working
 // memory: interner tables return to the arena (when one is set) and the
 // scratch itself is released for the GC. The estimator remains fully
-// usable — the next ProcessBatch reallocates lazily. Owners with many
+// usable — the next ProcessColumns reallocates lazily. Owners with many
 // idle estimators (the server's evictable sessions) call this when an
 // estimator's queue drains so steady-state memory is sketch state only.
-// Not safe concurrently with ProcessBatch/ProcessColumns.
+// Not safe concurrently with ProcessColumns.
 func (est *Estimator) ReleaseScratch() {
 	if est.scratch == nil {
 		return
 	}
 	est.scratch.pre.release()
 	est.scratch = nil
-}
-
-// ProcessAllParallel consumes an entire in-memory edge stream using up to
-// `workers` goroutines (≤ 0 selects GOMAXPROCS). It is
-// SetParallelism(workers) followed by ProcessBatch: the fan-out runs on
-// the estimator's persistent engine, and the parallelism setting remains
-// in effect for subsequent batches. Results are bit-for-bit identical to
-// feeding every edge through Process sequentially; only wall-clock time
-// changes. The slice must not be mutated during the call.
-func (est *Estimator) ProcessAllParallel(edges []stream.Edge, workers int) {
-	est.SetParallelism(workers)
-	est.ProcessBatch(edges)
 }
 
 // Estimate is the final answer of the estimation pipeline.

@@ -83,30 +83,6 @@ func TestHeavyHittersBatchEquivalence(t *testing.T) {
 	}
 }
 
-// TestCountSketchBatchEquivalence checks the memoized batch entry points
-// against their scalar counterparts on shared state.
-func TestCountSketchBatchEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	keys, occ, _ := batchStream(5000, 300, rng)
-	seq := NewCountSketch(5, 64, rand.New(rand.NewSource(9)))
-	bat := NewCountSketch(5, 64, rand.New(rand.NewSource(9)))
-
-	bat.BeginBatch(keys)
-	for _, ki := range occ {
-		seq.Add(keys[ki], int64(ki%7)-3)
-		bat.AddBatched(ki, int64(ki%7)-3)
-	}
-	for _, ki := range occ[:500] {
-		if a, b := seq.Estimate(keys[ki]), bat.EstimateBatched(ki); a != b {
-			t.Fatalf("estimate for key %d: scalar %d batch %d", keys[ki], a, b)
-		}
-	}
-	bat.EndBatch()
-	if !reflect.DeepEqual(seq.table, bat.table) {
-		t.Error("counters diverged")
-	}
-}
-
 // TestContributingBatchEquivalence covers the full battery: levels with
 // rate ≥ 1 and subsampled levels, across random batch splits.
 func TestContributingBatchEquivalence(t *testing.T) {

@@ -15,30 +15,20 @@ import (
 // giving |est(x) − a[x]| ≤ √(F2(a)/width) per row with probability 2/3 and
 // exponentially better after the median.
 //
-// The counters are stored in one of two forms. A wide sketch holds the
-// full flat matrix (row r occupies table[r*width : (r+1)*width]) so the
-// batch memos can cache absolute cell offsets: a batched update or
-// estimate is then a handful of direct loads with no per-row slice
-// indirection. A dense-domain sketch (see newCountSketch) holds only
-// the cells some key of its domain can reach, in (row, bucket) order,
-// through a shared denseLayout, and nothing at all before its first
-// write. Both forms encode, estimate and merge to the same values; the
+// The counters are stored in one of two forms. A dense-domain sketch (see
+// newCountSketch), the form every estimator battery uses, holds only the
+// cells some key of its domain can reach, in (row, bucket) order, through
+// a shared denseLayout that memoizes each key's cells and signs, and
+// nothing at all before its first write. A wide sketch, built without a
+// domain or widened by a key outside it, holds the full flat matrix (row
+// r occupies table[r*width : (r+1)*width]) and hashes every key it
+// touches. Both forms encode, estimate and merge to the same values; the
 // paper's depth×width accounting (SpaceWords) covers either.
 type CountSketch struct {
 	depth, width int
 	table        []int64      // wide: flat depth×width, row-major; dense: reachable cells; nil while unbuilt
 	bucket       []*hash.Poly // 2-wise bucket hash per row
 	sign         []*hash.Poly // 4-wise sign hash per row
-
-	// Per-batch hash memos (see BeginBatch): absolute table offset
-	// (r*width + bucket) and sign per (key, row), computed lazily on a
-	// key's first batched update. Purely transient working memory —
-	// excluded from SpaceWords, never serialized or merged. Dense-domain
-	// sketches never use them.
-	bKeys  []uint64
-	bOff   []int32 // ki*depth + r -> flat table offset
-	bSign  []int8  // ki*depth + r
-	bReady []bool  // per key: memo row filled
 
 	// domain > 0 makes this a dense-domain sketch over keys [0, domain);
 	// lay is its layout, nil until the first write (an unbuilt sketch,
@@ -119,8 +109,8 @@ func (cs *CountSketch) build() {
 
 // layout computes the domain's layout: every in-domain key is hashed once
 // per row through the batch kernels, its buckets mark the row bitmaps, and
-// the memo offsets are then rewritten from buckets to compact indices, the
-// bucket's rank among its row's reachable buckets.
+// the per-key offsets are then rewritten from buckets to compact indices,
+// the bucket's rank among its row's reachable buckets.
 func (cs *CountSketch) layout() *denseLayout {
 	n := int(cs.domain)
 	words := (cs.width + 63) >> 6
@@ -281,52 +271,6 @@ func allZero(t []int64) bool {
 	return true
 }
 
-// addMemo applies a delta through one memoized (offset, sign) row of
-// length depth.
-func (cs *CountSketch) addMemo(off []int32, sg []int8, delta int64) {
-	t := cs.table
-	if cs.depth == 5 {
-		t[off[0]] += int64(sg[0]) * delta
-		t[off[1]] += int64(sg[1]) * delta
-		t[off[2]] += int64(sg[2]) * delta
-		t[off[3]] += int64(sg[3]) * delta
-		t[off[4]] += int64(sg[4]) * delta
-		return
-	}
-	for r := range off {
-		t[off[r]] += int64(sg[r]) * delta
-	}
-}
-
-// estMemo is the median-of-rows estimate through one memoized row.
-func (cs *CountSketch) estMemo(off []int32, sg []int8) int64 {
-	t := cs.table
-	if cs.depth == 5 {
-		return median5(
-			int64(sg[0])*t[off[0]],
-			int64(sg[1])*t[off[1]],
-			int64(sg[2])*t[off[2]],
-			int64(sg[3])*t[off[3]],
-			int64(sg[4])*t[off[4]],
-		)
-	}
-	var buf [15]int64
-	ests := buf[:0]
-	if cs.depth > len(buf) {
-		ests = make([]int64, 0, cs.depth)
-	}
-	for r := range off {
-		e := int64(sg[r]) * t[off[r]]
-		i := len(ests)
-		ests = append(ests, e)
-		for ; i > 0 && ests[i-1] > e; i-- {
-			ests[i] = ests[i-1]
-		}
-		ests[i] = e
-	}
-	return ests[cs.depth/2]
-}
-
 // Add applies update a[x] += delta.
 func (cs *CountSketch) Add(x uint64, delta int64) {
 	if x < cs.domain {
@@ -466,87 +410,6 @@ func (cs *CountSketch) estimateOutside(x uint64) int64 {
 	}
 	return median5(e[0], e[1], e[2], e[3], e[4])
 }
-
-// BeginBatch enters batched mode for a set of distinct keys: cell offsets
-// and signs — pure functions of (key, row) — are memoized per key on first
-// use, so repeated updates and estimates of the same key within the batch
-// hash it once. Results are bit-identical to the scalar calls. The keys
-// slice is only read and must stay valid until EndBatch.
-func (cs *CountSketch) BeginBatch(keys []uint64) {
-	cs.bKeys = keys
-	if cs.domain > 0 {
-		// Dense-domain keys never touch the per-batch memo; size it lazily
-		// if an out-of-domain key widens the sketch (usually never).
-		cs.bReady = cs.bReady[:0]
-		return
-	}
-	cs.sizeBatchMemo()
-}
-
-// sizeBatchMemo (re)sizes and clears the per-batch memo for bKeys.
-func (cs *CountSketch) sizeBatchMemo() {
-	n := len(cs.bKeys) * cs.depth
-	if cap(cs.bOff) < n {
-		cs.bOff = make([]int32, n)
-		cs.bSign = make([]int8, n)
-	}
-	cs.bOff, cs.bSign = cs.bOff[:n], cs.bSign[:n]
-	if cap(cs.bReady) < len(cs.bKeys) {
-		cs.bReady = make([]bool, len(cs.bKeys))
-	}
-	cs.bReady = cs.bReady[:len(cs.bKeys)]
-	for i := range cs.bReady {
-		cs.bReady[i] = false
-	}
-}
-
-// memo fills key ki's memo row on first use.
-func (cs *CountSketch) memo(ki int32) {
-	if len(cs.bReady) != len(cs.bKeys) {
-		cs.sizeBatchMemo()
-	}
-	if cs.bReady[ki] {
-		return
-	}
-	x := cs.bKeys[ki]
-	base := int(ki) * cs.depth
-	off := 0
-	for r := 0; r < cs.depth; r++ {
-		cs.bOff[base+r] = int32(off + int(cs.bucket[r].Range(x, uint64(cs.width))))
-		cs.bSign[base+r] = int8(cs.sign[r].Sign(x))
-		off += cs.width
-	}
-	cs.bReady[ki] = true
-}
-
-// AddBatched applies a[keys[ki]] += delta via the memos; identical to
-// Add(keys[ki], delta). Dense-domain keys go through the layout (no
-// per-batch rehash); the rest use the per-batch memo.
-func (cs *CountSketch) AddBatched(ki int32, delta int64) {
-	if x := cs.bKeys[ki]; x < cs.domain {
-		cs.addDense(x, delta)
-		return
-	}
-	if cs.domain != 0 {
-		cs.widen()
-	}
-	cs.memo(ki)
-	base := int(ki) * cs.depth
-	cs.addMemo(cs.bOff[base:base+cs.depth:base+cs.depth], cs.bSign[base:base+cs.depth:base+cs.depth], delta)
-}
-
-// EstimateBatched is Estimate(keys[ki]) via the memos.
-func (cs *CountSketch) EstimateBatched(ki int32) int64 {
-	if cs.domain != 0 {
-		return cs.Estimate(cs.bKeys[ki])
-	}
-	cs.memo(ki)
-	base := int(ki) * cs.depth
-	return cs.estMemo(cs.bOff[base:base+cs.depth:base+cs.depth], cs.bSign[base:base+cs.depth:base+cs.depth])
-}
-
-// EndBatch leaves batched mode.
-func (cs *CountSketch) EndBatch() { cs.bKeys = nil }
 
 // F2Estimate estimates F2(a) as the median across rows of the row's sum of
 // squared counters (each row is an AMS-style estimator when width ≥ 1; the

@@ -90,11 +90,11 @@ func denseDelta(rng *rand.Rand) int64 {
 }
 
 // TestDenseLayoutEquivalence drives dense-domain sketches and wide twins
-// of the same seed through random interleavings of scalar adds, batched
-// adds and estimates over random splits, merges between pairs in every
-// storage form, merges of decoded checkpoints, and restores. Rare
+// of the same seed through random interleavings of adds, runs of adds and
+// estimates over a small set of distinct keys, merges between pairs in
+// every storage form, merges of decoded checkpoints, and restores. Rare
 // out-of-domain keys widen a dense sketch before its first write, in the
-// middle of a batch or after merges. After every step both sides must
+// middle of a key run or after merges. After every step both sides must
 // encode to the same bytes and estimate F2 to the same bits, and point
 // estimates must agree along the way.
 func TestDenseLayoutEquivalence(t *testing.T) {
@@ -124,7 +124,7 @@ func TestDenseLayoutEquivalence(t *testing.T) {
 					p.add(key(), denseDelta(rng))
 				}
 			case 2, 3:
-				op = "batch"
+				op = "key run"
 				seen := map[uint64]bool{}
 				var keys []uint64
 				for n := 1 + rng.Intn(40); n > 0; n-- {
@@ -133,22 +133,16 @@ func TestDenseLayoutEquivalence(t *testing.T) {
 						keys = append(keys, x)
 					}
 				}
-				p.dense.BeginBatch(keys)
-				p.wide.BeginBatch(keys)
 				for n := rng.Intn(100); n >= 0; n-- {
-					ki := int32(rng.Intn(len(keys)))
+					x := keys[rng.Intn(len(keys))]
 					if rng.Intn(3) == 0 {
-						if a, b := p.dense.EstimateBatched(ki), p.wide.EstimateBatched(ki); a != b {
-							t.Fatalf("seed %d step %d: EstimateBatched(%d) %d != %d", seed, step, keys[ki], a, b)
+						if a, b := p.dense.Estimate(x), p.wide.Estimate(x); a != b {
+							t.Fatalf("seed %d step %d: Estimate(%d) %d != %d", seed, step, x, a, b)
 						}
 						continue
 					}
-					d := denseDelta(rng)
-					p.dense.AddBatched(ki, d)
-					p.wide.AddBatched(ki, d)
+					p.add(x, denseDelta(rng))
 				}
-				p.dense.EndBatch()
-				p.wide.EndBatch()
 			case 4:
 				op = "estimate"
 				form := p.dense.domain

@@ -40,15 +40,9 @@ type HeavyHitters struct {
 	total int64 // number of updates (weight 1 each)
 
 	// Open-addressed candidate table, power-of-two size > 2·cap (a merge
-	// may briefly hold up to 2·cap entries before trimming). used/ids are
-	// the table proper; ki/kiEp attach a batch key index to a slot, valid
-	// only while kiEp matches the current batch epoch, so refreshes during
-	// a batch can estimate through the CountSketch's per-batch memo without
-	// a per-batch key→index map.
+	// may briefly hold up to 2·cap entries before trimming).
 	ids  []uint64
 	used []bool
-	ki   []int32
-	kiEp []uint32
 	mask uint64
 	n    int     // live candidates
 	live []int32 // occupied slots, insertion order — refreshes iterate this
@@ -57,13 +51,11 @@ type HeavyHitters struct {
 	// order-independent (the order is strict), so only the unobservable
 	// slot layout depends on it.
 
-	// The open batch (see BeginBatch): its keys, the caller's lent memory
-	// (nil outside a batch) and the batch counter slot tags are checked
-	// against. None of it is sketch state, so it is excluded from
-	// SpaceWords, never serialized, and never merged.
+	// The open batch (see BeginBatch): its keys and the caller's lent
+	// memory, nil outside a batch. Neither is sketch state, so both are
+	// excluded from SpaceWords, never serialized, and never merged.
 	batchKeys []uint64
 	mem       *BatchMemory
-	epoch     uint32 // monotone batch counter; slot tags from older batches never match
 }
 
 // BatchMemory is the working memory of the heavy-hitter batch path. It
@@ -105,8 +97,6 @@ var scalarMemory struct {
 type hhKV struct {
 	id  uint64
 	est int64
-	ki  int32 // carried through refreshes so memoized estimates survive
-	ep  uint32
 }
 
 // kvLess is the deterministic total order of refresh/eviction: estimate
@@ -169,8 +159,6 @@ func (hh *HeavyHitters) initTable() {
 	}
 	hh.ids = make([]uint64, size)
 	hh.used = make([]bool, size)
-	hh.ki = make([]int32, size)
-	hh.kiEp = make([]uint32, size)
 	hh.live = make([]int32, 0, size)
 	hh.mask = uint64(size - 1)
 	hh.n = 0
@@ -197,13 +185,10 @@ func (hh *HeavyHitters) findSlot(id uint64) (int, bool) {
 	return int(i), false
 }
 
-// insert fills an empty slot (from findSlot) with a new candidate. The
-// slot's batch-index tag is invalidated; callers that know the batch index
-// overwrite it.
+// insert fills an empty slot (from findSlot) with a new candidate.
 func (hh *HeavyHitters) insert(slot int, id uint64) {
 	hh.used[slot] = true
 	hh.ids[slot] = id
-	hh.kiEp[slot] = 0
 	hh.live = append(hh.live, int32(slot))
 	hh.n++
 }
@@ -234,24 +219,12 @@ func (hh *HeavyHitters) Add(x uint64) {
 // table is unordered the survivor set is all that matters. The O(cap)
 // selection runs once per cap/2 admissions, so admission cost is
 // amortized O(1). Evictions change who is resident, so it advances mem's
-// residency epoch. During a batch, sketches without the dense-domain memo
-// estimate candidates touched this batch through the CountSketch's
-// per-batch memo (their slot tags carry the batch key index); everything
-// else takes the scalar route — same values either way.
+// residency epoch.
 func (hh *HeavyHitters) refreshEvict(mem *BatchMemory) {
 	all := mem.refresh[:0]
-	tagged := hh.batchKeys != nil && hh.cs.domain == 0
 	for _, si := range hh.live {
 		id := hh.ids[si]
-		kv := hhKV{id: id, ki: hh.ki[si], ep: hh.kiEp[si]}
-		// The key equality re-check makes a stale tag (epoch wraparound)
-		// harmless: a wrong ki can never alias another key's memo.
-		if tagged && kv.ep == hh.epoch && int(kv.ki) < len(hh.batchKeys) && hh.batchKeys[kv.ki] == id {
-			kv.est = hh.cs.EstimateBatched(kv.ki)
-		} else {
-			kv.est = hh.cs.Estimate(id)
-		}
-		all = append(all, kv)
+		all = append(all, hhKV{id: id, est: hh.cs.Estimate(id)})
 	}
 	keep := hh.cap / 2
 	selectTopKV(all, keep)
@@ -262,7 +235,6 @@ func (hh *HeavyHitters) refreshEvict(mem *BatchMemory) {
 	for _, p := range all[:keep] {
 		slot, _ := hh.findSlot(p.id)
 		hh.insert(slot, p.id)
-		hh.ki[slot], hh.kiEp[slot] = p.ki, p.ep
 	}
 	mem.epoch++
 }
@@ -330,20 +302,15 @@ func selectTopKV(a []hhKV, k int) {
 // indices into keys (one entry per distinct key), borrowing mem until
 // EndBatch. While a batch is open, CountSketch deltas accumulate per
 // distinct key in mem (the counters are plain sums, so flushing the total
-// in one update per key is bit-identical), and the sketch memoizes each
-// key's bucket/sign row on first use, so a key is hashed once per batch,
-// not per update. Admissions read no counters; refreshes do, so deferred
-// deltas are flushed before every refresh, and every refresh observes
-// exactly the counters the per-occurrence path would have. The candidate
-// table therefore evolves identically to the per-occurrence path. The
-// keys slice is only read; it must stay valid until EndBatch.
+// in one update per key is bit-identical), so a key reaches the sketch
+// once per flush, not once per occurrence. Admissions read no counters;
+// refreshes do, so deferred deltas are flushed before every refresh, and
+// every refresh observes exactly the counters the per-occurrence path
+// would have. The candidate table therefore evolves identically to the
+// per-occurrence path. The keys slice is only read; it must stay valid
+// until EndBatch.
 func (hh *HeavyHitters) BeginBatch(keys []uint64, mem *BatchMemory) {
 	hh.batchKeys, hh.mem = keys, mem
-	hh.epoch++
-	if hh.epoch == 0 {
-		hh.epoch = 1
-	}
-	hh.cs.BeginBatch(keys)
 	// Invariant: pending is all zero between batches (flushPending
 	// re-zeroes what it visits), so it needs no clearing.
 	if cap(mem.pending) < len(keys) {
@@ -379,14 +346,13 @@ func (hh *HeavyHitters) AddBatched(ki int32) {
 		}
 		hh.insert(slot, x)
 	}
-	hh.ki[slot], hh.kiEp[slot] = ki, hh.epoch
 	mem.resident[ki] = mem.epoch
 }
 
 func (hh *HeavyHitters) flushPending() {
 	mem := hh.mem
 	for _, ki := range mem.touched {
-		hh.cs.AddBatched(ki, mem.pending[ki])
+		hh.cs.Add(hh.batchKeys[ki], mem.pending[ki])
 		mem.pending[ki] = 0
 	}
 	mem.touched = mem.touched[:0]
@@ -396,7 +362,6 @@ func (hh *HeavyHitters) flushPending() {
 // borrowed BatchMemory back.
 func (hh *HeavyHitters) EndBatch() {
 	hh.flushPending()
-	hh.cs.EndBatch()
 	hh.batchKeys, hh.mem = nil, nil
 }
 

@@ -92,10 +92,12 @@ func (cs *CountSketch) appendState(buf []byte) ([]byte, error) {
 }
 
 // restoreState reads an appendState blob into a freshly constructed
-// sketch with the same dimensions and hashes. No cells leave a dense
-// sketch unbuilt; a full table restores wide (widening a dense sketch);
-// anything else must be exactly the cells the construction's layout
-// stores.
+// sketch with the same dimensions and hashes, in the form it was encoded
+// in. No cells leave a dense sketch unbuilt; exactly the cells the
+// construction's layout stores restore dense; a full table restores wide
+// (widening a dense sketch). A layout that reaches every cell stores
+// depth×width of them, the full table in its row-major order, so such a
+// blob restores dense: the same counters in the same order either way.
 func (cs *CountSketch) restoreState(data []byte) error {
 	if len(data) < 8 {
 		return fmt.Errorf("sketch: truncated CountSketch header")
@@ -119,20 +121,22 @@ func (cs *CountSketch) restoreState(data []byte) error {
 	}
 	n := len(rest) / 8
 	switch {
-	case n == 0 && cs.domain != 0:
-		return nil
-	case n == depth*width:
-		if cs.domain != 0 {
-			cs.widen()
+	case cs.domain == 0:
+		if n != depth*width {
+			return fmt.Errorf("sketch: wide CountSketch has %d cells, want %d", n, depth*width)
 		}
-	case cs.domain != 0:
+	case n == 0:
+		return nil
+	default:
 		lay := cs.layout()
-		if n != int(lay.start[5]) {
+		switch n {
+		case int(lay.start[5]):
+			cs.lay, cs.table = lay, make([]int64, n)
+		case depth * width:
+			cs.widen()
+		default:
 			return fmt.Errorf("sketch: CountSketch has %d cells, its layout stores %d", n, lay.start[5])
 		}
-		cs.lay, cs.table = lay, make([]int64, n)
-	default:
-		return fmt.Errorf("sketch: wide CountSketch has %d cells, want %d", n, depth*width)
 	}
 	for i := range cs.table {
 		cs.table[i] = int64(binary.LittleEndian.Uint64(rest[8*i:]))
@@ -344,7 +348,7 @@ func (hh *HeavyHitters) Restore(dec *HeavyHitters) error {
 	}
 	hh.total = dec.total
 	hh.ids, hh.used = dec.ids, dec.used
-	hh.ki, hh.kiEp, hh.live = dec.ki, dec.kiEp, dec.live
+	hh.live = dec.live
 	hh.mask, hh.n = dec.mask, dec.n
 	return nil
 }

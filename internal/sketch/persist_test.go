@@ -184,27 +184,45 @@ func TestContributingUnmarshalMalformed(t *testing.T) {
 	}
 }
 
+// csForm names a CountSketch's storage form: "wide" (the full table),
+// "dense" (its layout's cells) or "unbuilt" (no cells).
+func csForm(cs *CountSketch) string {
+	switch {
+	case cs.domain == 0:
+		return "wide"
+	case cs.lay == nil:
+		return "unbuilt"
+	}
+	return "dense"
+}
+
 // TestContributingStateRoundTrip drives the checkpoint codec (estimator
 // encoding v2) over batteries in every storage state — unbuilt, built,
-// built but merged back to all-zero counters, and widened by
-// out-of-domain keys — on random streams. AppendState, RestoreState into
-// a fresh same-seed battery and AppendState again must give identical
-// bytes; the restored battery must hold the source's counters
-// (full-width v1 encodings equal) in the same storage form, and an
-// all-zero dense level must write no cells.
+// built but merged back to all-zero counters, widened by out-of-domain
+// keys, and built over a domain whose layouts reach every cell — on
+// random streams. AppendState, RestoreState into a fresh same-seed
+// battery and AppendState again must give identical bytes; the restored
+// battery must hold the source's counters (full-width v1 encodings equal)
+// with every level's CountSketch in the form its state was encoded in,
+// and an all-zero dense level must write no cells.
 func TestContributingStateRoundTrip(t *testing.T) {
-	const m = 300
+	const m, fullM = 300, 2000
 	build := func(seed int64) *Contributing {
 		return NewF2Contributing(0.1, 64, m, DefaultContribConfig(), rand.New(rand.NewSource(seed)))
 	}
-	feed := func(c *Contributing, rng *rand.Rand, n int) []uint64 {
+	// γ=1 gives width 97, which 2000 keys reach in every row.
+	buildFull := func(seed int64) *Contributing {
+		return NewF2Contributing(1, 64, fullM, DefaultContribConfig(), rand.New(rand.NewSource(seed)))
+	}
+	feedIn := func(c *Contributing, rng *rand.Rand, n, domain int) []uint64 {
 		keys := make([]uint64, n)
 		for i := range keys {
-			keys[i] = uint64(rng.Intn(m))
+			keys[i] = uint64(rng.Intn(domain))
 			c.Add(keys[i])
 		}
 		return keys
 	}
+	feed := func(c *Contributing, rng *rand.Rand, n int) []uint64 { return feedIn(c, rng, n, m) }
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed + 100))
 		built := build(seed)
@@ -232,15 +250,25 @@ func TestContributingStateRoundTrip(t *testing.T) {
 			widened.Add(m + uint64(rng.Intn(1000)))
 		}
 
+		full := buildFull(seed)
+		feedIn(full, rng, 3000, fullM)
+
 		for _, tc := range []struct {
-			name string
-			c    *Contributing
-		}{{"unbuilt", build(seed)}, {"built", built}, {"merged to zero", zero}, {"widened", widened}} {
+			name  string
+			c     *Contributing
+			build func(int64) *Contributing
+		}{
+			{"unbuilt", build(seed), build},
+			{"built", built, build},
+			{"merged to zero", zero, build},
+			{"widened", widened, build},
+			{"full layout", full, buildFull},
+		} {
 			enc, err := tc.c.AppendState(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fresh := build(seed)
+			fresh := tc.build(seed)
 			if err := fresh.RestoreState(enc); err != nil {
 				t.Fatalf("seed %d %s: %v", seed, tc.name, err)
 			}
@@ -256,14 +284,21 @@ func TestContributingStateRoundTrip(t *testing.T) {
 			if !bytes.Equal(v1src, v1got) {
 				t.Fatalf("seed %d %s: restored counters differ from the source's", seed, tc.name)
 			}
-			var wide, srcStored, stored int
+			var wide, fullDense, srcStored, stored int
 			for i := range tc.c.levels {
 				src, got := tc.c.levels[i].hh.cs, fresh.levels[i].hh.cs
 				if src.domain == 0 {
 					wide++
 				}
-				if (got.domain == 0) != (src.domain == 0) {
-					t.Fatalf("seed %d %s level %d: restored domain %d, source %d", seed, tc.name, i, got.domain, src.domain)
+				want := csForm(src)
+				if want == "dense" && allZero(src.table) {
+					want = "unbuilt" // an all-zero dense sketch writes no cells
+				}
+				if form := csForm(got); form != want {
+					t.Fatalf("seed %d %s level %d: restored %s, source encoded %s", seed, tc.name, i, form, want)
+				}
+				if got.lay != nil && int(got.lay.start[5]) == got.depth*got.width {
+					fullDense++
 				}
 				srcStored += len(src.table)
 				stored += len(got.table)
@@ -284,6 +319,10 @@ func TestContributingStateRoundTrip(t *testing.T) {
 			case "built":
 				if wide != 0 || stored == 0 {
 					t.Fatalf("seed %d built: %d wide levels, %d cells", seed, wide, stored)
+				}
+			case "full layout":
+				if fullDense == 0 {
+					t.Fatalf("seed %d: no level's layout reaches every cell", seed)
 				}
 			}
 		}

@@ -121,3 +121,44 @@ func TestParallelBatchEngineRelease(t *testing.T) {
 	est.Close()
 	est.Close() // idempotent
 }
+
+// TestParallelProcessesValidPrefix checks that ProcessAllParallel is
+// SetParallelism followed by ProcessAll: an out-of-range edge at index i
+// makes both return an error after processing the i valid edges before
+// it, leaving equal edge counts and equal encodings.
+func TestParallelProcessesValidPrefix(t *testing.T) {
+	edges := plantedEdges(400, 4000, 8, 3200, 9)
+	const i = 1500
+	for _, bad := range []Edge{{Set: 400, Elem: 0}, {Set: 0, Elem: 4000}} {
+		in := append(append(append([]Edge(nil), edges[:i]...), bad), edges[i:]...)
+		all, err := NewEstimator(400, 4000, 8, 4, WithSeed(21), WithParallelism(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		par, err := NewEstimator(400, 4000, 8, 4, WithSeed(21), WithParallelism(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer par.Close()
+		if err := all.ProcessAll(in); err == nil {
+			t.Fatalf("%+v: ProcessAll accepted an out-of-range edge", bad)
+		}
+		if err := par.ProcessAllParallel(in, 2); err == nil {
+			t.Fatalf("%+v: ProcessAllParallel accepted an out-of-range edge", bad)
+		}
+		if all.Edges() != i || par.Edges() != all.Edges() {
+			t.Fatalf("%+v: ProcessAll consumed %d edges, ProcessAllParallel %d, want %d", bad, all.Edges(), par.Edges(), i)
+		}
+		want, err := all.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := par.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%+v: ProcessAllParallel state differs from ProcessAll's", bad)
+		}
+	}
+}

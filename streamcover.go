@@ -104,7 +104,9 @@ type Estimator struct {
 	cfg     config // resolved options, captured for Encode
 	inner   *core.Estimator
 	edges   int
-	conv    []stream.Edge // reusable batch conversion buffer (transient, not sketch state)
+	// Reusable set and element columns that ProcessAll and ProcessBatch
+	// split edge slices into (transient, not sketch state).
+	sets, elems []uint32
 }
 
 // NewEstimator builds an estimator for a stream over m sets and n elements
@@ -160,18 +162,8 @@ func (e *Estimator) Process(edge Edge) error {
 // the per-edge loop it replaces did). The outcome is bit-for-bit
 // identical to calling Process on every edge in order.
 func (e *Estimator) ProcessAll(edges []Edge) error {
-	valid, err := edges, error(nil)
-	for i, edge := range edges {
-		if int(edge.Set) >= e.m {
-			valid, err = edges[:i], fmt.Errorf("streamcover: set id %d >= m=%d", edge.Set, e.m)
-			break
-		}
-		if int(edge.Elem) >= e.n {
-			valid, err = edges[:i], fmt.Errorf("streamcover: element id %d >= n=%d", edge.Elem, e.n)
-			break
-		}
-	}
-	e.processValidated(valid)
+	n, err := e.split(edges)
+	e.processSplit(n)
 	return err
 }
 
@@ -184,15 +176,11 @@ func (e *Estimator) ProcessAll(edges []Edge) error {
 // batch is validated up front and rejected atomically: on error no edge
 // of the batch has been processed.
 func (e *Estimator) ProcessBatch(edges []Edge) error {
-	for _, edge := range edges {
-		if int(edge.Set) >= e.m {
-			return fmt.Errorf("streamcover: set id %d >= m=%d", edge.Set, e.m)
-		}
-		if int(edge.Elem) >= e.n {
-			return fmt.Errorf("streamcover: element id %d >= n=%d", edge.Elem, e.n)
-		}
+	n, err := e.split(edges)
+	if err != nil {
+		return err
 	}
-	e.processValidated(edges)
+	e.processSplit(n)
 	return nil
 }
 
@@ -223,21 +211,31 @@ func (e *Estimator) ProcessColumns(sets, elems []uint32) error {
 	return nil
 }
 
-// processValidated feeds pre-validated edges to the core batch path via
-// the reusable conversion buffer.
-func (e *Estimator) processValidated(edges []Edge) {
-	if len(edges) == 0 {
-		return
+// split validates edges in order and copies them into the reusable
+// columns, stopping at the first invalid edge. It returns how many
+// leading edges are valid and the error that stopped it, if any.
+func (e *Estimator) split(edges []Edge) (int, error) {
+	if cap(e.sets) < len(edges) {
+		e.sets, e.elems = make([]uint32, len(edges)), make([]uint32, len(edges))
 	}
-	if cap(e.conv) < len(edges) {
-		e.conv = make([]stream.Edge, len(edges))
-	}
-	buf := e.conv[:len(edges)]
+	sets, elems := e.sets[:len(edges)], e.elems[:len(edges)]
 	for i, edge := range edges {
-		buf[i] = stream.Edge(edge)
+		if int(edge.Set) >= e.m {
+			return i, fmt.Errorf("streamcover: set id %d >= m=%d", edge.Set, e.m)
+		}
+		if int(edge.Elem) >= e.n {
+			return i, fmt.Errorf("streamcover: element id %d >= n=%d", edge.Elem, e.n)
+		}
+		sets[i], elems[i] = edge.Set, edge.Elem
 	}
-	e.inner.ProcessBatch(buf)
-	e.edges += len(edges)
+	return len(edges), nil
+}
+
+// processSplit feeds the first n edges of the split columns to the core
+// batch path.
+func (e *Estimator) processSplit(n int) {
+	e.inner.ProcessColumns(e.sets[:n], e.elems[:n])
+	e.edges += n
 }
 
 // SetParallelism changes the batch-engine worker count for all future
@@ -300,7 +298,7 @@ func (e *Estimator) SetInternArena(ia *InternArena) {
 // sketch state only. Not safe concurrently with Process* calls.
 func (e *Estimator) ReleaseScratch() {
 	e.inner.ReleaseScratch()
-	e.conv = nil
+	e.sets, e.elems = nil, nil
 }
 
 // ProcessAllParallel consumes an in-memory edge slice using up to
@@ -312,19 +310,8 @@ func (e *Estimator) ReleaseScratch() {
 // slice must not be mutated during the call, and must not be interleaved
 // with concurrent Process calls.
 func (e *Estimator) ProcessAllParallel(edges []Edge, workers int) error {
-	converted := make([]stream.Edge, len(edges))
-	for i, edge := range edges {
-		if int(edge.Set) >= e.m {
-			return fmt.Errorf("streamcover: set id %d >= m=%d", edge.Set, e.m)
-		}
-		if int(edge.Elem) >= e.n {
-			return fmt.Errorf("streamcover: element id %d >= n=%d", edge.Elem, e.n)
-		}
-		converted[i] = stream.Edge(edge)
-	}
-	e.inner.ProcessAllParallel(converted, workers)
-	e.edges += len(edges)
-	return nil
+	e.SetParallelism(workers)
+	return e.ProcessAll(edges)
 }
 
 // Edges reports how many edges have been consumed.
