@@ -462,8 +462,13 @@ func (c *Client) readLoop(cn *netConn) {
 				case wire.TErrRetry:
 					// Transient rejection: the server did NOT apply the
 					// batch. The ack leaves it parked in the resend deque,
-					// and the epoch is retired — every pipelined batch
-					// behind this one would be rejected too, so the cheapest
+					// and the epoch is retired. The server parks the
+					// connection on this answer and rejects every later
+					// sequenced batch on it unapplied (server.handleConn):
+					// it dedups on each source's highest applied sequence,
+					// so a later batch applied there would turn this one's
+					// resend into an acked duplicate. Every pipelined batch
+					// behind this one is therefore rejected too, and the
 					// path back to exactly-once is a backoff-and-replay
 					// through the normal reconnect machinery.
 					busy := fmt.Errorf("client: %w: %s", ErrServerBusy, payload)

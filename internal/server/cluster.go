@@ -117,7 +117,7 @@ func (s *Server) serveShip(conn net.Conn, bw *bufio.Writer, payload []byte) {
 		}
 		return
 	}
-	if sess.follower.Load() {
+	if sess.role.Load() == roleFollower {
 		fail(wire.TErrNotLeader, wire.EncodeNotLeader(s.leaderOf(name)))
 		return
 	}
@@ -171,9 +171,9 @@ func (t *followerTarget) Bootstrap(walPos uint64, ckpt []byte) error {
 func (t *followerTarget) Apply(pos uint64, rec []byte) error {
 	sess := t.sess
 	// Followers are never evicted (the overseer skips them), so this is
-	// the hydrated fast path; beginResident keeps the invariant explicit
-	// and the LRU clock honest.
-	release, err := sess.beginResident()
+	// the hydrated fast path; the pin keeps the invariant explicit and the
+	// LRU clock honest.
+	release, err := sess.pin()
 	if err != nil {
 		return err
 	}
@@ -222,13 +222,11 @@ func (t *followerTarget) Apply(pos uint64, rec []byte) error {
 // attachFollower marks sess a follower of leaderID and starts its
 // replication stream.
 func (s *Server) attachFollower(sess *session, leaderID string) {
-	sess.follower.Store(true)
+	sess.role.Store(roleFollower)
 	a := replica.NewApplier(sess.name, leaderID, &followerTarget{s: s, sess: sess}, replica.ApplyOptions{
 		ReadTimeout: s.cfg.RepReadTimeout,
 	})
-	sess.appMu.Lock()
-	sess.applier = a
-	sess.appMu.Unlock()
+	sess.applier.Store(a)
 	a.Start()
 }
 
@@ -253,8 +251,10 @@ func (s *Server) repairFollowerWAL(sess *session) error {
 // rebootstrap replaces the session's state with a leader checkpoint:
 // swap in the checkpoint's estimator, adopt its dedup horizons, persist
 // it, and re-base the mirror log at its WAL position. Runs on the applier
-// goroutine — the follower's only dispatcher — and ckptMu excludes
-// concurrent checkpoints.
+// goroutine — the follower's only dispatcher. The swap is a lifecycle
+// transition, taken under resMu's write side; ckptMu, taken inside it,
+// excludes concurrent checkpoints through the file write and the re-base,
+// while reads resume as soon as the new estimator is live.
 func (s *session) rebootstrap(cfg Config, walPos uint64, payload []byte, metrics *Metrics) error {
 	st, err := decodeCheckpoint(payload)
 	if err != nil {
@@ -268,23 +268,17 @@ func (s *session) rebootstrap(cfg Config, walPos uint64, payload []byte, metrics
 	if err != nil {
 		return err
 	}
-	if err := s.begin(); err != nil {
+	s.resMu.Lock()
+	if s.state != stateHydrated {
+		s.resMu.Unlock()
 		est.Close()
-		return err
+		return s.errClosed() // followers are never evicted
 	}
-	defer s.ops.Done()
 	d := s.dur
 	d.ckptMu.Lock()
 	defer d.ckptMu.Unlock()
-
-	s.edges.Store(int64(est.Edges()))
-	s.setEstimator(est)
-	s.dmu.Lock()
-	s.dedup = make(map[uint64]dedupEntry, len(st.dedup))
-	for src, seq := range st.dedup {
-		s.dedup[src] = dedupEntry{seq: seq}
-	}
-	s.dmu.Unlock()
+	s.install(est, st.dedup)
+	s.resMu.Unlock()
 
 	// Persist the checkpoint, then re-base the log under it. A crash
 	// between the two leaves the checkpoint ahead of the log — recovery
@@ -327,7 +321,7 @@ func (s *Server) Promote(name string) error {
 		s.mu.Unlock()
 		return fmt.Errorf("server: no session %q", name)
 	}
-	if !sess.follower.Load() {
+	if sess.role.Load() != roleFollower {
 		s.mu.Unlock()
 		return nil // already the leader
 	}
@@ -378,7 +372,7 @@ func (s *Server) Fence(name string) error {
 	if err != nil {
 		return err
 	}
-	sess.fenced.Store(true)
+	sess.role.CompareAndSwap(roleLeader, roleFenced)
 	return nil
 }
 
@@ -390,10 +384,10 @@ func (s *Server) SetSessionLeader(name, leaderID string) {
 	s.leaders[name] = leaderID
 	sess := s.sessions[name]
 	s.mu.Unlock()
-	if sess == nil || !sess.follower.Load() || leaderID == s.cfg.NodeID {
+	if sess == nil || sess.role.Load() != roleFollower || leaderID == s.cfg.NodeID {
 		return
 	}
-	if a := sess.getApplier(); a != nil {
+	if a := sess.applier.Load(); a != nil {
 		a.SetLeader(leaderID)
 	}
 }
@@ -406,16 +400,17 @@ func (s *Server) SessionRole(name string) (wire.RoleInfo, error) {
 		return wire.RoleInfo{}, err
 	}
 	info := wire.RoleInfo{Role: wire.RoleLeader, LeaderAddr: s.leaderOf(name)}
-	if sess.follower.Load() {
+	role := sess.role.Load()
+	if role == roleFollower {
 		info.Role = wire.RoleFollower
-		if a := sess.getApplier(); a != nil {
+		if a := sess.applier.Load(); a != nil {
 			info.LeaderAddr = a.Leader()
 			info.Applied = a.Applied()
 			info.StalenessNanos = int64(a.Staleness())
 		}
 	} else if d := sess.dur; d != nil {
 		info.Applied = d.wal.LastPos()
-		if sess.fenced.Load() {
+		if role == roleFenced {
 			// A fenced leader no longer claims the role — probes must not
 			// route writes back here — but its frozen durable head is still
 			// what a draining follower has to reach before promotion.
@@ -434,8 +429,8 @@ func (s *Server) queryStaleSession(name string, maxStale time.Duration) (wire.Re
 	if err != nil {
 		return wire.Result{}, err
 	}
-	if sess.follower.Load() {
-		a := sess.getApplier()
+	if sess.role.Load() == roleFollower {
+		a := sess.applier.Load()
 		if a == nil {
 			return wire.Result{}, fmt.Errorf("server: %w: session %q has no replication stream", ErrDegraded, name)
 		}
@@ -462,9 +457,9 @@ func (s *Server) SessionDigest(name string) (string, error) {
 }
 
 func (s *session) digest() (string, error) {
-	// beginResident: digesting an evicted session rehydrates it first
-	// (the clone request needs a live apply queue).
-	release, err := s.beginResident()
+	// Pinning an evicted session rehydrates it first (the clone request
+	// needs a live apply queue).
+	release, err := s.pin()
 	if err != nil {
 		return "", err
 	}

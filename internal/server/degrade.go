@@ -24,29 +24,33 @@ var ErrDegraded = errors.New("session degraded")
 var ErrReadOnly = errors.New("server read-only")
 
 // degrade records a durability failure and moves the session into the
-// degraded state, starting the recovery loop if one is not already
-// running. Idempotent for concurrent failures; only the first error is
-// kept.
+// degraded state, starting its recovery loop. Idempotent for concurrent
+// failures; only the first error is kept.
 func (s *session) degrade(err error) {
 	s.fmu.Lock()
-	if s.degradedErr == nil && !s.recStopped {
-		s.degradedErr = fmt.Errorf(
-			"server: session %q: %w: ingest rejected while durability recovers: %w",
-			s.name, ErrDegraded, err)
-		if s.metrics != nil {
-			s.metrics.DegradedSessions.Add(1)
-			if fault.IsDiskFull(err) {
-				s.diskFull = true
-				s.metrics.DiskFullSessions.Add(1)
-			}
-		}
-		if !s.recovering {
-			s.recovering = true
-			s.recWG.Add(1)
-			go s.recoverLoop()
-		}
+	defer s.fmu.Unlock()
+	if s.degradedErr != nil || s.recStopped {
+		return
 	}
-	s.fmu.Unlock()
+	s.degradedErr = fmt.Errorf(
+		"server: session %q: %w: ingest rejected while durability recovers: %w",
+		s.name, ErrDegraded, err)
+	s.countDegraded(1)
+	s.recWG.Add(1)
+	go s.recoverLoop()
+}
+
+// countDegraded moves the server-wide degraded gauge, and the disk-full
+// gauge when the degradation is ENOSPC, by delta. The caller holds fmu
+// with degradedErr set.
+func (s *session) countDegraded(delta int64) {
+	if s.metrics == nil {
+		return
+	}
+	s.metrics.DegradedSessions.Add(delta)
+	if fault.IsDiskFull(s.degradedErr) {
+		s.metrics.DiskFullSessions.Add(delta)
+	}
 }
 
 // degraded reports the session's current degradation, nil when healthy.
@@ -65,7 +69,7 @@ func (s *session) health() (status, detail string) {
 	switch {
 	case s.degradedErr == nil:
 		return "ok", ""
-	case s.diskFull:
+	case fault.IsDiskFull(s.degradedErr):
 		return "read-only", s.degradedErr.Error()
 	default:
 		return "degraded", s.degradedErr.Error()
@@ -115,16 +119,13 @@ func (s *session) tryRecover() bool {
 		return false
 	}
 	s.fmu.Lock()
-	s.degradedErr = nil
-	s.recovering = false
-	if s.metrics != nil {
-		s.metrics.DegradedSessions.Add(-1)
-		if s.diskFull {
-			s.metrics.DiskFullSessions.Add(-1)
+	if s.degradedErr != nil {
+		s.countDegraded(-1)
+		s.degradedErr = nil
+		if s.metrics != nil {
+			s.metrics.DurabilityRecoveries.Add(1)
 		}
-		s.metrics.DurabilityRecoveries.Add(1)
 	}
-	s.diskFull = false
 	s.fmu.Unlock()
 	return true
 }
@@ -143,11 +144,8 @@ func (s *session) stopRecovery() {
 	close(s.recStop)
 	s.recWG.Wait()
 	s.fmu.Lock()
-	if s.degradedErr != nil && s.metrics != nil {
-		s.metrics.DegradedSessions.Add(-1)
-		if s.diskFull {
-			s.metrics.DiskFullSessions.Add(-1)
-		}
+	if s.degradedErr != nil {
+		s.countDegraded(-1)
 	}
 	s.fmu.Unlock()
 }

@@ -235,12 +235,16 @@ func decodeCheckpoint(data []byte) (checkpointState, error) {
 //
 // An evicted session needs no checkpoint — the checkpoint file on disk IS
 // its entire state (eviction wrote it before stopping the apply), so the
-// cadence ticker and CheckpointAll skip it rather than rehydrate it.
+// cadence ticker and CheckpointAll skip it rather than rehydrate it. A
+// closed session refuses.
 func (s *session) checkpoint(metrics *Metrics) error {
 	s.resMu.RLock()
 	defer s.resMu.RUnlock()
-	if s.evicted {
+	switch s.state {
+	case stateEvicted:
 		return nil
+	case stateClosed:
+		return s.errClosed()
 	}
 	return s.checkpointLocked(metrics)
 }
@@ -253,10 +257,6 @@ func (s *session) checkpointLocked(metrics *Metrics) error {
 	if d == nil {
 		return nil
 	}
-	if err := s.begin(); err != nil {
-		return err
-	}
-	defer s.ops.Done()
 	d.ckptMu.Lock()
 	defer d.ckptMu.Unlock()
 	start := time.Now()
@@ -344,12 +344,10 @@ func recoverSession(dir string, cfg Config, metrics *Metrics) (*session, error) 
 		log.Close()
 		return nil, fmt.Errorf("server: %s: wal replay: %w", dir, err)
 	}
-	// Read before the apply goroutine owns est.
-	edges, charge := int64(est.Edges()), residentCharge(est)
 	d := &durability{dir: dir, wal: log, fs: fsys}
 	d.ckptPos.Store(st.walPos)
 	d.lastCkptNanos.Store(time.Now().UnixNano())
-	sess := newSessionWith(st.name, st.m, st.n, st.k, st.alpha, st.seed, cfg.QueueDepth, metrics, est)
+	sess := newSessionWith(st.name, st.m, st.n, st.k, st.alpha, st.seed, cfg.QueueDepth, metrics, nil)
 	sess.dur = d
 	if cfg.RetryMin > 0 {
 		sess.retryMin = cfg.RetryMin
@@ -357,14 +355,9 @@ func recoverSession(dir string, cfg Config, metrics *Metrics) (*session, error) 
 	if cfg.RetryMax > 0 {
 		sess.retryMax = cfg.RetryMax
 	}
-	sess.dedup = make(map[uint64]dedupEntry, len(st.dedup))
-	for src, seq := range st.dedup {
-		sess.dedup[src] = dedupEntry{seq: seq}
-	}
-	sess.edges.Store(edges)
-	// Seed the resident footprint; the caller attaches the overseer (none
-	// exists yet here) and folds this into the budget total.
-	sess.residentBytes.Store(charge)
+	// The overseer is not attached yet, so this only seeds the resident
+	// footprint; the caller folds it into the budget total.
+	sess.install(est, st.dedup)
 	return sess, nil
 }
 

@@ -76,10 +76,10 @@ func (s *Server) httpHandler() http.Handler {
 		})
 	})
 	mux.HandleFunc("/sessions", func(w http.ResponseWriter, r *http.Request) {
-		s.mu.Lock()
-		infos := make([]sessionInfo, 0, len(s.sessions))
-		for _, sess := range s.sessions {
-			hydrated, bytes, last, rehyd := sess.residency()
+		sessions := s.listSessions()
+		infos := make([]sessionInfo, 0, len(sessions))
+		for _, sess := range sessions {
+			hydrated, queued, bytes, last, rehyd := sess.residency()
 			info := sessionInfo{
 				Name:          sess.name,
 				M:             sess.m,
@@ -90,7 +90,7 @@ func (s *Server) httpHandler() http.Handler {
 				Edges:         sess.edges.Load(),
 				Batches:       sess.batches.Load(),
 				Queries:       sess.queries.Load(),
-				QueueDepth:    sess.queueLen(),
+				QueueDepth:    queued,
 				Hydrated:      hydrated,
 				ResidentBytes: bytes,
 				Rehydrations:  rehyd,
@@ -100,7 +100,6 @@ func (s *Server) httpHandler() http.Handler {
 			}
 			infos = append(infos, info)
 		}
-		s.mu.Unlock()
 		sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
 		writeJSON(w, infos)
 	})
@@ -109,26 +108,25 @@ func (s *Server) httpHandler() http.Handler {
 		queues := map[string]int{}
 		durability := map[string]durabilityInfo{}
 		var hydrated, evicted, residentBytes int64
-		s.mu.Lock()
-		for name, sess := range s.sessions {
-			queues[name] = sess.queueLen()
+		for _, sess := range s.listSessions() {
+			resident, queued, bytes, _, _ := sess.residency()
+			queues[sess.name] = queued
+			if resident {
+				hydrated++
+				residentBytes += bytes
+			} else {
+				evicted++
+			}
 			if d := sess.dur; d != nil {
 				ckptPos := d.ckptPos.Load()
-				durability[name] = durabilityInfo{
+				durability[sess.name] = durabilityInfo{
 					WALLastPos:    d.wal.LastPos(),
 					CheckpointPos: ckptPos,
 					WALDepth:      d.wal.Depth(ckptPos + 1),
 					CheckpointAge: time.Since(time.Unix(0, d.lastCkptNanos.Load())).Seconds(),
 				}
 			}
-			if h, bytes, _, _ := sess.residency(); h {
-				hydrated++
-				residentBytes += bytes
-			} else {
-				evicted++
-			}
 		}
-		s.mu.Unlock()
 		// Residency gauges are computed live from the session map rather
 		// than counter-maintained across every close/evict path.
 		counters["resident_sessions"] = hydrated
@@ -169,12 +167,10 @@ func (s *Server) httpHandler() http.Handler {
 			Error  string `json:"error,omitempty"`
 		}
 		sessions := map[string]sessionHealth{}
-		s.mu.Lock()
-		for name, sess := range s.sessions {
+		for _, sess := range s.listSessions() {
 			st, detail := sess.health()
-			sessions[name] = sessionHealth{Status: st, Error: detail}
+			sessions[sess.name] = sessionHealth{Status: st, Error: detail}
 		}
-		s.mu.Unlock()
 		// Server-wide status: read-only dominates (every ingest is being
 		// rejected), then degraded (some session's durability is broken),
 		// then ok. Non-ok answers 503 so load balancers and probes that
@@ -206,13 +202,8 @@ func (s *Server) httpHandler() http.Handler {
 		if s.ring != nil {
 			info.Peers = s.ring.Members()
 		}
-		s.mu.Lock()
-		names := make([]string, 0, len(s.sessions))
-		for name := range s.sessions {
-			names = append(names, name)
-		}
-		s.mu.Unlock()
-		for _, name := range names {
+		for _, sess := range s.listSessions() {
+			name := sess.name
 			ri, err := s.SessionRole(name)
 			if err != nil {
 				continue // closed or promoting between the listing and here

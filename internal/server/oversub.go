@@ -58,8 +58,8 @@ func newOverseer(srv *Server) *overseer {
 // rehydrate brings an evicted session back to hydrated: decode the
 // checkpoint's estimator, replay the parked WAL's tail (empty unless a
 // crash interleaved), restore the dedup horizons, restart the apply
-// goroutine. Runs under the residency write lock, so every operation
-// parked in beginResident resumes against the fully rebuilt session.
+// goroutine. Runs under resMu's write side, so every operation parked in
+// pin resumes against the fully rebuilt session.
 //
 // Admission is non-blocking: with all tokens taken the caller gets a
 // typed transient rejection rather than a queue of goroutines each
@@ -77,9 +77,9 @@ func (o *overseer) rehydrate(s *session) error {
 	defer func() { o.admit <- struct{}{} }()
 
 	s.resMu.Lock()
-	if !s.evicted {
+	if s.state != stateEvicted {
 		s.resMu.Unlock()
-		return nil // lost the race to another waker; it did the work
+		return nil // lost the race to another waker (or to close); pin re-checks
 	}
 	start := time.Now()
 	d := s.dur
@@ -102,16 +102,8 @@ func (o *overseer) rehydrate(s *session) error {
 		s.resMu.Unlock()
 		return fmt.Errorf("server: %w: session %q rehydration: %v", ErrOverloaded, s.name, err)
 	}
-	s.dmu.Lock()
-	s.dedup = make(map[uint64]dedupEntry, len(st.dedup))
-	for src, seq := range st.dedup {
-		s.dedup[src] = dedupEntry{seq: seq}
-	}
-	s.dmu.Unlock()
-	s.edges.Store(int64(est.Edges()))
-	s.setResidentBytes(residentCharge(est)) // before the apply goroutine owns est
-	s.setEstimator(est)
-	s.evicted = false
+	s.install(est, st.dedup)
+	s.state = stateHydrated
 	s.rehydrations.Add(1)
 	s.lastAccess.Store(time.Now().UnixNano())
 	s.resMu.Unlock()
@@ -127,8 +119,8 @@ func (o *overseer) rehydrate(s *session) error {
 }
 
 // evict parks one session at its canonical checkpoint, reporting whether
-// it did. The checkpoint (taken under the residency write lock, so no
-// operation is in flight) captures estimators + dedup horizons and
+// it did. The checkpoint (taken under resMu's write side, so no operation
+// is in flight) captures estimators + dedup horizons and
 // truncates the WAL behind itself; then the apply goroutine stops, the
 // estimator frees, and the WAL parks — same Log object, file handle closed, replay
 // still possible. Sessions that are closed, degraded (recovery owns
@@ -136,21 +128,12 @@ func (o *overseer) rehydrate(s *session) error {
 // leaders are mid-failover), or have pinned WAL readers (an attached
 // shipper is tailing) are skipped.
 func (o *overseer) evict(s *session) bool {
-	if s.dur == nil || s.follower.Load() || s.fenced.Load() {
-		return false
-	}
-	if s.dur.wal.Pins() > 0 {
-		return false
-	}
-	s.fmu.Lock()
-	degraded := s.degradedErr != nil
-	s.fmu.Unlock()
-	if degraded {
+	if s.dur == nil || s.role.Load() != roleLeader || s.dur.wal.Pins() > 0 || s.degraded() != nil {
 		return false
 	}
 	s.resMu.Lock()
 	defer s.resMu.Unlock()
-	if s.evicted {
+	if s.state != stateHydrated {
 		return false
 	}
 	// An operation is on its way to pinning this session — possibly in
@@ -160,13 +143,12 @@ func (o *overseer) evict(s *session) bool {
 	if s.wakers.Load() > 0 {
 		return false
 	}
-	// checkpointLocked begins an op, so a closed session bounces here.
 	if err := s.checkpointLocked(o.metrics); err != nil {
 		return false
 	}
 	s.setEstimator(nil)
 	s.dur.wal.Close()
-	s.evicted = true
+	s.state = stateEvicted
 	s.setResidentBytes(0)
 	o.metrics.EvictionsTotal.Add(1)
 	return true

@@ -201,8 +201,10 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// listSessions snapshots the live session set (for the overseer's LRU
-// scan and the HTTP listings).
+// listSessions snapshots the live session set. Callers touch the
+// sessions only after s.mu is released: a session's lifecycle lock can be
+// held through an eviction's disk I/O, and holding s.mu across it would
+// stall every session lookup on the server.
 func (s *Server) listSessions() []*session {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -250,13 +252,7 @@ func (s *Server) Start(tcpAddr, httpAddr string) error {
 	// finish any interrupted bootstrap re-base, then reattach the stream
 	// at the mirror's watermark.
 	if s.clustered() {
-		s.mu.Lock()
-		recovered := make([]*session, 0, len(s.sessions))
-		for _, sess := range s.sessions {
-			recovered = append(recovered, sess)
-		}
-		s.mu.Unlock()
-		for _, sess := range recovered {
+		for _, sess := range s.listSessions() {
 			if lead := s.leaderOf(sess.name); lead != s.cfg.NodeID {
 				if err := s.repairFollowerWAL(sess); err != nil {
 					return err
@@ -380,6 +376,15 @@ func (s *Server) serveTCP(ln net.Listener) {
 // always joined (and acked) before any later frame's response goes out —
 // which also keeps at most one ingest applying per connection, so
 // per-source sequencing behaves exactly as in the serial loop.
+//
+// Once a sequenced batch is answered with a transient rejection (retry or
+// not-leader), the connection is parked: every later sequenced batch on
+// it is answered with the retry frame and not applied. The server dedups
+// on each source's highest applied sequence, and the client retires the
+// connection on such a rejection and resends from the rejected batch; had
+// a later pipelined batch been applied after the cause cleared, the
+// horizon would pass the rejected one, and its resend would be acked as a
+// duplicate without ever being applied.
 func (s *Server) handleConn(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, 1<<16)
 	bw := bufio.NewWriterSize(conn, 1<<16)
@@ -430,6 +435,14 @@ func (s *Server) handleConn(conn net.Conn) {
 	// still dispatching from.
 	var arenas [2]stream.Columns
 	cur := 0
+	inflightSeq, parked := false, false
+	ackIngest := func(seq bool, err error) bool {
+		typ, msg := ackFrame(err)
+		if seq && (typ == wire.TErrRetry || typ == wire.TErrNotLeader) {
+			parked = true
+		}
+		return respond(typ, msg)
+	}
 	// join settles the in-flight ingest and acks it — in order, before
 	// any later frame's response.
 	join := func() bool {
@@ -437,7 +450,7 @@ func (s *Server) handleConn(conn net.Conn) {
 			return true
 		}
 		inflight = false
-		return s.ack(respond, <-applied)
+		return ackIngest(inflightSeq, <-applied)
 	}
 
 	for {
@@ -460,14 +473,18 @@ func (s *Server) handleConn(conn net.Conn) {
 			if !join() {
 				return
 			}
+			seq := typ == wire.TIngestSeq
+			if seq && parked {
+				jerr = errParked
+			}
 			if jerr != nil {
-				if !s.ack(respond, jerr) {
+				if !ackIngest(seq, jerr) {
 					return
 				}
 				continue
 			}
 			jobs <- job
-			inflight = true
+			inflight, inflightSeq = true, seq
 			cur = 1 - cur
 			if br.Buffered() == 0 {
 				// Nothing pipelined behind this frame: the peer may well be
@@ -485,7 +502,7 @@ func (s *Server) handleConn(conn net.Conn) {
 			if derr == nil {
 				derr = s.createSession(c)
 			}
-			if !s.ack(respond, derr) {
+			if !respond(ackFrame(derr)) {
 				return
 			}
 		case wire.TQuery:
@@ -499,13 +516,9 @@ func (s *Server) handleConn(conn net.Conn) {
 			}
 			if derr != nil {
 				// A rehydration backlog (or a degraded session mid-recovery)
-				// is transient: tell the client to retry rather than fail
-				// the query.
-				if errors.Is(derr, ErrDegraded) || errors.Is(derr, ErrOverloaded) {
-					if !respond(wire.TErrRetry, []byte(derr.Error())) {
-						return
-					}
-				} else if !respond(wire.TErr, []byte(derr.Error())) {
+				// is transient: ackFrame tells the client to retry rather
+				// than fail the query.
+				if !respond(ackFrame(derr)) {
 					return
 				}
 			} else if !respond(wire.TResult, res.Encode()) {
@@ -521,11 +534,7 @@ func (s *Server) handleConn(conn net.Conn) {
 				res, derr = s.queryStaleSession(name, time.Duration(maxStale))
 			}
 			if derr != nil {
-				if errors.Is(derr, ErrDegraded) || errors.Is(derr, ErrOverloaded) {
-					if !respond(wire.TErrRetry, []byte(derr.Error())) {
-						return
-					}
-				} else if !respond(wire.TErr, []byte(derr.Error())) {
+				if !respond(ackFrame(derr)) {
 					return
 				}
 			} else if !respond(wire.TResult, res.Encode()) {
@@ -570,7 +579,7 @@ func (s *Server) handleConn(conn net.Conn) {
 			if derr == nil {
 				derr = s.closeSession(name)
 			}
-			if !s.ack(respond, derr) {
+			if !respond(ackFrame(derr)) {
 				return
 			}
 		default:
@@ -584,22 +593,28 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 }
 
-func (s *Server) ack(respond func(byte, []byte) bool, err error) bool {
-	if err != nil {
-		// Degraded / read-only / overloaded rejections are transient by
-		// construction (a recovery loop or the rehydration gate is working
-		// on the cause), so they go out as TErrRetry: the client keeps the
-		// batch and retries.
-		if errors.Is(err, ErrDegraded) || errors.Is(err, ErrReadOnly) || errors.Is(err, ErrOverloaded) {
-			return respond(wire.TErrRetry, []byte(err.Error()))
-		}
-		var nl *notLeaderError
-		if errors.As(err, &nl) {
-			return respond(wire.TErrNotLeader, wire.EncodeNotLeader(nl.leader))
-		}
-		return respond(wire.TErr, []byte(err.Error()))
+// errParked rejects a sequenced batch on a parked connection (see
+// handleConn).
+var errParked = errors.New("server: an earlier batch on this connection was rejected; resend from it on a new connection")
+
+// ackFrame is the response frame for a request's outcome: TOK, a typed
+// transient or redirect rejection, or TErr.
+func ackFrame(err error) (byte, []byte) {
+	if err == nil {
+		return wire.TOK, nil
 	}
-	return respond(wire.TOK, nil)
+	// Degraded / read-only / overloaded rejections are transient by
+	// construction (a recovery loop or the rehydration gate is working on
+	// the cause), so they go out as TErrRetry: the client keeps the batch
+	// and retries.
+	if errors.Is(err, ErrDegraded) || errors.Is(err, ErrReadOnly) || errors.Is(err, ErrOverloaded) || errors.Is(err, errParked) {
+		return wire.TErrRetry, []byte(err.Error())
+	}
+	var nl *notLeaderError
+	if errors.As(err, &nl) {
+		return wire.TErrNotLeader, wire.EncodeNotLeader(nl.leader)
+	}
+	return wire.TErr, []byte(err.Error())
 }
 
 // noteDeadline counts connections dropped by our own read/write
@@ -657,7 +672,7 @@ func (s *Server) createSession(c wire.Create) error {
 		}
 		sess, err := s.buildSession(c)
 		if err == nil && followerOf != "" {
-			sess.follower.Store(true)
+			sess.role.Store(roleFollower)
 		}
 
 		s.mu.Lock()
@@ -772,14 +787,8 @@ func (s *Server) recover() error {
 // to stop acking now and let the recovery loop probe for the fault
 // clearing.
 func (s *Server) CheckpointAll() error {
-	s.mu.Lock()
-	sessions := make([]*session, 0, len(s.sessions))
-	for _, sess := range s.sessions {
-		sessions = append(sessions, sess)
-	}
-	s.mu.Unlock()
 	var first error
-	for _, sess := range sessions {
+	for _, sess := range s.listSessions() {
 		if err := sess.checkpoint(&s.metrics); err != nil {
 			s.metrics.CheckpointFailures.Add(1)
 			sess.degrade(err)
@@ -835,12 +844,11 @@ func (s *Server) readOnly() error {
 // unit of handleConn's decode/apply overlap. cols points at one of the
 // connection's ping-ponging arenas; rec is the already-copied WAL record
 // (nil without durability), so nothing in the job aliases the read
-// scratch.
+// scratch. An unsequenced batch has source 0.
 type ingestJob struct {
 	sess     *session
 	cols     *stream.Columns
 	rec      []byte
-	seq      bool
 	source   uint64
 	sequence uint64
 }
@@ -859,7 +867,6 @@ func (s *Server) prepareIngest(typ byte, payload []byte, cols *stream.Columns) (
 	var m, n int
 	var err error
 	if typ == wire.TIngestSeq {
-		j.seq = true
 		name, j.source, j.sequence, m, n, err = wire.DecodeIngestSeqInto(payload, cols)
 	} else {
 		name, m, n, err = wire.DecodeIngestInto(payload, cols)
@@ -875,7 +882,7 @@ func (s *Server) prepareIngest(typ byte, payload []byte, cols *stream.Columns) (
 		return ingestJob{}, fmt.Errorf("server: batch dims (%d,%d) != session %q dims (%d,%d)",
 			m, n, name, sess.m, sess.n)
 	}
-	if sess.follower.Load() || sess.fenced.Load() {
+	if sess.role.Load() != roleLeader {
 		// Followers take writes only from the replication stream — a
 		// client write here would fork the replica from the leader's log.
 		// A fenced leader rejects too: its log is frozen so a follower can
@@ -895,17 +902,13 @@ func (s *Server) prepareIngest(typ byte, payload []byte, cols *stream.Columns) (
 // counters. An ack on its nil return means "durably logged and applied
 // (or, for sequenced batches, a recognized replay)".
 func (s *Server) applyIngest(j ingestJob) error {
-	if j.seq {
-		applied, err := j.sess.ingestSeq(j.source, j.sequence, j.rec, j.cols.Sets, j.cols.Elems)
-		if err != nil {
-			return err
-		}
-		if !applied {
-			s.metrics.DupBatches.Add(1)
-			return nil
-		}
-	} else if err := j.sess.ingest(j.cols.Sets, j.cols.Elems, j.rec); err != nil {
+	applied, err := j.sess.ingestSeq(j.source, j.sequence, j.rec, j.cols.Sets, j.cols.Elems)
+	if err != nil {
 		return err
+	}
+	if !applied {
+		s.metrics.DupBatches.Add(1)
+		return nil
 	}
 	s.metrics.EdgesIngested.Add(int64(j.cols.Len()))
 	s.metrics.Batches.Add(1)

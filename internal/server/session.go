@@ -18,6 +18,12 @@ import (
 // the ingest path — ingest never stops. The estimator's own batch engine
 // fans each batch across its (guess, repetition) oracle units, which is
 // where the session's parallelism comes from.
+//
+// A session's whole state is three words: its lifecycle (hydrated,
+// evicted or closed, under resMu), its cluster role (leader, fenced or
+// follower, atomic) and its health (degradedErr, under fmu). Locks are
+// taken in the order resMu → durability.ckptMu → durability.pmu → dmu;
+// fmu is a leaf, and omu nests inside pmu's read side.
 type session struct {
 	name  string
 	m, n  int
@@ -25,30 +31,29 @@ type session struct {
 	alpha float64
 	seed  int64
 
-	// swapMu guards queue against replacement: a follower bootstrap, an
-	// eviction and a rehydration swap the estimator and its queue
-	// wholesale (see setEstimator), so clone enqueues and queue-length
-	// probes hold the read side. Ingest dispatch does not: it runs under
-	// a residency pin, and on followers on the one goroutine that also
-	// bootstraps.
-	swapMu   sync.RWMutex
-	queue    chan applyMsg  // nil while evicted or closed
+	// resMu is the lifecycle lock. Every operation pins the session with
+	// the read side for its whole duration (pin), so the queue cannot be
+	// replaced or closed under a dispatch or clone request; every
+	// transition — eviction, rehydration, a follower bootstrap, close —
+	// takes the write side and swaps the estimator and its queue wholesale
+	// (setEstimator).
+	resMu    sync.RWMutex
+	state    lifecycle
+	queue    chan applyMsg  // nil unless hydrated
 	queueCap int            // capacity each new queue is built with
 	applyWG  sync.WaitGroup // the apply goroutine
 	metrics  *Metrics       // server-wide counters (batch latency); may be nil in tests
 
 	dur *durability // nil without a data dir
 
-	// Degraded state (see degrade.go). A WAL append or checkpoint failure
-	// leaves a batch applied to the estimator without being durable, so no
-	// later ingest may be acknowledged — an ack promises the whole
-	// acknowledged prefix survives a crash. Unlike a permanent poison, the
-	// condition is repairable in place: the recovery loop resets the WAL
-	// and re-checkpoints, then clears degradedErr.
+	// Health (see degrade.go). A WAL append or checkpoint failure leaves a
+	// batch applied to the estimator without being durable, so no later
+	// ingest may be acknowledged — an ack promises the whole acknowledged
+	// prefix survives a crash. Unlike a permanent poison, the condition is
+	// repairable in place: a recovery loop, running exactly while
+	// degradedErr is set, resets the WAL and re-checkpoints, then clears it.
 	fmu         sync.Mutex
 	degradedErr error // non-nil: ingest rejected, queries still served
-	diskFull    bool  // degradation was ENOSPC (drives server read-only mode)
-	recovering  bool  // a recoverLoop goroutine is live
 	recStopped  bool  // close() ran; no new recovery loops may start
 	recStop     chan struct{}
 	recWG       sync.WaitGroup
@@ -65,27 +70,18 @@ type session struct {
 	omu sync.Mutex
 
 	// Cluster role (see cluster.go). A session is born leader; on nodes
-	// that do not lead it, the server marks it a follower and attaches an
-	// applier pulling the leader's WAL.
-	// fenced stops a leader from accepting new writes ahead of an orderly
-	// failover: acks are durable the moment they are sent, but shipping is
-	// asynchronous, so a promotion is lossless only if the leader first
-	// stops acking and the chosen follower drains the remaining tail.
-	follower atomic.Bool
-	fenced   atomic.Bool
-	appMu    sync.Mutex
-	applier  *replica.Applier
+	// that do not lead it, the server makes it a follower and attaches an
+	// applier pulling the leader's WAL. A fenced leader stops accepting
+	// new writes ahead of an orderly failover: acks are durable the moment
+	// they are sent, but shipping is asynchronous, so a promotion is
+	// lossless only if the leader first stops acking and the chosen
+	// follower drains the remaining tail.
+	role    atomic.Int32 // roleLeader, roleFenced or roleFollower
+	applier atomic.Pointer[replica.Applier]
 
-	// Residency (oversubscription; see oversub.go). A session is born
-	// hydrated; the overseer may evict it down to its canonical checkpoint
-	// — apply goroutine stopped, estimator freed, WAL parked — and any
-	// later operation rehydrates it. evicted is guarded by resMu:
-	// operations pin residency with the read side for their whole
-	// duration, eviction and rehydration take the write side, so the queue
-	// can never disappear under a dispatch. The zero value (hydrated, no overseer) keeps every
-	// pre-oversubscription construction path valid.
-	resMu         sync.RWMutex
-	evicted       bool
+	// Oversubscription (see oversub.go): the overseer may evict a hydrated
+	// session down to its canonical checkpoint — apply goroutine stopped,
+	// estimator freed, WAL parked — and any later operation rehydrates it.
 	ovs           *overseer    // nil when the server runs without a budget
 	residentBytes atomic.Int64 // residentCharge at the last checkpoint (0 while evicted)
 	lastAccess    atomic.Int64 // unix nanos of the last op touch (LRU clock)
@@ -98,14 +94,27 @@ type session struct {
 	// forever, a livelock in which no operation ever completes.
 	wakers atomic.Int32
 
-	mu     sync.Mutex
-	closed bool
-	ops    sync.WaitGroup // in-flight ingest/query dispatches
-
 	edges   atomic.Int64
 	batches atomic.Int64
 	queries atomic.Int64
 }
+
+// lifecycle is a session's residency and open/closed state. The zero
+// value (hydrated) keeps every construction path valid.
+type lifecycle uint8
+
+const (
+	stateHydrated lifecycle = iota // estimator live behind its apply goroutine
+	stateEvicted                   // parked at its checkpoint; the next operation rehydrates it
+	stateClosed                    // closed or deleted; every operation is refused
+)
+
+// The values of session.role. A plain server's sessions are all leaders.
+const (
+	roleLeader   int32 = iota
+	roleFenced         // frozen ahead of a failover: ingest is redirected, reads and shipping go on
+	roleFollower       // mirrors a leader's WAL; takes writes only from the replication stream
+)
 
 // applyMsg is either a batch (clone == nil) or a snapshot request. One
 // queue keeps the two ordered: a snapshot enqueued after a batch observes
@@ -134,10 +143,10 @@ type dedupEntry struct {
 	done chan struct{}
 }
 
-// testHookAfterAccept, when non-nil, runs on the sequenced-ingest path
-// after the dedup entry for (source, seq) is published and before the WAL
-// append. Tests park an ingest here to model a batch stalled inside the
-// group-commit fsync.
+// testHookAfterAccept, when non-nil, runs on the ingest path after the
+// batch is accepted (for a sequenced batch, once its dedup entry is
+// published) and before the WAL append. Tests park an ingest here to
+// model a batch stalled inside the group-commit fsync.
 var testHookAfterAccept func(source, seq uint64)
 
 func newSession(name string, m, n, k int, alpha float64, seed int64, queueCap int, metrics *Metrics, arena *streamcover.InternArena) (*session, error) {
@@ -149,8 +158,8 @@ func newSession(name string, m, n, k int, alpha float64, seed int64, queueCap in
 	return newSessionWith(name, m, n, k, alpha, seed, queueCap, metrics, est), nil
 }
 
-// newSessionWith builds a session around a pre-made estimator — a fresh
-// one for a new session, a restored one during crash recovery.
+// newSessionWith builds a hydrated session around a fresh estimator, or
+// around none when crash recovery installs a restored one next.
 func newSessionWith(name string, m, n, k int, alpha float64, seed int64, queueCap int, metrics *Metrics, est *streamcover.Estimator) *session {
 	s := &session{
 		name: name, m: m, n: n, k: k, alpha: alpha, seed: seed,
@@ -167,12 +176,9 @@ func newSessionWith(name string, m, n, k int, alpha float64, seed int64, queueCa
 // already enqueued (clone requests included, so they are still answered),
 // releasing the old estimator's engine. A non-nil est gets a fresh queue
 // and goroutine; nil leaves the session without one (evicted or
-// closed), and is a no-op when it already has none. Callers must exclude
-// concurrent dispatches (close does it via ops.Wait, eviction via resMu,
-// a follower bootstrap by running on the only goroutine that dispatches).
+// closed), and is a no-op when it already has none. The caller holds
+// resMu's write side, or owns the session outright while building it.
 func (s *session) setEstimator(est *streamcover.Estimator) {
-	s.swapMu.Lock()
-	defer s.swapMu.Unlock()
 	if s.queue != nil {
 		close(s.queue)
 		s.applyWG.Wait()
@@ -183,6 +189,23 @@ func (s *session) setEstimator(est *streamcover.Estimator) {
 		s.applyWG.Add(1)
 		go s.runApply(est, s.queue)
 	}
+}
+
+// install makes est, restored from a checkpoint and its WAL tail, the
+// session's estimator, with the dedup horizons that restore reached. The
+// one path for crash recovery, rehydration and a follower bootstrap. The
+// caller holds resMu's write side, or owns the session outright.
+func (s *session) install(est *streamcover.Estimator, dedup map[uint64]uint64) {
+	s.dmu.Lock()
+	s.dedup = make(map[uint64]dedupEntry, len(dedup))
+	for src, seq := range dedup {
+		s.dedup[src] = dedupEntry{seq: seq}
+	}
+	s.dmu.Unlock()
+	// Read est before its apply goroutine owns it.
+	s.edges.Store(int64(est.Edges()))
+	s.setResidentBytes(residentCharge(est))
+	s.setEstimator(est)
 }
 
 // scratchIdleAfter is how long an apply goroutine sits without traffic
@@ -250,24 +273,47 @@ func (s *session) setResidentBytes(n int64) {
 	}
 }
 
-// residency reports the session's oversubscription state for /sessions
-// and /metrics.
-func (s *session) residency() (resident bool, bytes, lastAccess, rehydrations int64) {
+// residency reports the session's oversubscription state and apply-queue
+// occupancy (0 unless hydrated) for /sessions and /metrics.
+func (s *session) residency() (resident bool, queued int, bytes, lastAccess, rehydrations int64) {
 	s.resMu.RLock()
-	resident = !s.evicted
+	resident, queued = s.state == stateHydrated, len(s.queue)
 	s.resMu.RUnlock()
-	return resident, s.residentBytes.Load(), s.lastAccess.Load(), s.rehydrations.Load()
+	return resident, queued, s.residentBytes.Load(), s.lastAccess.Load(), s.rehydrations.Load()
 }
 
-// begin registers an operation if the session is still open.
-func (s *session) begin() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("server: session %q closed", s.name)
+// errClosed is what every operation on a closed session gets.
+func (s *session) errClosed() error {
+	return fmt.Errorf("server: session %q closed", s.name)
+}
+
+// pin holds the session hydrated for one operation, rehydrating it first
+// when it is parked at its checkpoint. The returned release func drops
+// the pin; callers must invoke it exactly once. Pinning is the read side
+// of resMu, so any number of operations share a hydrated session while a
+// transition (write side) waits them out.
+func (s *session) pin() (func(), error) {
+	s.wakers.Add(1)
+	defer s.wakers.Add(-1)
+	for {
+		s.resMu.RLock()
+		switch s.state {
+		case stateHydrated:
+			s.lastAccess.Store(time.Now().UnixNano())
+			return s.resMu.RUnlock, nil
+		case stateClosed:
+			s.resMu.RUnlock()
+			return nil, s.errClosed()
+		}
+		s.resMu.RUnlock()
+		if s.ovs == nil {
+			// Unreachable: only an overseer evicts. Fail loudly, not nil-deref.
+			return nil, fmt.Errorf("server: session %q evicted with no overseer", s.name)
+		}
+		if err := s.ovs.rehydrate(s); err != nil {
+			return nil, err
+		}
 	}
-	s.ops.Add(1)
-	return nil
 }
 
 // logAndDispatch logs one batch and queues it for the estimator, returning
@@ -310,54 +356,20 @@ func (s *session) logAndDispatch(d *durability, rec []byte, sets, elems []uint32
 	return ch
 }
 
-// ingest logs and queues one validated unsequenced batch, overlapping the
-// WAL fsync with the apply. The return (and so the ack) waits for the WAL
+// ingestSeq logs one validated batch durably and queues it, overlapping
+// the WAL fsync with the apply. The return (and so the ack) waits for the
 // append's fsync and for the batch's enqueue, not for its apply: a later
 // query still sees the batch, because the query's clone request rides the
 // same queue behind it. sets/elems are the batch's columns (both wire
 // encodings decode into this form); rec is the WAL record for the batch
 // (type byte + wire payload), ignored when the session has no durability.
-func (s *session) ingest(sets, elems []uint32, rec []byte) error {
-	release, err := s.beginResident()
-	if err != nil {
-		return err
-	}
-	defer release()
-	d := s.dur
-	if d == nil {
-		s.dispatch(sets, elems)
-		return nil
-	}
-	d.pmu.RLock()
-	defer d.pmu.RUnlock()
-	if err := s.degraded(); err != nil {
-		return err
-	}
-	appended := s.logAndDispatch(d, rec, sets, elems)
-	if err := <-appended; err != nil {
-		// The batch is applied but not durable; no future ack may claim
-		// otherwise. Degrade (recovery will re-checkpoint the applied
-		// state) and answer with the typed transient error so the client
-		// parks the batch instead of treating the session as dead. The
-		// ingest counters are bumped here because the handler, seeing an
-		// error, will not: the edges are in the estimator.
-		if s.metrics != nil {
-			s.metrics.WALAppendFailures.Add(1)
-			s.metrics.EdgesIngested.Add(int64(len(sets)))
-			s.metrics.Batches.Add(1)
-		}
-		s.degrade(err)
-		return s.degraded()
-	}
-	return nil
-}
-
-// ingestSeq is the exactly-once ingest path: drop the batch if this
-// (source, seq) was already applied, otherwise log it durably and queue
-// it. The ack the caller sends on a nil error therefore promises the
-// batch survives a crash, and a client replaying unacknowledged batches
-// after a reconnect cannot double-count. Returns whether the batch was
-// applied (false: recognized duplicate, still acknowledged).
+//
+// A nonzero source makes it the exactly-once path: the batch is dropped
+// if this (source, seq) was already applied, so the ack promises the
+// batch survives a crash and a client replaying unacknowledged batches
+// after a reconnect cannot double-count. Source 0 is unsequenced ingest:
+// never deduplicated. Returns whether the batch was applied (false:
+// recognized duplicate, still acknowledged).
 //
 // Accepted batches are serialized per source: a second ingest for the
 // same source — the next sequence, or a duplicate resent over a fresh
@@ -366,16 +378,14 @@ func (s *session) ingest(sets, elems []uint32, rec []byte) error {
 // outruns the durability of the batch it vouches for, which is exactly
 // the reconnect-then-crash window the sequence numbers exist to cover.
 //
-// Like ingest, the WAL append and the apply run concurrently; the return
-// (and so the ack) waits for the append's fsync and the batch's enqueue,
-// not for its apply — queries stay ordered behind it on the apply queue.
 // On append failure the batch has been dispatched, so instead of rolling
 // back, the accepted horizon is KEPT (a resend of this seq must not be
-// applied twice) and the session degrades — the resend is answered with the typed transient
-// error rather than a false durability ack, and recovery's fresh
-// checkpoint makes the applied batch durable before ingest resumes.
+// applied twice) and the session degrades — the resend is answered with
+// the typed transient error rather than a false durability ack, and
+// recovery's fresh checkpoint makes the applied batch durable before
+// ingest resumes.
 func (s *session) ingestSeq(source, seq uint64, rec []byte, sets, elems []uint32) (bool, error) {
-	release, err := s.beginResident()
+	release, err := s.pin()
 	if err != nil {
 		return false, err
 	}
@@ -385,6 +395,7 @@ func (s *session) ingestSeq(source, seq uint64, rec []byte, sets, elems []uint32
 		d.pmu.RLock()
 		defer d.pmu.RUnlock()
 	}
+	var done chan struct{}
 	for {
 		if d != nil {
 			// Checked inside the loop: a waiter parked on done must see the
@@ -395,45 +406,49 @@ func (s *session) ingestSeq(source, seq uint64, rec []byte, sets, elems []uint32
 				return false, err
 			}
 		}
+		if source == 0 {
+			break
+		}
 		s.dmu.Lock()
 		prev := s.dedup[source]
 		if prev.done != nil {
 			// The ingest that accepted prev.seq is still logging; wait for
 			// it to settle, then re-evaluate.
-			done := prev.done
+			wait := prev.done
 			s.dmu.Unlock()
-			<-done
+			<-wait
 			continue
 		}
 		if seq <= prev.seq {
 			s.dmu.Unlock()
 			return false, nil
 		}
-		var done chan struct{}
 		if d != nil {
 			done = make(chan struct{})
 		}
 		s.dedup[source] = dedupEntry{seq: seq, done: done}
 		s.dmu.Unlock()
-		if hook := testHookAfterAccept; hook != nil {
-			hook(source, seq)
+		break
+	}
+	if hook := testHookAfterAccept; hook != nil {
+		hook(source, seq)
+	}
+	if d == nil {
+		s.dispatch(sets, elems)
+		return true, nil
+	}
+	err = <-s.logAndDispatch(d, rec, sets, elems)
+	if err != nil {
+		// Applied but not durable: count the ingest here (the handler
+		// sees an error and will not) and degrade.
+		if s.metrics != nil {
+			s.metrics.WALAppendFailures.Add(1)
+			s.metrics.EdgesIngested.Add(int64(len(sets)))
+			s.metrics.Batches.Add(1)
 		}
-		if d == nil {
-			s.dispatch(sets, elems)
-			return true, nil
-		}
-		appended := s.logAndDispatch(d, rec, sets, elems)
-		err := <-appended
-		if err != nil {
-			// Applied but not durable: count the ingest here (the handler
-			// sees an error and will not) and degrade.
-			if s.metrics != nil {
-				s.metrics.WALAppendFailures.Add(1)
-				s.metrics.EdgesIngested.Add(int64(len(sets)))
-				s.metrics.Batches.Add(1)
-			}
-			s.degrade(err)
-		}
+		s.degrade(err)
+	}
+	if done != nil {
 		// Settle the entry at the accepted horizon either way — the batch
 		// was applied. The entry is still ours (anyone else is parked on
 		// done), so this cannot clobber a concurrent publish.
@@ -441,11 +456,11 @@ func (s *session) ingestSeq(source, seq uint64, rec []byte, sets, elems []uint32
 		s.dedup[source] = dedupEntry{seq: seq}
 		s.dmu.Unlock()
 		close(done)
-		if err != nil {
-			return false, s.degraded()
-		}
-		return true, nil
 	}
+	if err != nil {
+		return false, s.degraded()
+	}
+	return true, nil
 }
 
 // dispatch queues one batch of columns for the estimator. The send blocks
@@ -468,14 +483,12 @@ func (s *session) dispatch(sets, elems []uint32) {
 
 // requestClone enqueues a snapshot request behind every batch already
 // queued; the reply carries a deep copy of the estimator at that point.
-// The caller must hold a residency pin (or the residency write lock), so
-// the queue exists. The send may wait on a full queue under the read
-// lock; the apply goroutine never takes swapMu, so the queue drains.
+// The caller holds a pin (or resMu's write side on a hydrated session),
+// so the queue exists. The send may wait on a full queue under the lock;
+// the apply goroutine never takes resMu, so the queue drains.
 func (s *session) requestClone() <-chan cloneReply {
 	r := make(chan cloneReply, 1)
-	s.swapMu.RLock()
 	s.queue <- applyMsg{clone: r}
-	s.swapMu.RUnlock()
 	return r
 }
 
@@ -483,7 +496,7 @@ func (s *session) requestClone() <-chan cloneReply {
 // everything acked before the query is included) and finalizes the clone
 // off the ingest path.
 func (s *session) query(metrics *Metrics) (wire.Result, error) {
-	release, err := s.beginResident()
+	release, err := s.pin()
 	if err != nil {
 		return wire.Result{}, err
 	}
@@ -511,85 +524,27 @@ func (s *session) query(metrics *Metrics) (wire.Result, error) {
 	}, nil
 }
 
-// close drains and stops the apply goroutine: new operations are
-// rejected, in-flight dispatches finish, then the queue closes, the
-// goroutine exits after consuming what was already enqueued, and the
-// estimator releases its batch-engine helpers.
+// close marks the session closed and drains its apply goroutine under
+// resMu's write side, so in-flight operations finish first and later ones
+// are refused; the goroutine exits after consuming what was already
+// enqueued, and the estimator releases its batch-engine helpers. Closing
+// an evicted session (state safe in the checkpoint) just marks it. The
+// replication stream and the recovery loop stop only after resMu is
+// released: a follower bootstrap takes the write side, so stopping its
+// applier under the lock would deadlock.
 func (s *session) close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	s.resMu.Lock()
+	if s.state == stateClosed {
+		s.resMu.Unlock()
 		return
 	}
-	s.closed = true
-	s.mu.Unlock()
-	// Stop the replication stream first (followers): its in-flight Apply
-	// finishes (it began before closed was set), the next one fails begin,
-	// and the applier's loop exits.
-	s.stopApplier()
-	s.ops.Wait()
-	s.stopRecovery()
-	// resMu serializes against a concurrent eviction or rehydration;
-	// closing an evicted session (estimator already gone, state safe in
-	// the checkpoint) is a no-op here.
-	s.resMu.Lock()
+	s.state = stateClosed
 	s.setEstimator(nil)
 	s.resMu.Unlock()
-	// A closed session no longer counts against the memory budget.
-	s.setResidentBytes(0)
-}
-
-// beginResident registers an operation AND pins the session hydrated,
-// rehydrating it first when it is parked at its checkpoint. The returned
-// release func drops both; callers must invoke it exactly once. Pinning
-// is the read side of resMu, so any number of operations share a
-// hydrated session while an eviction (write side) waits them out.
-func (s *session) beginResident() (func(), error) {
-	if err := s.begin(); err != nil {
-		return nil, err
-	}
-	s.wakers.Add(1)
-	defer s.wakers.Add(-1)
-	for {
-		s.resMu.RLock()
-		if !s.evicted {
-			s.lastAccess.Store(time.Now().UnixNano())
-			return func() { s.resMu.RUnlock(); s.ops.Done() }, nil
-		}
-		s.resMu.RUnlock()
-		if s.ovs == nil {
-			// Unreachable: only an overseer evicts. Fail loudly, not nil-deref.
-			s.ops.Done()
-			return nil, fmt.Errorf("server: session %q evicted with no overseer", s.name)
-		}
-		if err := s.ovs.rehydrate(s); err != nil {
-			s.ops.Done()
-			return nil, err
-		}
-	}
-}
-
-// queueLen reports the live apply-queue occupancy (0 while evicted).
-func (s *session) queueLen() int {
-	s.swapMu.RLock()
-	defer s.swapMu.RUnlock()
-	return len(s.queue)
-}
-
-// getApplier returns the session's replication applier, nil on leaders.
-func (s *session) getApplier() *replica.Applier {
-	s.appMu.Lock()
-	defer s.appMu.Unlock()
-	return s.applier
-}
-
-// stopApplier detaches and stops the replication stream, if any.
-func (s *session) stopApplier() {
-	s.appMu.Lock()
-	a := s.applier
-	s.applier = nil
-	s.appMu.Unlock()
-	if a != nil {
+	if a := s.applier.Swap(nil); a != nil {
 		a.Stop()
 	}
+	s.stopRecovery()
+	// A closed session no longer counts against the memory budget.
+	s.setResidentBytes(0)
 }

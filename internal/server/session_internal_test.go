@@ -44,7 +44,8 @@ func TestDuplicateAckWaitsForInFlightOriginal(t *testing.T) {
 	release := make(chan struct{})
 	released := false
 	// On any failure path, unpark the original so the session cleanup's
-	// ops.Wait doesn't hang the test binary.
+	// close, which waits out every pinned operation, doesn't hang the
+	// test binary.
 	defer func() {
 		if !released {
 			close(release)
@@ -224,7 +225,7 @@ func TestAppendFailureDegradesBatchSession(t *testing.T) {
 	if _, err := sess.ingestSeq(5, 2, rec, sets, elems); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("later sequence: err = %v, want ErrDegraded", err)
 	}
-	if err := sess.ingest(sets, elems, rec); !errors.Is(err, ErrDegraded) {
+	if _, err := sess.ingestSeq(0, 0, rec, sets, elems); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("unsequenced ingest: err = %v, want ErrDegraded", err)
 	}
 	if _, err := sess.query(nil); err != nil {

@@ -26,6 +26,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -348,6 +349,18 @@ func (l *Log) waitDurable(pos uint64) error {
 // captured file outside mu, and closing that file underneath it would
 // turn an already-durable flush into a spurious sticky sync error.
 func (l *Log) ensureSegmentLocked() error {
+	if l.file == nil {
+		// A closed log (an evicted session's parked WAL) resumes its active
+		// segment when it is still on disk. Creating segName(l.next) instead
+		// would fail whenever that segment holds no records: it is then the
+		// very file of that name.
+		f, err := l.fs.OpenFile(filepath.Join(l.dir, segName(l.segPos)), os.O_WRONLY|os.O_APPEND, 0o644)
+		if err == nil {
+			l.file = f
+		} else if !errors.Is(err, os.ErrNotExist) {
+			return fmt.Errorf("wal: %w", err)
+		}
+	}
 	for l.file != nil {
 		if l.size < l.opts.SegmentBytes {
 			return nil
@@ -612,7 +625,8 @@ func (l *Log) Sync() error {
 }
 
 // Close syncs and closes the active segment, waiting out any in-flight
-// group commit first.
+// group commit first. A later Append reopens the log, resuming the active
+// segment where it is still on disk.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -399,3 +399,48 @@ func TestOversizedRecordRejected(t *testing.T) {
 	}
 	l.Close()
 }
+
+// TestAppendAfterCloseResumesEmptySegment pins the parked-log path: a log
+// reopened on an active segment that holds no records (a crash between a
+// rotation's create and its first record), then closed, must take the
+// next append into that segment. Creating the segment anew with O_EXCL
+// failed with EEXIST, because the empty segment is named for the very
+// position the append receives.
+func TestAppendAfterCloseResumesEmptySegment(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{SegmentBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append([]byte("one")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, segName(2)), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, err = Open(dir, Options{SegmentBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	pos, err := l.Append([]byte("two"))
+	if err != nil {
+		t.Fatalf("append after Close: %v", err)
+	}
+	if pos != 2 {
+		t.Fatalf("append landed at %d, want 2", pos)
+	}
+	got := collect(t, l, 1)
+	if len(got) != 2 || string(got[1]) != "one" || string(got[2]) != "two" {
+		t.Fatalf("replayed %q, want positions 1 and 2 holding one, two", got)
+	}
+	if segs, _ := listSegments(fault.OS(), dir); len(segs) != 2 {
+		t.Fatalf("%d segments, want 2 (the empty one resumed, not a third)", len(segs))
+	}
+	l.Close()
+}
