@@ -8,7 +8,6 @@
 //	kcoverbench -list           # list experiment IDs
 //	kcoverbench -only E2,E4     # run a subset
 //	kcoverbench -seed 7         # change the master seed
-//	kcoverbench -wire row       # drive end-to-end experiments over one wire layout
 package main
 
 import (
@@ -26,13 +25,7 @@ func main() {
 	only := flag.String("only", "", "comma-separated experiment IDs to run (default all)")
 	seed := flag.Int64("seed", 1, "master random seed")
 	format := flag.String("format", "text", "output format: text|csv|markdown")
-	wireSel := flag.String("wire", "both", "wire layout for end-to-end experiments: columnar|row|both")
 	flag.Parse()
-
-	if err := expt.SetWireLayout(*wireSel); err != nil {
-		fmt.Fprintf(os.Stderr, "kcoverbench: %v\n", err)
-		os.Exit(1)
-	}
 
 	var render func(*expt.Table) error
 	switch *format {

@@ -10,26 +10,23 @@
 // Ingest is pipelined: Send writes full batches without waiting for acks,
 // a background reader matches the server's strictly ordered responses to
 // outstanding requests, and the bounded in-flight window (WithMaxPending)
-// plus the server's bounded worker queues give end-to-end backpressure.
-// Batch errors surface on the next Send, Flush or Query.
+// plus each server session's bounded apply queue give end-to-end
+// backpressure. Batch errors surface on the next Send, Flush or Query.
 //
-// By default every batch is sequenced: the client stamps it with its
-// random source identity and a per-session sequence number (TIngestSeq)
-// and keeps it buffered until the server acknowledges it. With
-// WithReconnect the client redials on connection loss with exponential
-// backoff, re-creates its sessions (idempotent server-side) and resends
-// the unacknowledged batches; the server deduplicates on (source, seq),
-// so ingestion stays exactly-once even when the loss was a server crash
-// and the ack — not the batch — is what went missing. WithFireAndForget
-// reverts to unsequenced TIngest frames (at-most-once, lowest overhead).
+// Every batch is sequenced: the client stamps it with its random source
+// identity and a per-session sequence number (TIngestSeq) and keeps it
+// buffered until the server acknowledges it. With WithReconnect the
+// client redials on connection loss with exponential backoff, re-creates
+// its sessions (idempotent server-side) and resends the unacknowledged
+// batches; the server deduplicates on (source, seq), so ingestion stays
+// exactly-once even when the loss was a server crash and the ack — not
+// the batch — is what went missing.
 //
-// Batches go over the wire in the columnar MKC2 layout by default: Send
-// lays edges straight into set-ID and element-ID columns, and the encoder
-// memcpy-appends those columns into the frame — the server's fused
-// decoder hands them to its estimators with no per-edge transform at
-// either end. WithRowWire reverts to the legacy row MKC1 layout for
-// daemons predating the columnar decoder; the server accepts both on one
-// session interchangeably.
+// Batches go over the wire in the columnar MKC2 layout: Send lays edges
+// straight into set-ID and element-ID columns, and the encoder
+// memcpy-appends those columns into the frame — the server's decoder
+// hands them to the session's estimator with no per-edge transform at
+// either end.
 //
 // Errors caused by the far end going away wrap ErrSessionClosed, so
 // callers can tell "the server hung up" from application errors.
@@ -46,7 +43,6 @@ import (
 	"time"
 
 	"streamcover"
-	"streamcover/internal/stream"
 	"streamcover/internal/wire"
 )
 
@@ -116,20 +112,6 @@ func WithMaxPending(n int) Option {
 	}
 }
 
-// WithFireAndForget reverts Send to unsequenced TIngest frames with no
-// resend buffer: lowest overhead, at-most-once across connection loss.
-func WithFireAndForget() Option {
-	return func(c *Client) { c.fireForget = true }
-}
-
-// WithRowWire encodes batches in the legacy row (MKC1) wire layout
-// instead of the columnar (MKC2) default. Servers accept both; this
-// exists for talking to daemons that predate the columnar decoder, and
-// for A/B-ing the two paths in benchmarks.
-func WithRowWire() Option {
-	return func(c *Client) { c.rowWire = true }
-}
-
 // WithReconnect makes the client redial with exponential backoff when the
 // connection is lost, re-create its sessions and resend unacknowledged
 // sequenced batches. maxAttempts bounds one reconnect episode (<= 0
@@ -162,7 +144,7 @@ func WithBackoff(min, max time.Duration) Option {
 // reconnect and resend in between — the latency an application actually
 // experiences, which is what the kcoverload harness reports percentiles
 // of. The callback runs on the connection's reader goroutine and must not
-// call back into the client. Fire-and-forget batches are never observed.
+// call back into the client.
 func WithAckObserver(fn func(edges int, d time.Duration)) Option {
 	return func(c *Client) { c.ackObs = fn }
 }
@@ -227,8 +209,6 @@ type Client struct {
 	addr        string
 	batchSize   int
 	maxPending  int
-	fireForget  bool
-	rowWire     bool // encode legacy row MKC1 batches instead of columnar MKC2
 	reconnect   bool
 	attempts    int
 	backoffMin  time.Duration
@@ -238,7 +218,7 @@ type Client struct {
 	flushEvery  time.Duration                    // 0: flush only on window-full/round-trip
 	flushStop   chan struct{}                    // closes with the client, stopping the flusher
 	ackObs      func(edges int, d time.Duration) // per-acked-batch latency callback
-	source      uint64                           // random nonzero identity stamped on sequenced batches
+	source      uint64                           // random nonzero identity stamped on every batch
 
 	mu     sync.Mutex // serializes frame writes, connection state, reconnects
 	cn     *netConn   // current connection epoch; failed epochs are replaced
@@ -321,8 +301,7 @@ func (cn *netConn) failed() bool { return cn.err() != nil }
 
 // waiter matches one outstanding request to its in-order response. ch is
 // set for round-trip requests; ack for sequenced ingest (called with nil
-// on TOK, the server's error on TErr). Both nil: fire-and-forget ingest,
-// whose errors are recorded rather than delivered.
+// on TOK, the server's error on TErr).
 type waiter struct {
 	ch  chan response
 	ack func(error)
@@ -450,54 +429,44 @@ func (c *Client) readLoop(cn *netConn) {
 		}
 		select {
 		case w := <-cn.pending:
-			switch {
-			case w.ch != nil:
+			if w.ch != nil {
 				// Responses alias scratch; copy for the waiter.
 				w.ch <- response{typ: typ, payload: append([]byte(nil), payload...)}
-			case w.ack != nil:
-				switch typ {
-				case wire.TErr:
-					// The payload already carries the "server:" prefix.
-					w.ack(fmt.Errorf("client: %s", payload))
-				case wire.TErrRetry:
-					// Transient rejection: the server did NOT apply the
-					// batch. The ack leaves it parked in the resend deque,
-					// and the epoch is retired. The server parks the
-					// connection on this answer and rejects every later
-					// sequenced batch on it unapplied (server.handleConn):
-					// it dedups on each source's highest applied sequence,
-					// so a later batch applied there would turn this one's
-					// resend into an acked duplicate. Every pipelined batch
-					// behind this one is therefore rejected too, and the
-					// path back to exactly-once is a backoff-and-replay
-					// through the normal reconnect machinery.
-					busy := fmt.Errorf("client: %w: %s", ErrServerBusy, payload)
-					w.ack(busy)
-					cn.lost(fmt.Errorf("%w (%w)", ErrSessionClosed, busy))
-					cn.c.Close()
-				case wire.TErrNotLeader:
-					// Placement rejection: the node is a follower and did
-					// NOT apply the batch. Park it like a busy rejection,
-					// record the redirect, and retire the epoch with a
-					// non-retryable error — redialing the same follower
-					// would only be rejected again, so connLocked fails
-					// fast and the Cluster wrapper re-routes to the leader.
-					nl := c.notLeaderErr(payload)
-					w.ack(nl)
-					cn.lost(fmt.Errorf("%w (%w)", ErrSessionClosed, nl))
-					cn.c.Close()
-				default:
-					w.ack(nil)
-				}
-			case typ == wire.TErr:
-				c.failAsync(fmt.Errorf("client: %s", payload))
-			case typ == wire.TErrRetry:
-				// Fire-and-forget has no resend buffer; a busy-rejected
-				// batch is dropped (at-most-once), so surface it.
-				c.failAsync(fmt.Errorf("client: %w: %s", ErrServerBusy, payload))
-			case typ == wire.TErrNotLeader:
-				// Fire-and-forget to a follower: dropped, surface it.
-				c.failAsync(c.notLeaderErr(payload))
+				continue
+			}
+			switch typ {
+			case wire.TErr:
+				// The payload already carries the "server:" prefix.
+				w.ack(fmt.Errorf("client: %s", payload))
+			case wire.TErrRetry:
+				// Transient rejection: the server did NOT apply the
+				// batch. The ack leaves it parked in the resend deque,
+				// and the epoch is retired. The server parks the
+				// connection on this answer and rejects every later
+				// sequenced batch on it unapplied (server.handleConn):
+				// it dedups on each source's highest applied sequence,
+				// so a later batch applied there would turn this one's
+				// resend into an acked duplicate. Every pipelined batch
+				// behind this one is therefore rejected too, and the
+				// path back to exactly-once is a backoff-and-replay
+				// through the normal reconnect machinery.
+				busy := fmt.Errorf("client: %w: %s", ErrServerBusy, payload)
+				w.ack(busy)
+				cn.lost(fmt.Errorf("%w (%w)", ErrSessionClosed, busy))
+				cn.c.Close()
+			case wire.TErrNotLeader:
+				// Placement rejection: the node is a follower and did
+				// NOT apply the batch. Park it like a busy rejection,
+				// record the redirect, and retire the epoch with a
+				// non-retryable error — redialing the same follower
+				// would only be rejected again, so connLocked fails
+				// fast and the Cluster wrapper re-routes to the leader.
+				nl := c.notLeaderErr(payload)
+				w.ack(nl)
+				cn.lost(fmt.Errorf("%w (%w)", ErrSessionClosed, nl))
+				cn.c.Close()
+			default:
+				w.ack(nil)
 			}
 		default:
 			cn.lost(fmt.Errorf("client: unexpected frame 0x%02x with no request outstanding", typ))
@@ -526,14 +495,6 @@ func (c *Client) LeaderHint() string {
 	c.amu.Lock()
 	defer c.amu.Unlock()
 	return c.leaderHint
-}
-
-func (c *Client) failAsync(err error) {
-	c.amu.Lock()
-	if c.asyncErr == nil {
-		c.asyncErr = err
-	}
-	c.amu.Unlock()
 }
 
 func (c *Client) asyncError() error {
@@ -714,20 +675,6 @@ func writeOn(cn *netConn, typ byte, payload []byte, w waiter) error {
 	return nil
 }
 
-// send writes one fire-and-forget frame on the current epoch.
-func (c *Client) send(typ byte, payload []byte, w waiter) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.asyncError(); err != nil {
-		return err
-	}
-	cn, err := c.connLocked()
-	if err != nil {
-		return err
-	}
-	return writeOn(cn, typ, payload, w)
-}
-
 // sendSequenced stamps the batch with the next sequence number, parks
 // its payload in the session's resend deque, and writes it as one
 // TIngestSeq frame. The deque entry is released by the server's in-order
@@ -887,24 +834,20 @@ func (c *Client) roundTripOnce(typ byte, payload []byte) (response, error) {
 }
 
 // Create opens (or idempotently re-opens) a named session on the server
-// and returns a handle to it. Unless the client is in fire-and-forget
-// mode, the session is registered for replay: a reconnect re-creates it
-// before resending any of its batches.
+// and returns a handle to it. The session is registered for replay: a
+// reconnect re-creates it before resending any of its batches.
 func (c *Client) Create(name string, m, n, k int, alpha float64, seed int64) (*Session, error) {
 	create := wire.Create{Name: name, M: m, N: n, K: k, Alpha: alpha, Seed: seed}
 	if _, err := c.roundTrip(wire.TCreate, create.Encode()); err != nil {
 		return nil, err
 	}
-	var st *sessionState
-	if !c.fireForget {
-		c.amu.Lock()
-		st = c.states[name]
-		if st == nil {
-			st = &sessionState{create: create}
-			c.states[name] = st
-		}
-		c.amu.Unlock()
+	c.amu.Lock()
+	st := c.states[name]
+	if st == nil {
+		st = &sessionState{create: create}
+		c.states[name] = st
 	}
+	c.amu.Unlock()
 	return &Session{c: c, name: name, m: m, n: n, st: st}, nil
 }
 
@@ -993,9 +936,7 @@ type Session struct {
 	name        string
 	m, n        int
 	sets, elems []uint32      // batch buffer, already in wire column order
-	rowBuf      []stream.Edge // WithRowWire conversion scratch
-	scratch     []byte        // fire-and-forget frame encode buffer
-	st          *sessionState // nil: fire-and-forget or attached session
+	st          *sessionState // nil: attached session (query only)
 }
 
 // Name returns the server-side session name.
@@ -1027,34 +968,13 @@ func (s *Session) Send(edges []streamcover.Edge) error {
 	return nil
 }
 
-// rows converts the column buffers into row edges for the legacy MKC1
-// encoders (WithRowWire only).
-func (s *Session) rows() []stream.Edge {
-	s.rowBuf = s.rowBuf[:0]
-	for i, set := range s.sets {
-		s.rowBuf = append(s.rowBuf, stream.Edge{Set: set, Elem: s.elems[i]})
-	}
-	return s.rowBuf
-}
-
 // flushBatch writes the buffered edges as one pipelined ingest frame.
 func (s *Session) flushBatch() error {
 	if len(s.sets) == 0 {
 		return nil
 	}
 	defer func() { s.sets, s.elems = s.sets[:0], s.elems[:0] }()
-	if s.st == nil {
-		if s.c.rowWire {
-			s.scratch = wire.EncodeIngest(s.scratch, s.name, s.rows(), s.m, s.n)
-		} else {
-			s.scratch = wire.EncodeIngestColumns(s.scratch, s.name, s.sets, s.elems, s.m, s.n)
-		}
-		return s.c.send(wire.TIngest, s.scratch, waiter{})
-	}
 	return s.c.sendSequenced(s.st, len(s.sets), func(buf []byte, seq uint64) []byte {
-		if s.c.rowWire {
-			return wire.EncodeIngestSeq(buf, s.name, s.c.source, seq, s.rows(), s.m, s.n)
-		}
 		return wire.EncodeIngestSeqColumns(buf, s.name, s.c.source, seq, s.sets, s.elems, s.m, s.n)
 	})
 }
@@ -1148,10 +1068,8 @@ func (s *Session) CloseSession() error {
 	if _, err := s.c.roundTrip(wire.TClose, wire.EncodeRef(s.name)); err != nil {
 		return err
 	}
-	if s.st != nil {
-		s.c.amu.Lock()
-		delete(s.c.states, s.name)
-		s.c.amu.Unlock()
-	}
+	s.c.amu.Lock()
+	delete(s.c.states, s.name)
+	s.c.amu.Unlock()
 	return nil
 }

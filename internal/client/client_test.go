@@ -2,7 +2,6 @@ package client_test
 
 import (
 	"context"
-	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -230,59 +229,5 @@ func TestFlushInterval(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("batch never acked: flush interval did not push it")
-	}
-}
-
-// TestRowWireEquivalence feeds the same edge stream through the columnar
-// default and a WithRowWire client — sequenced and fire-and-forget — and
-// requires all four sessions to converge to bit-identical estimates: the
-// wire layout must never leak into the estimator's state.
-func TestRowWireEquivalence(t *testing.T) {
-	s := startServer(t)
-	edges := make([]streamcover.Edge, 3000)
-	for i := range edges {
-		edges[i] = streamcover.Edge{Set: uint32(i*2654435761) % 100, Elem: uint32(i*40503) % 1000}
-	}
-	variants := []struct {
-		name string
-		opts []client.Option
-	}{
-		{"col-seq", nil},
-		{"row-seq", []client.Option{client.WithRowWire()}},
-		{"col-ff", []client.Option{client.WithFireAndForget()}},
-		{"row-ff", []client.Option{client.WithRowWire(), client.WithFireAndForget()}},
-	}
-	results := make([]client.Result, len(variants))
-	for i, v := range variants {
-		opts := append([]client.Option{client.WithBatchSize(128)}, v.opts...)
-		c, err := client.Dial(s.TCPAddr().String(), opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sess, err := c.Create(v.name, 100, 1000, 5, 4, 99)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sess.Send(edges); err != nil {
-			t.Fatal(err)
-		}
-		if err := sess.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if results[i], err = sess.Query(); err != nil {
-			t.Fatal(err)
-		}
-		c.Close()
-	}
-	want := results[0]
-	if want.Edges != len(edges) {
-		t.Fatalf("columnar sequenced session saw %d edges, want %d", want.Edges, len(edges))
-	}
-	for i, got := range results[1:] {
-		if got.Coverage != want.Coverage || got.Feasible != want.Feasible ||
-			!reflect.DeepEqual(got.SetIDs, want.SetIDs) ||
-			got.SpaceWords != want.SpaceWords || got.Edges != want.Edges {
-			t.Errorf("%s diverged from col-seq: %+v vs %+v", variants[i+1].name, got, want)
-		}
 	}
 }

@@ -86,26 +86,9 @@ func All() []Spec {
 			return DistributedMerge(seed)
 		}},
 		{"E23", "wire-ingest", func(seed int64) (*Table, error) {
-			return WireIngest(seed, wireLayout)
+			return WireIngest(seed)
 		}},
 	}
-}
-
-// wireLayout is the -wire selector E23 runs under: "columnar", "row", or
-// "both" (the default). kcoverbench sets it before running experiments.
-var wireLayout = "both"
-
-// SetWireLayout selects which wire encoding(s) the end-to-end experiments
-// drive: "columnar", "row", or "both".
-func SetWireLayout(sel string) error {
-	if _, err := wireLayouts(sel); err != nil {
-		return err
-	}
-	if sel == "" {
-		sel = "both"
-	}
-	wireLayout = sel
-	return nil
 }
 
 // RunAll executes every experiment and renders to w, stopping at the

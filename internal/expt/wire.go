@@ -13,29 +13,15 @@ import (
 	"streamcover/internal/workload"
 )
 
-// wireLayouts resolves the -wire selector to the layouts E23 runs.
-func wireLayouts(sel string) ([]string, error) {
-	switch sel {
-	case "", "both":
-		return []string{"columnar", "row"}, nil
-	case "columnar", "row":
-		return []string{sel}, nil
-	}
-	return nil, fmt.Errorf("unknown wire layout %q (columnar|row|both)", sel)
-}
-
 // WireIngest (E23) runs the default planted instance end-to-end through a
-// loopback kcoverd — client batch encode, framed TCP, server decode,
-// shard, estimate — once per selected wire layout, and reports throughput
-// next to the answer. The estimate must be bit-identical across layouts
-// and equal to the in-process reference: the wire encoding buys speed,
-// never accuracy. Throughput here includes loopback TCP and ack latency,
-// so it is a floor, not a pure codec benchmark (see BENCH_hotpath.json).
-func WireIngest(seed int64, layout string) (*Table, error) {
-	layouts, err := wireLayouts(layout)
-	if err != nil {
-		return nil, err
-	}
+// loopback kcoverd — client columnar batch encode, framed TCP, server
+// decode, estimate — and reports throughput next to the answer. The
+// estimate must be bit-identical to the in-process reference: the wire
+// buys speed, never accuracy. Throughput is timed from the first send to
+// the last ack, and kcoverd acks a batch once it is queued, so it covers
+// encode, loopback TCP, decode and enqueue but not the estimator (see
+// BENCH_hotpath.json for the sustained server rate).
+func WireIngest(seed int64) (*Table, error) {
 	const (
 		n, m, k = 20000, 2000, 40
 		frac    = 0.8
@@ -59,28 +45,25 @@ func WireIngest(seed int64, layout string) (*Table, error) {
 	}
 	refRes := ref.Result()
 
+	eps, res, err := wireIngestOnce(in.System.M(), in.System.N, in.K, alpha, seed, edges)
+	if err != nil {
+		return nil, err
+	}
+	if res.Coverage != refRes.Coverage || res.Feasible != refRes.Feasible {
+		return nil, fmt.Errorf("estimate (%v, %v) diverged from in-process reference (%v, %v)",
+			res.Coverage, res.Feasible, refRes.Coverage, refRes.Feasible)
+	}
 	t := &Table{
 		ID:     "E23",
-		Title:  "wire-ingest: row vs columnar end-to-end",
-		Note:   fmt.Sprintf("planted n=%d m=%d k=%d, %d edges over loopback TCP; estimates must match the in-process reference bit-for-bit", n, m, k, len(edges)),
-		Header: []string{"wire", "edges/s", "coverage", "feasible", "matches-ref"},
+		Title:  "wire-ingest: columnar end-to-end",
+		Note:   fmt.Sprintf("planted n=%d m=%d k=%d, %d edges over loopback TCP; the estimate must match the in-process reference bit-for-bit", n, m, k, len(edges)),
+		Header: []string{"edges/s", "coverage", "feasible", "matches-ref"},
 	}
-	for _, lay := range layouts {
-		eps, res, err := wireIngestOnce(lay, in.System.M(), in.System.N, in.K, alpha, seed, edges)
-		if err != nil {
-			return nil, fmt.Errorf("wire %s: %w", lay, err)
-		}
-		match := res.Coverage == refRes.Coverage && res.Feasible == refRes.Feasible
-		t.AddRow(lay, float64(int64(eps)), res.Coverage, res.Feasible, match)
-		if !match {
-			return nil, fmt.Errorf("wire %s: estimate (%v, %v) diverged from in-process reference (%v, %v)",
-				lay, res.Coverage, res.Feasible, refRes.Coverage, refRes.Feasible)
-		}
-	}
+	t.AddRow(float64(int64(eps)), res.Coverage, res.Feasible, true)
 	return t, nil
 }
 
-func wireIngestOnce(layout string, m, n, k int, alpha float64, seed int64, edges []streamcover.Edge) (float64, client.Result, error) {
+func wireIngestOnce(m, n, k int, alpha float64, seed int64, edges []streamcover.Edge) (float64, client.Result, error) {
 	s := server.New(server.Config{})
 	if err := s.Start("127.0.0.1:0", ""); err != nil {
 		return 0, client.Result{}, err
@@ -90,11 +73,7 @@ func wireIngestOnce(layout string, m, n, k int, alpha float64, seed int64, edges
 		defer cancel()
 		s.Shutdown(ctx)
 	}()
-	opts := []client.Option{client.WithBatchSize(8192)}
-	if layout == "row" {
-		opts = append(opts, client.WithRowWire())
-	}
-	c, err := client.Dial(s.TCPAddr().String(), opts...)
+	c, err := client.Dial(s.TCPAddr().String(), client.WithBatchSize(8192))
 	if err != nil {
 		return 0, client.Result{}, err
 	}

@@ -112,9 +112,6 @@ func newFleet(spec *Spec, addr string, nodes []client.ClusterNode, edges []strea
 		client.WithFlushInterval(2 * time.Millisecond),
 		client.WithAckObserver(obs),
 	}
-	if spec.Fleet.Wire == "row" {
-		dialOpts = append(dialOpts, client.WithRowWire())
-	}
 	// Pacers start at phase 0's rate: the drivers begin sending as soon as
 	// start returns, before the run loop's first setPhase.
 	rate0 := spec.Phases[0].Rate / float64(conns)

@@ -113,19 +113,18 @@ type WorkloadSpec struct {
 }
 
 // FleetSpec shapes the client side: how many connections, how many edges
-// per wire batch, how deep each connection pipelines, and which wire
-// layout batches use. Tenants > 1 fans the same workload across that many
-// server-side sessions (named <spec.Name>-t<i>): each connection keeps
-// one handle per tenant and routes every chunk by a seeded
-// workload.TenantPicker — Zipf-skewed when Skew > 0, uniform otherwise —
-// which is the access pattern session oversubscription (daemon.mem_budget)
-// is built for: a few hot tenants stay resident while the long tail
-// evicts to checkpoints and rehydrates on touch.
+// per wire batch and how deep each connection pipelines. Tenants > 1 fans
+// the same workload across that many server-side sessions (named
+// <spec.Name>-t<i>): each connection keeps one handle per tenant and
+// routes every chunk by a seeded workload.TenantPicker — Zipf-skewed when
+// Skew > 0, uniform otherwise — which is the access pattern session
+// oversubscription (daemon.mem_budget) is built for: a few hot tenants
+// stay resident while the long tail evicts to checkpoints and rehydrates
+// on touch.
 type FleetSpec struct {
 	Connections int     `json:"connections,omitempty"` // default 2
 	BatchEdges  int     `json:"batch_edges,omitempty"` // default 2048
 	MaxPending  int     `json:"max_pending,omitempty"` // default 32
-	Wire        string  `json:"wire,omitempty"`        // columnar|row (default columnar)
 	Tenants     int     `json:"tenants,omitempty"`     // sessions to spread load over (default 1)
 	Skew        float64 `json:"skew,omitempty"`        // tenant-pick Zipf exponent (0 = uniform)
 }
@@ -284,9 +283,6 @@ func (s *Spec) applyDefaults() {
 	if s.Fleet.MaxPending == 0 {
 		s.Fleet.MaxPending = 32
 	}
-	if s.Fleet.Wire == "" {
-		s.Fleet.Wire = "columnar"
-	}
 	if s.Fleet.Tenants == 0 {
 		s.Fleet.Tenants = 1
 	}
@@ -347,9 +343,6 @@ func (s *Spec) validate() error {
 		if v.val < 0 {
 			return fmt.Errorf("%s is negative", v.name)
 		}
-	}
-	if s.Fleet.Wire != "columnar" && s.Fleet.Wire != "row" {
-		return fmt.Errorf("unknown fleet wire %q (columnar|row)", s.Fleet.Wire)
 	}
 	if s.Fleet.Tenants < 0 {
 		return fmt.Errorf("fleet.tenants is negative")

@@ -12,29 +12,13 @@ import (
 )
 
 // BenchmarkServerIngest measures client→server edge throughput over
-// localhost: the full path of batch encode, framed write, decode, queue
-// dispatch and the session estimator's ProcessColumns, with pipelined
-// acks. Sub-benchmarks cross the wire layout (columnar MKC2 default vs
-// legacy row MKC1). The estimator's batch engine fans out at GOMAXPROCS,
-// so running under different GOMAXPROCS settings gives the scaling curve.
+// localhost: the full path of columnar batch encode, framed write, decode,
+// queue dispatch and the session estimator's ProcessColumns, with
+// pipelined acks. The estimator's batch engine fans out at GOMAXPROCS, so
+// running under different GOMAXPROCS settings gives the scaling curve.
 //
 //	go test -run=NONE -bench=ServerIngest -benchtime=3x ./internal/server/
 func BenchmarkServerIngest(b *testing.B) {
-	wires := []struct {
-		name string
-		opts []client.Option
-	}{
-		{"columnar", nil},
-		{"row", []client.Option{client.WithRowWire()}},
-	}
-	for _, w := range wires {
-		b.Run("wire="+w.name, func(b *testing.B) {
-			benchServerIngest(b, w.opts)
-		})
-	}
-}
-
-func benchServerIngest(b *testing.B, opts []client.Option) {
 	const (
 		m, n, k = 2000, 100000, 40
 		alpha   = 8.0
@@ -48,8 +32,7 @@ func benchServerIngest(b *testing.B, opts []client.Option) {
 		defer cancel()
 		s.Shutdown(ctx)
 	}()
-	c, err := client.Dial(s.TCPAddr().String(),
-		append([]client.Option{client.WithBatchSize(8192)}, opts...)...)
+	c, err := client.Dial(s.TCPAddr().String(), client.WithBatchSize(8192))
 	if err != nil {
 		b.Fatal(err)
 	}

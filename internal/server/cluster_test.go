@@ -11,6 +11,7 @@ import (
 	"streamcover"
 	"streamcover/internal/client"
 	"streamcover/internal/fault"
+	"streamcover/internal/wal"
 	"streamcover/internal/wire"
 )
 
@@ -39,11 +40,10 @@ func reserveAddrs(t *testing.T, n int) []string {
 	return addrs
 }
 
-func startClusterNode(t *testing.T, nodeID string, peers []string) *Server {
-	t.Helper()
-	srv := New(Config{
+func clusterNodeConfig(nodeID string, peers []string, dataDir string) Config {
+	return Config{
 		QueueDepth:      16,
-		DataDir:         t.TempDir(),
+		DataDir:         dataDir,
 		WALNoSync:       true,
 		CheckpointEvery: -1,
 		NodeID:          nodeID,
@@ -52,9 +52,19 @@ func startClusterNode(t *testing.T, nodeID string, peers []string) *Server {
 		RepReadTimeout:  500 * time.Millisecond,
 		RetryMin:        10 * time.Millisecond,
 		RetryMax:        50 * time.Millisecond,
-	})
-	if err := srv.Start(nodeID, ""); err != nil {
-		t.Fatalf("start cluster node %s: %v", nodeID, err)
+	}
+}
+
+func startClusterNode(t *testing.T, nodeID string, peers []string) *Server {
+	t.Helper()
+	return startClusterServer(t, clusterNodeConfig(nodeID, peers, t.TempDir()))
+}
+
+func startClusterServer(t *testing.T, cfg Config) *Server {
+	t.Helper()
+	srv := New(cfg)
+	if err := srv.Start(cfg.NodeID, ""); err != nil {
+		t.Fatalf("start cluster node %s: %v", cfg.NodeID, err)
 	}
 	t.Cleanup(func() { srv.Abort() })
 	return srv
@@ -550,5 +560,96 @@ func TestClusterFenceDrainPromote(t *testing.T) {
 	}
 	if digest != wantDigest {
 		t.Fatalf("promoted leader digest %s != reference %s", digest, wantDigest)
+	}
+}
+
+// TestClusterFollowerBootstrapsFromSnapshot drives the path of a follower
+// that falls behind the leader's WAL truncation. The follower stops; the
+// leader ingests past it and checkpoints, which truncates the records the
+// follower still needs. Restarted on its own data dir, the follower must
+// bootstrap from a leader snapshot, keep mirroring the records that
+// follow it (its log re-based at the snapshot's position), and end
+// byte-equal to the leader and to a fault-free single-node run.
+func TestClusterFollowerBootstrapsFromSnapshot(t *testing.T) {
+	addrs := reserveAddrs(t, 2)
+	cfgs := make([]Config, 2)
+	servers := make([]*Server, 2)
+	for i, addr := range addrs {
+		cfgs[i] = clusterNodeConfig(addr, addrs, t.TempDir())
+		cfgs[i].WALSegmentBytes = 4096 // ~2 batches per segment, so a checkpoint truncates
+		servers[i] = startClusterServer(t, cfgs[i])
+	}
+	nodes := make([]client.ClusterNode, 2)
+	for i, addr := range addrs {
+		nodes[i] = client.ClusterNode{ID: addr, Addr: addr}
+	}
+	cl, err := client.DialCluster(nodes, 2, client.WithBatchSize(256), client.WithOpTimeout(3*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	const name = "boot"
+	cs, err := cl.Create(name, cluM, cluN, cluK, cluAlpha, cluSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre, post, tail := clusterEdges(21, 2048), clusterEdges(22, 4096), clusterEdges(23, 1024)
+	if err := cs.Send(pre); err != nil {
+		t.Fatal(err)
+	}
+	if err := cs.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	leaderIdx, behind := waitClusterConverged(t, servers, name, 15*time.Second)
+	followerIdx := 1 - leaderIdx
+	servers[followerIdx].Abort()
+
+	if err := cs.Send(post); err != nil {
+		t.Fatal(err)
+	}
+	if err := cs.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	leader := servers[leaderIdx]
+	if err := leader.CheckpointAll(); err != nil {
+		t.Fatal(err)
+	}
+	sess, err := leader.session(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r, err := sess.dur.wal.OpenReader(behind + 1); !errors.Is(err, wal.ErrTruncated) {
+		if err == nil {
+			r.Close()
+		}
+		t.Fatalf("leader log still serves the follower's next record %d (err %v); the test needs it truncated", behind+1, err)
+	}
+
+	servers[followerIdx] = startClusterServer(t, cfgs[followerIdx])
+	waitClusterConverged(t, servers, name, 15*time.Second)
+	if got := servers[followerIdx].Metrics().RepBootstraps.Load(); got < 1 {
+		t.Fatalf("follower caught up without a snapshot bootstrap (rep_bootstraps = %d)", got)
+	}
+	if err := cs.Send(tail); err != nil {
+		t.Fatal(err)
+	}
+	if err := cs.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	waitClusterConverged(t, servers, name, 15*time.Second)
+	if got := servers[followerIdx].Metrics().DurabilityRecoveries.Load(); got != 0 {
+		t.Fatalf("follower degraded and recovered %d times mirroring past the snapshot", got)
+	}
+	all := append(append(append([]streamcover.Edge{}, pre...), post...), tail...)
+	_, wantDigest := clusterReference(t, name, all)
+	for i, srv := range servers {
+		digest, err := srv.SessionDigest(name)
+		if err != nil {
+			t.Fatalf("node %d digest: %v", i, err)
+		}
+		if digest != wantDigest {
+			t.Fatalf("node %d digest %s != reference %s", i, digest, wantDigest)
+		}
 	}
 }

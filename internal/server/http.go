@@ -63,7 +63,7 @@ func (s *Server) httpHandler() http.Handler {
 		}
 		res, err := s.querySession(name)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusNotFound)
+			http.Error(w, err.Error(), errorStatus(err))
 			return
 		}
 		writeJSON(w, queryResponse{
@@ -229,7 +229,7 @@ func (s *Server) httpHandler() http.Handler {
 		}
 		digest, err := s.SessionDigest(name)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusNotFound)
+			http.Error(w, err.Error(), errorStatus(err))
 			return
 		}
 		writeJSON(w, map[string]string{"session": name, "digest": digest})
@@ -312,6 +312,16 @@ type durabilityInfo struct {
 	CheckpointPos uint64  `json:"checkpoint_pos"`
 	WALDepth      uint64  `json:"wal_depth"`
 	CheckpointAge float64 `json:"checkpoint_age_seconds"`
+}
+
+// errorStatus maps a session lookup or read failure to its HTTP status:
+// 503 for the transient rejections TCP answers with TErrRetry (retry
+// later), 404 for everything else, an unknown session included.
+func errorStatus(err error) int {
+	if transient(err) {
+		return http.StatusServiceUnavailable
+	}
+	return http.StatusNotFound
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

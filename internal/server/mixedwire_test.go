@@ -2,6 +2,8 @@ package server_test
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/binary"
 	"net"
 	"os"
 	"path/filepath"
@@ -58,7 +60,9 @@ func (r *rawConn) expectOK(t *testing.T, typ byte, payload []byte) {
 
 // encodeMixedBatch encodes batch i over one of the four ingest shapes —
 // {row, columnar} × {plain, sequenced} — cycling so a session's WAL holds
-// every combination interleaved.
+// every combination interleaved. The client sends only the last shape;
+// the other three come from earlier clients and the WALs they left, and
+// the server must still accept them.
 func encodeMixedBatch(i int, name string, batch []streamcover.Edge, source, seq uint64) (byte, []byte) {
 	rows := make([]stream.Edge, len(batch))
 	sets := make([]uint32, len(batch))
@@ -67,16 +71,21 @@ func encodeMixedBatch(i int, name string, batch []streamcover.Edge, source, seq 
 		rows[j] = stream.Edge{Set: e.Set, Elem: e.Elem}
 		sets[j], elems[j] = e.Set, e.Elem
 	}
-	switch i % 4 {
-	case 0:
-		return wire.TIngest, wire.EncodeIngest(nil, name, rows, durM, durN)
-	case 1:
-		return wire.TIngest, wire.EncodeIngestColumns(nil, name, sets, elems, durM, durN)
-	case 2:
-		return wire.TIngestSeq, wire.EncodeIngestSeq(nil, name, source, seq, rows, durM, durN)
-	default:
+	if i%4 == 3 { // the client's own shape, from the client's encoder
 		return wire.TIngestSeq, wire.EncodeIngestSeqColumns(nil, name, source, seq, sets, elems, durM, durN)
 	}
+	typ, payload := wire.TIngest, append(binary.AppendUvarint(nil, uint64(len(name))), name...)
+	if i%4 == 2 {
+		typ, payload = wire.TIngestSeq, binary.AppendUvarint(binary.AppendUvarint(payload, source), seq)
+	}
+	if i%4 == 1 {
+		return typ, stream.AppendBinaryColumns(payload, sets, elems, durM, durN)
+	}
+	var blob bytes.Buffer
+	if err := stream.WriteBinary(&blob, stream.FromEdges(rows), durM, durN); err != nil {
+		panic(err) // bytes.Buffer writes cannot fail
+	}
+	return typ, append(payload, blob.Bytes()...)
 }
 
 // feedMixed streams edges to the session in fixed-size batches cycling

@@ -597,17 +597,22 @@ func (s *Server) handleConn(conn net.Conn) {
 // handleConn).
 var errParked = errors.New("server: an earlier batch on this connection was rejected; resend from it on a new connection")
 
+// transient reports whether err is a rejection that clears by itself —
+// a degraded or read-only session, the rehydration gate, a parked
+// connection, a session mid-promotion or a server shutting down — so the
+// request was not applied and may be retried unchanged. TCP answers it
+// with TErrRetry, HTTP with 503.
+func transient(err error) bool {
+	return errors.Is(err, ErrDegraded) || errors.Is(err, ErrReadOnly) || errors.Is(err, ErrOverloaded) || errors.Is(err, errParked)
+}
+
 // ackFrame is the response frame for a request's outcome: TOK, a typed
 // transient or redirect rejection, or TErr.
 func ackFrame(err error) (byte, []byte) {
 	if err == nil {
 		return wire.TOK, nil
 	}
-	// Degraded / read-only / overloaded rejections are transient by
-	// construction (a recovery loop or the rehydration gate is working on
-	// the cause), so they go out as TErrRetry: the client keeps the batch
-	// and retries.
-	if errors.Is(err, ErrDegraded) || errors.Is(err, ErrReadOnly) || errors.Is(err, ErrOverloaded) || errors.Is(err, errParked) {
+	if transient(err) {
 		return wire.TErrRetry, []byte(err.Error())
 	}
 	var nl *notLeaderError

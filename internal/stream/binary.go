@@ -88,70 +88,6 @@ func ReadBinary(r io.Reader) (*Slice, int, int, error) {
 	return FromEdges(edges), m, n, nil
 }
 
-// AppendBinary appends the MKC1 encoding of an edge slice to buf and
-// returns the extended buffer — the allocation-free counterpart of
-// WriteBinary for in-memory framing (the kcoverd wire protocol uses one
-// MKC1 blob per ingest batch).
-func AppendBinary(buf []byte, edges []Edge, m, n int) []byte {
-	buf = append(buf, binaryMagic[:]...)
-	buf = binary.AppendUvarint(buf, uint64(m))
-	buf = binary.AppendUvarint(buf, uint64(n))
-	for _, e := range edges {
-		buf = binary.AppendUvarint(buf, uint64(e.Set))
-		buf = binary.AppendUvarint(buf, uint64(e.Elem))
-	}
-	return buf
-}
-
-// DecodeBinary decodes an in-memory MKC1 blob. It is the fast path behind
-// ReadBinary: decoding from a byte slice with binary.Uvarint avoids the
-// bufio reader's per-byte indirection, which matters on the server ingest
-// path where every batch is already a framed []byte.
-func DecodeBinary(data []byte) ([]Edge, int, int, error) {
-	if len(data) < 4 {
-		return nil, 0, 0, fmt.Errorf("stream: bad binary magic: %w", io.ErrUnexpectedEOF)
-	}
-	if [4]byte(data[:4]) != binaryMagic {
-		return nil, 0, 0, fmt.Errorf("stream: not a binary stream (magic %q)", data[:4])
-	}
-	rest := data[4:]
-	next := func(what string) (uint64, error) {
-		v, w := binary.Uvarint(rest)
-		if w <= 0 {
-			return 0, fmt.Errorf("stream: bad %s: truncated uvarint", what)
-		}
-		rest = rest[w:]
-		return v, nil
-	}
-	m64, err := next("m")
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	n64, err := next("n")
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	if m64 > 1<<31 || n64 > 1<<31 {
-		return nil, 0, 0, fmt.Errorf("stream: implausible dims (%d, %d)", m64, n64)
-	}
-	edges := make([]Edge, 0, len(rest)/3)
-	for len(rest) > 0 {
-		s, err := next(fmt.Sprintf("edge %d set", len(edges)))
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		e, err := next(fmt.Sprintf("edge %d elem", len(edges)))
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		if s >= m64 || e >= n64 {
-			return nil, 0, 0, fmt.Errorf("stream: edge (%d,%d) out of bounds (%d,%d)", s, e, m64, n64)
-		}
-		edges = append(edges, Edge{Set: uint32(s), Elem: uint32(e)})
-	}
-	return edges, int(m64), int(n64), nil
-}
-
 // ReadAuto sniffs the format (binary magic vs text header) and decodes
 // accordingly.
 func ReadAuto(r io.Reader) (*Slice, int, int, error) {

@@ -105,76 +105,31 @@ func TestBinarySmallerThanText(t *testing.T) {
 	}
 }
 
-func TestAppendDecodeBinaryRoundTrip(t *testing.T) {
-	edges := []Edge{{0, 0}, {7, 123}, {999, 49999}, {7, 123}}
-	blob := AppendBinary(nil, edges, 1000, 50000)
-	got, m, n, err := DecodeBinary(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m != 1000 || n != 50000 {
-		t.Errorf("dims (%d,%d)", m, n)
-	}
-	if !reflect.DeepEqual(got, edges) {
-		t.Errorf("round trip %v != %v", got, edges)
-	}
-	// The in-memory encoding is the same MKC1 format the streaming codec
-	// reads.
-	viaReader, rm, rn, err := ReadBinary(bytes.NewReader(blob))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rm != m || rn != n || !reflect.DeepEqual(viaReader.Edges(), edges) {
-		t.Error("AppendBinary blob not readable by ReadBinary")
-	}
-	// And WriteBinary output is decodable by DecodeBinary.
+// rowBlob is the in-memory MKC1 blob WriteBinary produces: the row batch
+// layout earlier kcoverd clients sent and old WAL records still hold.
+func rowBlob(t testing.TB, edges []Edge, m, n int) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteBinary(&buf, FromEdges(edges), 1000, 50000); err != nil {
+	if err := WriteBinary(&buf, FromEdges(edges), m, n); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(buf.Bytes(), blob) {
-		t.Error("AppendBinary and WriteBinary encodings differ")
-	}
+	return buf.Bytes()
 }
 
 func TestDecodeBinaryRejectsGarbage(t *testing.T) {
-	good := AppendBinary(nil, []Edge{{1, 2}, {3, 4}}, 10, 10)
+	good := rowBlob(t, []Edge{{1, 2}, {3, 4}}, 10, 10)
 	cases := map[string][]byte{
 		"empty":          nil,
 		"short magic":    good[:3],
 		"bad magic":      []byte("XKC1ab"),
 		"truncated dims": good[:5],
 		"truncated edge": good[:len(good)-1],
-		"out of bounds":  AppendBinary(nil, []Edge{{10, 0}}, 10, 10),
+		"out of bounds":  rowBlob(t, []Edge{{10, 0}}, 10, 10),
 	}
 	for name, blob := range cases {
-		if _, _, _, err := DecodeBinary(blob); err == nil {
-			t.Errorf("DecodeBinary accepted %s", name)
+		var cols Columns
+		if _, _, err := DecodeBinaryInto(blob, &cols); err == nil {
+			t.Errorf("DecodeBinaryInto accepted %s", name)
 		}
 	}
-}
-
-// BenchmarkBinaryDecode measures the MKC1 codec's in-memory decode rate —
-// the per-batch cost on kcoverd's ingest path.
-func BenchmarkBinaryDecode(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	const m, n, count = 4096, 1 << 20, 65536
-	edges := make([]Edge, count)
-	for i := range edges {
-		edges[i] = Edge{Set: uint32(rng.Intn(m)), Elem: uint32(rng.Intn(n))}
-	}
-	blob := AppendBinary(nil, edges, m, n)
-	b.SetBytes(int64(len(blob)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		got, _, _, err := DecodeBinary(blob)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(got) != count {
-			b.Fatal("short decode")
-		}
-	}
-	b.ReportMetric(float64(count*b.N)/b.Elapsed().Seconds(), "edges/s")
 }

@@ -70,7 +70,7 @@ func AppendBinaryColumns(buf []byte, sets, elems []uint32, m, n int) []byte {
 
 // DecodeBinaryColumnsInto decodes an in-memory MKC2 blob into cols,
 // reusing its backing arrays, and returns the blob's declared dims. Every
-// ID is validated against those dims, matching DecodeBinary's contract.
+// ID is validated against those dims, matching ReadBinary's contract.
 // The payload must hold exactly count edges — trailing bytes are an error.
 func DecodeBinaryColumnsInto(data []byte, cols *Columns) (m, n int, err error) {
 	if len(data) < 4 {

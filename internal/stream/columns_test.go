@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 )
@@ -48,32 +49,34 @@ func TestColumnsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodeBinaryIntoRowEquivalence pins the fused row decoder to
-// DecodeBinary: the same MKC1 blob must yield the same logical edges.
+// TestDecodeBinaryIntoRowEquivalence pins the in-memory row decoder to
+// ReadBinary: the same MKC1 blob must yield the same logical edges,
+// including repeated edges and the largest IDs the dims allow.
 func TestDecodeBinaryIntoRowEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	sets, elems := randomColumns(3000, 200, 100000, rng)
-	edges := make([]Edge, len(sets))
-	for i := range edges {
-		edges[i] = Edge{Set: sets[i], Elem: elems[i]}
+	edges := []Edge{{0, 0}, {199, 99999}, {7, 123}, {7, 123}}
+	for i := range sets {
+		edges = append(edges, Edge{Set: sets[i], Elem: elems[i]})
 	}
-	blob := AppendBinary(nil, edges, 200, 100000)
+	blob := rowBlob(t, edges, 200, 100000)
 
-	want, wm, wn, err := DecodeBinary(blob)
+	ref, wm, wn, err := ReadBinary(bytes.NewReader(blob))
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := ref.Edges()
 	var cols Columns
 	m, n, err := DecodeBinaryInto(blob, &cols)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m != wm || n != wn || cols.Len() != len(want) {
+	if m != wm || n != wn || cols.Len() != len(want) || len(want) != len(edges) {
 		t.Fatalf("dims/len mismatch: (%d,%d) %d vs (%d,%d) %d", m, n, cols.Len(), wm, wn, len(want))
 	}
 	for i, e := range want {
-		if cols.Sets[i] != e.Set || cols.Elems[i] != e.Elem {
-			t.Fatalf("edge %d: (%d,%d) vs (%d,%d)", i, cols.Sets[i], cols.Elems[i], e.Set, e.Elem)
+		if e != edges[i] || cols.Sets[i] != e.Set || cols.Elems[i] != e.Elem {
+			t.Fatalf("edge %d: (%d,%d) vs %v, sent %v", i, cols.Sets[i], cols.Elems[i], e, edges[i])
 		}
 	}
 }
@@ -104,7 +107,7 @@ func TestDecodeColumnsMalformed(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":          {},
 		"short magic":    good[:3],
-		"row magic":      AppendBinary(nil, []Edge{{Set: 1, Elem: 2}}, 10, 10),
+		"row magic":      rowBlob(t, []Edge{{Set: 1, Elem: 2}}, 10, 10),
 		"truncated dims": good[:5],
 		"truncated body": good[:len(good)-1],
 		"trailing byte":  append(append([]byte{}, good...), 0),

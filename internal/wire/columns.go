@@ -7,27 +7,19 @@ import (
 	"streamcover/internal/stream"
 )
 
-// Columnar ingest encoding. TIngest and TIngestSeq payloads carry one
-// batch blob after the routing header; the blob's magic selects the
-// layout — row "MKC1" (uvarint edge pairs, stream.AppendBinary) or
-// columnar "MKC2" (two fixed-width ID columns, stream.AppendBinaryColumns).
-// No new frame types are involved, so columnar batches ride the existing
-// session, dedup and WAL machinery unchanged: a WAL record still stores
-// the frame type byte plus the verbatim payload, and replay sniffs the
-// same magic the live path does.
+// Ingest encoding. TIngest and TIngestSeq payloads carry one batch blob
+// after the routing header; the blob's magic selects the layout —
+// columnar "MKC2" (two fixed-width ID columns, stream.AppendBinaryColumns)
+// or legacy row "MKC1" (uvarint edge pairs, stream.WriteBinary's format).
+// A WAL record stores the frame type byte plus the verbatim payload, and
+// replay sniffs the same magic the live path does, so logs written by
+// earlier row-encoding clients still recover.
 //
 // The point of the columnar layout is zero-transform ingest: the client
 // accumulates edges as two ID columns, the encoder writes those columns
 // verbatim, and the server decodes them with a bulk copy straight into
 // arenas the core prepass consumes — no per-edge structs anywhere between
 // the client's Send call and the hash kernel.
-
-// EncodeIngestColumns frames a columnar batch: session name followed by
-// the edge columns as one MKC2 blob. buf is reused when capacity allows.
-func EncodeIngestColumns(buf []byte, name string, sets, elems []uint32, m, n int) []byte {
-	buf = appendName(buf[:0], name)
-	return stream.AppendBinaryColumns(buf, sets, elems, m, n)
-}
 
 // EncodeIngestSeqColumns frames a sequenced columnar batch: session name,
 // client source identity, per-session sequence number, then the edge

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math/rand"
 	"testing"
@@ -17,9 +18,8 @@ func TestIngestColumnsRoundTrip(t *testing.T) {
 		elems[i] = uint32(rng.Intn(5000))
 	}
 
-	payload := EncodeIngestColumns(nil, "sess", sets, elems, 300, 5000)
 	var cols stream.Columns
-	name, m, n, err := DecodeIngestInto(payload, &cols)
+	name, m, n, err := DecodeIngestInto(columnsIngest("sess", sets, elems, 300, 5000), &cols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,15 +32,6 @@ func TestIngestColumnsRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Encoding into a reused buffer must not allocate once grown.
-	buf := payload
-	allocs := testing.AllocsPerRun(20, func() {
-		buf = EncodeIngestColumns(buf, "sess", sets, elems, 300, 5000)
-	})
-	if allocs != 0 {
-		t.Fatalf("EncodeIngestColumns into sized buffer allocated %.0f times", allocs)
-	}
-
 	seq := EncodeIngestSeqColumns(nil, "sess", 99, 3, sets, elems, 300, 5000)
 	name, source, sq, m, n, err := DecodeIngestSeqInto(seq, &cols)
 	if err != nil {
@@ -49,25 +40,33 @@ func TestIngestColumnsRoundTrip(t *testing.T) {
 	if name != "sess" || source != 99 || sq != 3 || m != 300 || n != 5000 || cols.Len() != len(sets) {
 		t.Fatalf("seq decode: name=%q source=%d seq=%d dims (%d,%d) len %d", name, source, sq, m, n, cols.Len())
 	}
+
+	// Encoding into a reused buffer must not allocate once grown.
+	buf := seq
+	allocs := testing.AllocsPerRun(20, func() {
+		buf = EncodeIngestSeqColumns(buf, "sess", 99, 4, sets, elems, 300, 5000)
+	})
+	if allocs != 0 {
+		t.Fatalf("EncodeIngestSeqColumns into sized buffer allocated %.0f times", allocs)
+	}
 }
 
-// TestDecodeIngestIntoRowPayload verifies the fused decoder accepts the
-// legacy row encoding and agrees with DecodeIngest on it, for both the
-// plain and sequenced framings.
+// TestDecodeIngestIntoRowPayload verifies the decoder accepts the legacy
+// row encoding and agrees with stream.ReadBinary on its blob, for both
+// the plain and sequenced framings.
 func TestDecodeIngestIntoRowPayload(t *testing.T) {
 	edges := []stream.Edge{{Set: 4, Elem: 9}, {Set: 0, Elem: 1}, {Set: 4, Elem: 9}}
-	payload := EncodeIngest(nil, "s", edges, 5, 10)
-
-	wantName, wantEdges, wm, wn, err := DecodeIngest(payload)
+	want, wm, wn, err := stream.ReadBinary(bytes.NewReader(rowBlob(edges, 5, 10)))
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantEdges := want.Edges()
 	var cols stream.Columns
-	name, m, n, err := DecodeIngestInto(payload, &cols)
+	name, m, n, err := DecodeIngestInto(rowIngest("s", edges, 5, 10), &cols)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if name != wantName || m != wm || n != wn || cols.Len() != len(wantEdges) {
+	if name != "s" || m != wm || n != wn || cols.Len() != len(wantEdges) {
 		t.Fatalf("row decode disagreement: %q (%d,%d) len %d", name, m, n, cols.Len())
 	}
 	for i, e := range wantEdges {
@@ -76,8 +75,7 @@ func TestDecodeIngestIntoRowPayload(t *testing.T) {
 		}
 	}
 
-	seqPayload := EncodeIngestSeq(nil, "s", 7, 2, edges, 5, 10)
-	name, source, seq, m, n, err := DecodeIngestSeqInto(seqPayload, &cols)
+	name, source, seq, m, n, err := DecodeIngestSeqInto(rowIngestSeq("s", 7, 2, edges, 5, 10), &cols)
 	if err != nil {
 		t.Fatal(err)
 	}

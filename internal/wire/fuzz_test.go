@@ -23,8 +23,8 @@ func FuzzReadFrame(f *testing.F) {
 	edges := []stream.Edge{{Set: 1, Elem: 2}, {Set: 3, Elem: 4}}
 	f.Add(frame(TPing, nil))
 	f.Add(frame(TCreate, Create{Name: "s", M: 10, N: 10, K: 2, Alpha: 4, Seed: 1}.Encode()))
-	f.Add(frame(TIngest, EncodeIngest(nil, "s", edges, 10, 10)))
-	f.Add(frame(TIngestSeq, EncodeIngestSeq(nil, "s", 7, 1, edges, 10, 10)))
+	f.Add(frame(TIngest, rowIngest("s", edges, 10, 10)))
+	f.Add(frame(TIngestSeq, rowIngestSeq("s", 7, 1, edges, 10, 10)))
 	f.Add(frame(TResult, Result{Coverage: 5, Feasible: true, SetIDs: []uint32{1}}.Encode()))
 	f.Add([]byte{TIngest, 0xff, 0xff, 0xff, 0x7f})
 	f.Add([]byte{})
@@ -46,10 +46,8 @@ func FuzzReadFrame(f *testing.F) {
 		case TCreate:
 			_, _ = DecodeCreate(payload)
 		case TIngest:
-			_, _, _, _, _ = DecodeIngest(payload)
 			_, _, _, _ = DecodeIngestInto(payload, &cols)
 		case TIngestSeq:
-			_, _, _, _, _, _, _ = DecodeIngestSeq(payload)
 			_, _, _, _, _, _ = DecodeIngestSeqInto(payload, &cols)
 		case TQuery, TClose:
 			_, _ = DecodeRef(payload)
@@ -67,19 +65,19 @@ func FuzzReadFrame(f *testing.F) {
 func FuzzDecodeIngestColumns(f *testing.F) {
 	sets := []uint32{1, 2, 1}
 	elems := []uint32{3, 0, 3}
-	f.Add(EncodeIngestColumns(nil, "s", sets, elems, 10, 10))
-	f.Add(EncodeIngest(nil, "s", []stream.Edge{{Set: 1, Elem: 2}}, 10, 10))
-	f.Add(EncodeIngestColumns(nil, "s", nil, nil, 1, 1))
-	trunc := EncodeIngestColumns(nil, "s", sets, elems, 10, 10)
+	f.Add(columnsIngest("s", sets, elems, 10, 10))
+	f.Add(rowIngest("s", []stream.Edge{{Set: 1, Elem: 2}}, 10, 10))
+	f.Add(columnsIngest("s", nil, nil, 1, 1))
+	trunc := columnsIngest("s", sets, elems, 10, 10)
 	f.Add(trunc[:len(trunc)-3])
-	f.Add(append(EncodeIngestColumns(nil, "s", sets, elems, 10, 10), 0xff))
+	f.Add(append(columnsIngest("s", sets, elems, 10, 10), 0xff))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		var cols stream.Columns
 		name, m, n, err := DecodeIngestInto(payload, &cols)
 		if err != nil {
 			return
 		}
-		re := EncodeIngestColumns(nil, name, cols.Sets, cols.Elems, m, n)
+		re := columnsIngest(name, cols.Sets, cols.Elems, m, n)
 		var cols2 stream.Columns
 		name2, m2, n2, err := DecodeIngestInto(re, &cols2)
 		if err != nil {
@@ -98,8 +96,9 @@ func FuzzDecodeIngestColumns(f *testing.F) {
 }
 
 // FuzzIngestRowColumnarEquivalence is the differential fuzz for the two
-// batch encodings: one logical batch encoded as rows and as columns must
-// decode identically through every decoder pairing.
+// batch encodings: one logical batch encoded as a legacy row blob and as
+// columns must decode identically through DecodeIngestInto, and the row
+// decode must agree with stream.ReadBinary on the same blob bytes.
 func FuzzIngestRowColumnarEquivalence(f *testing.F) {
 	f.Add("s", uint32(10), uint32(10), []byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add("session", uint32(1), uint32(1), []byte{})
@@ -121,33 +120,32 @@ func FuzzIngestRowColumnarEquivalence(f *testing.F) {
 			edges[i] = stream.Edge{Set: sets[i], Elem: elems[i]}
 		}
 
-		row := EncodeIngest(nil, name, edges, int(m), int(n))
-		col := EncodeIngestColumns(nil, name, sets, elems, int(m), int(n))
-
-		rName, rEdges, rm, rn, err := DecodeIngest(row)
+		blob := rowBlob(edges, int(m), int(n))
+		ref, rm, rn, err := stream.ReadBinary(bytes.NewReader(blob))
+		if err != nil {
+			t.Fatalf("reference row decode: %v", err)
+		}
+		var rowCols, colCols stream.Columns
+		riName, rim, rin, err := DecodeIngestInto(append(appendName(nil, name), blob...), &rowCols)
 		if err != nil {
 			t.Fatalf("row decode: %v", err)
 		}
-		var rowCols, colCols stream.Columns
-		riName, rim, rin, err := DecodeIngestInto(row, &rowCols)
-		if err != nil {
-			t.Fatalf("fused row decode: %v", err)
-		}
-		cName, cm, cn, err := DecodeIngestInto(col, &colCols)
+		cName, cm, cn, err := DecodeIngestInto(columnsIngest(name, sets, elems, int(m), int(n)), &colCols)
 		if err != nil {
 			t.Fatalf("columnar decode: %v", err)
 		}
-		if rName != name || riName != name || cName != name {
-			t.Fatalf("name drift: %q %q %q vs %q", rName, riName, cName, name)
+		if riName != name || cName != name {
+			t.Fatalf("name drift: %q %q vs %q", riName, cName, name)
 		}
 		if rm != int(m) || rn != int(n) || rim != int(m) || rin != int(n) || cm != int(m) || cn != int(n) {
 			t.Fatal("dim drift across decoders")
 		}
-		if len(rEdges) != count || rowCols.Len() != count || colCols.Len() != count {
-			t.Fatalf("count drift: %d %d %d vs %d", len(rEdges), rowCols.Len(), colCols.Len(), count)
+		refEdges := ref.Edges()
+		if len(refEdges) != count || rowCols.Len() != count || colCols.Len() != count {
+			t.Fatalf("count drift: %d %d %d vs %d", len(refEdges), rowCols.Len(), colCols.Len(), count)
 		}
 		for i := 0; i < count; i++ {
-			if rEdges[i] != edges[i] ||
+			if refEdges[i] != edges[i] ||
 				rowCols.Sets[i] != sets[i] || rowCols.Elems[i] != elems[i] ||
 				colCols.Sets[i] != sets[i] || colCols.Elems[i] != elems[i] {
 				t.Fatalf("edge %d drift across decoders", i)

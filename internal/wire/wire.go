@@ -14,10 +14,9 @@
 //
 //	TCreate     uvarint len(name), name, uvarint m, uvarint n, uvarint k,
 //	            8-byte LE float64 alpha, 8-byte LE int64 seed
-//	TIngest     uvarint len(name), name, batch blob whose declared dims
-//	            must equal the session's. The blob's magic selects its
-//	            layout: row "MKC1" (stream.AppendBinary) or columnar
-//	            "MKC2" (stream.AppendBinaryColumns)
+//	TIngest     uvarint len(name), name, batch blob — an unsequenced
+//	            ingest. No current client sends it; servers still accept
+//	            it from earlier clients and replay it from old WALs.
 //	TIngestSeq  uvarint len(name), name, uvarint source, uvarint seq,
 //	            batch blob — a sequenced ingest: source is the client's
 //	            random nonzero identity, seq its per-session batch counter
@@ -31,6 +30,11 @@
 //	TErr        UTF-8 error message
 //	TResult     8-byte LE float64 coverage, 1 byte feasible, uvarint space
 //	            words, uvarint edges, uvarint count, count × uvarint set IDs
+//
+// A batch blob's declared dims must equal the session's, and its magic
+// selects its layout: columnar "MKC2" (stream.AppendBinaryColumns, what
+// the client sends) or row "MKC1" (stream.WriteBinary's format, sent by
+// earlier clients and still decoded).
 package wire
 
 import (
@@ -39,8 +43,6 @@ import (
 	"io"
 	"math"
 	"math/bits"
-
-	"streamcover/internal/stream"
 )
 
 // Frame types.
@@ -56,7 +58,8 @@ const (
 	// TIngestSeq is TIngest with idempotence: the payload carries a
 	// (source, sequence) pair the server dedups on, and the ack implies
 	// the batch is durable in the session's WAL (when the server runs
-	// with a data dir). TIngest remains for fire-and-forget feeds.
+	// with a data dir). It is the only ingest frame the client sends;
+	// TIngest remains for logs and clients that predate it.
 	TIngestSeq byte = 0x06
 
 	TOK     byte = 0x80
@@ -198,62 +201,6 @@ func DecodeCreate(p []byte) (Create, error) {
 	c.Alpha = math.Float64frombits(binary.LittleEndian.Uint64(rest))
 	c.Seed = int64(binary.LittleEndian.Uint64(rest[8:]))
 	return c, nil
-}
-
-// EncodeIngest frames a batch: session name followed by the edges as one
-// MKC1 blob. buf is reused when capacity allows.
-func EncodeIngest(buf []byte, name string, edges []stream.Edge, m, n int) []byte {
-	buf = appendName(buf[:0], name)
-	return stream.AppendBinary(buf, edges, m, n)
-}
-
-// DecodeIngest parses a TIngest payload. The edges are validated against
-// the blob's own declared dims; the caller checks those against the
-// session's.
-func DecodeIngest(p []byte) (name string, edges []stream.Edge, m, n int, err error) {
-	name, rest, err := decodeName(p)
-	if err != nil {
-		return "", nil, 0, 0, err
-	}
-	edges, m, n, err = stream.DecodeBinary(rest)
-	return name, edges, m, n, err
-}
-
-// EncodeIngestSeq frames a sequenced batch: session name, client source
-// identity, per-session sequence number, then the edges as one MKC1 blob.
-// buf is reused when capacity allows.
-func EncodeIngestSeq(buf []byte, name string, source, seq uint64, edges []stream.Edge, m, n int) []byte {
-	buf = appendName(buf[:0], name)
-	buf = binary.AppendUvarint(buf, source)
-	buf = binary.AppendUvarint(buf, seq)
-	return stream.AppendBinary(buf, edges, m, n)
-}
-
-// DecodeIngestSeq parses a TIngestSeq payload. Source and seq must both
-// be nonzero (zero is the "unsequenced" sentinel server-side).
-func DecodeIngestSeq(p []byte) (name string, source, seq uint64, edges []stream.Edge, m, n int, err error) {
-	name, rest, err := decodeName(p)
-	if err != nil {
-		return "", 0, 0, nil, 0, 0, err
-	}
-	source, w := binary.Uvarint(rest)
-	if w <= 0 {
-		return "", 0, 0, nil, 0, 0, fmt.Errorf("wire: bad ingest source")
-	}
-	rest = rest[w:]
-	seq, w = binary.Uvarint(rest)
-	if w <= 0 {
-		return "", 0, 0, nil, 0, 0, fmt.Errorf("wire: bad ingest sequence")
-	}
-	rest = rest[w:]
-	if source == 0 || seq == 0 {
-		return "", 0, 0, nil, 0, 0, fmt.Errorf("wire: zero ingest source or sequence")
-	}
-	edges, m, n, err = stream.DecodeBinary(rest)
-	if err != nil {
-		return "", 0, 0, nil, 0, 0, err
-	}
-	return name, source, seq, edges, m, n, nil
 }
 
 // EncodeRef frames a session reference (TQuery / TClose payload).

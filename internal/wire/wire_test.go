@@ -67,63 +67,77 @@ func TestCreateRoundTrip(t *testing.T) {
 	}
 }
 
+// TestIngestRoundTrip decodes a legacy TIngest payload — unsequenced,
+// row MKC1 — into columns: the shape earlier clients sent and old WAL
+// records still hold.
 func TestIngestRoundTrip(t *testing.T) {
 	edges := []stream.Edge{{Set: 0, Elem: 5}, {Set: 3, Elem: 0}, {Set: 999, Elem: 4999}}
-	payload := EncodeIngest(nil, "s1", edges, 1000, 5000)
-	name, got, m, n, err := DecodeIngest(payload)
+	var cols stream.Columns
+	name, m, n, err := DecodeIngestInto(rowIngest("s1", edges, 1000, 5000), &cols)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if name != "s1" || m != 1000 || n != 5000 {
 		t.Errorf("header (%q,%d,%d)", name, m, n)
 	}
-	if len(got) != len(edges) {
-		t.Fatalf("%d edges, want %d", len(got), len(edges))
+	if cols.Len() != len(edges) {
+		t.Fatalf("%d edges, want %d", cols.Len(), len(edges))
 	}
-	for i := range edges {
-		if got[i] != edges[i] {
-			t.Errorf("edge %d: %v != %v", i, got[i], edges[i])
+	for i, e := range edges {
+		if cols.Sets[i] != e.Set || cols.Elems[i] != e.Elem {
+			t.Errorf("edge %d: (%d,%d) != %v", i, cols.Sets[i], cols.Elems[i], e)
 		}
 	}
 	// Reuse must reset, not append.
-	payload2 := EncodeIngest(payload, "s1", edges[:1], 1000, 5000)
-	if _, got2, _, _, err := DecodeIngest(payload2); err != nil || len(got2) != 1 {
-		t.Errorf("buffer reuse broken: %d edges, %v", len(got2), err)
+	if _, _, _, err := DecodeIngestInto(rowIngest("s1", edges[:1], 1000, 5000), &cols); err != nil || cols.Len() != 1 {
+		t.Errorf("column reuse broken: %d edges, %v", cols.Len(), err)
 	}
 }
 
 func TestIngestSeqRoundTrip(t *testing.T) {
-	edges := []stream.Edge{{Set: 1, Elem: 2}, {Set: 7, Elem: 7}}
-	payload := EncodeIngestSeq(nil, "s2", 0xdeadbeef, 42, edges, 100, 100)
-	name, source, seq, got, m, n, err := DecodeIngestSeq(payload)
+	sets, elems := []uint32{1, 7}, []uint32{2, 7}
+	payload := EncodeIngestSeqColumns(nil, "s2", 0xdeadbeef, 42, sets, elems, 100, 100)
+	var cols stream.Columns
+	name, source, seq, m, n, err := DecodeIngestSeqInto(payload, &cols)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if name != "s2" || source != 0xdeadbeef || seq != 42 || m != 100 || n != 100 {
 		t.Errorf("header (%q,%d,%d,%d,%d)", name, source, seq, m, n)
 	}
-	if len(got) != len(edges) || got[0] != edges[0] || got[1] != edges[1] {
-		t.Errorf("edges %v != %v", got, edges)
+	if cols.Len() != 2 || cols.Sets[0] != 1 || cols.Elems[0] != 2 || cols.Sets[1] != 7 || cols.Elems[1] != 7 {
+		t.Errorf("columns %v %v, want %v %v", cols.Sets, cols.Elems, sets, elems)
 	}
 	// Reuse must reset, not append.
-	payload2 := EncodeIngestSeq(payload, "s2", 0xdeadbeef, 43, edges[:1], 100, 100)
-	if _, _, seq2, got2, _, _, err := DecodeIngestSeq(payload2); err != nil || seq2 != 43 || len(got2) != 1 {
-		t.Errorf("buffer reuse broken: seq %d, %d edges, %v", seq2, len(got2), err)
+	payload2 := EncodeIngestSeqColumns(payload, "s2", 0xdeadbeef, 43, sets[:1], elems[:1], 100, 100)
+	if _, _, seq2, _, _, err := DecodeIngestSeqInto(payload2, &cols); err != nil || seq2 != 43 || cols.Len() != 1 {
+		t.Errorf("buffer reuse broken: seq %d, %d edges, %v", seq2, cols.Len(), err)
 	}
 }
 
+// TestIngestSeqRejectsMalformed runs every rejection case over both batch
+// layouts the decoder accepts.
 func TestIngestSeqRejectsMalformed(t *testing.T) {
 	edges := []stream.Edge{{Set: 1, Elem: 2}}
-	good := EncodeIngestSeq(nil, "s", 7, 9, edges, 10, 10)
-	for name, payload := range map[string][]byte{
-		"zero source": EncodeIngestSeq(nil, "s", 0, 9, edges, 10, 10),
-		"zero seq":    EncodeIngestSeq(nil, "s", 7, 0, edges, 10, 10),
-		"empty":       nil,
-		"name only":   good[:2],
-		"truncated":   good[:len(good)-3],
-	} {
-		if _, _, _, _, _, _, err := DecodeIngestSeq(payload); err == nil {
-			t.Errorf("%s: expected error", name)
+	layouts := map[string]func(source, seq uint64) []byte{
+		"columnar": func(source, seq uint64) []byte {
+			return EncodeIngestSeqColumns(nil, "s", source, seq, []uint32{1}, []uint32{2}, 10, 10)
+		},
+		"row": func(source, seq uint64) []byte { return rowIngestSeq("s", source, seq, edges, 10, 10) },
+	}
+	for layout, encode := range layouts {
+		good := encode(7, 9)
+		for name, payload := range map[string][]byte{
+			"zero source": encode(0, 9),
+			"zero seq":    encode(7, 0),
+			"empty":       nil,
+			"name only":   good[:2],
+			"truncated":   good[:len(good)-3],
+		} {
+			var cols stream.Columns
+			if _, _, _, _, _, err := DecodeIngestSeqInto(payload, &cols); err == nil {
+				t.Errorf("%s %s: expected error", layout, name)
+			}
 		}
 	}
 }
