@@ -404,9 +404,10 @@ func BenchmarkEstimatorRecover(b *testing.B) {
 	}
 }
 
-// BenchmarkEstimatorClone measures kcoverd's per-query snapshot, a clone
-// of the session's estimator, in bulk-ingest's shape with 200k edges
-// preloaded. B/op is what one query allocates before it finalizes.
+// BenchmarkEstimatorClone measures the snapshot a kcoverd checkpoint or
+// /digest takes, a clone of the session's estimator, in bulk-ingest's
+// shape with 200k edges preloaded. B/op is what one snapshot allocates
+// before it is encoded.
 func BenchmarkEstimatorClone(b *testing.B) {
 	est := bulkShapeEstimator(b, 200000)
 	defer est.Close()

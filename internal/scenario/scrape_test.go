@@ -59,11 +59,11 @@ func TestHistQuantile(t *testing.T) {
 func TestServerHistsDiff(t *testing.T) {
 	prev := serverHists{
 		"ingest_batch_nanos": {128: 10, 256: 5},
-		"query_merge_nanos":  {64: 2},
+		"query_nanos":        {64: 2},
 	}
 	cur := serverHists{
 		"ingest_batch_nanos": {128: 14, 256: 2, 512: 1}, // 256 reset below prev
-		"query_merge_nanos":  {64: 2},                   // no growth
+		"query_nanos":        {64: 2},                   // no growth
 	}
 	d := cur.diff(prev)
 	ing := d["ingest_batch_nanos"]
@@ -73,7 +73,7 @@ func TestServerHistsDiff(t *testing.T) {
 	if _, ok := ing[256]; ok {
 		t.Fatalf("reset bucket not clamped at zero: %+v", ing)
 	}
-	if _, ok := d["query_merge_nanos"]; ok {
+	if _, ok := d["query_nanos"]; ok {
 		t.Fatalf("histogram with no growth should be dropped: %+v", d)
 	}
 }

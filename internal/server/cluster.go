@@ -24,6 +24,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"streamcover"
 	"streamcover/internal/replica"
 	"streamcover/internal/snapshot"
 	"streamcover/internal/stream"
@@ -230,24 +231,6 @@ func (s *Server) attachFollower(sess *session, leaderID string) {
 	a.Start()
 }
 
-// repairFollowerWAL fixes the one inconsistency an interrupted bootstrap
-// can leave on disk: the leader checkpoint persisted but the log not yet
-// re-based under it. Recovery then restored the checkpoint and replayed
-// nothing (the stale records sit below its position), so the log just
-// needs the re-base finished.
-func (s *Server) repairFollowerWAL(sess *session) error {
-	d := sess.dur
-	if d == nil {
-		return nil
-	}
-	if ckpt := d.ckptPos.Load(); d.wal.LastPos() < ckpt {
-		if err := d.wal.ResetTo(ckpt + 1); err != nil {
-			return fmt.Errorf("server: session %q: re-basing follower wal: %w", sess.name, err)
-		}
-	}
-	return nil
-}
-
 // rebootstrap replaces the session's state with a leader checkpoint:
 // swap in the checkpoint's estimator, adopt its dedup horizons, persist
 // it, and re-base the mirror log at its WAL position. Runs on the applier
@@ -283,7 +266,7 @@ func (s *session) rebootstrap(cfg Config, walPos uint64, payload []byte, metrics
 	// Persist the checkpoint, then re-base the log under it. A crash
 	// between the two leaves the checkpoint ahead of the log — recovery
 	// restores the checkpoint, replays nothing (the stale records sit
-	// below its position), and repairFollowerWAL finishes the re-base.
+	// below its position), and finishes the re-base.
 	if err := snapshot.WriteFileFS(d.fs, filepath.Join(d.dir, checkpointFile), payload); err != nil {
 		s.degrade(err)
 		return err
@@ -457,18 +440,19 @@ func (s *Server) SessionDigest(name string) (string, error) {
 }
 
 func (s *session) digest() (string, error) {
-	// Pinning an evicted session rehydrates it first (the clone request
-	// needs a live apply queue).
+	// Pinning an evicted session rehydrates it first (the clone needs a
+	// live apply queue).
 	release, err := s.pin()
 	if err != nil {
 		return "", err
 	}
 	defer release()
-	rep := <-s.requestClone()
-	if rep.err != nil {
-		return "", rep.err
+	var snap *streamcover.Estimator
+	<-s.onApply(func(est *streamcover.Estimator) { snap, err = est.Clone() })
+	if err != nil {
+		return "", err
 	}
-	blob, err := rep.est.Encode()
+	blob, err := snap.Encode()
 	if err != nil {
 		return "", err
 	}

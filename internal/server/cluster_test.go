@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"streamcover"
 	"streamcover/internal/client"
 	"streamcover/internal/fault"
+	"streamcover/internal/snapshot"
 	"streamcover/internal/wal"
 	"streamcover/internal/wire"
 )
@@ -651,5 +653,88 @@ func TestClusterFollowerBootstrapsFromSnapshot(t *testing.T) {
 		if digest != wantDigest {
 			t.Fatalf("node %d digest %s != reference %s", i, digest, wantDigest)
 		}
+	}
+}
+
+// TestClusterPromoteAfterBootstrapKeepsWALBase: a follower bootstrapped
+// from a leader checkpoint re-bases its mirror log past the checkpoint's
+// position and holds no record until the next one ships. Promoted in that
+// state, it used to reopen the empty log at position 1: the new leader's
+// head read 1 under a checkpoint at 10, so its followers never converged,
+// and a batch it acked was logged below the checkpoint, where the next
+// crash recovery skipped it.
+func TestClusterPromoteAfterBootstrapKeepsWALBase(t *testing.T) {
+	const name, batches, perBatch, source = "rebase", 10, 16, 7
+	c := wire.Create{Name: name, M: cluM, N: cluN, K: cluK, Alpha: cluAlpha, Seed: cluSeed}
+	edges := clusterEdges(31, (batches+1)*perBatch)
+	ingest := func(sess *session, seq int) {
+		t.Helper()
+		part := edges[(seq-1)*perBatch : seq*perBatch]
+		sets, elems := make([]uint32, len(part)), make([]uint32, len(part))
+		for i, e := range part {
+			sets[i], elems[i] = e.Set, e.Elem
+		}
+		payload := wire.EncodeIngestSeqColumns(nil, name, source, uint64(seq), sets, elems, cluM, cluN)
+		if _, err := sess.ingestSeq(source, uint64(seq), walRecord(sess, wire.TIngestSeq, payload), sets, elems); err != nil {
+			t.Fatal(err)
+		}
+	}
+	node := func() (*Server, *session) {
+		srv := New(Config{DataDir: t.TempDir(), WALNoSync: true, CheckpointEvery: -1})
+		t.Cleanup(srv.Abort)
+		if err := srv.createSession(c); err != nil {
+			t.Fatal(err)
+		}
+		sess, err := srv.session(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srv, sess
+	}
+
+	// The leader logs ten batches and checkpoints at position 10.
+	_, lead := node()
+	for seq := 1; seq <= batches; seq++ {
+		ingest(lead, seq)
+	}
+	if err := lead.checkpoint(nil); err != nil {
+		t.Fatal(err)
+	}
+	payload, err := snapshot.ReadFileFS(fault.OS(), filepath.Join(lead.dur.dir, checkpointFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A follower bootstraps from that checkpoint, nothing ships after it,
+	// and it is promoted.
+	srv, follower := node()
+	follower.role.Store(roleFollower)
+	if err := follower.rebootstrap(srv.cfg, batches, payload, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Promote(name); err != nil {
+		t.Fatal(err)
+	}
+	promoted, err := srv.session(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := promoted.dur.wal.LastPos(); got != batches {
+		t.Fatalf("promoted leader's WAL head is %d, want the checkpoint's position %d", got, batches)
+	}
+
+	// A batch the new leader acks survives a crash.
+	ingest(promoted, batches+1)
+	srv.Abort()
+	recovered, err := recoverSession(promoted.dur.dir, srv.cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		recovered.close()
+		recovered.dur.close()
+	})
+	if got, want := recovered.edges.Load(), int64(len(edges)); got != want {
+		t.Fatalf("crash recovery holds %d edges, want %d: the acked batch was lost", got, want)
 	}
 }

@@ -69,7 +69,7 @@ func sessionDirName(name string) string {
 	return fmt.Sprintf("s-%s-%016x", safe, h.Sum64())
 }
 
-// openDurability prepares (or reopens) a session's data directory,
+// openDurability prepares (or reopens) a session's data directory, durably,
 // sweeping any checkpoint temp files a crashed writer left behind.
 func openDurability(dataDir, name string, segBytes int64, noSync bool, fsys fault.FS) (*durability, error) {
 	if fsys == nil {
@@ -77,6 +77,10 @@ func openDurability(dataDir, name string, segBytes int64, noSync bool, fsys faul
 	}
 	dir := filepath.Join(dataDir, sessionDirName(name))
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
+	}
+	// dataDir holds the new entry; unsynced, a power loss can drop the session.
+	if err := fsys.SyncDir(dataDir); err != nil {
 		return nil, err
 	}
 	if _, err := snapshot.SweepTemps(fsys, dir, checkpointFile); err != nil {
@@ -271,14 +275,28 @@ func (s *session) checkpointLocked(metrics *Metrics) error {
 		dedup[src] = e.seq
 	}
 	s.dmu.Unlock()
-	reply := s.requestClone()
+	var snap *streamcover.Estimator
+	var err error
+	cloned := s.onApply(func(est *streamcover.Estimator) { snap, err = est.Clone() })
 	d.pmu.Unlock()
 
-	rep := <-reply
-	if rep.err != nil {
-		return rep.err
+	<-cloned
+	if err != nil {
+		return err
 	}
-	blob, err := rep.est.Encode()
+	if err := s.writeCheckpoint(snap, pos, dedup, metrics, start); err != nil {
+		return err
+	}
+	s.setResidentBytes(residentCharge(snap))
+	return nil
+}
+
+// writeCheckpoint writes est, which the caller owns, as the checkpoint at
+// WAL position pos and drops the WAL segments it subsumes. The caller
+// holds ckptMu or owns the session outright.
+func (s *session) writeCheckpoint(est *streamcover.Estimator, pos uint64, dedup map[uint64]uint64, metrics *Metrics, start time.Time) error {
+	d := s.dur
+	blob, err := est.Encode()
 	if err != nil {
 		return err
 	}
@@ -294,7 +312,6 @@ func (s *session) checkpointLocked(metrics *Metrics) error {
 	}
 	d.ckptPos.Store(pos)
 	d.lastCkptNanos.Store(time.Now().UnixNano())
-	s.setResidentBytes(residentCharge(rep.est))
 	if metrics != nil {
 		metrics.Checkpoints.Add(1)
 		metrics.CheckpointNanos.Add(time.Since(start).Nanoseconds())
@@ -344,17 +361,21 @@ func recoverSession(dir string, cfg Config, metrics *Metrics) (*session, error) 
 		log.Close()
 		return nil, fmt.Errorf("server: %s: wal replay: %w", dir, err)
 	}
+	// A follower bootstrap re-bases its log past the leader's checkpoint.
+	// With no record mirrored since (or a crash before the re-base), the
+	// log holds nothing past that position and would reopen at position
+	// 1, below the checkpoint, where no recovery replays an append.
+	if log.LastPos() < st.walPos {
+		if err := log.ResetTo(st.walPos + 1); err != nil {
+			log.Close()
+			return nil, fmt.Errorf("server: %s: re-basing wal: %w", dir, err)
+		}
+	}
 	d := &durability{dir: dir, wal: log, fs: fsys}
 	d.ckptPos.Store(st.walPos)
 	d.lastCkptNanos.Store(time.Now().UnixNano())
-	sess := newSessionWith(st.name, st.m, st.n, st.k, st.alpha, st.seed, cfg.QueueDepth, metrics, nil)
+	sess := blankSession(st.name, st.m, st.n, st.k, st.alpha, st.seed, cfg, metrics)
 	sess.dur = d
-	if cfg.RetryMin > 0 {
-		sess.retryMin = cfg.RetryMin
-	}
-	if cfg.RetryMax > 0 {
-		sess.retryMax = cfg.RetryMax
-	}
 	// The overseer is not attached yet, so this only seeds the resident
 	// footprint; the caller folds it into the budget total.
 	sess.install(est, st.dedup)

@@ -73,9 +73,8 @@ func sendAll(t *testing.T, sess *client.Session, edges []streamcover.Edge) {
 }
 
 // referenceResult is what an uninterrupted daemon answers after the
-// stream: a same-seed in-process estimator fed every edge, finalized
-// through a clone as a query is (Result draws the reported sets from the
-// estimator's rng, so the clone's fresh draw is the one a query matches).
+// stream: a same-seed in-process estimator fed every edge, finalized in
+// place as a query finalizes the session's live estimator.
 func referenceResult(t *testing.T, edges []streamcover.Edge) client.Result {
 	t.Helper()
 	est, err := streamcover.NewEstimator(durM, durN, durK, durAlpha, streamcover.WithSeed(durSeed))
@@ -86,13 +85,9 @@ func referenceResult(t *testing.T, edges []streamcover.Edge) client.Result {
 	if err := est.ProcessAll(edges); err != nil {
 		t.Fatal(err)
 	}
-	c, err := est.Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := c.Result()
+	res := est.Result()
 	return client.Result{Coverage: res.Coverage, Feasible: res.Feasible, SetIDs: res.SetIDs,
-		SpaceWords: res.SpaceWords, Edges: c.Edges()}
+		SpaceWords: res.SpaceWords, Edges: est.Edges()}
 }
 
 func requireSameResult(t *testing.T, got, want client.Result, what string) {

@@ -43,7 +43,7 @@ type queryResponse struct {
 }
 
 // httpHandler builds the live query/observability endpoint: /query runs
-// the same clone-and-finalize path as the TCP protocol, /sessions inventories
+// the same Result-on-the-apply-queue path as the TCP protocol, /sessions inventories
 // the live sessions, /metrics dumps the counters, and /debug/pprof/*
 // exposes the standard Go profiler so ingest hot paths can be profiled
 // in production (mounted explicitly — the server uses its own mux, so
@@ -151,7 +151,7 @@ func (s *Server) httpHandler() http.Handler {
 			hists["ingest_batch_nanos"] = histInfo{Uppers: up, Counts: ct}
 		}
 		if up, ct := s.metrics.QueryHist.Buckets(); len(up) > 0 {
-			hists["query_merge_nanos"] = histInfo{Uppers: up, Counts: ct}
+			hists["query_nanos"] = histInfo{Uppers: up, Counts: ct}
 		}
 		if up, ct := s.metrics.RehydrateHist.Buckets(); len(up) > 0 {
 			hists["rehydration_nanos"] = histInfo{Uppers: up, Counts: ct}

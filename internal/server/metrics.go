@@ -8,9 +8,9 @@ import (
 )
 
 // Metrics are plain expvar-style counters updated with atomics on the hot
-// path and snapshotted by the /metrics HTTP handler, plus two
-// power-of-two-bucketed latency histograms (per-batch processing
-// and query clone+finalize) whose derived p50/p95/p99 let operators — and
+// path and snapshotted by the /metrics HTTP handler, plus
+// power-of-two-bucketed latency histograms (per-batch processing, query
+// and rehydration) whose derived p50/p95/p99 let operators — and
 // the kcoverload collector — read percentile latency server-side instead
 // of inferring it from averages. The snapshot derives ingest edges/sec
 // from the edge counter and the server's uptime.
@@ -22,8 +22,8 @@ type Metrics struct {
 	ConnsTotal     atomic.Int64
 	Frames         atomic.Int64 // frames handled (all types)
 	Errors         atomic.Int64 // error responses sent
-	MergeNanos     atomic.Int64 // cumulative query clone+finalize time
-	LastMergeNanos atomic.Int64
+	QueryNanos     atomic.Int64 // cumulative query time: apply-queue wait plus Result
+	LastQueryNanos atomic.Int64
 
 	// Batched-ingest latency, measured around each session's
 	// ProcessColumns call on its apply goroutine: one sample per wire batch.
@@ -81,7 +81,8 @@ type Metrics struct {
 	OrphansSwept      atomic.Int64
 
 	// Latency histograms. IngestHist records each batch's ProcessColumns
-	// time; QueryHist records each query's clone+finalize time; RehydrateHist each checkpoint-restore + tail-replay. All in
+	// time; QueryHist each query's wait on the apply queue plus its Result;
+	// RehydrateHist each checkpoint-restore + tail-replay. All in
 	// nanoseconds.
 	IngestHist    phist.Hist
 	QueryHist     phist.Hist
@@ -101,8 +102,8 @@ func (m *Metrics) snapshot() map[string]int64 {
 		"conns_total":       m.ConnsTotal.Load(),
 		"frames":            m.Frames.Load(),
 		"errors":            m.Errors.Load(),
-		"merge_nanos":       m.MergeNanos.Load(),
-		"last_merge_nanos":  m.LastMergeNanos.Load(),
+		"query_nanos":       m.QueryNanos.Load(),
+		"last_query_nanos":  m.LastQueryNanos.Load(),
 		"batches_processed": m.BatchesProcessed.Load(),
 		"batch_nanos":       m.BatchNanos.Load(),
 		"last_batch_nanos":  m.LastBatchNanos.Load(),
@@ -149,9 +150,9 @@ func (m *Metrics) snapshot() map[string]int64 {
 		s["ingest_batch_p99_nanos"] = m.IngestHist.Quantile(0.99)
 	}
 	if m.QueryHist.Count() > 0 {
-		s["query_merge_p50_nanos"] = m.QueryHist.Quantile(0.50)
-		s["query_merge_p95_nanos"] = m.QueryHist.Quantile(0.95)
-		s["query_merge_p99_nanos"] = m.QueryHist.Quantile(0.99)
+		s["query_p50_nanos"] = m.QueryHist.Quantile(0.50)
+		s["query_p95_nanos"] = m.QueryHist.Quantile(0.95)
+		s["query_p99_nanos"] = m.QueryHist.Quantile(0.99)
 	}
 	if m.RehydrateHist.Count() > 0 {
 		s["rehydration_p50_nanos"] = m.RehydrateHist.Quantile(0.50)

@@ -62,7 +62,7 @@ func TestMetricsLatencyPercentiles(t *testing.T) {
 	}
 	for _, key := range []string{
 		"ingest_batch_p50_nanos", "ingest_batch_p95_nanos", "ingest_batch_p99_nanos",
-		"query_merge_p50_nanos", "query_merge_p95_nanos", "query_merge_p99_nanos",
+		"query_p50_nanos", "query_p95_nanos", "query_p99_nanos",
 	} {
 		if out.Counters[key] <= 0 {
 			t.Errorf("counter %s = %d, want > 0", key, out.Counters[key])
@@ -71,7 +71,7 @@ func TestMetricsLatencyPercentiles(t *testing.T) {
 	if out.Counters["ingest_batch_p50_nanos"] > out.Counters["ingest_batch_p99_nanos"] {
 		t.Error("ingest p50 > p99")
 	}
-	for _, name := range []string{"ingest_batch_nanos", "query_merge_nanos"} {
+	for _, name := range []string{"ingest_batch_nanos", "query_nanos"} {
 		h, ok := out.LatencyBuckets[name]
 		if !ok || len(h.Uppers) == 0 || len(h.Uppers) != len(h.Counts) {
 			t.Errorf("latency_buckets[%s] missing or malformed: %+v", name, h)

@@ -9,16 +9,16 @@
 // batch engine fans each batch across its (guess, repetition) oracle units
 // on up to GOMAXPROCS goroutines, bit-identically at any count, so the
 // session's state is the paper's single estimator and its durable
-// identity does not depend on the host. Queries enqueue a clone request
-// behind the batches already queued and finalize the clone off the ingest
-// path, so a slow finalize never stalls arriving edges. Responses on a
-// connection are strictly ordered (clients pipeline against that), but
-// applying an ingest — the WAL group-commit fsync overlapped with the
-// queue dispatch — runs on a per-connection apply goroutine while the handler
-// reads and decodes the next pipelined frame, so a burst's decode cost
-// hides behind the previous batch's fsync. Both wire batch layouts (row
-// MKC1 and columnar MKC2) decode straight into column arenas; edges never
-// materialize as row structs on the server.
+// identity does not depend on the host. A query runs Result on the apply
+// goroutine behind the batches already queued, so it answers for every
+// batch acked before it. Responses on a connection are strictly ordered
+// (clients pipeline against that), but applying an ingest — the WAL
+// group-commit fsync overlapped with the queue dispatch — runs on a
+// per-connection apply goroutine while the handler reads and decodes the
+// next pipelined frame, so a burst's decode cost hides behind the
+// previous batch's fsync. Both wire batch layouts (row MKC1 and columnar
+// MKC2) decode straight into column arenas; edges never materialize as
+// row structs on the server.
 package server
 
 import (
@@ -248,15 +248,11 @@ func (s *Server) Start(tcpAddr, httpAddr string) error {
 	if err := s.recover(); err != nil {
 		return err
 	}
-	// Recovered sessions this node does not lead resume as followers:
-	// finish any interrupted bootstrap re-base, then reattach the stream
-	// at the mirror's watermark.
+	// Recovered sessions this node does not lead resume as followers,
+	// reattaching the stream at the mirror's watermark.
 	if s.clustered() {
 		for _, sess := range s.listSessions() {
 			if lead := s.leaderOf(sess.name); lead != s.cfg.NodeID {
-				if err := s.repairFollowerWAL(sess); err != nil {
-					return err
-				}
 				s.attachFollower(sess, lead)
 			}
 		}
@@ -709,29 +705,30 @@ func (s *Server) createSession(c wire.Create) error {
 }
 
 // buildSession constructs a session plus its durability state: the WAL
-// and an initial params-only checkpoint, so a crash before the first
-// cadence tick still recovers the session (and its WAL tail). Runs with
-// no server locks held; the caller's per-name guard keeps it single.
+// and an initial checkpoint, written from the fresh estimator before
+// install starts it, so a crash before the first cadence tick still
+// recovers the session (and its WAL tail). Runs with no server locks
+// held; the caller's per-name guard keeps it single.
 func (s *Server) buildSession(c wire.Create) (*session, error) {
-	sess, err := newSession(c.Name, c.M, c.N, c.K, c.Alpha, c.Seed, s.cfg.QueueDepth, &s.metrics, s.cfg.arena)
+	est, err := streamcover.NewEstimator(c.M, c.N, c.K, c.Alpha, streamcover.WithSeed(c.Seed))
 	if err != nil {
 		return nil, err
 	}
-	sess.retryMin, sess.retryMax = s.cfg.RetryMin, s.cfg.RetryMax
-	sess.ovs = s.ovs // before the first checkpoint, which charges the budget
+	est.SetInternArena(s.cfg.arena)
+	sess := blankSession(c.Name, c.M, c.N, c.K, c.Alpha, c.Seed, s.cfg, &s.metrics)
+	sess.ovs = s.ovs // before install, which charges the budget
 	if s.cfg.DataDir != "" {
-		dur, err := openDurability(s.cfg.DataDir, c.Name, s.cfg.WALSegmentBytes, s.cfg.WALNoSync, s.cfg.FS)
-		if err != nil {
-			sess.close()
+		if sess.dur, err = openDurability(s.cfg.DataDir, c.Name, s.cfg.WALSegmentBytes, s.cfg.WALNoSync, s.cfg.FS); err != nil {
+			est.Close()
 			return nil, err
 		}
-		sess.dur = dur
-		if err := sess.checkpoint(&s.metrics); err != nil {
-			sess.close()
-			dur.close()
+		if err := sess.writeCheckpoint(est, sess.dur.wal.LastPos(), nil, &s.metrics, time.Now()); err != nil {
+			est.Close()
+			sess.dur.close()
 			return nil, err
 		}
 	}
+	sess.install(est, nil)
 	return sess, nil
 }
 

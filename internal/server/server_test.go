@@ -236,7 +236,7 @@ func TestQueryDuringIngest(t *testing.T) {
 // sends sequenced batches of distinct sizes, connection B queries in a
 // loop, and every answer must count a prefix of whole batches — never part
 // of one. (A session that split each batch across several shard queues
-// let a query's clone requests land between one batch's shards.)
+// let a query's per-shard clone requests land between one batch's shards.)
 func TestQuerySeesWholeBatches(t *testing.T) {
 	s := startServer(t, server.Config{QueueDepth: 4})
 	const name = "atomic"
@@ -293,7 +293,7 @@ func TestQuerySeesWholeBatches(t *testing.T) {
 	}()
 
 	// The writer pipelines every batch without waiting for acks, so the
-	// apply queue stays full and the queries' clone requests contend with
+	// apply queue stays full and the queries' Result requests contend with
 	// batches for its slots.
 	var frames bytes.Buffer
 	off := 0

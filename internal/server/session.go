@@ -12,12 +12,12 @@ import (
 )
 
 // A session is one named estimation run: one streamcover.Estimator fed by
-// one apply goroutine from one bounded queue. Batches and clone requests
-// share the queue, so a clone observes every batch enqueued before it and
-// no part of any batch enqueued after it; a query finalizes its clone off
-// the ingest path — ingest never stops. The estimator's own batch engine
-// fans each batch across its (guess, repetition) oracle units, which is
-// where the session's parallelism comes from.
+// one apply goroutine from one bounded queue. Batches and reads — a
+// query's Result, a checkpoint's or /digest's clone — share the queue, so
+// a read observes every batch enqueued before it and no part of any batch
+// enqueued after it. The estimator's own batch engine fans each batch
+// across its (guess, repetition) oracle units, which is where the
+// session's parallelism comes from.
 //
 // A session's whole state is three words: its lifecycle (hydrated,
 // evicted or closed, under resMu), its cluster role (leader, fenced or
@@ -33,7 +33,7 @@ type session struct {
 
 	// resMu is the lifecycle lock. Every operation pins the session with
 	// the read side for its whole duration (pin), so the queue cannot be
-	// replaced or closed under a dispatch or clone request; every
+	// replaced or closed under a dispatch or a read; every
 	// transition — eviction, rehydration, a follower bootstrap, close —
 	// takes the write side and swaps the estimator and its queue wholesale
 	// (setEstimator).
@@ -116,19 +116,14 @@ const (
 	roleFollower       // mirrors a leader's WAL; takes writes only from the replication stream
 )
 
-// applyMsg is either a batch (clone == nil) or a snapshot request. One
-// queue keeps the two ordered: a snapshot enqueued after a batch observes
-// all of it. A batch is the dispatcher's private copy of its columns —
-// parallel set-ID and element-ID slices, the exact layout the estimator's
-// ProcessColumns ingests with no per-edge conversion.
+// applyMsg is either a batch (run == nil) or a read of the estimator,
+// which the apply goroutine runs in queue order: a read enqueued after a
+// batch observes all of it. A batch is the dispatcher's private copy of
+// its columns — parallel set-ID and element-ID slices, the exact layout
+// the estimator's ProcessColumns ingests with no per-edge conversion.
 type applyMsg struct {
 	sets, elems []uint32
-	clone       chan<- cloneReply
-}
-
-type cloneReply struct {
-	est *streamcover.Estimator
-	err error
+	run         func(*streamcover.Estimator)
 }
 
 // dedupEntry is one client source's replay horizon. seq is the highest
@@ -149,31 +144,19 @@ type dedupEntry struct {
 // model a batch stalled inside the group-commit fsync.
 var testHookAfterAccept func(source, seq uint64)
 
-func newSession(name string, m, n, k int, alpha float64, seed int64, queueCap int, metrics *Metrics, arena *streamcover.InternArena) (*session, error) {
-	est, err := streamcover.NewEstimator(m, n, k, alpha, streamcover.WithSeed(seed))
-	if err != nil {
-		return nil, err
-	}
-	est.SetInternArena(arena)
-	return newSessionWith(name, m, n, k, alpha, seed, queueCap, metrics, est), nil
-}
-
-// newSessionWith builds a hydrated session around a fresh estimator, or
-// around none when crash recovery installs a restored one next.
-func newSessionWith(name string, m, n, k int, alpha float64, seed int64, queueCap int, metrics *Metrics, est *streamcover.Estimator) *session {
-	s := &session{
+// blankSession builds a session with no estimator; install starts one.
+func blankSession(name string, m, n, k int, alpha float64, seed int64, cfg Config, metrics *Metrics) *session {
+	return &session{
 		name: name, m: m, n: n, k: k, alpha: alpha, seed: seed,
 		metrics: metrics, dedup: make(map[uint64]dedupEntry),
-		recStop: make(chan struct{}), retryMin: 50 * time.Millisecond, retryMax: 5 * time.Second,
-		queueCap: queueCap,
+		recStop: make(chan struct{}), retryMin: cfg.RetryMin, retryMax: cfg.RetryMax,
+		queueCap: cfg.QueueDepth,
 	}
-	s.setEstimator(est)
-	return s
 }
 
 // setEstimator replaces the session's estimator and its apply goroutine.
 // The old queue closes and its goroutine exits after consuming what was
-// already enqueued (clone requests included, so they are still answered),
+// already enqueued (reads included, so they are still answered),
 // releasing the old estimator's engine. A non-nil est gets a fresh queue
 // and goroutine; nil leaves the session without one (evicted or
 // closed), and is a no-op when it already has none. The caller holds
@@ -191,10 +174,10 @@ func (s *session) setEstimator(est *streamcover.Estimator) {
 	}
 }
 
-// install makes est, restored from a checkpoint and its WAL tail, the
-// session's estimator, with the dedup horizons that restore reached. The
-// one path for crash recovery, rehydration and a follower bootstrap. The
-// caller holds resMu's write side, or owns the session outright.
+// install starts est as the session's estimator, with the dedup horizons
+// its state covers (none when a create built it). The one path for create,
+// crash recovery, rehydration and a follower bootstrap. The caller holds
+// resMu's write side, or owns the session outright.
 func (s *session) install(est *streamcover.Estimator, dedup map[uint64]uint64) {
 	s.dmu.Lock()
 	s.dedup = make(map[uint64]dedupEntry, len(dedup))
@@ -217,8 +200,8 @@ func (s *session) install(est *streamcover.Estimator, dedup map[uint64]uint64) {
 const scratchIdleAfter = 250 * time.Millisecond
 
 // runApply is the session's apply goroutine: it owns est, applies batches
-// and answers clone requests in queue order, and releases est's engine
-// when the queue closes.
+// and runs reads in queue order, and releases est's engine when the queue
+// closes.
 func (s *session) runApply(est *streamcover.Estimator, queue <-chan applyMsg) {
 	defer s.applyWG.Done()
 	defer est.Close()
@@ -245,9 +228,8 @@ func (s *session) runApply(est *streamcover.Estimator, queue <-chan applyMsg) {
 			}
 		}
 		idle.Reset(scratchIdleAfter)
-		if msg.clone != nil {
-			c, err := est.Clone()
-			msg.clone <- cloneReply{c, err}
+		if msg.run != nil {
+			msg.run(est)
 			continue
 		}
 		start := time.Now()
@@ -359,8 +341,8 @@ func (s *session) logAndDispatch(d *durability, rec []byte, sets, elems []uint32
 // ingestSeq logs one validated batch durably and queues it, overlapping
 // the WAL fsync with the apply. The return (and so the ack) waits for the
 // append's fsync and for the batch's enqueue, not for its apply: a later
-// query still sees the batch, because the query's clone request rides the
-// same queue behind it. sets/elems are the batch's columns (both wire
+// query still sees the batch, because the query's Result rides the same
+// queue behind it. sets/elems are the batch's columns (both wire
 // encodings decode into this form); rec is the WAL record for the batch
 // (type byte + wire payload), ignored when the session has no durability.
 //
@@ -481,20 +463,21 @@ func (s *session) dispatch(sets, elems []uint32) {
 	s.batches.Add(1)
 }
 
-// requestClone enqueues a snapshot request behind every batch already
-// queued; the reply carries a deep copy of the estimator at that point.
-// The caller holds a pin (or resMu's write side on a hydrated session),
-// so the queue exists. The send may wait on a full queue under the lock;
-// the apply goroutine never takes resMu, so the queue drains.
-func (s *session) requestClone() <-chan cloneReply {
-	r := make(chan cloneReply, 1)
-	s.queue <- applyMsg{clone: r}
-	return r
+// onApply enqueues fn behind every batch already queued, for the apply
+// goroutine to run on the estimator; the returned channel closes once fn
+// has returned. The caller holds a pin (or resMu's write side on a
+// hydrated session), so the queue exists. The send may wait on a full
+// queue under the lock; the apply goroutine never takes resMu, so the
+// queue drains.
+func (s *session) onApply(fn func(est *streamcover.Estimator)) <-chan struct{} {
+	done := make(chan struct{})
+	s.queue <- applyMsg{run: func(est *streamcover.Estimator) { fn(est); close(done) }}
+	return done
 }
 
-// query clones the estimator (the request rides the apply queue, so
-// everything acked before the query is included) and finalizes the clone
-// off the ingest path.
+// query runs Result on the live estimator's apply goroutine, behind
+// everything acked before the query; Result leaves the estimator
+// unchanged.
 func (s *session) query(metrics *Metrics) (wire.Result, error) {
 	release, err := s.pin()
 	if err != nil {
@@ -502,24 +485,21 @@ func (s *session) query(metrics *Metrics) (wire.Result, error) {
 	}
 	defer release()
 	s.queries.Add(1)
-	reply := s.requestClone()
 	start := time.Now()
-	rep := <-reply
-	if rep.err != nil {
-		return wire.Result{}, rep.err
-	}
-	res := rep.est.Result()
+	var res streamcover.Result
+	var edges int
+	<-s.onApply(func(est *streamcover.Estimator) { res, edges = est.Result(), est.Edges() })
 	if metrics != nil {
 		d := time.Since(start).Nanoseconds()
-		metrics.MergeNanos.Add(d)
-		metrics.LastMergeNanos.Store(d)
+		metrics.QueryNanos.Add(d)
+		metrics.LastQueryNanos.Store(d)
 		metrics.QueryHist.Observe(d)
 	}
 	return wire.Result{
 		Coverage:   res.Coverage,
 		Feasible:   res.Feasible,
 		SpaceWords: res.SpaceWords,
-		Edges:      rep.est.Edges(),
+		Edges:      edges,
 		SetIDs:     res.SetIDs,
 	}, nil
 }

@@ -1,13 +1,20 @@
 package server
 
 import (
+	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"streamcover"
+	"streamcover/internal/fault"
+	"streamcover/internal/snapshot"
+	"streamcover/internal/wire"
 )
 
 func newTestDurSession(t *testing.T, name string) *session {
@@ -20,8 +27,9 @@ func newTestDurSession(t *testing.T, name string) *session {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess := newSessionWith(name, 50, 500, 3, 4, 1, 8, nil, est)
+	sess := blankSession(name, 50, 500, 3, 4, 1, Config{QueueDepth: 8}.withDefaults(), nil)
 	sess.dur = dur
+	sess.install(est, nil)
 	t.Cleanup(func() {
 		sess.close()
 		dur.close()
@@ -264,7 +272,8 @@ func TestDispatchBatchAllocsSteadyState(t *testing.T) {
 		t.Fatal(err)
 	}
 	var metrics Metrics
-	sess := newSessionWith("allocs", 50, 500, 3, 4, 1, 8, &metrics, est)
+	sess := blankSession("allocs", 50, 500, 3, 4, 1, Config{QueueDepth: 8}.withDefaults(), &metrics)
+	sess.install(est, nil)
 	defer sess.close()
 
 	sets := make([]uint32, 512)
@@ -340,5 +349,100 @@ func TestIngestSeqConcurrentSameSource(t *testing.T) {
 	}
 	if walRecs := int64(sess.dur.wal.LastPos()); walRecs != got {
 		t.Fatalf("WAL holds %d records but %d batches were applied", walRecs, got)
+	}
+}
+
+// TestNewSessionCheckpointMatchesFreshEstimator: a create writes its first
+// checkpoint from the session's fresh estimator before the apply goroutine
+// owns it, with no clone. In each of the benchmark's four session shapes
+// the file must hold what the clone-based checkpoint wrote: a same-seed
+// fresh estimator's encoding at WAL position 0 with no dedup horizons.
+// The session's budget charge must be that estimator's 8 × SpaceWords.
+func TestNewSessionCheckpointMatchesFreshEstimator(t *testing.T) {
+	for _, c := range []wire.Create{
+		{Name: "bulk-ingest", M: 2000, N: 100000, K: 40, Alpha: 8, Seed: 1},
+		{Name: "paced-tenants", M: 60, N: 500, K: 5, Alpha: 4, Seed: 2},
+		{Name: "query-mix", M: 200, N: 2000, K: 10, Alpha: 4, Seed: 3},
+		{Name: "crash-recover", M: 2000, N: 20000, K: 40, Alpha: 8, Seed: 4},
+	} {
+		srv := New(Config{DataDir: t.TempDir(), WALNoSync: true})
+		t.Cleanup(srv.Abort)
+		if err := srv.createSession(c); err != nil {
+			t.Fatal(err)
+		}
+		sess, err := srv.session(c.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := snapshot.ReadFileFS(fault.OS(), filepath.Join(sess.dur.dir, checkpointFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		est, err := streamcover.NewEstimator(c.M, c.N, c.K, c.Alpha, streamcover.WithSeed(c.Seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(est.Close)
+		blob, err := est.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := encodeCheckpoint(checkpointState{name: c.Name, m: c.M, n: c.N, k: c.K,
+			alpha: c.Alpha, seed: c.Seed, parts: [][]byte{blob}})
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: the new session's checkpoint (%d bytes) differs from the fresh estimator's (%d bytes)",
+				c.Name, len(got), len(want))
+		}
+		if got, want := sess.residentBytes.Load(), 8*int64(est.SpaceWords()); got != want {
+			t.Fatalf("%s: resident charge %d, want 8 × SpaceWords = %d", c.Name, got, want)
+		}
+	}
+}
+
+// recordingFS logs the directory operations made through it.
+type recordingFS struct {
+	fault.FS
+	mu  sync.Mutex
+	ops []string
+}
+
+func (r *recordingFS) note(op string) {
+	r.mu.Lock()
+	r.ops = append(r.ops, op)
+	r.mu.Unlock()
+}
+
+func (r *recordingFS) MkdirAll(path string, perm os.FileMode) error {
+	r.note("mkdir " + path)
+	return r.FS.MkdirAll(path, perm)
+}
+
+func (r *recordingFS) SyncDir(dir string) error {
+	r.note("syncdir " + dir)
+	return r.FS.SyncDir(dir)
+}
+
+// TestFaultFSCreateSyncsDataDir: a session directory's entry lives in the
+// data directory, so a create must fsync the data directory after it makes
+// the session directory and before the create is acknowledged. Without
+// that fsync a power loss can drop the new session, and every batch acked
+// into it.
+func TestFaultFSCreateSyncsDataDir(t *testing.T) {
+	dataDir := t.TempDir()
+	rec := &recordingFS{FS: fault.OS()}
+	srv := New(Config{DataDir: dataDir, FS: rec, WALNoSync: true})
+	defer srv.Abort()
+	if err := srv.createSession(wire.Create{Name: "durable", M: 50, N: 500, K: 3, Alpha: 4, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	rec.mu.Lock()
+	ops := slices.Clone(rec.ops)
+	rec.mu.Unlock()
+	mkdir := slices.Index(ops, "mkdir "+filepath.Join(dataDir, sessionDirName("durable")))
+	if mkdir < 0 {
+		t.Fatalf("the session directory was not made through the server's FS: %q", ops)
+	}
+	if !slices.Contains(ops[mkdir+1:], "syncdir "+dataDir) {
+		t.Fatalf("the data directory was not fsynced after the session directory was made: %q", ops)
 	}
 }

@@ -257,4 +257,99 @@ func TestResultIsPureFunctionOfState(t *testing.T) {
 			t.Fatalf("seed %d: decoded estimator reports %v, live one %v", seed, got.SetIDs, est.Result().SetIDs)
 		}
 	}
+
+	// kcoverd answers a query with Result on the session's live estimator,
+	// between batches, so Result must leave the state unchanged: the same
+	// encoding after it, the same encoding as an unqueried twin once both
+	// take the next batch, and the same answer a clone gives.
+	for _, sh := range ledgerShapes {
+		for _, form := range []string{"fresh", "ingested", "decoded", "merged"} {
+			est, twin := ledgerShapeEstimator(t, sh, form), ledgerShapeEstimator(t, sh, form)
+			before := mustEncode(t, est)
+			clone, err := est.Clone()
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := est.Result()
+			if !bytes.Equal(mustEncode(t, est), before) {
+				t.Fatalf("%s %s: Result changed the estimator's encoding", sh.name, form)
+			}
+			if cr := clone.Result(); !reflect.DeepEqual(res, cr) {
+				t.Fatalf("%s %s: live Result %+v, clone's %+v", sh.name, form, res, cr)
+			}
+			next := snapEdges(sh.seed+1, sh.m, sh.n, 1024)
+			for _, e := range []*Estimator{est, twin} {
+				if err := e.ProcessBatch(next); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !bytes.Equal(mustEncode(t, est), mustEncode(t, twin)) {
+				t.Fatalf("%s %s: a queried estimator fed one more batch encodes unlike its unqueried twin", sh.name, form)
+			}
+			est.Close()
+			twin.Close()
+		}
+	}
+}
+
+// ledgerShape is the session shape of one of the benchmark's workloads.
+type ledgerShape struct {
+	name    string
+	m, n, k int
+	alpha   float64
+	seed    int64
+}
+
+var ledgerShapes = []ledgerShape{
+	{"bulk-ingest", 2000, 100000, 40, 8, 11},
+	{"paced-tenants", 60, 500, 5, 4, 12},
+	{"query-mix", 200, 2000, 10, 4, 13},
+	{"crash-recover", 2000, 20000, 40, 8, 14},
+}
+
+// ledgerShapeEstimator builds an estimator in one of a ledger shape's
+// forms: fresh, after ingest, decoded from that ingest's encoding, or two
+// same-seed halves of that ingest merged.
+func ledgerShapeEstimator(t *testing.T, sh ledgerShape, form string) *Estimator {
+	t.Helper()
+	build := func(edges []Edge) *Estimator {
+		est, err := NewEstimator(sh.m, sh.n, sh.k, sh.alpha, WithSeed(sh.seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := est.ProcessBatch(edges); err != nil {
+			t.Fatal(err)
+		}
+		return est
+	}
+	edges := snapEdges(sh.seed, sh.m, sh.n, 2048)
+	switch form {
+	case "fresh":
+		return build(nil)
+	case "decoded":
+		est := build(edges)
+		defer est.Close()
+		dec, err := DecodeEstimator(mustEncode(t, est))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dec
+	case "merged":
+		est, other := build(edges[:len(edges)/2]), build(edges[len(edges)/2:])
+		defer other.Close()
+		if err := est.Merge(other); err != nil {
+			t.Fatal(err)
+		}
+		return est
+	}
+	return build(edges)
+}
+
+func mustEncode(t *testing.T, est *Estimator) []byte {
+	t.Helper()
+	blob, err := est.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
 }

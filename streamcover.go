@@ -129,8 +129,8 @@ func NewEstimator(m, n, k int, alpha float64, opts ...Option) (*Estimator, error
 // Clone returns a deep copy of the estimator: a fresh same-seed estimator
 // with this one's state merged in. The clone shares no mutable state with
 // the original, so one goroutine may keep processing edges into the
-// original while another finalizes the clone — this is how kcoverd
-// answers queries without stalling ingest.
+// original while another encodes or finalizes the clone — this is how
+// kcoverd checkpoints a session without stalling its ingest.
 func (e *Estimator) Clone() (*Estimator, error) {
 	fresh, err := NewEstimator(e.m, e.n, e.k, e.alpha, e.opts...)
 	if err != nil {

@@ -324,7 +324,7 @@ func TestCloneSnapshotsState(t *testing.T) {
 		t.Errorf("clone edge count %d != %d", clone.Edges(), est.Edges())
 	}
 	// The original keeps ingesting; the clone must be unaffected (this is
-	// kcoverd's query path: snapshot, then finalize off the ingest path).
+	// kcoverd's checkpoint path: snapshot, then encode off the ingest path).
 	if err := est.ProcessAll(edges[half:]); err != nil {
 		t.Fatal(err)
 	}
@@ -346,12 +346,12 @@ func TestCloneSnapshotsState(t *testing.T) {
 	}
 }
 
-// TestCloneFinalizeDuringIngest is kcoverd's query path under the race
-// detector: a clone taken between batches shares its source's dense
-// CountSketch layouts, and is finalized (Result and Encode) on another
-// goroutine while the source keeps ingesting through the parallel batch
-// engine. Every clone must answer and encode exactly as a clone of an
-// undisturbed reference at the same prefix.
+// TestCloneFinalizeDuringIngest is kcoverd's checkpoint and /digest path
+// under the race detector: a clone taken between batches shares its
+// source's dense CountSketch layouts, and is finalized (Result and Encode)
+// on another goroutine while the source keeps ingesting through the
+// parallel batch engine. Every clone must answer and encode exactly as a
+// clone of an undisturbed reference at the same prefix.
 func TestCloneFinalizeDuringIngest(t *testing.T) {
 	const (
 		m, n, k = 120, 1000, 6
