@@ -13,8 +13,7 @@ import (
 // updateGolden rewrites the v2 golden checkpoints. The committed files
 // pin the checkpoint format across refactors of the sketch internals, so
 // regenerate them only for a deliberate format change, never to make this
-// test pass. The golden_v1_* files are read fixtures for the previous
-// format, written by the code that wrote v1; nothing rewrites them.
+// test pass.
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_v2_*.bin.gz")
 
 // newGoldenEstimator is the seeded, never-written estimator behind the
@@ -43,8 +42,7 @@ func goldenEstimator(t *testing.T) *Estimator {
 // goldenBatch is the fixed batch fed to the decoded golden checkpoint.
 func goldenBatch() []Edge { return snapEdges(32, 24, 100, 2500) }
 
-// readGolden returns the decompressed contents of testdata/name.gz (v1
-// checkpoints are mostly zero counters and gzip to a few percent).
+// readGolden returns the decompressed contents of testdata/name.gz.
 func readGolden(t testing.TB, name string) []byte {
 	t.Helper()
 	f, err := os.Open(filepath.Join("testdata", name+".gz"))
@@ -95,13 +93,13 @@ func encodeGolden(t *testing.T, est *Estimator) []byte {
 	return b
 }
 
-// decodeGolden decodes the golden file name and checks the envelope
-// version it was sealed with.
-func decodeGolden(t *testing.T, name string, version byte) *Estimator {
+// decodeGolden decodes the golden file name, which must be sealed as
+// envelope version 2.
+func decodeGolden(t *testing.T, name string) *Estimator {
 	t.Helper()
 	data := readGolden(t, name)
-	if data[4] != version {
-		t.Fatalf("%s is sealed as version %d, want %d", name, data[4], version)
+	if data[4] != 2 {
+		t.Fatalf("%s is sealed as version %d, want 2", name, data[4])
 	}
 	est, err := DecodeEstimator(data)
 	if err != nil {
@@ -112,11 +110,9 @@ func decodeGolden(t *testing.T, name string, version byte) *Estimator {
 
 // TestGoldenCheckpointBatch pins the checkpoint bytes. The live golden
 // estimator — never written, after its stream, after a fixed batch —
-// must encode exactly as the v2 golden files, and each v2 file must
-// decode and re-encode byte-identically. Each v1 fixture, written by the
-// code before estimator encoding v2, must decode and re-encode to its v2
-// golden, and the fixed batch on the decoded v1 or v2 checkpoint must
-// encode as the v2 after-batch golden.
+// must encode exactly as the v2 golden files, each file must decode and
+// re-encode byte-identically, and the fixed batch on the decoded
+// checkpoint must encode as the after-batch golden.
 func TestGoldenCheckpointBatch(t *testing.T) {
 	est := newGoldenEstimator(t)
 	golden(t, "golden_v2_fresh.bin", encodeGolden(t, est))
@@ -131,19 +127,11 @@ func TestGoldenCheckpointBatch(t *testing.T) {
 	}
 
 	for _, name := range []string{"fresh.bin", "checkpoint.bin", "after_batch.bin"} {
-		golden(t, "golden_v2_"+name, encodeGolden(t, decodeGolden(t, "golden_v2_"+name, 2)))
+		golden(t, "golden_v2_"+name, encodeGolden(t, decodeGolden(t, "golden_v2_"+name)))
 	}
-	for _, name := range []string{"checkpoint.bin", "after_batch.bin"} {
-		golden(t, "golden_v2_"+name, encodeGolden(t, decodeGolden(t, "golden_v1_"+name, 1)))
+	dec := decodeGolden(t, "golden_v2_checkpoint.bin")
+	if err := dec.ProcessBatch(goldenBatch()); err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		name    string
-		version byte
-	}{{"golden_v1_checkpoint.bin", 1}, {"golden_v2_checkpoint.bin", 2}} {
-		dec := decodeGolden(t, tc.name, tc.version)
-		if err := dec.ProcessBatch(goldenBatch()); err != nil {
-			t.Fatal(err)
-		}
-		golden(t, "golden_v2_after_batch.bin", encodeGolden(t, dec))
-	}
+	golden(t, "golden_v2_after_batch.bin", encodeGolden(t, dec))
 }

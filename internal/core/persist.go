@@ -29,12 +29,9 @@ import (
 // mirroring the SpaceWords contract: it holds nothing that survives a
 // batch and is rebuilt lazily by the first ProcessColumns after restore.
 
-// stateReader walks a state blob with bounds-checked reads. v1 marks a
-// blob in the estimator encoding v1, whose LargeSet batteries hold every
-// CountSketch row at full width; the rest of the layout is the same.
+// stateReader walks a state blob with bounds-checked reads.
 type stateReader struct {
 	data []byte
-	v1   bool
 }
 
 func (r *stateReader) uvarint(what string) (uint64, error) {
@@ -201,20 +198,6 @@ func (lc *LargeCommon) restoreState(r *stateReader) error {
 	return nil
 }
 
-// restoreBattery reads a battery blob into the constructed battery: a v2
-// blob straight through RestoreState, a v1 blob (full-width CountSketch
-// rows) by decoding it standalone and adopting it with Restore.
-func (r *stateReader) restoreBattery(into *sketch.Contributing, b []byte) error {
-	if !r.v1 {
-		return into.RestoreState(b)
-	}
-	dec := new(sketch.Contributing)
-	if err := dec.UnmarshalBinary(b); err != nil {
-		return err
-	}
-	return into.Restore(dec)
-}
-
 // appendState serializes the case-II subroutine.
 func (ls *LargeSet) appendState(buf []byte) ([]byte, error) {
 	buf = binary.AppendUvarint(buf, uint64(len(ls.reps)))
@@ -266,7 +249,7 @@ func (ls *LargeSet) restoreState(r *stateReader) error {
 			if err != nil {
 				return err
 			}
-			if err := r.restoreBattery(cntr, b); err != nil {
+			if err := cntr.RestoreState(b); err != nil {
 				return fmt.Errorf("core: snapshot: LargeSet rep %d battery %d: %w", i, bi, err)
 			}
 		}
@@ -484,17 +467,7 @@ func (est *Estimator) AppendState(buf []byte) ([]byte, error) {
 // abort with an error and leave est in an undefined state (callers build
 // a new estimator per attempt).
 func (est *Estimator) RestoreState(data []byte) error {
-	return est.restoreState(&stateReader{data: data})
-}
-
-// RestoreStateV1 is RestoreState for a blob in the estimator encoding v1,
-// written before the LargeSet batteries stored only their reachable
-// CountSketch cells.
-func (est *Estimator) RestoreStateV1(data []byte) error {
-	return est.restoreState(&stateReader{data: data, v1: true})
-}
-
-func (est *Estimator) restoreState(r *stateReader) error {
+	r := &stateReader{data: data}
 	trivial, err := r.byte("estimator header")
 	if err != nil {
 		return err

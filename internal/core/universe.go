@@ -78,7 +78,7 @@ func NewEstimator(m, n, k int, alpha float64, p Params, factory OracleFactory, r
 		return nil, err
 	}
 	est := &Estimator{M: m, N: n, K: k, Alpha: alpha, params: p}
-	if float64(k)*alpha >= float64(m) {
+	if trivialCase(m, k, alpha) {
 		// Figure 1's first line: with kα ≥ m, picking the best of m/k ≤ α
 		// disjoint groups of k sets covers ≥ C(F)·k/m ≥ n/α when every
 		// element occurs, so n/α is a valid α-approximate answer.
@@ -86,18 +86,8 @@ func NewEstimator(m, n, k int, alpha float64, p Params, factory OracleFactory, r
 		est.trivialVal = float64(n) / alpha
 		return est, nil
 	}
-	reps := p.Reps
-	if reps < 1 {
-		reps = 1
-	}
-	base := p.ZBase
-	if base < 1.5 {
-		base = 2
-	}
-	for z := 4; ; z = scaleGuess(z, base) {
-		if z > n {
-			z = n
-		}
+	reps := max(p.Reps, 1)
+	for _, z := range guessLadder(n, p) {
 		g := zGuess{z: z}
 		for r := 0; r < reps; r++ {
 			d, err := Derive(m, z, k, alpha, p)
@@ -110,11 +100,43 @@ func NewEstimator(m, n, k int, alpha float64, p Params, factory OracleFactory, r
 			})
 		}
 		est.guesses = append(est.guesses, g)
-		if z == n {
-			break
-		}
 	}
 	return est, nil
+}
+
+func trivialCase(m, k int, alpha float64) bool { return float64(k)*alpha >= float64(m) }
+
+// guessLadder returns Figure 1's coverage guesses: a geometric ladder
+// from 4 in steps of p's guess base, capped at and ending with n.
+func guessLadder(n int, p Params) []int {
+	base := p.ZBase
+	if base < 1.5 {
+		base = 2
+	}
+	var zs []int
+	for z := 4; ; z = scaleGuess(z, base) {
+		if z > n {
+			z = n
+		}
+		zs = append(zs, z)
+		if z == n {
+			return zs
+		}
+	}
+}
+
+// MinStateBytes is a lower bound on the length of the AppendState blob of
+// an estimator NewEstimator would build from these arguments. Every
+// (guess, repetition) unit writes at least its universe-reduction hash: a
+// uvarint(36) length, then the 4-wise polynomial's 4-byte degree and four
+// 8-byte coefficients. A decoder checks a blob against it before it
+// constructs anything, so a header cannot claim more units than its blob
+// holds.
+func MinStateBytes(m, n, k int, alpha float64, p Params) int {
+	if trivialCase(m, k, alpha) {
+		return 0
+	}
+	return 37 * len(guessLadder(n, p)) * max(p.Reps, 1)
 }
 
 func scaleGuess(z int, base float64) int {

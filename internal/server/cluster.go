@@ -85,7 +85,7 @@ func (src *shipSource) Snapshot() (uint64, []byte, error) {
 	}
 	st, err := decodeCheckpoint(payload)
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, fmt.Errorf("server: %s: %w", d.dir, err)
 	}
 	return st.walPos, payload, nil
 }
@@ -202,16 +202,12 @@ func (t *followerTarget) Apply(pos uint64, rec []byte) error {
 		sess.degrade(err)
 		return err
 	}
-	skip := false
-	if source != 0 {
-		sess.dmu.Lock()
-		if prev := sess.dedup[source]; seq <= prev.seq {
-			skip = true // the leader logged and skipped this duplicate; mirror the skip
-		} else {
-			sess.dedup[source] = dedupEntry{seq: seq}
-		}
-		sess.dmu.Unlock()
+	sess.dmu.Lock()
+	skip := seq <= sess.dedup[source].seq // the leader logged and skipped this duplicate; mirror the skip
+	if !skip {
+		sess.dedup[source] = dedupEntry{seq: seq}
 	}
+	sess.dmu.Unlock()
 	if !skip {
 		sess.dispatch(t.cols.Sets, t.cols.Elems)
 		t.s.metrics.RepEdgesApplied.Add(int64(t.cols.Len()))
@@ -241,7 +237,7 @@ func (s *Server) attachFollower(sess *session, leaderID string) {
 func (s *session) rebootstrap(cfg Config, walPos uint64, payload []byte, metrics *Metrics) error {
 	st, err := decodeCheckpoint(payload)
 	if err != nil {
-		return err
+		return fmt.Errorf("server: bootstrap: %w", err)
 	}
 	if st.name != s.name || st.m != s.m || st.n != s.n || st.k != s.k || st.alpha != s.alpha || st.seed != s.seed {
 		return fmt.Errorf("server: bootstrap checkpoint is for session %q (%d,%d,%d), want %q (%d,%d,%d)",

@@ -675,7 +675,7 @@ func TestClusterPromoteAfterBootstrapKeepsWALBase(t *testing.T) {
 			sets[i], elems[i] = e.Set, e.Elem
 		}
 		payload := wire.EncodeIngestSeqColumns(nil, name, source, uint64(seq), sets, elems, cluM, cluN)
-		if _, err := sess.ingestSeq(source, uint64(seq), walRecord(sess, wire.TIngestSeq, payload), sets, elems); err != nil {
+		if _, err := sess.ingestSeq(source, uint64(seq), walRecord(sess, payload), sets, elems); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -100,14 +100,24 @@ func (d *durability) close() {
 	d.wal.Close()
 }
 
-// destroy closes the WAL and removes the session's data directory (the
-// session was deleted; recovery must not resurrect it).
-func (d *durability) destroy() {
+// destroy closes the WAL and removes the session's data directory, durably
+// (the session was deleted; recovery must not resurrect it).
+func (d *durability) destroy() error {
 	if d == nil {
-		return
+		return nil
 	}
 	d.wal.Close()
-	os.RemoveAll(d.dir)
+	return removeSessionDir(d.fs, d.dir)
+}
+
+// removeSessionDir removes a session directory and fsyncs the data
+// directory that held its entry: unsynced, a power loss can bring the
+// session back, or leave it half removed.
+func removeSessionDir(fsys fault.FS, dir string) error {
+	if err := fsys.RemoveAll(dir); err != nil {
+		return err
+	}
+	return fsys.SyncDir(filepath.Dir(dir))
 }
 
 // checkpointState is the decoded form of a checkpoint.scsn payload.
@@ -118,14 +128,13 @@ type checkpointState struct {
 	seed    int64
 	walPos  uint64
 	dedup   map[uint64]uint64
-	// parts holds sealed Estimator.Encode blobs: one, or one per shard
-	// estimator in a checkpoint from a kcoverd that split each session
-	// across several (estimatorFromCheckpoint merges those).
-	parts [][]byte
+	est     []byte // the session's sealed Estimator.Encode blob
 }
 
 // encodeCheckpoint serializes a checkpoint payload (the caller seals it).
-// Dedup entries are sorted by source so equal states encode equally.
+// Dedup entries are sorted by source so equal states encode equally. The
+// estimator blob follows a count, always 1: checkpoints of kcoverds that
+// split a session into shard estimators held one blob per shard.
 func encodeCheckpoint(st checkpointState) []byte {
 	buf := binary.AppendUvarint(nil, uint64(len(st.name)))
 	buf = append(buf, st.name...)
@@ -145,19 +154,17 @@ func encodeCheckpoint(st checkpointState) []byte {
 		buf = binary.AppendUvarint(buf, src)
 		buf = binary.AppendUvarint(buf, st.dedup[src])
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(st.parts)))
-	for _, p := range st.parts {
-		buf = binary.AppendUvarint(buf, uint64(len(p)))
-		buf = append(buf, p...)
-	}
-	return buf
+	buf = binary.AppendUvarint(buf, 1)
+	buf = binary.AppendUvarint(buf, uint64(len(st.est)))
+	return append(buf, st.est...)
 }
 
-// decodeCheckpoint parses a checkpoint payload.
+// decodeCheckpoint parses a checkpoint payload. Its errors do not name
+// where the payload came from; callers add that.
 func decodeCheckpoint(data []byte) (checkpointState, error) {
 	var st checkpointState
 	bad := func(what string) (checkpointState, error) {
-		return st, fmt.Errorf("server: corrupt checkpoint: bad %s", what)
+		return st, fmt.Errorf("corrupt checkpoint: bad %s", what)
 	}
 	next := func() (uint64, bool) {
 		v, w := binary.Uvarint(data)
@@ -213,19 +220,18 @@ func decodeCheckpoint(data []byte) (checkpointState, error) {
 		}
 		st.dedup[src] = seq
 	}
-	nParts, ok := next()
-	if !ok || nParts == 0 || nParts > 1<<16 {
-		return bad("part count")
+	nEst, ok := next()
+	if !ok {
+		return bad("estimator count")
 	}
-	st.parts = make([][]byte, 0, nParts)
-	for i := uint64(0); i < nParts; i++ {
-		l, ok := next()
-		if !ok || uint64(len(data)) < l {
-			return bad("estimator blob")
-		}
-		st.parts = append(st.parts, data[:l])
-		data = data[l:]
+	if nEst != 1 {
+		return st, fmt.Errorf("checkpoint holds %d estimators, want 1 (shard-era checkpoints are not read)", nEst)
 	}
+	l, ok := next()
+	if !ok || uint64(len(data)) < l {
+		return bad("estimator blob")
+	}
+	st.est, data = data[:l], data[l:]
 	if len(data) != 0 {
 		return bad("trailing bytes")
 	}
@@ -302,7 +308,7 @@ func (s *session) writeCheckpoint(est *streamcover.Estimator, pos uint64, dedup 
 	}
 	payload := encodeCheckpoint(checkpointState{
 		name: s.name, m: s.m, n: s.n, k: s.k, alpha: s.alpha, seed: s.seed,
-		walPos: pos, dedup: dedup, parts: [][]byte{blob},
+		walPos: pos, dedup: dedup, est: blob,
 	})
 	if err := snapshot.WriteFileFS(d.fs, filepath.Join(d.dir, checkpointFile), payload); err != nil {
 		return err
@@ -344,14 +350,14 @@ func recoverSession(dir string, cfg Config, metrics *Metrics) (*session, error) 
 	}
 	st, ok, err := loadCheckpoint(fsys, dir)
 	if err != nil {
-		return nil, fmt.Errorf("server: %s: %w", dir, err)
+		return nil, fmt.Errorf("server: %w", err)
 	}
 	if !ok {
 		return nil, nil
 	}
 	est, err := estimatorFromCheckpoint(st, cfg.arena)
 	if err != nil {
-		return nil, fmt.Errorf("server: %s: %w", dir, err)
+		return nil, fmt.Errorf("server: %s: %w", filepath.Join(dir, checkpointFile), err)
 	}
 	log, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{SegmentBytes: cfg.WALSegmentBytes, NoSync: cfg.WALNoSync, FS: fsys})
 	if err != nil {
@@ -359,7 +365,7 @@ func recoverSession(dir string, cfg Config, metrics *Metrics) (*session, error) 
 	}
 	if err := replayTail(log, &st, est, metrics); err != nil {
 		log.Close()
-		return nil, fmt.Errorf("server: %s: wal replay: %w", dir, err)
+		return nil, fmt.Errorf("server: %s: replay: %w", filepath.Join(dir, "wal"), err)
 	}
 	// A follower bootstrap re-bases its log past the leader's checkpoint.
 	// With no record mirrored since (or a crash before the re-base), the
@@ -382,11 +388,12 @@ func recoverSession(dir string, cfg Config, metrics *Metrics) (*session, error) 
 	return sess, nil
 }
 
-// loadCheckpoint reads and decodes a session directory's checkpoint.
-// ok=false (no error) means the directory has none — a crash between
-// directory creation and the initial checkpoint.
+// loadCheckpoint reads and decodes a session directory's checkpoint; an
+// error names the file. ok=false (no error) means the directory has none
+// — a crash between directory creation and the initial checkpoint.
 func loadCheckpoint(fsys fault.FS, dir string) (checkpointState, bool, error) {
-	payload, err := snapshot.ReadFileFS(fsys, filepath.Join(dir, checkpointFile))
+	path := filepath.Join(dir, checkpointFile)
+	payload, err := snapshot.ReadFileFS(fsys, path)
 	if os.IsNotExist(err) {
 		return checkpointState{}, false, nil
 	}
@@ -395,7 +402,7 @@ func loadCheckpoint(fsys fault.FS, dir string) (checkpointState, bool, error) {
 	}
 	st, err := decodeCheckpoint(payload)
 	if err != nil {
-		return checkpointState{}, false, err
+		return checkpointState{}, false, fmt.Errorf("%s: %w", path, err)
 	}
 	return st, true, nil
 }
@@ -415,12 +422,10 @@ func replayTail(log *wal.Log, st *checkpointState, est *streamcover.Estimator, m
 		if err != nil {
 			return fmt.Errorf("record %d: %w", pos, err)
 		}
-		if source != 0 {
-			if seq <= st.dedup[source] {
-				return nil // duplicate was logged and skipped live, skip again
-			}
-			st.dedup[source] = seq
+		if seq <= st.dedup[source] {
+			return nil // duplicate was logged and skipped live, skip again
 		}
+		st.dedup[source] = seq
 		if err := est.ProcessColumns(cols.Sets, cols.Elems); err != nil {
 			return fmt.Errorf("record %d: %w", pos, err)
 		}
@@ -439,48 +444,28 @@ func replayTail(log *wal.Log, st *checkpointState, est *streamcover.Estimator, m
 	return nil
 }
 
-// estimatorFromCheckpoint decodes a checkpoint's estimator. A checkpoint
-// written by a kcoverd that split each session across several same-seed
-// shard estimators holds one part per shard; those parts merge into the
-// one estimator, a correct summary of the union of their shards
-// (internal/core/merge.go). The decoded estimator runs its batch engine at
-// the facade default and draws batch scratch from arena.
+// estimatorFromCheckpoint decodes a checkpoint's estimator, which runs
+// its batch engine at the facade default and draws batch scratch from
+// arena.
 func estimatorFromCheckpoint(st checkpointState, arena *streamcover.InternArena) (*streamcover.Estimator, error) {
-	var est *streamcover.Estimator
-	for i, part := range st.parts {
-		p, err := streamcover.DecodeEstimator(part)
-		if err != nil {
-			return nil, fmt.Errorf("checkpoint part %d: %w", i, err)
-		}
-		if est == nil {
-			est = p
-		} else if err := est.Merge(p); err != nil {
-			return nil, fmt.Errorf("merging checkpoint parts: %w", err)
-		}
+	est, err := streamcover.DecodeEstimator(st.est)
+	if err != nil {
+		return nil, err
 	}
 	est.SetInternArena(arena)
 	return est, nil
 }
 
-// decodeWALRecord parses one logged batch into cols: a frame-type byte
-// followed by the original wire payload, whose blob may carry either the
-// row or the columnar layout (the fused decoder sniffs the magic; a WAL
-// may mix both, since it stores payloads verbatim). source is 0 for
-// unsequenced batches.
+// decodeWALRecord parses one logged batch into cols: the TIngestSeq frame
+// type byte followed by the original wire payload.
 func decodeWALRecord(rec []byte, wantName string, wantM, wantN int, cols *stream.Columns) (source, seq uint64, err error) {
 	if len(rec) == 0 {
 		return 0, 0, fmt.Errorf("empty record")
 	}
-	var name string
-	var m, n int
-	switch rec[0] {
-	case wire.TIngest:
-		name, m, n, err = wire.DecodeIngestInto(rec[1:], cols)
-	case wire.TIngestSeq:
-		name, source, seq, m, n, err = wire.DecodeIngestSeqInto(rec[1:], cols)
-	default:
+	if rec[0] != wire.TIngestSeq {
 		return 0, 0, fmt.Errorf("unknown record type 0x%02x", rec[0])
 	}
+	name, source, seq, m, n, err := wire.DecodeIngestSeqInto(rec[1:], cols)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -3,7 +3,11 @@ package server_test
 import (
 	"context"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -214,6 +218,113 @@ func TestCrashRestartWithReconnectingClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameResult(t, got, referenceResult(t, edges), "post-restart estimate")
+}
+
+// TestMixedWireWALRecovery recovers a WAL tail that spans segment
+// rotations. One session ingests 500-edge sequenced batches, with WAL
+// segments small enough (4 KiB, about one batch each) that the log
+// rotates at nearly every record, a checkpoint lands mid-stream, and the
+// daemon then dies with SIGKILL semantics. Recovery must replay exactly
+// the 12 tail batches to a state bit-identical to a crash-free daemon's.
+// (The name dates from when the tail interleaved row and columnar
+// batches, plain and sequenced; only sequenced columnar batches remain.)
+func TestMixedWireWALRecovery(t *testing.T) {
+	dir := t.TempDir()
+	cfg := server.Config{
+		QueueDepth: 8,
+		DataDir:    dir, CheckpointEvery: -1, WALNoSync: true,
+		WALSegmentBytes: 4096, // ~1 batch per segment: the tail spans rotations
+	}
+	edges := durEdges(5, 12000)
+
+	s1 := startDurServer(t, cfg, "127.0.0.1:0")
+	c1 := dialDur(t, s1.TCPAddr().String(), client.WithBatchSize(500))
+	sess1 := createDur(t, c1, "mixed")
+	sendAll(t, sess1, edges[:6000])
+	if err := s1.CheckpointAll(); err != nil {
+		t.Fatal(err)
+	}
+	// These batches live only in the WAL tail past the checkpoint.
+	sendAll(t, sess1, edges[6000:])
+	c1.Close()
+	s1.Abort()
+
+	s2 := startDurServer(t, cfg, "127.0.0.1:0")
+	defer s2.Abort()
+	if got := s2.Metrics().ReplayBatches.Load(); got != 12 {
+		t.Fatalf("recovery replayed %d WAL batches, want the 12 tail batches", got)
+	}
+	got, err := dialDur(t, s2.TCPAddr().String()).Session("mixed").Query()
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameResult(t, got, referenceResult(t, edges), "recovered estimate")
+}
+
+// TestMixedWireTornTailRecovery tears the final record of the log — a
+// sequenced columnar batch, the shape a torn disk write would hit last —
+// and requires recovery to come up cleanly on the intact prefix,
+// bit-identical to a daemon that never saw the torn batch.
+func TestMixedWireTornTailRecovery(t *testing.T) {
+	dir := t.TempDir()
+	cfg := server.Config{
+		QueueDepth: 8,
+		DataDir:    dir, CheckpointEvery: -1, WALNoSync: true,
+	}
+	edges := durEdges(6, 8000)
+
+	s1 := startDurServer(t, cfg, "127.0.0.1:0")
+	c1 := dialDur(t, s1.TCPAddr().String(), client.WithBatchSize(500))
+	sess1 := createDur(t, c1, "torn")
+	sendAll(t, sess1, edges[:7500])
+	sendAll(t, sess1, edges[7500:]) // the last record: one whole batch
+	c1.Close()
+	s1.Abort()
+
+	// Tear the tail: chop bytes off the end of the newest WAL segment, as
+	// a crash mid-write would.
+	seg := newestWALSegment(t, dir)
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(seg, data[:len(data)-7], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := startDurServer(t, cfg, "127.0.0.1:0")
+	defer s2.Abort()
+	got, err := dialDur(t, s2.TCPAddr().String()).Session("torn").Query()
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameResult(t, got, referenceResult(t, edges[:7500]), "post-torn-tail estimate")
+}
+
+// newestWALSegment returns the path of the highest-numbered WAL segment
+// under the single session directory inside dataDir.
+func newestWALSegment(t *testing.T, dataDir string) string {
+	t.Helper()
+	sessions, err := os.ReadDir(dataDir)
+	if err != nil || len(sessions) != 1 {
+		t.Fatalf("want one session dir under %s: %v %v", dataDir, sessions, err)
+	}
+	walDir := filepath.Join(dataDir, sessions[0].Name(), "wal")
+	entries, err := os.ReadDir(walDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var segs []string
+	for _, e := range entries {
+		if strings.HasSuffix(e.Name(), ".seg") {
+			segs = append(segs, e.Name())
+		}
+	}
+	if len(segs) == 0 {
+		t.Fatalf("no WAL segments in %s", walDir)
+	}
+	sort.Strings(segs)
+	return filepath.Join(walDir, segs[len(segs)-1])
 }
 
 // TestSequencedDedupInMemory: replay protection works without a data dir

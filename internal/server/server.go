@@ -16,9 +16,16 @@
 // group-commit fsync overlapped with the queue dispatch — runs on a
 // per-connection apply goroutine while the handler reads and decodes the
 // next pipelined frame, so a burst's decode cost hides behind the
-// previous batch's fsync. Both wire batch layouts (row MKC1 and columnar
-// MKC2) decode straight into column arenas; edges never materialize as
-// row structs on the server.
+// previous batch's fsync. Every batch is a sequenced columnar frame
+// (wire.TIngestSeq carrying MKC2) that decodes straight into column
+// arenas; edges never materialize as row structs on the server.
+//
+// The server reads only what it writes: live, on WAL replay and on
+// follower apply it decodes TIngestSeq records, and a checkpoint holds
+// one estimator in encoding v2. A data dir holding anything older — a
+// version-1 checkpoint, a shard-era checkpoint, a WAL record of the
+// retired unsequenced type 0x02 — makes Start fail with an error that
+// names the file, and recovery leaves the directory as it found it.
 package server
 
 import (
@@ -373,9 +380,9 @@ func (s *Server) serveTCP(ln net.Listener) {
 // which also keeps at most one ingest applying per connection, so
 // per-source sequencing behaves exactly as in the serial loop.
 //
-// Once a sequenced batch is answered with a transient rejection (retry or
-// not-leader), the connection is parked: every later sequenced batch on
-// it is answered with the retry frame and not applied. The server dedups
+// Once a batch is answered with a transient rejection (retry or
+// not-leader), the connection is parked: every later batch on it is
+// answered with the retry frame and not applied. The server dedups
 // on each source's highest applied sequence, and the client retires the
 // connection on such a rejection and resends from the rejected batch; had
 // a later pipelined batch been applied after the cause cleared, the
@@ -431,10 +438,10 @@ func (s *Server) handleConn(conn net.Conn) {
 	// still dispatching from.
 	var arenas [2]stream.Columns
 	cur := 0
-	inflightSeq, parked := false, false
-	ackIngest := func(seq bool, err error) bool {
+	parked := false
+	ackIngest := func(err error) bool {
 		typ, msg := ackFrame(err)
-		if seq && (typ == wire.TErrRetry || typ == wire.TErrNotLeader) {
+		if typ == wire.TErrRetry || typ == wire.TErrNotLeader {
 			parked = true
 		}
 		return respond(typ, msg)
@@ -446,7 +453,7 @@ func (s *Server) handleConn(conn net.Conn) {
 			return true
 		}
 		inflight = false
-		return ackIngest(inflightSeq, <-applied)
+		return ackIngest(<-applied)
 	}
 
 	for {
@@ -461,26 +468,25 @@ func (s *Server) handleConn(conn net.Conn) {
 		}
 		s.metrics.Frames.Add(1)
 		switch typ {
-		case wire.TIngest, wire.TIngestSeq:
+		case wire.TIngestSeq:
 			// Decode (into the free arena) before joining: this is the
 			// overlapped half. The WAL record is copied out of scratch
 			// here too, so the next read may reuse it.
-			job, jerr := s.prepareIngest(typ, payload, &arenas[cur])
+			job, jerr := s.prepareIngest(payload, &arenas[cur])
 			if !join() {
 				return
 			}
-			seq := typ == wire.TIngestSeq
-			if seq && parked {
+			if parked {
 				jerr = errParked
 			}
 			if jerr != nil {
-				if !ackIngest(seq, jerr) {
+				if !ackIngest(jerr) {
 					return
 				}
 				continue
 			}
 			jobs <- job
-			inflight, inflightSeq = true, seq
+			inflight = true
 			cur = 1 - cur
 			if br.Buffered() == 0 {
 				// Nothing pipelined behind this frame: the peer may well be
@@ -740,10 +746,17 @@ func (s *Server) recover() error {
 	if s.cfg.DataDir == "" {
 		return nil
 	}
-	if err := os.MkdirAll(s.cfg.DataDir, 0o755); err != nil {
-		return err
+	fsys := s.cfg.FS
+	if _, err := fsys.Stat(s.cfg.DataDir); os.IsNotExist(err) {
+		if err := fsys.MkdirAll(s.cfg.DataDir, 0o755); err != nil {
+			return err
+		}
+		// The new directory's entry lives in its parent.
+		if err := fsys.SyncDir(filepath.Dir(s.cfg.DataDir)); err != nil {
+			return err
+		}
 	}
-	entries, err := os.ReadDir(s.cfg.DataDir)
+	entries, err := fsys.ReadDir(s.cfg.DataDir)
 	if err != nil {
 		return err
 	}
@@ -762,7 +775,7 @@ func (s *Server) recover() error {
 			// session checkpoints before it is published), so the directory
 			// is unreachable garbage — reclaim it rather than let dead WAL
 			// segments accrete across restarts.
-			if rmErr := os.RemoveAll(dir); rmErr == nil {
+			if rmErr := removeSessionDir(fsys, dir); rmErr == nil {
 				s.metrics.OrphansSwept.Add(1)
 			}
 			continue
@@ -846,7 +859,7 @@ func (s *Server) readOnly() error {
 // unit of handleConn's decode/apply overlap. cols points at one of the
 // connection's ping-ponging arenas; rec is the already-copied WAL record
 // (nil without durability), so nothing in the job aliases the read
-// scratch. An unsequenced batch has source 0.
+// scratch.
 type ingestJob struct {
 	sess     *session
 	cols     *stream.Columns
@@ -855,24 +868,16 @@ type ingestJob struct {
 	sequence uint64
 }
 
-// prepareIngest decodes one TIngest/TIngestSeq payload into cols — row
-// and columnar wire layouts both land here, IDs validated against the
-// session dims by the fused decoder — and builds the job applyIngest
-// runs. This is the cheap, CPU-only half that overlaps the previous
-// batch's fsync.
-func (s *Server) prepareIngest(typ byte, payload []byte, cols *stream.Columns) (ingestJob, error) {
+// prepareIngest decodes one TIngestSeq payload into cols — IDs validated
+// against the batch's declared dims by the decoder, those dims against
+// the session's here — and builds the job applyIngest runs. This is the
+// cheap, CPU-only half that overlaps the previous batch's fsync.
+func (s *Server) prepareIngest(payload []byte, cols *stream.Columns) (ingestJob, error) {
 	if err := s.readOnly(); err != nil {
 		return ingestJob{}, err
 	}
 	j := ingestJob{cols: cols}
-	var name string
-	var m, n int
-	var err error
-	if typ == wire.TIngestSeq {
-		name, j.source, j.sequence, m, n, err = wire.DecodeIngestSeqInto(payload, cols)
-	} else {
-		name, m, n, err = wire.DecodeIngestInto(payload, cols)
-	}
+	name, source, seq, m, n, err := wire.DecodeIngestSeqInto(payload, cols)
 	if err != nil {
 		return ingestJob{}, err
 	}
@@ -894,15 +899,15 @@ func (s *Server) prepareIngest(typ byte, payload []byte, cols *stream.Columns) (
 	if err := s.ovs.checkQuota(sess); err != nil {
 		return ingestJob{}, err
 	}
-	j.sess = sess
-	j.rec = walRecord(sess, typ, payload)
+	j.sess, j.source, j.sequence = sess, source, seq
+	j.rec = walRecord(sess, payload)
 	return j, nil
 }
 
 // applyIngest runs one prepared ingest — the WAL append overlapped with
 // the queue dispatch inside the session — and settles the server-wide
 // counters. An ack on its nil return means "durably logged and applied
-// (or, for sequenced batches, a recognized replay)".
+// (or a recognized replay)".
 func (s *Server) applyIngest(j ingestJob) error {
 	applied, err := j.sess.ingestSeq(j.source, j.sequence, j.rec, j.cols.Sets, j.cols.Elems)
 	if err != nil {
@@ -917,16 +922,16 @@ func (s *Server) applyIngest(j ingestJob) error {
 	return nil
 }
 
-// walRecord prefixes the wire payload with its frame type, forming the
-// session's WAL record. Nil when the session keeps no WAL (payload
-// aliases the connection's read scratch, so the copy is also what makes
-// the record safe to hand to the log).
-func walRecord(sess *session, typ byte, payload []byte) []byte {
+// walRecord prefixes the wire payload with its frame type, TIngestSeq,
+// forming the session's WAL record. Nil when the session keeps no WAL
+// (payload aliases the connection's read scratch, so the copy is also what
+// makes the record safe to hand to the log).
+func walRecord(sess *session, payload []byte) []byte {
 	if sess.dur == nil {
 		return nil
 	}
 	rec := make([]byte, 0, 1+len(payload))
-	rec = append(rec, typ)
+	rec = append(rec, wire.TIngestSeq)
 	return append(rec, payload...)
 }
 
@@ -948,8 +953,7 @@ func (s *Server) closeSession(name string) error {
 		return fmt.Errorf("server: no session %q", name)
 	}
 	sess.close()
-	sess.dur.destroy()
-	return nil
+	return sess.dur.destroy()
 }
 
 // Shutdown stops the server gracefully: listeners close first, every

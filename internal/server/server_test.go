@@ -1,12 +1,16 @@
 package server_test
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -18,6 +22,45 @@ import (
 	"streamcover/internal/wire"
 	"streamcover/internal/workload"
 )
+
+// rawConn is a frame-level client for tests that send frames the real
+// client does not, or pipeline frames by hand.
+type rawConn struct {
+	conn    net.Conn
+	br      *bufio.Reader
+	scratch []byte
+}
+
+func dialRaw(t *testing.T, addr string) *rawConn {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	return &rawConn{conn: conn, br: bufio.NewReader(conn), scratch: make([]byte, 1<<12)}
+}
+
+// roundTrip writes one frame and reads the response frame.
+func (r *rawConn) roundTrip(t *testing.T, typ byte, payload []byte) (byte, []byte) {
+	t.Helper()
+	if err := wire.WriteFrame(r.conn, typ, payload); err != nil {
+		t.Fatal(err)
+	}
+	rtyp, rpayload, err := wire.ReadFrame(r.br, r.scratch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rtyp, rpayload
+}
+
+// expectOK writes one frame and requires a TOK back.
+func (r *rawConn) expectOK(t *testing.T, typ byte, payload []byte) {
+	t.Helper()
+	if rtyp, rpayload := r.roundTrip(t, typ, payload); rtyp != wire.TOK {
+		t.Fatalf("frame 0x%02x answered 0x%02x: %s", typ, rtyp, rpayload)
+	}
+}
 
 // startServer launches a server on loopback ports and tears it down with
 // the test.
@@ -382,6 +425,42 @@ func TestSessionLifecycleAndErrors(t *testing.T) {
 	// Closing twice errors (already gone).
 	if err := c.Session("a").CloseSession(); err == nil {
 		t.Error("double close succeeded")
+	}
+}
+
+// TestRetiredIngestShapesRefused: the server decodes only sequenced
+// columnar batches. A frame of the retired unsequenced type 0x02 gets the
+// unknown-frame TErr, a sequenced frame carrying a row MKC1 blob a decode
+// TErr; neither is applied, and the connection keeps serving.
+func TestRetiredIngestShapesRefused(t *testing.T) {
+	s := startServer(t, server.Config{})
+	r := dialRaw(t, s.TCPAddr().String())
+	create := wire.Create{Name: "strict", M: durM, N: durN, K: durK, Alpha: durAlpha, Seed: durSeed}
+	r.expectOK(t, wire.TCreate, create.Encode())
+	var row bytes.Buffer
+	if err := stream.WriteBinary(&row, stream.FromEdges([]stream.Edge{{Set: 1, Elem: 2}}), durM, durN); err != nil {
+		t.Fatal(err)
+	}
+	name := append(binary.AppendUvarint(nil, uint64(len(create.Name))), create.Name...)
+	seqHeader := binary.AppendUvarint(binary.AppendUvarint(append([]byte{}, name...), 9), 1)
+	for _, f := range []struct {
+		typ     byte
+		payload []byte
+		want    string
+	}{
+		{0x02, append(append([]byte{}, name...), row.Bytes()...), "unknown frame type 0x02"},
+		{wire.TIngestSeq, append(seqHeader, row.Bytes()...), "not a columnar stream"},
+	} {
+		if typ, msg := r.roundTrip(t, f.typ, f.payload); typ != wire.TErr || !strings.Contains(string(msg), f.want) {
+			t.Fatalf("frame 0x%02x answered 0x%02x %q, want TErr %q", f.typ, typ, msg, f.want)
+		}
+	}
+	typ, payload := r.roundTrip(t, wire.TQuery, wire.EncodeRef(create.Name))
+	if typ != wire.TResult {
+		t.Fatalf("query answered 0x%02x: %s", typ, payload)
+	}
+	if res, err := wire.DecodeResult(payload); err != nil || res.Edges != 0 {
+		t.Fatalf("a refused batch was applied: %+v, %v", res, err)
 	}
 }
 

@@ -342,16 +342,16 @@ func (s *session) logAndDispatch(d *durability, rec []byte, sets, elems []uint32
 // the WAL fsync with the apply. The return (and so the ack) waits for the
 // append's fsync and for the batch's enqueue, not for its apply: a later
 // query still sees the batch, because the query's Result rides the same
-// queue behind it. sets/elems are the batch's columns (both wire
-// encodings decode into this form); rec is the WAL record for the batch
-// (type byte + wire payload), ignored when the session has no durability.
+// queue behind it. sets/elems are the batch's columns; rec is the WAL
+// record for the batch (type byte + wire payload), ignored when the
+// session has no durability.
 //
-// A nonzero source makes it the exactly-once path: the batch is dropped
-// if this (source, seq) was already applied, so the ack promises the
-// batch survives a crash and a client replaying unacknowledged batches
-// after a reconnect cannot double-count. Source 0 is unsequenced ingest:
-// never deduplicated. Returns whether the batch was applied (false:
-// recognized duplicate, still acknowledged).
+// It is the exactly-once path: the batch is dropped if this (source, seq)
+// was already applied, so the ack promises the batch survives a crash and
+// a client replaying unacknowledged batches after a reconnect cannot
+// double-count. Source and seq are nonzero (the wire decoder rejects
+// zero). Returns whether the batch was applied (false: recognized
+// duplicate, still acknowledged).
 //
 // Accepted batches are serialized per source: a second ingest for the
 // same source — the next sequence, or a duplicate resent over a fresh
@@ -387,9 +387,6 @@ func (s *session) ingestSeq(source, seq uint64, rec []byte, sets, elems []uint32
 			if err := s.degraded(); err != nil {
 				return false, err
 			}
-		}
-		if source == 0 {
-			break
 		}
 		s.dmu.Lock()
 		prev := s.dedup[source]

@@ -228,13 +228,13 @@ func TestAppendFailureDegradesBatchSession(t *testing.T) {
 		t.Fatal("resend was applied a second time")
 	}
 
-	// Fresh sequences and unsequenced ingests are rejected too, with the
-	// same typed error — but queries keep working on the in-memory state.
+	// Fresh sequences and fresh sources are rejected too, with the same
+	// typed error — but queries keep working on the in-memory state.
 	if _, err := sess.ingestSeq(5, 2, rec, sets, elems); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("later sequence: err = %v, want ErrDegraded", err)
 	}
-	if _, err := sess.ingestSeq(0, 0, rec, sets, elems); !errors.Is(err, ErrDegraded) {
-		t.Fatalf("unsequenced ingest: err = %v, want ErrDegraded", err)
+	if _, err := sess.ingestSeq(6, 1, rec, sets, elems); !errors.Is(err, ErrDegraded) {
+		t.Fatalf("fresh source: err = %v, want ErrDegraded", err)
 	}
 	if _, err := sess.query(nil); err != nil {
 		t.Fatalf("query on a degraded session: %v", err)
@@ -388,7 +388,7 @@ func TestNewSessionCheckpointMatchesFreshEstimator(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := encodeCheckpoint(checkpointState{name: c.Name, m: c.M, n: c.N, k: c.K,
-			alpha: c.Alpha, seed: c.Seed, parts: [][]byte{blob}})
+			alpha: c.Alpha, seed: c.Seed, est: blob})
 		if !bytes.Equal(got, want) {
 			t.Fatalf("%s: the new session's checkpoint (%d bytes) differs from the fresh estimator's (%d bytes)",
 				c.Name, len(got), len(want))
@@ -422,27 +422,100 @@ func (r *recordingFS) SyncDir(dir string) error {
 	return r.FS.SyncDir(dir)
 }
 
-// TestFaultFSCreateSyncsDataDir: a session directory's entry lives in the
-// data directory, so a create must fsync the data directory after it makes
-// the session directory and before the create is acknowledged. Without
-// that fsync a power loss can drop the new session, and every batch acked
-// into it.
+func (r *recordingFS) RemoveAll(path string) error {
+	r.note("removeall " + path)
+	return r.FS.RemoveAll(path)
+}
+
+// requireRemovedThenSynced fails unless the ops recorded through rec hold
+// "removeall dir" followed, later, by "syncdir parent".
+func requireRemovedThenSynced(t *testing.T, rec *recordingFS, dir, parent string) {
+	t.Helper()
+	rec.mu.Lock()
+	ops := slices.Clone(rec.ops)
+	rec.mu.Unlock()
+	rm := slices.Index(ops, "removeall "+dir)
+	if rm < 0 {
+		t.Fatalf("%s was not removed through the server's FS: %q", dir, ops)
+	}
+	if !slices.Contains(ops[rm+1:], "syncdir "+parent) {
+		t.Fatalf("%s was not fsynced after %s was removed: %q", parent, dir, ops)
+	}
+}
+
+// TestFaultFSCreateSyncsDataDir: a directory's entry lives in its parent,
+// so startup must fsync the data directory's parent after it creates the
+// data directory, and a create must fsync the data directory after it
+// makes the session directory and before the create is acknowledged.
+// Without those fsyncs a power loss can drop the new session, and every
+// batch acked into it.
 func TestFaultFSCreateSyncsDataDir(t *testing.T) {
-	dataDir := t.TempDir()
+	parent := t.TempDir()
+	dataDir := filepath.Join(parent, "data")
 	rec := &recordingFS{FS: fault.OS()}
 	srv := New(Config{DataDir: dataDir, FS: rec, WALNoSync: true})
 	defer srv.Abort()
+	if err := srv.recover(); err != nil {
+		t.Fatal(err)
+	}
 	if err := srv.createSession(wire.Create{Name: "durable", M: 50, N: 500, K: 3, Alpha: 4, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 	rec.mu.Lock()
 	ops := slices.Clone(rec.ops)
 	rec.mu.Unlock()
+	if made := slices.Index(ops, "mkdir "+dataDir); made < 0 || !slices.Contains(ops[made+1:], "syncdir "+parent) {
+		t.Fatalf("startup did not make the data directory through the server's FS and fsync its parent: %q", ops)
+	}
 	mkdir := slices.Index(ops, "mkdir "+filepath.Join(dataDir, sessionDirName("durable")))
 	if mkdir < 0 {
 		t.Fatalf("the session directory was not made through the server's FS: %q", ops)
 	}
 	if !slices.Contains(ops[mkdir+1:], "syncdir "+dataDir) {
 		t.Fatalf("the data directory was not fsynced after the session directory was made: %q", ops)
+	}
+}
+
+// TestFaultFSDeleteSyncsDataDir: deleting a session removes its directory
+// through the server's FS and then fsyncs the data directory that held
+// its entry, so a power loss cannot bring the session back. Both deletes
+// are checked — a client's close, and the startup sweep of a directory
+// whose session never wrote its first checkpoint — and a close whose
+// removal fails reports the failure instead of acknowledging it.
+func TestFaultFSDeleteSyncsDataDir(t *testing.T) {
+	dataDir := t.TempDir()
+	create := wire.Create{Name: "doomed", M: 50, N: 500, K: 3, Alpha: 4, Seed: 1}
+	rec := &recordingFS{FS: fault.OS()}
+	srv := New(Config{DataDir: dataDir, FS: rec, WALNoSync: true})
+	defer srv.Abort()
+	if err := srv.createSession(create); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.closeSession(create.Name); err != nil {
+		t.Fatal(err)
+	}
+	requireRemovedThenSynced(t, rec, filepath.Join(dataDir, sessionDirName(create.Name)), dataDir)
+
+	orphan := filepath.Join(dataDir, sessionDirName("orphan"))
+	if err := os.MkdirAll(filepath.Join(orphan, "wal"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	rec = &recordingFS{FS: fault.OS()}
+	swept := New(Config{DataDir: dataDir, FS: rec, WALNoSync: true})
+	defer swept.Abort()
+	if err := swept.recover(); err != nil {
+		t.Fatal(err)
+	}
+	requireRemovedThenSynced(t, rec, orphan, dataDir)
+
+	inj := fault.NewInjector(fault.OS())
+	failing := New(Config{DataDir: dataDir, FS: inj, WALNoSync: true})
+	defer failing.Abort()
+	if err := failing.createSession(create); err != nil {
+		t.Fatal(err)
+	}
+	inj.FailRemoves(1, nil)
+	if err := failing.closeSession(create.Name); err == nil {
+		t.Fatal("a close whose directory removal failed was acknowledged")
 	}
 }

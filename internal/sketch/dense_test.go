@@ -308,47 +308,47 @@ func TestDenseLayoutReachableCells(t *testing.T) {
 }
 
 // TestDenseRestoreUnreachableCellWidens restores a heavy-hitter
-// checkpoint carrying a nonzero counter in a cell the domain cannot
-// reach. The restored sketch must widen to keep that counter and then
-// re-encode the checkpoint byte for byte.
+// checkpoint whose CountSketch state is a full table carrying a nonzero
+// counter in a cell the domain cannot reach. The restored sketch must
+// widen to keep that counter and then re-encode the checkpoint byte for
+// byte.
 func TestDenseRestoreUnreachableCellWidens(t *testing.T) {
 	const phi, domain = 0.05, 40
-	src := newF2HeavyHitters(phi, domain, rand.New(rand.NewSource(3)))
+	build := func() *HeavyHitters { return newF2HeavyHitters(phi, domain, rand.New(rand.NewSource(3))) }
+	src := build()
 	feed := rand.New(rand.NewSource(4))
 	for i := 0; i < 3000; i++ {
 		src.Add(uint64(feed.Intn(domain)))
 	}
-	blob, err := src.MarshalBinary()
+	blob, err := src.appendState(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec := new(HeavyHitters)
-	if err := dec.UnmarshalBinary(blob); err != nil {
-		t.Fatal(err)
-	}
-	// Plant a counter in the first unreachable cell of row 2.
+	// Plant a counter in the first unreachable cell of row 2 of a twin
+	// widened to the full table.
 	reach := src.cs.lay.reachRow(2, src.cs.width)
 	b := 0
 	for reach[b>>6]&(1<<(b&63)) != 0 {
 		b++
 	}
-	dec.cs.table[2*dec.cs.width+b] = 17
-	planted, err := dec.MarshalBinary()
+	wide := build()
+	if err := wide.restoreState(blob); err != nil {
+		t.Fatal(err)
+	}
+	wide.cs.widen()
+	wide.cs.table[2*wide.cs.width+b] = 17
+	planted, err := wide.appendState(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec2 := new(HeavyHitters)
-	if err := dec2.UnmarshalBinary(planted); err != nil {
-		t.Fatal(err)
-	}
-	fresh := newF2HeavyHitters(phi, domain, rand.New(rand.NewSource(3)))
-	if err := fresh.Restore(dec2); err != nil {
+	fresh := build()
+	if err := fresh.restoreState(planted); err != nil {
 		t.Fatal(err)
 	}
 	if fresh.cs.domain != 0 {
 		t.Fatal("restore kept the dense form with an unreachable nonzero cell")
 	}
-	again, err := fresh.MarshalBinary()
+	again, err := fresh.appendState(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,17 +356,14 @@ func TestDenseRestoreUnreachableCellWidens(t *testing.T) {
 		t.Fatal("widened restore re-encodes differently")
 	}
 	// The untouched checkpoint restores dense and re-encodes too.
-	if err := dec.UnmarshalBinary(blob); err != nil {
-		t.Fatal(err)
-	}
-	clean := newF2HeavyHitters(phi, domain, rand.New(rand.NewSource(3)))
-	if err := clean.Restore(dec); err != nil {
+	clean := build()
+	if err := clean.restoreState(blob); err != nil {
 		t.Fatal(err)
 	}
 	if clean.cs.domain == 0 {
 		t.Fatal("a checkpoint with only reachable cells restored wide")
 	}
-	if again, _ := clean.MarshalBinary(); !bytes.Equal(blob, again) {
+	if again, _ := clean.appendState(nil); !bytes.Equal(blob, again) {
 		t.Fatal("dense restore re-encodes differently")
 	}
 }
@@ -401,14 +398,13 @@ func TestCloneSharesLayout(t *testing.T) {
 
 // TestDecodersBoundAllocation feeds each decoder a tiny blob whose header
 // claims a huge structure. A decoder must check the claim against the
-// blob before allocating for it: each blob may cost at most 1 MB. The v2
+// blob before allocating for it: each blob may cost at most 1 MB. The
 // state blobs decode into a construction built beforehand; those must
 // also fail.
 func TestDecodersBoundAllocation(t *testing.T) {
 	poly := []byte{12, 0, 0, 0, 1, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0} // blob: degree-1 poly, coefficient 5
 	le32 := func(v uint32) []byte { return []byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)} }
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
-	cs1x1 := cat(le32(1), le32(1), poly, poly, make([]byte, 8))
 
 	// A fed heavy-hitter sketch's v2 state: 20 header bytes, the
 	// CountSketch state as a 4-byte-length blob, then the candidates.
@@ -440,8 +436,6 @@ func TestDecodersBoundAllocation(t *testing.T) {
 			func(b []byte) error { return new(CountSketch).UnmarshalBinary(b) }, false},
 		{"L0 k=2^24", cat(poly, le32(1<<24), le32(1), make([]byte, 8), le32(9), le32(0)),
 			func(b []byte) error { return new(L0).UnmarshalBinary(b) }, false},
-		{"HeavyHitters cap=2^24", cat(make([]byte, 6), []byte{0xe0, 0x3f}, le32(1<<24), make([]byte, 8), le32(uint32(len(cs1x1))), cs1x1, le32(0)),
-			func(b []byte) error { return new(HeavyHitters).UnmarshalBinary(b) }, false},
 		{"v2 compact row one cell short of the layout", shortRow, fresh().restoreState, true},
 		{"v2 row cut short", cutRow, fresh().restoreState, true},
 	} {

@@ -28,9 +28,8 @@ import (
 // it from the construction's hashes and domain, as a first write does.
 // Heavy-hitter candidates are written as sorted ids.
 //
-// The estimator encoding v1 wrote every CountSketch at full width (its
-// MarshalBinary, which stays the Section 5 protocol message) and a weight
-// word per candidate. UnmarshalBinary and Restore below still read it.
+// A CountSketch's MarshalBinary, which writes the full table, is the
+// Section 5 protocol message, not a checkpoint form.
 //
 // Batch working memory (BatchMemory, lent by the caller for one batch at
 // a time) is never encoded: it holds nothing that survives a batch,
@@ -144,9 +143,10 @@ func (cs *CountSketch) restoreState(data []byte) error {
 	return nil
 }
 
-// candidates returns the candidate ids in ascending order, the canonical
-// order both encodings write. It fails while a batch is open.
-func (hh *HeavyHitters) candidates() ([]uint64, error) {
+// appendState appends threshold, capacity, total, the CountSketch's state
+// and the candidate ids in ascending order, the canonical order. It fails
+// while a batch is open.
+func (hh *HeavyHitters) appendState(buf []byte) ([]byte, error) {
 	if hh.batchKeys != nil {
 		return nil, fmt.Errorf("sketch: cannot marshal HeavyHitters mid-batch")
 	}
@@ -157,17 +157,7 @@ func (hh *HeavyHitters) candidates() ([]uint64, error) {
 		}
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids, nil
-}
-
-// appendState appends threshold, capacity, total, the CountSketch's state
-// and the sorted candidate ids. It must not be called while a batch is
-// open.
-func (hh *HeavyHitters) appendState(buf []byte) ([]byte, error) {
-	ids, err := hh.candidates()
-	if err != nil {
-		return nil, err
-	}
+	var err error
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(hh.phi))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(hh.cap))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(hh.total))
@@ -242,8 +232,8 @@ func (c *Contributing) AppendState(buf []byte) ([]byte, error) {
 }
 
 // RestoreState reads an AppendState blob into c, which must be freshly
-// built with the same parameters and seed. It checks what Restore checks
-// — γ, level rates, sampler and sketch hashes, φ and capacity — and
+// built with the same parameters and seed. It checks γ, level rates,
+// sampler and sketch hashes, φ and capacity against the construction, and
 // allocates no more than the construction's own layouts and the counters
 // the blob holds. On error c is left partly restored; callers discard it.
 func (c *Contributing) RestoreState(data []byte) error {
@@ -276,140 +266,5 @@ func (c *Contributing) RestoreState(data []byte) error {
 	if len(rest) != 0 {
 		return fmt.Errorf("sketch: %d trailing bytes after Contributing", len(rest))
 	}
-	return nil
-}
-
-// UnmarshalBinary decodes a heavy-hitter sketch in the v1 encoding: its
-// CountSketch at full width, and a weight word per candidate, which it
-// ignores (the sketch re-estimates from its counters).
-func (hh *HeavyHitters) UnmarshalBinary(data []byte) error {
-	if len(data) < 20 {
-		return fmt.Errorf("sketch: truncated HeavyHitters header")
-	}
-	phi := math.Float64frombits(binary.LittleEndian.Uint64(data[:8]))
-	capacity := int(binary.LittleEndian.Uint32(data[8:12]))
-	total := int64(binary.LittleEndian.Uint64(data[12:20]))
-	if !(phi > 0 && phi <= 1) || capacity < 1 || capacity > 1<<24 {
-		return fmt.Errorf("sketch: implausible HeavyHitters params phi=%v cap=%d", phi, capacity)
-	}
-	csb, rest, err := readBlob(data[20:])
-	if err != nil {
-		return err
-	}
-	var cs CountSketch
-	if err := cs.UnmarshalBinary(csb); err != nil {
-		return err
-	}
-	if len(rest) < 4 {
-		return fmt.Errorf("sketch: truncated HeavyHitters candidate count")
-	}
-	n := int(binary.LittleEndian.Uint32(rest[:4]))
-	rest = rest[4:]
-	if n > capacity {
-		return fmt.Errorf("sketch: HeavyHitters candidates %d exceed capacity %d", n, capacity)
-	}
-	// Every sketch is built by newF2HeavyHitters, so its dimensions follow
-	// from phi. Checking that bounds the candidate table allocated below by
-	// the size of the CountSketch the blob really holds.
-	if width, c := hhDims(phi); capacity != c || cs.width != width || cs.depth != hhDepth {
-		return fmt.Errorf("sketch: HeavyHitters phi=%v wants cap %d and a %dx%d CountSketch, blob has cap %d and %dx%d",
-			phi, c, hhDepth, width, capacity, cs.depth, cs.width)
-	}
-	if len(rest) != 16*n {
-		return fmt.Errorf("sketch: HeavyHitters candidate payload %d bytes, want %d", len(rest), 16*n)
-	}
-	out := HeavyHitters{phi: phi, cs: &cs, cap: capacity, total: total}
-	out.initTable()
-	for i := 0; i < n; i++ {
-		id := binary.LittleEndian.Uint64(rest[16*i:])
-		slot, dup := out.findSlot(id)
-		if dup {
-			return fmt.Errorf("sketch: HeavyHitters duplicate candidate %d", id)
-		}
-		out.insert(slot, id) // rest[16*i+8:] is the ignored weight word
-	}
-	*hh = out
-	return nil
-}
-
-// Restore adopts the state of a decoded snapshot into a freshly built
-// empty sketch with the same parameters, verifying that the snapshot's
-// hash functions are identical to the construction's (same seed). Unlike
-// Merge it adopts the candidate set without a trim, so a restored sketch
-// is bit-identical to the one that was encoded.
-func (hh *HeavyHitters) Restore(dec *HeavyHitters) error {
-	if dec == nil || hh.phi != dec.phi || hh.cap != dec.cap {
-		return fmt.Errorf("sketch: HeavyHitters snapshot parameter mismatch")
-	}
-	// The construction's sketch is all-zero, so merging the snapshot in
-	// yields its exact counters while verifying dimensions and hashes.
-	if err := hh.cs.Merge(dec.cs); err != nil {
-		return err
-	}
-	hh.total = dec.total
-	hh.ids, hh.used = dec.ids, dec.used
-	hh.live = dec.live
-	hh.mask, hh.n = dec.mask, dec.n
-	return nil
-}
-
-// Restore adopts a decoded snapshot into a freshly built empty battery,
-// verifying level structure and sampler identity.
-func (c *Contributing) Restore(dec *Contributing) error {
-	if dec == nil || c.gamma != dec.gamma || len(c.levels) != len(dec.levels) {
-		return fmt.Errorf("sketch: Contributing snapshot parameter mismatch")
-	}
-	for i := range c.levels {
-		if c.levels[i].rate != dec.levels[i].rate ||
-			!c.levels[i].sampler.Equal(dec.levels[i].sampler) {
-			return fmt.Errorf("sketch: Contributing level %d snapshot mismatch", i)
-		}
-	}
-	for i := range c.levels {
-		if err := c.levels[i].hh.Restore(dec.levels[i].hh); err != nil {
-			return fmt.Errorf("sketch: Contributing level %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// UnmarshalBinary decodes a battery in the v1 encoding; Restore then
-// adopts it into a fresh construction.
-func (c *Contributing) UnmarshalBinary(data []byte) error {
-	if len(data) < 12 {
-		return fmt.Errorf("sketch: truncated Contributing header")
-	}
-	gamma := math.Float64frombits(binary.LittleEndian.Uint64(data[:8]))
-	n := int(binary.LittleEndian.Uint32(data[8:12]))
-	if !(gamma > 0 && gamma <= 1) || n < 1 || n > 64 {
-		return fmt.Errorf("sketch: implausible Contributing params gamma=%v levels=%d", gamma, n)
-	}
-	rest := data[12:]
-	out := Contributing{gamma: gamma, levels: make([]contribLevel, n)}
-	for i := 0; i < n; i++ {
-		if len(rest) < 8 {
-			return fmt.Errorf("sketch: truncated Contributing level %d rate", i)
-		}
-		out.levels[i].rate = math.Float64frombits(binary.LittleEndian.Uint64(rest[:8]))
-		rest = rest[8:]
-		var err error
-		if out.levels[i].sampler, rest, err = readPoly(rest); err != nil {
-			return err
-		}
-		hb, r2, err := readBlob(rest)
-		if err != nil {
-			return err
-		}
-		rest = r2
-		hh := new(HeavyHitters)
-		if err := hh.UnmarshalBinary(hb); err != nil {
-			return fmt.Errorf("sketch: Contributing level %d: %w", i, err)
-		}
-		out.levels[i].hh = hh
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("sketch: %d trailing bytes after Contributing", len(rest))
-	}
-	*c = out
 	return nil
 }

@@ -3,6 +3,7 @@ package sketch
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -32,22 +33,18 @@ func sameReport(t *testing.T, a, b []WeightedItem) {
 
 func TestHeavyHittersSnapshotRoundTrip(t *testing.T) {
 	orig := loadedHH(7, 5000)
-	blob, err := orig.MarshalBinary()
+	blob, err := orig.appendState(nil)
 	if err != nil {
-		t.Fatal(err)
-	}
-	dec := new(HeavyHitters)
-	if err := dec.UnmarshalBinary(blob); err != nil {
 		t.Fatal(err)
 	}
 	// Restore into a fresh same-seed (hence same-hash) construction.
 	fresh := NewF2HeavyHitters(0.05, rand.New(rand.NewSource(7)))
-	if err := fresh.Restore(dec); err != nil {
+	if err := fresh.restoreState(blob); err != nil {
 		t.Fatal(err)
 	}
 	// Re-encoding must be byte-identical: restore is exact, and the
 	// candidate order is canonicalized.
-	blob2, err := fresh.MarshalBinary()
+	blob2, err := fresh.appendState(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,14 +65,12 @@ func TestHeavyHittersSnapshotRoundTrip(t *testing.T) {
 }
 
 func TestHeavyHittersRestoreRejectsOtherSeed(t *testing.T) {
-	orig := loadedHH(7, 1000)
-	blob, _ := orig.MarshalBinary()
-	dec := new(HeavyHitters)
-	if err := dec.UnmarshalBinary(blob); err != nil {
+	blob, err := loadedHH(7, 1000).appendState(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	other := NewF2HeavyHitters(0.05, rand.New(rand.NewSource(8)))
-	if err := other.Restore(dec); err == nil {
+	if err := other.restoreState(blob); err == nil {
 		t.Fatal("restore into different-seed construction must fail")
 	}
 }
@@ -83,18 +78,18 @@ func TestHeavyHittersRestoreRejectsOtherSeed(t *testing.T) {
 func TestHeavyHittersMarshalMidBatchFails(t *testing.T) {
 	hh := loadedHH(3, 100)
 	hh.BeginBatch([]uint64{1, 2, 3}, new(BatchMemory))
-	if _, err := hh.MarshalBinary(); err == nil {
+	if _, err := hh.appendState(nil); err == nil {
 		t.Fatal("mid-batch marshal must fail")
 	}
 	hh.AddBatched(0)
 	hh.EndBatch()
-	if _, err := hh.MarshalBinary(); err != nil {
+	if _, err := hh.appendState(nil); err != nil {
 		t.Fatalf("post-batch marshal: %v", err)
 	}
 }
 
 func TestHeavyHittersUnmarshalMalformed(t *testing.T) {
-	blob, _ := loadedHH(5, 800).MarshalBinary()
+	blob, _ := loadedHH(5, 800).appendState(nil)
 	for _, tc := range []struct {
 		name string
 		data []byte
@@ -104,8 +99,8 @@ func TestHeavyHittersUnmarshalMalformed(t *testing.T) {
 		{"truncated body", blob[:len(blob)-5]},
 		{"trailing garbage", append(append([]byte{}, blob...), 1, 2, 3)},
 	} {
-		dec := new(HeavyHitters)
-		if err := dec.UnmarshalBinary(tc.data); err == nil {
+		dst := NewF2HeavyHitters(0.05, rand.New(rand.NewSource(5)))
+		if err := dst.restoreState(tc.data); err == nil {
 			t.Fatalf("%s: expected error", tc.name)
 		}
 	}
@@ -123,19 +118,15 @@ func loadedContrib(seed int64, n int) *Contributing {
 
 func TestContributingSnapshotRoundTrip(t *testing.T) {
 	orig := loadedContrib(11, 4000)
-	blob, err := orig.MarshalBinary()
+	blob, err := orig.AppendState(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec := new(Contributing)
-	if err := dec.UnmarshalBinary(blob); err != nil {
-		t.Fatal(err)
-	}
 	fresh := NewF2Contributing(0.1, 64, 1<<12, DefaultContribConfig(), rand.New(rand.NewSource(11)))
-	if err := fresh.Restore(dec); err != nil {
+	if err := fresh.RestoreState(blob); err != nil {
 		t.Fatal(err)
 	}
-	blob2, err := fresh.MarshalBinary()
+	blob2, err := fresh.AppendState(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,19 +146,18 @@ func TestContributingSnapshotRoundTrip(t *testing.T) {
 }
 
 func TestContributingRestoreRejectsOtherSeed(t *testing.T) {
-	blob, _ := loadedContrib(11, 500).MarshalBinary()
-	dec := new(Contributing)
-	if err := dec.UnmarshalBinary(blob); err != nil {
+	blob, err := loadedContrib(11, 500).AppendState(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	other := NewF2Contributing(0.1, 64, 1<<12, DefaultContribConfig(), rand.New(rand.NewSource(12)))
-	if err := other.Restore(dec); err == nil {
+	if err := other.RestoreState(blob); err == nil {
 		t.Fatal("restore into different-seed construction must fail")
 	}
 }
 
 func TestContributingUnmarshalMalformed(t *testing.T) {
-	blob, _ := loadedContrib(13, 600).MarshalBinary()
+	blob, _ := loadedContrib(13, 600).AppendState(nil)
 	for _, tc := range []struct {
 		name string
 		data []byte
@@ -177,11 +167,26 @@ func TestContributingUnmarshalMalformed(t *testing.T) {
 		{"truncated level", blob[:len(blob)/2]},
 		{"trailing garbage", append(append([]byte{}, blob...), 0xff)},
 	} {
-		dec := new(Contributing)
-		if err := dec.UnmarshalBinary(tc.data); err == nil {
+		dst := NewF2Contributing(0.1, 64, 1<<12, DefaultContribConfig(), rand.New(rand.NewSource(13)))
+		if err := dst.RestoreState(tc.data); err == nil {
 			t.Fatalf("%s: expected error", tc.name)
 		}
 	}
+}
+
+// fullCounters is every level's CountSketch at full width (its Section 5
+// message), equal for equal counters whatever the storage form.
+func fullCounters(t *testing.T, c *Contributing) [][]byte {
+	t.Helper()
+	out := make([][]byte, len(c.levels))
+	for i := range c.levels {
+		b, err := c.levels[i].hh.cs.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = b
+	}
+	return out
 }
 
 // csForm names a CountSketch's storage form: "wide" (the full table),
@@ -202,7 +207,7 @@ func csForm(cs *CountSketch) string {
 // keys, and built over a domain whose layouts reach every cell — on
 // random streams. AppendState, RestoreState into a fresh same-seed
 // battery and AppendState again must give identical bytes; the restored
-// battery must hold the source's counters (full-width v1 encodings equal)
+// battery must hold the source's counters (full-width encodings equal)
 // with every level's CountSketch in the form its state was encoded in,
 // and an all-zero dense level must write no cells.
 func TestContributingStateRoundTrip(t *testing.T) {
@@ -279,9 +284,7 @@ func TestContributingStateRoundTrip(t *testing.T) {
 			if !bytes.Equal(enc, again) {
 				t.Fatalf("seed %d %s: restored battery re-encodes differently", seed, tc.name)
 			}
-			v1src, _ := tc.c.MarshalBinary()
-			v1got, _ := fresh.MarshalBinary()
-			if !bytes.Equal(v1src, v1got) {
+			if !reflect.DeepEqual(fullCounters(t, tc.c), fullCounters(t, fresh)) {
 				t.Fatalf("seed %d %s: restored counters differ from the source's", seed, tc.name)
 			}
 			var wide, fullDense, srcStored, stored int

@@ -86,7 +86,7 @@ func (cs *CountSketch) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalBinary decodes a sketch written by MarshalBinary. The result
-// is wide; Merge or Restore into a dense sketch compacts it.
+// is wide; a Merge into a dense sketch compacts it.
 func (cs *CountSketch) UnmarshalBinary(data []byte) error {
 	if len(data) < 8 {
 		return fmt.Errorf("sketch: truncated CountSketch header")

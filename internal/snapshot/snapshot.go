@@ -23,23 +23,18 @@ const (
 	magic      = "SCSN"
 	headerSize = 4 + 1 + 4 + 8
 
-	// Version is the envelope version Seal writes. Payload formats are not
-	// self-describing, so a version bump is the only safe evolution
-	// mechanism: Open accepts every version from 1 to Version and reports
-	// which one it read, and a payload decoder that knows an older format
-	// keeps reading it. Version 2 is the estimator encoding v2, whose
-	// CountSketches hold only their stored cells; version 1 wrote every
-	// row at full width. A kcoverd checkpoint's own payload is the same
-	// under both. Only current-version blobs are written, so a reader of
-	// an older version rejects them (upgrade followers before leaders).
+	// Version is the envelope version Seal writes and the only one Open
+	// accepts. Payload formats are not self-describing, so a version bump
+	// is the only safe evolution mechanism. Version 2 is the estimator
+	// encoding v2, whose CountSketches hold only their stored cells.
+	// Version 1, which wrote every row at full width, is no longer read:
+	// Open rejects it, naming the version.
 	Version = 2
 
 	// MaxPayload bounds how large a payload ReadFile/Open will accept, so
 	// a corrupt length field cannot trigger an absurd allocation. A
-	// kcoverd checkpoint holds one estimator blob per session; a v1 blob
-	// of an m=2000, n=20000, α=4 estimator took ~65 MiB, and checkpoints
-	// of kcoverds that split a session into shard estimators held one
-	// blob per shard.
+	// kcoverd checkpoint holds one session's estimator blob; a
+	// bulk-ingest-sized session (m=2000, n=100000) writes about 9 MB.
 	MaxPayload = 1 << 30
 )
 
@@ -56,32 +51,30 @@ func Seal(payload []byte) []byte {
 	return out
 }
 
-// Open validates an envelope and returns the payload (aliasing data) and
-// the version it was sealed with.
-func Open(data []byte) ([]byte, int, error) {
+// Open validates an envelope and returns the payload (aliasing data).
+func Open(data []byte) ([]byte, error) {
 	if len(data) < headerSize {
-		return nil, 0, fmt.Errorf("snapshot: truncated envelope (%d bytes)", len(data))
+		return nil, fmt.Errorf("snapshot: truncated envelope (%d bytes)", len(data))
 	}
 	if string(data[:4]) != magic {
-		return nil, 0, fmt.Errorf("snapshot: bad magic %q", data[:4])
+		return nil, fmt.Errorf("snapshot: bad magic %q", data[:4])
 	}
-	v := int(data[4])
-	if v < 1 || v > Version {
-		return nil, 0, fmt.Errorf("snapshot: unsupported version %d (want 1 to %d)", v, Version)
+	if v := data[4]; v != Version {
+		return nil, fmt.Errorf("snapshot: unsupported version %d (want %d)", v, Version)
 	}
 	wantCRC := binary.LittleEndian.Uint32(data[5:9])
 	n := binary.LittleEndian.Uint64(data[9:17])
 	if n > MaxPayload {
-		return nil, 0, fmt.Errorf("snapshot: implausible payload length %d", n)
+		return nil, fmt.Errorf("snapshot: implausible payload length %d", n)
 	}
 	if uint64(len(data)-headerSize) != n {
-		return nil, 0, fmt.Errorf("snapshot: payload is %d bytes, header says %d", len(data)-headerSize, n)
+		return nil, fmt.Errorf("snapshot: payload is %d bytes, header says %d", len(data)-headerSize, n)
 	}
 	payload := data[headerSize:]
 	if got := crc32.Checksum(payload, castagnoli); got != wantCRC {
-		return nil, 0, fmt.Errorf("snapshot: payload CRC mismatch (got %08x, want %08x)", got, wantCRC)
+		return nil, fmt.Errorf("snapshot: payload CRC mismatch (got %08x, want %08x)", got, wantCRC)
 	}
-	return payload, v, nil
+	return payload, nil
 }
 
 // WriteFile seals the payload and writes it to path atomically on the
@@ -132,7 +125,7 @@ func ReadFileFS(fsys fault.FS, path string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	payload, _, err := Open(data)
+	payload, err := Open(data)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}

@@ -2,39 +2,38 @@ package snapshot
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
 func TestSealOpenRoundTrip(t *testing.T) {
 	for _, payload := range [][]byte{nil, {}, []byte("x"), bytes.Repeat([]byte{0xAB, 0x00, 0x7F}, 4096)} {
-		got, v, err := Open(Seal(payload))
+		sealed := Seal(payload)
+		got, err := Open(sealed)
 		if err != nil {
 			t.Fatalf("payload %d bytes: %v", len(payload), err)
 		}
-		if !bytes.Equal(got, payload) || v != Version {
-			t.Fatalf("payload %d bytes: round trip changed content or version (%d)", len(payload), v)
+		if !bytes.Equal(got, payload) || sealed[4] != Version {
+			t.Fatalf("payload %d bytes: round trip changed content or version (%d)", len(payload), sealed[4])
 		}
 	}
 }
 
-// TestOpenReportsOlderVersion: an envelope sealed by the previous format
-// version still opens, and Open says which version it was, so a payload
-// decoder can pick the older format's reader.
-func TestOpenReportsOlderVersion(t *testing.T) {
+// TestOpenRejectsOlderVersion: an envelope sealed by the previous format
+// version (estimator encoding v1) no longer opens, and the error names
+// the version, so a data dir that still holds one fails loudly. Its CRC
+// covers only the payload, so the version byte is all that differs.
+func TestOpenRejectsOlderVersion(t *testing.T) {
 	sealed := Seal([]byte("a v1 estimator blob"))
-	sealed[4] = 1 // the CRC covers the payload only
-	payload, v, err := Open(sealed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != 1 || string(payload) != "a v1 estimator blob" {
-		t.Fatalf("opened version %d payload %q", v, payload)
-	}
-	sealed[4] = 0
-	if _, _, err := Open(sealed); err == nil {
-		t.Fatal("version 0 must be rejected")
+	for _, v := range []byte{0, 1, Version + 1} {
+		sealed[4] = v
+		_, err := Open(sealed)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unsupported version %d", v)) {
+			t.Fatalf("version %d: err = %v, want an unsupported-version error", v, err)
+		}
 	}
 }
 
@@ -55,7 +54,7 @@ func TestOpenRejectsCorruption(t *testing.T) {
 	crcFlip[6] ^= 0x01
 	cases["crc bit flip"] = crcFlip
 	for name, data := range cases {
-		if _, _, err := Open(data); err == nil {
+		if _, err := Open(data); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
 	}
@@ -109,21 +108,18 @@ func TestReadFileRejectsTornWrite(t *testing.T) {
 }
 
 // FuzzOpen: arbitrary bytes must never panic, and anything Open accepts
-// must be a faithful envelope (re-sealing the payload under the version
-// Open reported reproduces it).
+// must be a faithful envelope (re-sealing the payload reproduces it).
 func FuzzOpen(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(Seal(nil))
 	f.Add(Seal([]byte("payload")))
 	f.Add([]byte("SCSN garbage that is not an envelope"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		payload, v, err := Open(data)
+		payload, err := Open(data)
 		if err != nil {
 			return
 		}
-		resealed := Seal(payload)
-		resealed[4] = byte(v)
-		if !bytes.Equal(resealed, data) {
+		if !bytes.Equal(Seal(payload), data) {
 			t.Fatal("accepted envelope is not canonical")
 		}
 	})

@@ -105,8 +105,7 @@ func TestBinarySmallerThanText(t *testing.T) {
 	}
 }
 
-// rowBlob is the in-memory MKC1 blob WriteBinary produces: the row batch
-// layout earlier kcoverd clients sent and old WAL records still hold.
+// rowBlob is the in-memory MKC1 blob WriteBinary produces.
 func rowBlob(t testing.TB, edges []Edge, m, n int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -116,6 +115,9 @@ func rowBlob(t testing.TB, edges []Edge, m, n int) []byte {
 	return buf.Bytes()
 }
 
+// TestDecodeBinaryRejectsGarbage cuts and corrupts a WriteBinary blob:
+// ReadBinary must refuse each, and the in-memory batch decoder, which
+// reads only the columnar layout, must refuse the intact row blob too.
 func TestDecodeBinaryRejectsGarbage(t *testing.T) {
 	good := rowBlob(t, []Edge{{1, 2}, {3, 4}}, 10, 10)
 	cases := map[string][]byte{
@@ -127,9 +129,12 @@ func TestDecodeBinaryRejectsGarbage(t *testing.T) {
 		"out of bounds":  rowBlob(t, []Edge{{10, 0}}, 10, 10),
 	}
 	for name, blob := range cases {
-		var cols Columns
-		if _, _, err := DecodeBinaryInto(blob, &cols); err == nil {
-			t.Errorf("DecodeBinaryInto accepted %s", name)
+		if _, _, _, err := ReadBinary(bytes.NewReader(blob)); err == nil {
+			t.Errorf("ReadBinary accepted %s", name)
 		}
+	}
+	var cols Columns
+	if _, _, err := DecodeBinaryColumnsInto(good, &cols); err == nil {
+		t.Error("DecodeBinaryColumnsInto accepted a row blob")
 	}
 }

@@ -6,9 +6,9 @@ import (
 )
 
 // columnsMagic identifies the columnar batch format ("MKC2"). It shares
-// the MKC1 header shape (magic, uvarint m, uvarint n) so decoders sniff
-// the fourth magic byte to pick a layout, but lays the edges out as two
-// fixed-width ID columns instead of interleaved uvarint pairs:
+// the MKC1 file header's shape (magic, uvarint m, uvarint n) but lays the
+// edges out as two fixed-width ID columns instead of interleaved uvarint
+// pairs:
 //
 //	4 bytes  magic "MKC2"
 //	uvarint  m
@@ -122,61 +122,6 @@ func DecodeBinaryColumnsInto(data []byte, cols *Columns) (m, n int, err error) {
 			return 0, 0, fmt.Errorf("stream: elem %d out of bounds (n=%d)", e, n64)
 		}
 		cols.Elems[i] = e
-	}
-	return int(m64), int(n64), nil
-}
-
-// DecodeBinaryInto decodes either batch encoding — row MKC1 or columnar
-// MKC2, sniffed from the magic — into cols without allocating edge
-// structs. It is the server's single ingest decode entry point: legacy
-// row batches and columnar batches land in the same arenas and are
-// indistinguishable downstream.
-func DecodeBinaryInto(data []byte, cols *Columns) (m, n int, err error) {
-	if len(data) >= 4 && [4]byte(data[:4]) == columnsMagic {
-		return DecodeBinaryColumnsInto(data, cols)
-	}
-	if len(data) < 4 {
-		return 0, 0, fmt.Errorf("stream: bad binary magic: truncated")
-	}
-	if [4]byte(data[:4]) != binaryMagic {
-		return 0, 0, fmt.Errorf("stream: not a binary stream (magic %q)", data[:4])
-	}
-	rest := data[4:]
-	next := func(what string) (uint64, error) {
-		v, w := binary.Uvarint(rest)
-		if w <= 0 {
-			return 0, fmt.Errorf("stream: bad %s: truncated uvarint", what)
-		}
-		rest = rest[w:]
-		return v, nil
-	}
-	m64, err := next("m")
-	if err != nil {
-		return 0, 0, err
-	}
-	n64, err := next("n")
-	if err != nil {
-		return 0, 0, err
-	}
-	if m64 > 1<<31 || n64 > 1<<31 {
-		return 0, 0, fmt.Errorf("stream: implausible dims (%d, %d)", m64, n64)
-	}
-	cols.Sets = growU32(cols.Sets, 0)
-	cols.Elems = growU32(cols.Elems, 0)
-	for len(rest) > 0 {
-		s, err := next("edge set")
-		if err != nil {
-			return 0, 0, err
-		}
-		e, err := next("edge elem")
-		if err != nil {
-			return 0, 0, err
-		}
-		if s >= m64 || e >= n64 {
-			return 0, 0, fmt.Errorf("stream: edge (%d,%d) out of bounds (%d,%d)", s, e, m64, n64)
-		}
-		cols.Sets = append(cols.Sets, uint32(s))
-		cols.Elems = append(cols.Elems, uint32(e))
 	}
 	return int(m64), int(n64), nil
 }

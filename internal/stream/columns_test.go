@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 )
@@ -34,49 +33,6 @@ func TestColumnsRoundTrip(t *testing.T) {
 			if cols.Sets[i] != sets[i] || cols.Elems[i] != elems[i] {
 				t.Fatalf("count=%d: edge %d mismatch", count, i)
 			}
-		}
-
-		// DecodeBinaryInto must sniff the columnar magic and agree.
-		var cols2 Columns
-		if m2, n2, err := DecodeBinaryInto(blob, &cols2); err != nil || m2 != m || n2 != n {
-			t.Fatalf("count=%d: DecodeBinaryInto: %v (%d,%d)", count, err, m2, n2)
-		}
-		for i := range sets {
-			if cols2.Sets[i] != sets[i] || cols2.Elems[i] != elems[i] {
-				t.Fatalf("count=%d: sniffed edge %d mismatch", count, i)
-			}
-		}
-	}
-}
-
-// TestDecodeBinaryIntoRowEquivalence pins the in-memory row decoder to
-// ReadBinary: the same MKC1 blob must yield the same logical edges,
-// including repeated edges and the largest IDs the dims allow.
-func TestDecodeBinaryIntoRowEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	sets, elems := randomColumns(3000, 200, 100000, rng)
-	edges := []Edge{{0, 0}, {199, 99999}, {7, 123}, {7, 123}}
-	for i := range sets {
-		edges = append(edges, Edge{Set: sets[i], Elem: elems[i]})
-	}
-	blob := rowBlob(t, edges, 200, 100000)
-
-	ref, wm, wn, err := ReadBinary(bytes.NewReader(blob))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := ref.Edges()
-	var cols Columns
-	m, n, err := DecodeBinaryInto(blob, &cols)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m != wm || n != wn || cols.Len() != len(want) || len(want) != len(edges) {
-		t.Fatalf("dims/len mismatch: (%d,%d) %d vs (%d,%d) %d", m, n, cols.Len(), wm, wn, len(want))
-	}
-	for i, e := range want {
-		if e != edges[i] || cols.Sets[i] != e.Set || cols.Elems[i] != e.Elem {
-			t.Fatalf("edge %d: (%d,%d) vs %v, sent %v", i, cols.Sets[i], cols.Elems[i], e, edges[i])
 		}
 	}
 }

@@ -3,9 +3,10 @@
 // arbitrary order — a set's elements may be interleaved with every other
 // set's (Section 1). The package provides iterators over in-memory edge
 // slices, converters from explicit set systems under several arrival
-// orders (set-arrival, shuffled, element-major, round-robin), a plain-text
-// codec for stream files, and a pass-counting wrapper that tests use to
-// assert single-pass behaviour.
+// orders (set-arrival, shuffled, element-major, round-robin), codecs for
+// stream files (plain text and the row binary format MKC1), the columnar
+// batch format MKC2 that kcoverd ingest frames carry, and a pass-counting
+// wrapper that tests use to assert single-pass behaviour.
 package stream
 
 import (

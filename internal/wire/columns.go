@@ -7,13 +7,10 @@ import (
 	"streamcover/internal/stream"
 )
 
-// Ingest encoding. TIngest and TIngestSeq payloads carry one batch blob
-// after the routing header; the blob's magic selects the layout —
-// columnar "MKC2" (two fixed-width ID columns, stream.AppendBinaryColumns)
-// or legacy row "MKC1" (uvarint edge pairs, stream.WriteBinary's format).
-// A WAL record stores the frame type byte plus the verbatim payload, and
-// replay sniffs the same magic the live path does, so logs written by
-// earlier row-encoding clients still recover.
+// Ingest encoding. A TIngestSeq payload carries one columnar "MKC2" batch
+// blob (two fixed-width ID columns, stream.AppendBinaryColumns) after the
+// routing header. A WAL record stores the frame type byte plus the
+// verbatim payload, and replay decodes it as the live path does.
 //
 // The point of the columnar layout is zero-transform ingest: the client
 // accumulates edges as two ID columns, the encoder writes those columns
@@ -31,21 +28,10 @@ func EncodeIngestSeqColumns(buf []byte, name string, source, seq uint64, sets, e
 	return stream.AppendBinaryColumns(buf, sets, elems, m, n)
 }
 
-// DecodeIngestInto parses a TIngest payload of either batch encoding into
-// cols, reusing its backing arrays. IDs are validated against the blob's
-// own declared dims; the caller checks those against the session's.
-func DecodeIngestInto(p []byte, cols *stream.Columns) (name string, m, n int, err error) {
-	name, rest, err := decodeName(p)
-	if err != nil {
-		return "", 0, 0, err
-	}
-	m, n, err = stream.DecodeBinaryInto(rest, cols)
-	return name, m, n, err
-}
-
-// DecodeIngestSeqInto parses a TIngestSeq payload of either batch
-// encoding into cols. Source and seq must both be nonzero (zero is the
-// "unsequenced" sentinel server-side).
+// DecodeIngestSeqInto parses a TIngestSeq payload into cols, reusing its
+// backing arrays. Source and seq must both be nonzero. IDs are validated
+// against the blob's own declared dims; the caller checks those against
+// the session's.
 func DecodeIngestSeqInto(p []byte, cols *stream.Columns) (name string, source, seq uint64, m, n int, err error) {
 	name, rest, err := decodeName(p)
 	if err != nil {
@@ -64,7 +50,7 @@ func DecodeIngestSeqInto(p []byte, cols *stream.Columns) (name string, source, s
 	if source == 0 || seq == 0 {
 		return "", 0, 0, 0, 0, fmt.Errorf("wire: zero ingest source or sequence")
 	}
-	m, n, err = stream.DecodeBinaryInto(rest, cols)
+	m, n, err = stream.DecodeBinaryColumnsInto(rest, cols)
 	if err != nil {
 		return "", 0, 0, 0, 0, err
 	}

@@ -14,9 +14,6 @@
 //
 //	TCreate     uvarint len(name), name, uvarint m, uvarint n, uvarint k,
 //	            8-byte LE float64 alpha, 8-byte LE int64 seed
-//	TIngest     uvarint len(name), name, batch blob — an unsequenced
-//	            ingest. No current client sends it; servers still accept
-//	            it from earlier clients and replay it from old WALs.
 //	TIngestSeq  uvarint len(name), name, uvarint source, uvarint seq,
 //	            batch blob — a sequenced ingest: source is the client's
 //	            random nonzero identity, seq its per-session batch counter
@@ -31,10 +28,11 @@
 //	TResult     8-byte LE float64 coverage, 1 byte feasible, uvarint space
 //	            words, uvarint edges, uvarint count, count × uvarint set IDs
 //
-// A batch blob's declared dims must equal the session's, and its magic
-// selects its layout: columnar "MKC2" (stream.AppendBinaryColumns, what
-// the client sends) or row "MKC1" (stream.WriteBinary's format, sent by
-// earlier clients and still decoded).
+// A batch blob is columnar "MKC2" (stream.AppendBinaryColumns) and its
+// declared dims must equal the session's. TIngestSeq is the only ingest
+// frame. Type 0x02, the unsequenced ingest of earlier clients, is retired:
+// a server answers it as any unknown type, with TErr. A row "MKC1" blob
+// (stream.WriteBinary's file format) is not a batch blob either.
 package wire
 
 import (
@@ -48,18 +46,16 @@ import (
 // Frame types.
 const (
 	TCreate byte = 0x01
-	TIngest byte = 0x02
 	TQuery  byte = 0x03
 	TClose  byte = 0x04
 	// TPing (empty payload → TOK) is the pipeline barrier: because
 	// responses are strictly ordered, a ping's ack proves every earlier
 	// frame on the connection was handled.
 	TPing byte = 0x05
-	// TIngestSeq is TIngest with idempotence: the payload carries a
-	// (source, sequence) pair the server dedups on, and the ack implies
-	// the batch is durable in the session's WAL (when the server runs
-	// with a data dir). It is the only ingest frame the client sends;
-	// TIngest remains for logs and clients that predate it.
+	// TIngestSeq is the ingest frame: the payload carries a (source,
+	// sequence) pair the server dedups on, and the ack implies the batch
+	// is durable in the session's WAL (when the server runs with a data
+	// dir).
 	TIngestSeq byte = 0x06
 
 	TOK     byte = 0x80

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 
@@ -31,12 +32,12 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestFrameLimits(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, TIngest, make([]byte, MaxFrame+1)); err == nil {
+	if err := WriteFrame(&buf, TIngestSeq, make([]byte, MaxFrame+1)); err == nil {
 		t.Error("oversized write frame accepted")
 	}
 	// Corrupt length prefix beyond the cap must be rejected before any
 	// allocation.
-	bad := []byte{TIngest, 0xff, 0xff, 0xff, 0xff}
+	bad := []byte{TIngestSeq, 0xff, 0xff, 0xff, 0xff}
 	if _, _, err := ReadFrame(bytes.NewReader(bad), nil); err == nil {
 		t.Error("oversized read frame accepted")
 	}
@@ -67,13 +68,33 @@ func TestCreateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestIngestRoundTrip decodes a legacy TIngest payload — unsequenced,
-// row MKC1 — into columns: the shape earlier clients sent and old WAL
-// records still hold.
+// rowBlob is a row MKC1 blob, stream.WriteBinary's file format, which no
+// ingest decoder accepts.
+func rowBlob(edges []stream.Edge, m, n int) []byte {
+	var blob bytes.Buffer
+	if err := stream.WriteBinary(&blob, stream.FromEdges(edges), m, n); err != nil {
+		panic(err) // bytes.Buffer writes cannot fail
+	}
+	return blob.Bytes()
+}
+
+// rowSeqPayload is a TIngestSeq payload whose batch blob is row MKC1.
+func rowSeqPayload(name string, source, seq uint64, edges []stream.Edge, m, n int) []byte {
+	buf := binary.AppendUvarint(appendName(nil, name), source)
+	buf = binary.AppendUvarint(buf, seq)
+	return append(buf, rowBlob(edges, m, n)...)
+}
+
+// TestIngestRoundTrip decodes a batch whose IDs reach both ends of its
+// dims into columns, then a shorter one into the same columns.
 func TestIngestRoundTrip(t *testing.T) {
 	edges := []stream.Edge{{Set: 0, Elem: 5}, {Set: 3, Elem: 0}, {Set: 999, Elem: 4999}}
+	sets, elems := make([]uint32, len(edges)), make([]uint32, len(edges))
+	for i, e := range edges {
+		sets[i], elems[i] = e.Set, e.Elem
+	}
 	var cols stream.Columns
-	name, m, n, err := DecodeIngestInto(rowIngest("s1", edges, 1000, 5000), &cols)
+	name, _, _, m, n, err := DecodeIngestSeqInto(EncodeIngestSeqColumns(nil, "s1", 1, 1, sets, elems, 1000, 5000), &cols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +110,8 @@ func TestIngestRoundTrip(t *testing.T) {
 		}
 	}
 	// Reuse must reset, not append.
-	if _, _, _, err := DecodeIngestInto(rowIngest("s1", edges[:1], 1000, 5000), &cols); err != nil || cols.Len() != 1 {
+	short := EncodeIngestSeqColumns(nil, "s1", 1, 2, sets[:1], elems[:1], 1000, 5000)
+	if _, _, _, _, _, err := DecodeIngestSeqInto(short, &cols); err != nil || cols.Len() != 1 {
 		t.Errorf("column reuse broken: %d edges, %v", cols.Len(), err)
 	}
 }
@@ -115,29 +137,24 @@ func TestIngestSeqRoundTrip(t *testing.T) {
 	}
 }
 
-// TestIngestSeqRejectsMalformed runs every rejection case over both batch
-// layouts the decoder accepts.
+// TestIngestSeqRejectsMalformed runs every rejection case, including a
+// well-formed payload whose batch blob is row MKC1.
 func TestIngestSeqRejectsMalformed(t *testing.T) {
-	edges := []stream.Edge{{Set: 1, Elem: 2}}
-	layouts := map[string]func(source, seq uint64) []byte{
-		"columnar": func(source, seq uint64) []byte {
-			return EncodeIngestSeqColumns(nil, "s", source, seq, []uint32{1}, []uint32{2}, 10, 10)
-		},
-		"row": func(source, seq uint64) []byte { return rowIngestSeq("s", source, seq, edges, 10, 10) },
+	encode := func(source, seq uint64) []byte {
+		return EncodeIngestSeqColumns(nil, "s", source, seq, []uint32{1}, []uint32{2}, 10, 10)
 	}
-	for layout, encode := range layouts {
-		good := encode(7, 9)
-		for name, payload := range map[string][]byte{
-			"zero source": encode(0, 9),
-			"zero seq":    encode(7, 0),
-			"empty":       nil,
-			"name only":   good[:2],
-			"truncated":   good[:len(good)-3],
-		} {
-			var cols stream.Columns
-			if _, _, _, _, _, err := DecodeIngestSeqInto(payload, &cols); err == nil {
-				t.Errorf("%s %s: expected error", layout, name)
-			}
+	good := encode(7, 9)
+	for name, payload := range map[string][]byte{
+		"zero source": encode(0, 9),
+		"zero seq":    encode(7, 0),
+		"empty":       nil,
+		"name only":   good[:2],
+		"truncated":   good[:len(good)-3],
+		"row blob":    rowSeqPayload("s", 7, 9, []stream.Edge{{Set: 1, Elem: 2}}, 10, 10),
+	} {
+		var cols stream.Columns
+		if _, _, _, _, _, err := DecodeIngestSeqInto(payload, &cols); err == nil {
+			t.Errorf("%s: expected error", name)
 		}
 	}
 }

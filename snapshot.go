@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"streamcover/internal/core"
 	"streamcover/internal/snapshot"
 )
 
@@ -40,12 +41,11 @@ func (e *Estimator) Encode() ([]byte, error) {
 	return snapshot.Seal(state), nil
 }
 
-// DecodeEstimator rebuilds an estimator from an Encode blob. It reads the
-// current encoding (v2, whose sketches hold only their stored counters)
-// and v1, which wrote every CountSketch row at full width; Encode writes
-// v2 only.
+// DecodeEstimator rebuilds an estimator from an Encode blob. It reads
+// only the current encoding (v2, whose sketches hold only their stored
+// counters), the one Encode writes.
 func DecodeEstimator(data []byte) (*Estimator, error) {
-	payload, version, err := snapshot.Open(data)
+	payload, err := snapshot.Open(data)
 	if err != nil {
 		return nil, fmt.Errorf("streamcover: decode: %w", err)
 	}
@@ -105,15 +105,17 @@ func DecodeEstimator(data []byte) (*Estimator, error) {
 	if useHLL {
 		opts = append(opts, WithHLLBackend())
 	}
-	est, err := NewEstimator(int(m), int(n), int(k), math.Float64frombits(alphaBits), opts...)
+	alpha := math.Float64frombits(alphaBits)
+	// Construction allocates every (guess, repetition) unit the header
+	// claims, so check the claim against the blob first.
+	if least := core.MinStateBytes(int(m), int(n), int(k), alpha, newConfig(opts).params); len(payload) < least {
+		return nil, fmt.Errorf("streamcover: decode: header claims state of at least %d bytes, blob holds %d", least, len(payload))
+	}
+	est, err := NewEstimator(int(m), int(n), int(k), alpha, opts...)
 	if err != nil {
 		return nil, fmt.Errorf("streamcover: decode: %w", err)
 	}
-	restore := est.inner.RestoreState
-	if version == 1 {
-		restore = est.inner.RestoreStateV1
-	}
-	if err := restore(payload); err != nil {
+	if err := est.inner.RestoreState(payload); err != nil {
 		return nil, fmt.Errorf("streamcover: decode: %w", err)
 	}
 	est.edges = int(edges)

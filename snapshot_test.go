@@ -2,10 +2,14 @@ package streamcover
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"streamcover/internal/snapshot"
 	"streamcover/internal/workload"
 )
 
@@ -158,8 +162,8 @@ func TestSnapshotBatchScratchInterplay(t *testing.T) {
 // FuzzDecodeEstimator drives the full snapshot decoder — envelope, header
 // and the recursive state codec underneath — with arbitrary bytes. Every
 // outcome must be a clean error or a working estimator, never a panic.
-// The corpus holds a current (v2) blob and the v1 golden fixture, so both
-// readers are reached.
+// The corpus holds encoded blobs, a golden fixture and a header that
+// claims more state than its blob holds.
 func FuzzDecodeEstimator(f *testing.F) {
 	small, err := NewEstimator(10, 50, 2, 4)
 	if err != nil {
@@ -179,7 +183,7 @@ func FuzzDecodeEstimator(f *testing.F) {
 	mangled := append([]byte{}, blob...)
 	mangled[len(mangled)/3] ^= 0x10
 	f.Add(mangled)
-	f.Add(readGolden(f, "golden_v1_checkpoint.bin"))
+	f.Add(headerOnlyBlob(60, 500, 5, 4, 2))
 	f.Add(readGolden(f, "golden_v2_fresh.bin"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		est, err := DecodeEstimator(data)
@@ -218,6 +222,47 @@ func TestDecodeEstimatorMalformed(t *testing.T) {
 	} {
 		if _, err := DecodeEstimator(tc.data); err == nil {
 			t.Fatalf("%s: expected error", tc.name)
+		}
+	}
+}
+
+// headerOnlyBlob seals an Encode header for an estimator with these
+// dimensions, seed 1 and reps repetitions, followed by nothing but the
+// state's non-trivial flag.
+func headerOnlyBlob(m, n, k int, alpha float64, reps int) []byte {
+	buf := binary.AppendUvarint(nil, uint64(m))
+	buf = binary.AppendUvarint(buf, uint64(n))
+	buf = binary.AppendUvarint(buf, uint64(k))
+	buf = binary.AppendUvarint(buf, math.Float64bits(alpha))
+	buf = binary.AppendVarint(buf, 1)
+	buf = binary.AppendUvarint(buf, uint64(reps))
+	buf = binary.AppendUvarint(buf, math.Float64bits(4))
+	buf = append(buf, 0)               // L0 backend
+	buf = binary.AppendUvarint(buf, 0) // edges
+	return snapshot.Seal(append(buf, 0))
+}
+
+// TestDecodeEstimatorBoundsHeaderClaims decodes blobs that hold only a
+// header, in bulk-ingest's shape (m=2000, n=100000, k=40, α=8), at ever
+// more repetitions. Construction builds every (guess, repetition) unit the
+// header claims, about 4 MB per repetition in this shape, so the decoder
+// must reject such a blob before it constructs anything: every decode
+// must fail and allocate under 1 MB. The cases run in order and the test
+// stops at the first one over budget, so a decoder that constructs first
+// never reaches the gigabyte claimed at reps=256.
+func TestDecodeEstimatorBoundsHeaderClaims(t *testing.T) {
+	for _, reps := range []int{1, 4, 16, 256} {
+		blob := headerOnlyBlob(2000, 100000, 40, 8, reps)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		_, err := DecodeEstimator(blob)
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+			t.Fatalf("reps=%d (%d-byte blob): decoding allocated %.1f MB (err %v)", reps, len(blob), float64(n)/(1<<20), err)
+		}
+		if err == nil {
+			t.Fatalf("reps=%d: a header-only blob decoded", reps)
 		}
 	}
 }

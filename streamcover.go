@@ -95,6 +95,15 @@ func WithHLLBackend() Option {
 	return func(c *config) { c.params.UseHLL = true }
 }
 
+// newConfig resolves opts over the defaults.
+func newConfig(opts []Option) config {
+	cfg := config{seed: 1, params: core.Practical()}
+	for _, o := range opts {
+		o(&cfg)
+	}
+	return cfg
+}
+
 // Estimator is the single-pass Max k-Cover estimator/reporter
 // (Theorems 3.1 and 3.2 of the paper). It is not safe for concurrent use.
 type Estimator struct {
@@ -113,10 +122,7 @@ type Estimator struct {
 // with cover budget k and approximation target alpha ≥ 1. Space scales as
 // Õ(m/α² + k): doubling alpha quarters the sketching state.
 func NewEstimator(m, n, k int, alpha float64, opts ...Option) (*Estimator, error) {
-	cfg := config{seed: 1, params: core.Practical()}
-	for _, o := range opts {
-		o(&cfg)
-	}
+	cfg := newConfig(opts)
 	rng := rand.New(rand.NewSource(cfg.seed))
 	inner, err := core.NewEstimator(m, n, k, alpha, cfg.params, core.NewOracleFactory(), rng)
 	if err != nil {
