@@ -58,8 +58,6 @@ type runStats struct {
 	RehydrateP50Ms   float64 `json:"rehydration_p50_ms,omitempty"`
 	RehydrateP95Ms   float64 `json:"rehydration_p95_ms,omitempty"`
 	RehydrateP99Ms   float64 `json:"rehydration_p99_ms,omitempty"`
-	ArenaLeases      int64   `json:"intern_arena_leases"`
-	ArenaHits        int64   `json:"intern_arena_hits"`
 	EdgesSent        int64   `json:"edges_sent"`
 	EdgesApplied     int64   `json:"edges_applied"`
 	SpreadSeconds    float64 `json:"spread_seconds"`
@@ -298,8 +296,6 @@ func (c benchConfig) run(budget int64) (runStats, error) {
 	st.EvictedSessions = counters["evicted_sessions"]
 	st.Evictions = counters["evictions_total"]
 	st.Rehydrations = counters["rehydrations_total"]
-	st.ArenaLeases = counters["intern_arena_leases"]
-	st.ArenaHits = counters["intern_arena_hits"]
 	st.RehydrateP50Ms = float64(counters["rehydration_p50_nanos"]) / 1e6
 	st.RehydrateP95Ms = float64(counters["rehydration_p95_nanos"]) / 1e6
 	st.RehydrateP99Ms = float64(counters["rehydration_p99_nanos"]) / 1e6

@@ -79,8 +79,13 @@ func main() {
 	// First half, then force a checkpoint so recovery exercises both the
 	// snapshot restore and the WAL tail that accumulates after it.
 	sendAll(sess, edges[:q2])
-	if _, err := http.Get("http://" + httpAddr + "/checkpoint"); err != nil {
+	resp, err := http.Post("http://"+httpAddr+"/checkpoint", "", nil)
+	if err != nil {
 		log.Fatal("checkpoint request: ", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		log.Fatal("checkpoint request: ", resp.Status)
 	}
 	sendAll(sess, edges[q2:q3]) // acknowledged, but only in the WAL
 	log.Printf("checkpoint at edge %d, WAL tail to edge %d — SIGKILL", q2, q3)

@@ -434,39 +434,31 @@ func (c *Client) readLoop(cn *netConn) {
 				w.ch <- response{typ: typ, payload: append([]byte(nil), payload...)}
 				continue
 			}
-			switch typ {
-			case wire.TErr:
-				// The payload already carries the "server:" prefix.
-				w.ack(fmt.Errorf("client: %s", payload))
-			case wire.TErrRetry:
-				// Transient rejection: the server did NOT apply the
-				// batch. The ack leaves it parked in the resend deque,
-				// and the epoch is retired. The server parks the
-				// connection on this answer and rejects every later
-				// sequenced batch on it unapplied (server.handleConn):
-				// it dedups on each source's highest applied sequence,
-				// so a later batch applied there would turn this one's
-				// resend into an acked duplicate. Every pipelined batch
-				// behind this one is therefore rejected too, and the
-				// path back to exactly-once is a backoff-and-replay
-				// through the normal reconnect machinery.
-				busy := fmt.Errorf("client: %w: %s", ErrServerBusy, payload)
-				w.ack(busy)
-				cn.lost(fmt.Errorf("%w (%w)", ErrSessionClosed, busy))
+			err = c.responseErr(response{typ: typ, payload: payload})
+			w.ack(err)
+			if typ == wire.TErrRetry || typ == wire.TErrNotLeader {
+				// Transient rejection (TErrRetry): the server did NOT
+				// apply the batch. The ack leaves it parked in the
+				// resend deque, and the epoch is retired. The server
+				// parks the connection on this answer and rejects every
+				// later sequenced batch on it unapplied
+				// (server.handleConn): it dedups on each source's
+				// highest applied sequence, so a later batch applied
+				// there would turn this one's resend into an acked
+				// duplicate. Every pipelined batch behind this one is
+				// therefore rejected too, and the path back to
+				// exactly-once is a backoff-and-replay through the
+				// normal reconnect machinery.
+				//
+				// Placement rejection (TErrNotLeader): the node is a
+				// follower and did NOT apply the batch. Park it like a
+				// busy rejection, record the redirect, and retire the
+				// epoch with a non-retryable error — redialing the same
+				// follower would only be rejected again, so connLocked
+				// fails fast and the Cluster wrapper re-routes to the
+				// leader.
+				cn.lost(fmt.Errorf("%w (%w)", ErrSessionClosed, err))
 				cn.c.Close()
-			case wire.TErrNotLeader:
-				// Placement rejection: the node is a follower and did
-				// NOT apply the batch. Park it like a busy rejection,
-				// record the redirect, and retire the epoch with a
-				// non-retryable error — redialing the same follower
-				// would only be rejected again, so connLocked fails
-				// fast and the Cluster wrapper re-routes to the leader.
-				nl := c.notLeaderErr(payload)
-				w.ack(nl)
-				cn.lost(fmt.Errorf("%w (%w)", ErrSessionClosed, nl))
-				cn.c.Close()
-			default:
-				w.ack(nil)
 			}
 		default:
 			cn.lost(fmt.Errorf("client: unexpected frame 0x%02x with no request outstanding", typ))
@@ -741,13 +733,20 @@ func (c *Client) roundTripOn(cn *netConn, typ byte, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	if resp.typ == wire.TErr {
+	return c.responseErr(resp)
+}
+
+// responseErr maps a server's error response to the caller's error: a
+// plain rejection, a transient one (ErrServerBusy) or a leader redirect.
+// Any other response type is not an error.
+func (c *Client) responseErr(resp response) error {
+	switch resp.typ {
+	case wire.TErr:
+		// The payload already carries the "server:" prefix.
 		return fmt.Errorf("client: %s", resp.payload)
-	}
-	if resp.typ == wire.TErrRetry {
+	case wire.TErrRetry:
 		return fmt.Errorf("client: %w: %s", ErrServerBusy, resp.payload)
-	}
-	if resp.typ == wire.TErrNotLeader {
+	case wire.TErrNotLeader:
 		return c.notLeaderErr(resp.payload)
 	}
 	return nil
@@ -818,17 +817,11 @@ func (c *Client) roundTripOnce(typ byte, payload []byte) (response, error) {
 		return response{}, err
 	}
 	resp, err := awaitResponse(cn, ch)
+	if err == nil {
+		err = c.responseErr(resp)
+	}
 	if err != nil {
 		return response{}, err
-	}
-	if resp.typ == wire.TErr {
-		return response{}, fmt.Errorf("client: %s", resp.payload)
-	}
-	if resp.typ == wire.TErrRetry {
-		return response{}, fmt.Errorf("client: %w: %s", ErrServerBusy, resp.payload)
-	}
-	if resp.typ == wire.TErrNotLeader {
-		return response{}, c.notLeaderErr(resp.payload)
 	}
 	return resp, nil
 }
@@ -881,8 +874,14 @@ func (c *Client) QueryStale(name string, maxStale time.Duration) (Result, error)
 	if err != nil {
 		return Result{}, err
 	}
+	return decodeResult(resp, "stale query")
+}
+
+// decodeResult converts a query's TResult response into a Result; op
+// names the request in the error for any other response type.
+func decodeResult(resp response, op string) (Result, error) {
 	if resp.typ != wire.TResult {
-		return Result{}, fmt.Errorf("client: unexpected response 0x%02x to stale query", resp.typ)
+		return Result{}, fmt.Errorf("client: unexpected response 0x%02x to %s", resp.typ, op)
 	}
 	wr, err := wire.DecodeResult(resp.payload)
 	if err != nil {
@@ -1042,20 +1041,7 @@ func (s *Session) Query() (Result, error) {
 			}
 			return Result{}, err
 		}
-		if resp.typ != wire.TResult {
-			return Result{}, fmt.Errorf("client: unexpected response 0x%02x to query", resp.typ)
-		}
-		wr, err := wire.DecodeResult(resp.payload)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{
-			Coverage:   wr.Coverage,
-			Feasible:   wr.Feasible,
-			SetIDs:     wr.SetIDs,
-			SpaceWords: wr.SpaceWords,
-			Edges:      wr.Edges,
-		}, nil
+		return decodeResult(resp, "query")
 	}
 }
 

@@ -48,16 +48,10 @@ type Prepass struct {
 	sets  hash.Interner // distinct set IDs + per-edge positions
 	elems hash.Interner // distinct element IDs + per-edge positions
 
-	// arena, when set, is the shared pool the interner tables are leased
-	// from at the top of IndexColumns and returned to by release().
-	// Reset clears a leased table before use, so pooling cannot change
-	// interning results.
-	arena *hash.Arena
-
 	// setIDs is the chunk's raw set-ID column in arrival order — the
 	// per-edge view processChunkUnit replays when rebuilding each unit's
 	// reduced edges. It aliases the caller's column (for wire batches
-	// that's the decoded arena: zero transform).
+	// that's the decoder's column buffer: zero transform).
 	setIDs []uint32
 }
 
@@ -69,8 +63,6 @@ type Prepass struct {
 // the indexing goroutine (the engine publishes the Prepass through a
 // channel send).
 func (p *Prepass) IndexColumns(sets, elems []uint32) {
-	p.arena.Lease(&p.sets)
-	p.arena.Lease(&p.elems)
 	p.sets.Reset()
 	p.elems.Reset()
 	for _, s := range sets {
@@ -82,19 +74,13 @@ func (p *Prepass) IndexColumns(sets, elems []uint32) {
 	p.setIDs = sets
 }
 
-// release returns both interners' storage to the arena (no-op without
-// one). The prepass must not be indexed concurrently.
-func (p *Prepass) release() {
-	p.arena.Return(&p.sets)
-	p.arena.Return(&p.elems)
-}
-
 // BatchScratch is the reusable per-batch working memory of the batched
 // ingest path: a reference to the chunk's (possibly shared) prepass plus
 // value buffers for memoized hash decisions. A scratch may be reused
 // across batches (IndexColumns resets it) but never shared between
 // concurrent goroutines; only the Prepass it points at may be shared,
-// read-only.
+// read-only. An estimator's own scratch and each engine helper's live
+// until Estimator.Close, which drops them all.
 type BatchScratch struct {
 	pre *Prepass // chunk prepass: owned by the sequential path, shared under the engine
 
@@ -283,7 +269,6 @@ func (est *Estimator) ProcessColumns(sets, elems []uint32) {
 	}
 	if est.scratch == nil {
 		est.scratch = NewBatchScratch()
-		est.scratch.pre.arena = est.arena
 	}
 	for start := 0; start < len(sets); start += maxBatchChunk {
 		end := start + maxBatchChunk

@@ -12,7 +12,7 @@ import (
 // is read-only during processing, its oracle is private), so a chunk can
 // be fanned across workers with no locking as long as each unit is
 // processed by exactly one worker per chunk. The engine keeps a fixed set
-// of helper goroutines alive for the estimator's lifetime: spawning
+// of helper goroutines alive until the estimator's Close: spawning
 // goroutines per batch would cost a scheduler round-trip per batch and
 // lose the helpers' warmed-up BatchScratch buffers.
 //

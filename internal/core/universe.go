@@ -31,15 +31,10 @@ type Estimator struct {
 	guesses []zGuess
 
 	// scratch is the batched ingest path's transient working memory,
-	// lazily allocated by ProcessColumns. It is not sketch state: it holds
-	// nothing beyond the current batch and is excluded from SpaceWords
-	// (see internal/core/batch.go).
+	// lazily allocated by ProcessColumns and dropped by Close. It is not
+	// sketch state: it holds nothing beyond the current batch and is
+	// excluded from SpaceWords (see internal/core/batch.go).
 	scratch *BatchScratch
-
-	// arena, when set, pools the scratch's interner tables across
-	// co-resident estimators (see hash.Arena); ReleaseScratch hands the
-	// storage back when the owner goes idle.
-	arena *hash.Arena
 
 	// Parallel batch engine state (see internal/core/engine.go). par is
 	// the target worker count for ProcessColumns (≤1 means sequential; the
@@ -196,59 +191,24 @@ func (est *Estimator) SetParallelism(p int) {
 		return
 	}
 	est.par = p
-	// Helper count depends on par; drop the pool and let processChunk
-	// restart it at the right size on the next batch.
-	if est.eng != nil {
-		est.eng.close()
-		est.eng = nil
-	}
+	// Helper count depends on par; Close drops the pool, and the next
+	// batch restarts it at the right size.
+	est.Close()
 }
 
-// Close stops the parallel engine's helper goroutines, if any. The
-// estimator remains fully usable afterwards (ProcessColumns restarts the
-// pool lazily); Close exists so long-lived owners (the server's sessions)
-// can release goroutines when a session ends.
+// Close releases the estimator's working memory: it drops the batch
+// scratch and stops the parallel engine's helper goroutines, which frees
+// each helper's own scratch. Neither is sketch state, so Close changes no
+// result, SpaceWords or encoding, and the estimator remains fully usable
+// afterwards (ProcessColumns reallocates the scratch and restarts the
+// pool lazily). Long-lived owners call it when an estimator goes idle or
+// is retired. Not safe concurrently with ProcessColumns.
 func (est *Estimator) Close() {
-	if est.scratch != nil {
-		// Hand the interner tables back to the shared arena (no-op without
-		// one) so an evicted session's scratch immediately re-seeds the
-		// next rehydration instead of dying with the estimator.
-		est.scratch.pre.release()
-		est.scratch = nil
-	}
+	est.scratch = nil
 	if est.eng != nil {
 		est.eng.close()
 		est.eng = nil
 	}
-}
-
-// SetInternArena points the estimator's batch scratch at a shared
-// interner-table pool. Pooling is invisible to results (leased tables are
-// cleared before every batch); it only changes where the scratch's dedup
-// tables come from and go back to. Call before ingest, or between batches
-// — an already-allocated scratch adopts the arena on its next release/
-// lease cycle only if set before the scratch exists, so owners set it
-// right after construction.
-func (est *Estimator) SetInternArena(a *hash.Arena) {
-	est.arena = a
-	if est.scratch != nil {
-		est.scratch.pre.arena = a
-	}
-}
-
-// ReleaseScratch drops the batched ingest path's transient working
-// memory: interner tables return to the arena (when one is set) and the
-// scratch itself is released for the GC. The estimator remains fully
-// usable — the next ProcessColumns reallocates lazily. Owners with many
-// idle estimators (the server's evictable sessions) call this when an
-// estimator's queue drains so steady-state memory is sketch state only.
-// Not safe concurrently with ProcessColumns.
-func (est *Estimator) ReleaseScratch() {
-	if est.scratch == nil {
-		return
-	}
-	est.scratch.pre.release()
-	est.scratch = nil
 }
 
 // Estimate is the final answer of the estimation pipeline.

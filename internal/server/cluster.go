@@ -160,7 +160,7 @@ type followerTarget struct {
 func (t *followerTarget) Applied() uint64 { return t.sess.dur.wal.LastPos() }
 
 func (t *followerTarget) Bootstrap(walPos uint64, ckpt []byte) error {
-	return t.sess.rebootstrap(t.s.cfg, walPos, ckpt, &t.s.metrics)
+	return t.sess.rebootstrap(walPos, ckpt, &t.s.metrics)
 }
 
 // Apply mirrors one leader WAL record: append it to the local log (it
@@ -234,7 +234,7 @@ func (s *Server) attachFollower(sess *session, leaderID string) {
 // transition, taken under resMu's write side; ckptMu, taken inside it,
 // excludes concurrent checkpoints through the file write and the re-base,
 // while reads resume as soon as the new estimator is live.
-func (s *session) rebootstrap(cfg Config, walPos uint64, payload []byte, metrics *Metrics) error {
+func (s *session) rebootstrap(walPos uint64, payload []byte, metrics *Metrics) error {
 	st, err := decodeCheckpoint(payload)
 	if err != nil {
 		return fmt.Errorf("server: bootstrap: %w", err)
@@ -243,7 +243,7 @@ func (s *session) rebootstrap(cfg Config, walPos uint64, payload []byte, metrics
 		return fmt.Errorf("server: bootstrap checkpoint is for session %q (%d,%d,%d), want %q (%d,%d,%d)",
 			st.name, st.m, st.n, st.k, s.name, s.m, s.n, s.k)
 	}
-	est, err := estimatorFromCheckpoint(st, cfg.arena)
+	est, err := streamcover.DecodeEstimator(st.est)
 	if err != nil {
 		return err
 	}

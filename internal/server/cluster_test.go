@@ -709,7 +709,7 @@ func TestClusterPromoteAfterBootstrapKeepsWALBase(t *testing.T) {
 	// and it is promoted.
 	srv, follower := node()
 	follower.role.Store(roleFollower)
-	if err := follower.rebootstrap(srv.cfg, batches, payload, nil); err != nil {
+	if err := follower.rebootstrap(batches, payload, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.Promote(name); err != nil {

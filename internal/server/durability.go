@@ -355,7 +355,7 @@ func recoverSession(dir string, cfg Config, metrics *Metrics) (*session, error) 
 	if !ok {
 		return nil, nil
 	}
-	est, err := estimatorFromCheckpoint(st, cfg.arena)
+	est, err := streamcover.DecodeEstimator(st.est)
 	if err != nil {
 		return nil, fmt.Errorf("server: %s: %w", filepath.Join(dir, checkpointFile), err)
 	}
@@ -442,18 +442,6 @@ func replayTail(log *wal.Log, st *checkpointState, est *streamcover.Estimator, m
 		metrics.ReplayNanos.Add(time.Since(start).Nanoseconds())
 	}
 	return nil
-}
-
-// estimatorFromCheckpoint decodes a checkpoint's estimator, which runs
-// its batch engine at the facade default and draws batch scratch from
-// arena.
-func estimatorFromCheckpoint(st checkpointState, arena *streamcover.InternArena) (*streamcover.Estimator, error) {
-	est, err := streamcover.DecodeEstimator(st.est)
-	if err != nil {
-		return nil, err
-	}
-	est.SetInternArena(arena)
-	return est, nil
 }
 
 // decodeWALRecord parses one logged batch into cols: the TIngestSeq frame

@@ -133,12 +133,6 @@ func (s *Server) httpHandler() http.Handler {
 		counters["evicted_sessions"] = evicted
 		counters["resident_bytes"] = residentBytes
 		counters["mem_budget_bytes"] = s.cfg.MemBudget
-		if st := s.cfg.arena.Stats(); st.Leases > 0 {
-			counters["intern_arena_leases"] = int64(st.Leases)
-			counters["intern_arena_hits"] = int64(st.Hits)
-			counters["intern_arena_returns"] = int64(st.Returns)
-			counters["intern_arena_retained"] = int64(st.Retained)
-		}
 		out := map[string]any{"counters": counters, "queue_depths": queues}
 		if len(durability) > 0 {
 			out["durability"] = durability
@@ -191,6 +185,10 @@ func (s *Server) httpHandler() http.Handler {
 		writeJSON(w, map[string]any{"status": status, "sessions": sessions})
 	})
 	mux.HandleFunc("/checkpoint", func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			http.Error(w, "POST only", http.StatusMethodNotAllowed)
+			return
+		}
 		if err := s.CheckpointAll(); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return

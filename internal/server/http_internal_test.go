@@ -55,3 +55,33 @@ func TestHTTPTransientRejectionIs503(t *testing.T) {
 		t.Errorf("GET /query on a shut-down server: %d, want 503", got)
 	}
 }
+
+// TestCheckpointRequiresPost pins that /checkpoint, which writes every
+// session's checkpoint and may evict, runs only on POST: a GET from a
+// crawler or link prefetcher is refused with 405 and writes nothing.
+func TestCheckpointRequiresPost(t *testing.T) {
+	srv := New(Config{DataDir: t.TempDir(), WALNoSync: true, CheckpointEvery: -1})
+	defer srv.Abort()
+	if err := srv.createSession(wire.Create{Name: "web", M: 10, N: 100, K: 2, Alpha: 4, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	h := srv.httpHandler()
+	serve := func(method string) int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, "/checkpoint", nil))
+		return rec.Code
+	}
+	before := srv.Metrics().Checkpoints.Load()
+	if got := serve(http.MethodGet); got != http.StatusMethodNotAllowed {
+		t.Errorf("GET /checkpoint: %d, want 405", got)
+	}
+	if got := srv.Metrics().Checkpoints.Load(); got != before {
+		t.Fatalf("GET /checkpoint wrote %d checkpoints, want none", got-before)
+	}
+	if got := serve(http.MethodPost); got != http.StatusOK {
+		t.Fatalf("POST /checkpoint: %d, want 200", got)
+	}
+	if got := srv.Metrics().Checkpoints.Load(); got != before+1 {
+		t.Errorf("POST /checkpoint wrote %d checkpoints, want 1", got-before)
+	}
+}

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"sync/atomic"
 	"time"
+
+	"streamcover"
 )
 
 // ErrOverloaded marks transient capacity rejections from the
@@ -91,7 +93,7 @@ func (o *overseer) rehydrate(s *session) error {
 		s.resMu.Unlock()
 		return fmt.Errorf("server: %w: session %q rehydration: %v", ErrOverloaded, s.name, err)
 	}
-	est, err := estimatorFromCheckpoint(st, o.srv.cfg.arena)
+	est, err := streamcover.DecodeEstimator(st.est)
 	if err == nil {
 		err = replayTail(d.wal, &st, est, o.metrics)
 	}

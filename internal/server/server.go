@@ -99,10 +99,6 @@ type Config struct {
 	// estimator state on top of the budget. Default 2.
 	RehydrateConcurrency int
 
-	// arena is the shared interner-table pool co-resident sessions draw
-	// their batch-scratch tables from; built by withDefaults.
-	arena *streamcover.InternArena
-
 	// Cluster mode (see cluster.go), enabled when Peers is non-empty.
 	// NodeID is this node's identity — its peer-facing TCP address, as the
 	// other nodes should dial it — and must appear in Peers, the full
@@ -145,9 +141,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RehydrateConcurrency <= 0 {
 		c.RehydrateConcurrency = 2
-	}
-	if c.arena == nil {
-		c.arena = streamcover.NewInternArena(0)
 	}
 	if len(c.Peers) > 0 {
 		if c.Replicas <= 0 {
@@ -720,7 +713,6 @@ func (s *Server) buildSession(c wire.Create) (*session, error) {
 	if err != nil {
 		return nil, err
 	}
-	est.SetInternArena(s.cfg.arena)
 	sess := blankSession(c.Name, c.M, c.N, c.K, c.Alpha, c.Seed, s.cfg, &s.metrics)
 	sess.ovs = s.ovs // before install, which charges the budget
 	if s.cfg.DataDir != "" {

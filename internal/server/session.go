@@ -17,7 +17,8 @@ import (
 // a read observes every batch enqueued before it and no part of any batch
 // enqueued after it. The estimator's own batch engine fans each batch
 // across its (guess, repetition) oracle units, which is where the
-// session's parallelism comes from.
+// session's parallelism comes from. An idle session closes its estimator
+// (see scratchIdleAfter), so between bursts it holds sketch state only.
 //
 // A session's whole state is three words: its lifecycle (hydrated,
 // evicted or closed, under resMu), its cluster role (leader, fenced or
@@ -192,16 +193,17 @@ func (s *session) install(est *streamcover.Estimator, dedup map[uint64]uint64) {
 }
 
 // scratchIdleAfter is how long an apply goroutine sits without traffic
-// before it hands its batch scratch (interner tables) back to the shared
-// arena. The delay keeps a single busy session from thrashing its scratch
-// — release on every queue-empty observation would reallocate per batch —
-// while an idle one among thousands still returns its working memory for
-// the active sessions to reuse.
+// before it closes its estimator, dropping the batch scratch and stopping
+// the engine helpers together with theirs, so an idle session holds its
+// sketch state (what the memory budget charges) and nothing else. The
+// delay keeps a busy session from paying that release on every
+// queue-empty observation, which would reallocate the scratch and restart
+// the helpers per batch.
 const scratchIdleAfter = 250 * time.Millisecond
 
 // runApply is the session's apply goroutine: it owns est, applies batches
-// and runs reads in queue order, and releases est's engine when the queue
-// closes.
+// and runs reads in queue order, and closes est when it goes idle (the
+// next batch reallocates its working memory) and when the queue closes.
 func (s *session) runApply(est *streamcover.Estimator, queue <-chan applyMsg) {
 	defer s.applyWG.Done()
 	defer est.Close()
@@ -218,7 +220,7 @@ func (s *session) runApply(est *streamcover.Estimator, queue <-chan applyMsg) {
 			}
 			msg = m
 		case <-idle.C:
-			est.ReleaseScratch()
+			est.Close()
 			continue // timer not reset: release once, then block on the queue
 		}
 		if !idle.Stop() {

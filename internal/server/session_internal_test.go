@@ -2,10 +2,14 @@ package server
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -517,5 +521,91 @@ func TestFaultFSDeleteSyncsDataDir(t *testing.T) {
 	inj.FailRemoves(1, nil)
 	if err := failing.closeSession(create.Name); err == nil {
 		t.Fatal("a close whose directory removal failed was acknowledged")
+	}
+}
+
+// engineHelpers counts the goroutines running a batch-engine helper.
+func engineHelpers() int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "core.(*engine).helper(")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// TestIdleSessionClosesEstimator pins the idle contract: once a session
+// sees no traffic for scratchIdleAfter, its apply goroutine closes the
+// estimator, so the engine helpers stop and take their batch scratch with
+// them, and the session holds sketch state only. The next batch restarts
+// them, and the state and answer equal a same-seed estimator fed both
+// batches.
+func TestIdleSessionClosesEstimator(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	before := engineHelpers()
+	// paced-tenants' shape: 5 (guess, repetition) units, so the engine
+	// runs min(GOMAXPROCS, 5) − 1 = 3 helpers beside the apply goroutine.
+	c := wire.Create{Name: "idle", M: 60, N: 500, K: 5, Alpha: 4, Seed: 5}
+	srv := New(Config{})
+	defer srv.Abort()
+	if err := srv.createSession(c); err != nil {
+		t.Fatal(err)
+	}
+	sess, err := srv.session(c.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingest := func(seq int) wire.Result {
+		t.Helper()
+		sets, elems := testBatch(c, seq)
+		if _, err := sess.ingestSeq(1, uint64(seq), nil, sets, elems); err != nil {
+			t.Fatal(err)
+		}
+		res, err := sess.query(nil) // queued behind the batch: returns once it is applied
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+
+	ingest(1)
+	if got := engineHelpers() - before; got != 3 {
+		t.Fatalf("%d engine helpers after the first batch, want 3", got)
+	}
+	for deadline := time.Now().Add(20 * scratchIdleAfter); engineHelpers() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d engine helpers still running %v after the last batch, want none", engineHelpers()-before, 20*scratchIdleAfter)
+		}
+		time.Sleep(scratchIdleAfter / 10)
+	}
+
+	got := ingest(2)
+	ref, err := streamcover.NewEstimator(c.M, c.N, c.K, c.Alpha, streamcover.WithSeed(c.Seed), streamcover.WithParallelism(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seq := 1; seq <= 2; seq++ {
+		if err := ref.ProcessColumns(testBatch(c, seq)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blob, err := ref.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(blob)
+	digest, err := srv.SessionDigest(c.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := hex.EncodeToString(sum[:]); digest != want {
+		t.Errorf("digest after idle close and a second batch = %s, want the reference's %s", digest, want)
+	}
+	want := ref.Result()
+	if got.Coverage != want.Coverage || got.Feasible != want.Feasible || got.SpaceWords != want.SpaceWords ||
+		!slices.Equal(got.SetIDs, want.SetIDs) || got.Edges != ref.Edges() {
+		t.Errorf("answer after idle close = %+v, want the reference's %+v over %d edges", got, want, ref.Edges())
 	}
 }

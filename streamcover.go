@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"streamcover/internal/core"
-	"streamcover/internal/hash"
 	"streamcover/internal/setsystem"
 	"streamcover/internal/stream"
 )
@@ -81,8 +80,8 @@ func WithGuessBase(base float64) Option {
 // engine entirely). The coverage-guess ladder is embarrassingly parallel
 // — every (guess, repetition) oracle is independent — so results are
 // bit-for-bit identical for every worker count; only wall-clock time
-// changes. Workers beyond the oracle-unit count are never started. Can be
-// changed later with SetParallelism.
+// changes. Workers beyond the oracle-unit count are never started, and
+// Close stops the ones that are. Can be changed later with SetParallelism.
 func WithParallelism(workers int) Option {
 	return func(c *config) { c.par = workers }
 }
@@ -246,64 +245,20 @@ func (e *Estimator) processSplit(n int) {
 
 // SetParallelism changes the batch-engine worker count for all future
 // ProcessBatch/ProcessAll calls (≤ 0 selects GOMAXPROCS, 1 disables the
-// engine). Results stay bit-for-bit identical at every setting. Not safe
-// to call concurrently with Process* calls.
+// engine). Results stay bit-for-bit identical at every setting. The
+// workers start with the next batch; Close stops them. Not safe to call
+// concurrently with Process* calls.
 func (e *Estimator) SetParallelism(workers int) { e.inner.SetParallelism(workers) }
 
-// Close releases the batch engine's helper goroutines, if any. The
-// estimator remains fully usable — the pool restarts lazily on the next
-// batch — so Close is an optional courtesy for long-lived owners that
-// retire estimators (kcoverd sessions call it on session close).
-func (e *Estimator) Close() { e.inner.Close() }
-
-// InternArena is a shared pool of batch-scratch interner tables for
-// co-resident estimators (a node running thousands of sessions). Leased
-// tables are cleared before every batch, so pooling never changes
-// results; it only caps steady-state working memory at the number of
-// *concurrently active* estimators rather than the number alive.
-type InternArena struct{ a *hash.Arena }
-
-// InternArenaStats mirrors the arena's traffic counters.
-type InternArenaStats struct {
-	Leases   uint64 // lease calls on storage-less interners
-	Hits     uint64 // of those, satisfied from the free list
-	Returns  uint64 // blocks handed back
-	Retained int    // blocks currently pooled
-}
-
-// NewInternArena returns an arena retaining at most maxBlocks returned
-// interner blocks (≤ 0 selects a default).
-func NewInternArena(maxBlocks int) *InternArena {
-	return &InternArena{a: hash.NewArena(maxBlocks)}
-}
-
-// Stats snapshots the arena's counters.
-func (ia *InternArena) Stats() InternArenaStats {
-	if ia == nil {
-		return InternArenaStats{}
-	}
-	st := ia.a.Stats()
-	return InternArenaStats{Leases: st.Leases, Hits: st.Hits, Returns: st.Returns, Retained: st.Retained}
-}
-
-// SetInternArena points the estimator's batch scratch at a shared pool.
-// Call right after construction, before ingest. A nil arena is allowed
-// and means private allocation (the default).
-func (e *Estimator) SetInternArena(ia *InternArena) {
-	if ia == nil {
-		e.inner.SetInternArena(nil)
-		return
-	}
-	e.inner.SetInternArena(ia.a)
-}
-
-// ReleaseScratch drops the estimator's transient batch working memory,
-// returning pooled interner tables to the arena when one is set. The
-// estimator stays fully usable (the next batch reallocates lazily);
-// owners call this when an estimator goes idle so a parked session costs
-// sketch state only. Not safe concurrently with Process* calls.
-func (e *Estimator) ReleaseScratch() {
-	e.inner.ReleaseScratch()
+// Close releases the estimator's batch working memory: the split edge
+// columns, the batch scratch, and the batch engine's helper goroutines
+// with their scratch. None of it is sketch state, so Close changes no
+// answer, SpaceWords or encoding, and the estimator remains fully usable
+// — the next batch reallocates lazily. Long-lived owners call it when an
+// estimator goes idle or is retired (kcoverd sessions do both). Not safe
+// concurrently with Process* calls.
+func (e *Estimator) Close() {
+	e.inner.Close()
 	e.sets, e.elems = nil, nil
 }
 
