@@ -32,7 +32,7 @@ import (
 // EXCLUDED from every SpaceWords() sum — the paper's Õ(m/α² + k) bound
 // governs what the algorithm retains across the stream, and counting
 // per-batch scratch would conflate the streaming space with the caller's
-// choice of batch size. See internal/spaceacct for the contract.
+// choice of batch size. See internal/sketch for the contract.
 
 // maxBatchChunk bounds the number of edges indexed at once, which bounds
 // the scratch tables to O(chunk) memory regardless of caller batch size.

@@ -198,7 +198,7 @@ func (p *Poly) BernoulliBatch(xs []uint64, prob float64, dst []bool) []bool {
 // chunk on the ingest hot path. It is reusable working memory — Reset keeps
 // the allocations — and is NOT sketch state: it holds no information beyond
 // the current batch, so it is excluded from every SpaceWords accounting
-// (see internal/spaceacct).
+// (see the space-accounting contract in internal/sketch).
 type Interner struct {
 	tab  []int32 // slot -> index into Keys + 1; 0 = empty
 	mask uint64

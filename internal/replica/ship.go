@@ -32,10 +32,10 @@ type ShipOptions struct {
 	// Poll is how often a caught-up shipper re-checks the log for new
 	// records (default 2ms).
 	Poll time.Duration
-	// FlushEvery bounds how many entry frames may buffer before a flush
-	// (default 64).
-	FlushEvery int
 }
+
+// flushEvery bounds how many entry frames may buffer before a flush.
+const flushEvery = 64
 
 func (o *ShipOptions) defaults() {
 	if o.HeartbeatEvery <= 0 {
@@ -43,9 +43,6 @@ func (o *ShipOptions) defaults() {
 	}
 	if o.Poll <= 0 {
 		o.Poll = 2 * time.Millisecond
-	}
-	if o.FlushEvery <= 0 {
-		o.FlushEvery = 64
 	}
 }
 
@@ -93,7 +90,7 @@ func Ship(w *bufio.Writer, src ShipSource, applied uint64, stop <-chan struct{},
 			if err := wire.WriteFrame(w, wire.TRepEntry, entryBuf); err != nil {
 				return err
 			}
-			if unflushed++; unflushed >= opts.FlushEvery {
+			if unflushed++; unflushed >= flushEvery {
 				if err := w.Flush(); err != nil {
 					return err
 				}

@@ -37,7 +37,7 @@ type mirrorTarget struct {
 func (t *mirrorTarget) Applied() uint64 { return t.log.LastPos() }
 
 func (t *mirrorTarget) Bootstrap(walPos uint64, ckpt []byte) error {
-	if err := t.log.InitPos(walPos + 1); err != nil {
+	if err := t.log.ResetTo(walPos + 1); err != nil {
 		return err
 	}
 	t.mu.Lock()

@@ -160,12 +160,12 @@ func (ns *nodeSet) liveHTTPAddrs() []string {
 // leader, fence it (new ingest rejected with the not-leader redirect;
 // shipping keeps running against a frozen head), wait for a live replica
 // to drain the remaining tail, kill the old leader (SIGKILL semantics, no
-// checkpoint), promote that replica through the same crash-recovery path
-// a restart uses, and point the other survivors' appliers at it. The
-// fence is what makes the promotion lossless: acks outrun the
-// asynchronous shipping, so killing an unfenced leader could strand the
-// last acked batches on its dead disk. Returns the promoted node's
-// identity.
+// checkpoint), promote that replica in place (its replication stream
+// stops and its role flips; its state already is the leader's), and
+// point the other survivors' appliers at it. The fence is what makes the
+// promotion lossless: acks outrun the asynchronous shipping, so killing
+// an unfenced leader could strand the last acked batches on its dead
+// disk. Returns the promoted node's identity.
 func (ns *nodeSet) failover(session string) (string, error) {
 	leaderIdx := -1
 	var leaderSrv *server.Server
@@ -292,7 +292,7 @@ func (ns *nodeSet) replicaRows(session string) ([]ReplicaReport, string, error) 
 			continue
 		}
 		// A role/digest error means the node does not host the session
-		// (placement narrower than the fleet) or is mid-promotion; skip it
+		// (placement narrower than the fleet) or is shutting down; skip it
 		// and let the quorum check below decide whether that's fatal.
 		ri, err := srv.SessionRole(session)
 		if err != nil {

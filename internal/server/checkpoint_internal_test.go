@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -157,8 +158,12 @@ func dirContents(t *testing.T, root string) map[string][]byte {
 // shard-era checkpoint with two estimator blobs, a WAL record of the
 // retired unsequenced type 0x02 — must make Start fail with an error that
 // names the artifact, and must stay byte-identical: neither recovery nor
-// the orphan sweep may touch it.
+// the orphan sweep may touch it. The failed recovery must close what it
+// decoded: the 0x02 record fails replay after two records were applied,
+// which started the estimator's engine helpers, and none may outlive the
+// failed Start.
 func TestStartRefusesLegacyDataDir(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	c := wire.Create{Name: "old", M: 50, N: 500, K: 3, Alpha: 4, Seed: 1}
 	var rowBlob bytes.Buffer
 	if err := stream.WriteBinary(&rowBlob, stream.FromEdges([]stream.Edge{{Set: 1, Elem: 2}}), c.M, c.N); err != nil {
@@ -206,11 +211,15 @@ func TestStartRefusesLegacyDataDir(t *testing.T) {
 		}
 		dataDir := filepath.Dir(dir)
 		before := dirContents(t, dataDir)
+		helpers := engineHelpers()
 		srv := New(Config{DataDir: dataDir, WALNoSync: true, CheckpointEvery: -1})
 		err := srv.Start("127.0.0.1:0", "")
 		srv.Abort()
 		if err == nil {
 			t.Fatalf("%s: Start recovered a legacy session directory", tc.name)
+		}
+		if got := engineHelpers() - helpers; got != 0 {
+			t.Fatalf("%s: %d engine helpers outlived the failed Start", tc.name, got)
 		}
 		if msg := err.Error(); !strings.Contains(msg, filepath.Join(dir, tc.artifact)) || !strings.Contains(msg, tc.detail) {
 			t.Fatalf("%s: error %q does not name %s (%s)", tc.name, msg, tc.artifact, tc.detail)

@@ -5,8 +5,8 @@
 // their own log at the same position before applying it through the
 // replay path. Because a session applies its log one batch per record in
 // log order, a caught-up follower's estimator — and its on-disk
-// checkpoint+WAL — is byte-for-byte the leader's, which is why Promote can reuse the
-// crash-recovery path verbatim and why convergence is checkable by
+// checkpoint+WAL — is byte-for-byte the leader's, which is why Promote is
+// a role change on the live session and why convergence is checkable by
 // comparing SessionDigest across nodes.
 //
 // There is no consensus protocol. The control plane (scenario harness,
@@ -18,7 +18,6 @@ import (
 	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"net"
 	"path/filepath"
@@ -111,11 +110,7 @@ func (s *Server) serveShip(conn net.Conn, bw *bufio.Writer, payload []byte) {
 	}
 	sess, err := s.session(name)
 	if err != nil {
-		if errors.Is(err, ErrDegraded) {
-			fail(wire.TErrRetry, []byte(err.Error()))
-		} else {
-			fail(wire.TErr, []byte(err.Error()))
-		}
+		fail(ackFrame(err)) // TErrRetry while shutting down
 		return
 	}
 	if sess.role.Load() == roleFollower {
@@ -282,60 +277,35 @@ func (s *session) rebootstrap(walPos uint64, payload []byte, metrics *Metrics) e
 	return nil
 }
 
-// Promote turns a follower session into the leader replica on this node.
-// The mirror's checkpoint and WAL tail are byte-identical to the dead
-// leader's, so promotion is literally the crash-recovery path: close the
-// follower (stopping its replication stream), recover the session from
-// its own data directory, and record the leadership override. Lookups
-// during the window answer with the transient degraded error, so clients
-// park and resend rather than failing.
+// Promote turns a follower session into the leader replica on this node,
+// in place. A follower that applied the leader's log in order already
+// holds the leader's estimator, dedup horizons, checkpoint and log, so
+// nothing is closed, decoded or replayed: stop the replication stream
+// (Stop waits out any record or bootstrap still in flight), record the
+// leadership override, then flip the role. Only the caller that stopped
+// an applier flips it. A follower with no applier attached — mid-create,
+// or another Promote already stopping it — gets the transient degraded
+// error and stays a follower, so no follower Apply can run once the role
+// reads leader.
 func (s *Server) Promote(name string) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return errors.New("server: shutting down")
-	}
-	sess, ok := s.sessions[name]
-	if !ok {
-		s.mu.Unlock()
-		return fmt.Errorf("server: no session %q", name)
+	sess, err := s.session(name)
+	if err != nil {
+		return err
 	}
 	if sess.role.Load() != roleFollower {
-		s.mu.Unlock()
 		return nil // already the leader
 	}
-	if s.promoting[name] {
-		s.mu.Unlock()
-		return fmt.Errorf("server: session %q is already promoting", name)
+	a := sess.applier.Swap(nil)
+	if a == nil {
+		return fmt.Errorf("server: %w: session %q has no replication stream to stop", ErrDegraded, name)
 	}
-	s.promoting[name] = true
-	s.mu.Unlock()
-
-	sess.close() // stops the applier, drains the apply queue
-	dir := sess.dur.dir
-	sess.dur.close()
-	fresh, err := recoverSession(dir, s.cfg, &s.metrics)
-	if err == nil && fresh == nil {
-		err = fmt.Errorf("server: session %q has no checkpoint to promote from", name)
-	}
-
-	if err == nil {
-		fresh.ovs = s.ovs
-		if s.ovs != nil {
-			s.ovs.residentBytes.Add(fresh.residentBytes.Load())
-		}
-	}
+	a.Stop()
 	s.mu.Lock()
-	delete(s.promoting, name)
-	if err == nil {
-		s.sessions[name] = fresh
-		s.leaders[name] = s.cfg.NodeID
-		s.metrics.RepPromotions.Add(1)
-	} else {
-		delete(s.sessions, name) // wedged; a closed husk must not serve
-	}
+	s.leaders[name] = s.cfg.NodeID
 	s.mu.Unlock()
-	return err
+	sess.role.Store(roleLeader)
+	s.metrics.RepPromotions.Add(1)
+	return nil
 }
 
 // Fence freezes a leader session's log ahead of an orderly failover: new

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -565,6 +567,162 @@ func TestClusterFenceDrainPromote(t *testing.T) {
 	}
 }
 
+// TestClusterPromoteInPlace: promotion is a role change on the live
+// session. A follower that mirrored records past its last checkpoint is
+// promoted, by several callers at once, after its leader dies. A lookup
+// held across Promote is still the map's session and answers queries
+// throughout, nothing is replayed, one promotion is counted, and the
+// promoted leader takes writes and ends byte-equal to a fault-free
+// single-node run. A follower with no replication stream attached, as a
+// create leaves it before attaching one, is refused with the transient
+// retry (503 over HTTP) and stays a follower.
+func TestClusterPromoteInPlace(t *testing.T) {
+	addrs := reserveAddrs(t, 2)
+	servers := make([]*Server, 2)
+	nodes := make([]client.ClusterNode, 2)
+	for i, addr := range addrs {
+		servers[i] = startClusterNode(t, addr, addrs)
+		nodes[i] = client.ClusterNode{ID: addr, Addr: addr}
+	}
+	cl, err := client.DialCluster(nodes, 2, client.WithBatchSize(256), client.WithOpTimeout(3*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	const name = "inplace"
+	cs, err := cl.Create(name, cluM, cluN, cluK, cluAlpha, cluSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre, post := clusterEdges(41, 2048), clusterEdges(42, 1024)
+	if err := cs.Send(pre); err != nil {
+		t.Fatal(err)
+	}
+	if err := cs.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	leaderIdx, head := waitClusterConverged(t, servers, name, 15*time.Second)
+	followerIdx := 1 - leaderIdx
+	srv := servers[followerIdx]
+	held, err := srv.session(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ckpt := held.dur.ckptPos.Load(); ckpt >= head {
+		t.Fatalf("follower checkpoint at %d covers the head %d; the test needs records mirrored past it", ckpt, head)
+	}
+
+	// Several callers promote at once while the held lookup keeps
+	// querying. Exactly one stops the applier and flips the role; the
+	// others find a leader (nil) or the transient retry.
+	servers[leaderIdx].Abort()
+	replayed := srv.Metrics().ReplayBatches.Load()
+	stopQueries, queryErr := make(chan struct{}), make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stopQueries:
+				queryErr <- nil
+				return
+			default:
+			}
+			if _, err := held.query(nil); err != nil {
+				queryErr <- err
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	errs := make([]error, 3)
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = srv.Promote(name)
+		}(i)
+	}
+	wg.Wait()
+	close(stopQueries)
+	if err := <-queryErr; err != nil {
+		t.Errorf("query on the session looked up before Promote, during it: %v", err)
+	}
+	promoted := 0
+	for _, err := range errs {
+		if err == nil {
+			promoted++
+		} else if typ, _ := ackFrame(err); typ != wire.TErrRetry {
+			t.Errorf("concurrent Promote: %v, want success or the transient retry", err)
+		}
+	}
+	if promoted == 0 {
+		t.Fatal("no Promote succeeded")
+	}
+	if got := srv.Metrics().RepPromotions.Load(); got != 1 {
+		t.Errorf("%d promotions counted, want 1", got)
+	}
+	if now, err := srv.session(name); err != nil || now != held {
+		t.Errorf("after Promote the session map holds %p (err %v), want the session looked up before it, %p", now, err, held)
+	}
+	if _, err := held.query(nil); err != nil {
+		t.Errorf("query on the session looked up before Promote: %v", err)
+	}
+	if got := srv.Metrics().ReplayBatches.Load() - replayed; got != 0 {
+		t.Errorf("Promote replayed %d WAL batches, want none", got)
+	}
+	if ri, err := srv.SessionRole(name); err != nil || ri.Role != wire.RoleLeader || ri.Applied != head {
+		t.Errorf("promoted session's role %+v (err %v), want leader at head %d", ri, err, head)
+	}
+
+	// The promoted leader takes writes, and its state is the reference's.
+	pc, err := client.Dial(addrs[followerIdx], client.WithBatchSize(256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pc.Close()
+	ps, err := pc.Create(name, cluM, cluN, cluK, cluAlpha, cluSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ps.Send(post); err != nil {
+		t.Fatal(err)
+	}
+	if err := ps.Flush(); err != nil {
+		t.Fatalf("ingest into the promoted leader: %v", err)
+	}
+	_, wantDigest := clusterReference(t, name, append(append([]streamcover.Edge{}, pre...), post...))
+	if digest, err := srv.SessionDigest(name); err != nil || digest != wantDigest {
+		t.Errorf("promoted leader digest %s (err %v) != reference %s", digest, err, wantDigest)
+	}
+
+	// A follower with no applier attached is refused, and stays a follower.
+	bareSrv := New(Config{DataDir: t.TempDir(), WALNoSync: true, CheckpointEvery: -1})
+	t.Cleanup(bareSrv.Abort)
+	if err := bareSrv.createSession(wire.Create{Name: "bare", M: cluM, N: cluN, K: cluK, Alpha: cluAlpha, Seed: cluSeed}); err != nil {
+		t.Fatal(err)
+	}
+	bare, err := bareSrv.session("bare")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare.role.Store(roleFollower)
+	err = bareSrv.Promote("bare")
+	if typ, _ := ackFrame(err); typ != wire.TErrRetry {
+		t.Errorf("Promote of a follower with no applier: err %v acks 0x%02x, want TErrRetry", err, typ)
+	}
+	rec := httptest.NewRecorder()
+	bareSrv.httpHandler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/promote?session=bare", nil))
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Errorf("POST /promote on a follower with no applier: %d, want 503", rec.Code)
+	}
+	if bare.role.Load() != roleFollower {
+		t.Error("a refused Promote flipped the session's role")
+	}
+	if now, err := bareSrv.session("bare"); err != nil || now != bare {
+		t.Errorf("a refused Promote replaced the session: %p (err %v), want %p", now, err, bare)
+	}
+}
+
 // TestClusterFollowerBootstrapsFromSnapshot drives the path of a follower
 // that falls behind the leader's WAL truncation. The follower stops; the
 // leader ingests past it and checkpoints, which truncates the records the
@@ -658,11 +816,13 @@ func TestClusterFollowerBootstrapsFromSnapshot(t *testing.T) {
 
 // TestClusterPromoteAfterBootstrapKeepsWALBase: a follower bootstrapped
 // from a leader checkpoint re-bases its mirror log past the checkpoint's
-// position and holds no record until the next one ships. Promoted in that
-// state, it used to reopen the empty log at position 1: the new leader's
-// head read 1 under a checkpoint at 10, so its followers never converged,
-// and a batch it acked was logged below the checkpoint, where the next
-// crash recovery skipped it.
+// position and holds no record until the next one ships. Restarted in
+// that state, recovery reopens an empty log. Left at position 1, below
+// the checkpoint at 10, the follower promoted would report head 1, so its
+// own followers would never converge, and a batch it acked would be
+// logged where the next crash recovery skips it. Recovery must re-base
+// the log at the checkpoint's position, and a promotion must keep it
+// there.
 func TestClusterPromoteAfterBootstrapKeepsWALBase(t *testing.T) {
 	const name, batches, perBatch, source = "rebase", 10, 16, 7
 	c := wire.Create{Name: name, M: cluM, N: cluN, K: cluK, Alpha: cluAlpha, Seed: cluSeed}
@@ -705,13 +865,29 @@ func TestClusterPromoteAfterBootstrapKeepsWALBase(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A follower bootstraps from that checkpoint, nothing ships after it,
-	// and it is promoted.
+	// A follower bootstraps from that checkpoint and, before anything
+	// ships after it, restarts through crash recovery.
 	srv, follower := node()
 	follower.role.Store(roleFollower)
 	if err := follower.rebootstrap(batches, payload, nil); err != nil {
 		t.Fatal(err)
 	}
+	follower.close()
+	follower.dur.close()
+	restarted, err := recoverSession(follower.dur.dir, srv.cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := restarted.dur.wal.LastPos(); got != batches {
+		t.Fatalf("restarted follower's WAL head is %d, want the checkpoint's position %d", got, batches)
+	}
+
+	// It resumes as a follower, with a replication stream whose leader is
+	// gone, and is promoted.
+	srv.mu.Lock()
+	srv.sessions[name] = restarted
+	srv.mu.Unlock()
+	srv.attachFollower(restarted, reserveAddrs(t, 1)[0])
 	if err := srv.Promote(name); err != nil {
 		t.Fatal(err)
 	}

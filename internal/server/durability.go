@@ -38,11 +38,6 @@ type durability struct {
 	pmu    sync.RWMutex // ingest RLock / checkpoint Lock
 	ckptMu sync.Mutex   // serializes whole checkpoints (ticker, HTTP, shutdown)
 
-	// appendFn, when non-nil, replaces wal.Append on the overlapped ingest
-	// path. Tests inject stalls (to prove the ack waits for durability) and
-	// failures (to prove a failed append poisons the session).
-	appendFn func(rec []byte) (uint64, error)
-
 	lastCkptNanos atomic.Int64  // wall clock of the last completed checkpoint
 	ckptPos       atomic.Uint64 // last WAL position folded into the snapshot
 }
@@ -359,12 +354,16 @@ func recoverSession(dir string, cfg Config, metrics *Metrics) (*session, error) 
 	if err != nil {
 		return nil, fmt.Errorf("server: %s: %w", filepath.Join(dir, checkpointFile), err)
 	}
+	// Every failure from here closes est: a replay that fails part-way has
+	// already started its engine helpers.
 	log, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{SegmentBytes: cfg.WALSegmentBytes, NoSync: cfg.WALNoSync, FS: fsys})
 	if err != nil {
+		est.Close()
 		return nil, fmt.Errorf("server: %s: %w", dir, err)
 	}
 	if err := replayTail(log, &st, est, metrics); err != nil {
 		log.Close()
+		est.Close()
 		return nil, fmt.Errorf("server: %s: replay: %w", filepath.Join(dir, "wal"), err)
 	}
 	// A follower bootstrap re-bases its log past the leader's checkpoint.
@@ -374,6 +373,7 @@ func recoverSession(dir string, cfg Config, metrics *Metrics) (*session, error) 
 	if log.LastPos() < st.walPos {
 		if err := log.ResetTo(st.walPos + 1); err != nil {
 			log.Close()
+			est.Close()
 			return nil, fmt.Errorf("server: %s: re-basing wal: %w", dir, err)
 		}
 	}
@@ -409,8 +409,8 @@ func loadCheckpoint(fsys fault.FS, dir string) (checkpointState, bool, error) {
 
 // replayTail replays the WAL tail past st.walPos into est, one
 // ProcessColumns per record exactly as the live apply does, advancing
-// st.dedup to the replayed horizon. Shared by crash recovery, rehydration
-// and promotion: an evicted session's parked WAL replays through the
+// st.dedup to the replayed horizon. Shared by crash recovery and
+// rehydration: an evicted session's parked WAL replays through the
 // identical code, so a rehydrated estimator is bit-identical to one that
 // was never evicted.
 func replayTail(log *wal.Log, st *checkpointState, est *streamcover.Estimator, metrics *Metrics) error {

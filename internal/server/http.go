@@ -63,7 +63,7 @@ func (s *Server) httpHandler() http.Handler {
 		}
 		res, err := s.querySession(name)
 		if err != nil {
-			http.Error(w, err.Error(), errorStatus(err))
+			http.Error(w, err.Error(), errorStatus(err, http.StatusNotFound))
 			return
 		}
 		writeJSON(w, queryResponse{
@@ -204,7 +204,7 @@ func (s *Server) httpHandler() http.Handler {
 			name := sess.name
 			ri, err := s.SessionRole(name)
 			if err != nil {
-				continue // closed or promoting between the listing and here
+				continue // closed between the listing and here
 			}
 			row := clusterSessionInfo{
 				Role:    "leader",
@@ -227,7 +227,7 @@ func (s *Server) httpHandler() http.Handler {
 		}
 		digest, err := s.SessionDigest(name)
 		if err != nil {
-			http.Error(w, err.Error(), errorStatus(err))
+			http.Error(w, err.Error(), errorStatus(err, http.StatusNotFound))
 			return
 		}
 		writeJSON(w, map[string]string{"session": name, "digest": digest})
@@ -259,7 +259,7 @@ func (s *Server) httpHandler() http.Handler {
 			return
 		}
 		if err := s.Promote(name); err != nil {
-			http.Error(w, err.Error(), http.StatusConflict)
+			http.Error(w, err.Error(), errorStatus(err, http.StatusConflict))
 			return
 		}
 		writeJSON(w, map[string]any{"session": name, "promoted": true, "leader": s.cfg.NodeID})
@@ -312,14 +312,15 @@ type durabilityInfo struct {
 	CheckpointAge float64 `json:"checkpoint_age_seconds"`
 }
 
-// errorStatus maps a session lookup or read failure to its HTTP status:
-// 503 for the transient rejections TCP answers with TErrRetry (retry
-// later), 404 for everything else, an unknown session included.
-func errorStatus(err error) int {
+// errorStatus maps a failure to its HTTP status: 503 for the transient
+// rejections TCP answers with TErrRetry (retry later), otherwise
+// fallback — 404 for a lookup or read, an unknown session included, and
+// 409 for a promotion.
+func errorStatus(err error, fallback int) int {
 	if transient(err) {
 		return http.StatusServiceUnavailable
 	}
-	return http.StatusNotFound
+	return fallback
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -165,16 +165,15 @@ type Server struct {
 	ring    *replica.Ring // nil outside cluster mode; set once in Start
 	ovs     *overseer     // nil without a memory budget (see oversub.go)
 
-	mu        sync.Mutex
-	sessions  map[string]*session
-	creating  map[string]chan struct{} // names being built outside mu
-	leaders   map[string]string        // failover overrides: session → leader node ID
-	promoting map[string]bool          // sessions mid-promotion (lookups answer transient)
-	closed    bool
-	tcpLn     net.Listener
-	httpSrv   *http.Server
-	httpLn    net.Listener
-	conns     map[net.Conn]struct{}
+	mu       sync.Mutex
+	sessions map[string]*session
+	creating map[string]chan struct{} // names being built outside mu
+	leaders  map[string]string        // failover overrides: session → leader node ID
+	closed   bool
+	tcpLn    net.Listener
+	httpSrv  *http.Server
+	httpLn   net.Listener
+	conns    map[net.Conn]struct{}
 
 	connWG   sync.WaitGroup
 	acceptWG sync.WaitGroup
@@ -187,12 +186,11 @@ type Server struct {
 // to begin accepting.
 func New(cfg Config) *Server {
 	s := &Server{
-		cfg:       cfg.withDefaults(),
-		sessions:  make(map[string]*session),
-		creating:  make(map[string]chan struct{}),
-		leaders:   make(map[string]string),
-		promoting: make(map[string]bool),
-		conns:     make(map[net.Conn]struct{}),
+		cfg:      cfg.withDefaults(),
+		sessions: make(map[string]*session),
+		creating: make(map[string]chan struct{}),
+		leaders:  make(map[string]string),
+		conns:    make(map[net.Conn]struct{}),
 	}
 	s.metrics.start = time.Now()
 	if s.cfg.MemBudget > 0 && s.cfg.DataDir != "" {
@@ -594,9 +592,9 @@ var errParked = errors.New("server: an earlier batch on this connection was reje
 
 // transient reports whether err is a rejection that clears by itself —
 // a degraded or read-only session, the rehydration gate, a parked
-// connection, a session mid-promotion or a server shutting down — so the
-// request was not applied and may be retried unchanged. TCP answers it
-// with TErrRetry, HTTP with 503.
+// connection, a follower whose replication stream is not attached or a
+// server shutting down — so the request was not applied and may be
+// retried unchanged. TCP answers it with TErrRetry, HTTP with 503.
 func transient(err error) bool {
 	return errors.Is(err, ErrDegraded) || errors.Is(err, ErrReadOnly) || errors.Is(err, ErrOverloaded) || errors.Is(err, errParked)
 }
@@ -824,11 +822,6 @@ func (s *Server) session(name string) (*session, error) {
 		// transient instead; the client parks the batch and resends it
 		// after reconnecting.
 		return nil, fmt.Errorf("server: %w: shutting down", ErrDegraded)
-	}
-	if s.promoting[name] {
-		// Mid-promotion the old follower session is torn down and its
-		// replacement not yet registered; transient, like a dying server.
-		return nil, fmt.Errorf("server: %w: session %q is being promoted", ErrDegraded, name)
 	}
 	sess, ok := s.sessions[name]
 	if !ok {

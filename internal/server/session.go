@@ -315,17 +315,6 @@ func (s *session) pin() (func(), error) {
 func (s *session) logAndDispatch(d *durability, rec []byte, sets, elems []uint32) <-chan error {
 	ch := make(chan error, 1)
 	s.omu.Lock()
-	if d.appendFn != nil {
-		// Test seam: appendFn stands in for the whole append (write and
-		// fsync both), so it keeps the fully-overlapped shape.
-		go func() {
-			_, err := d.appendFn(rec)
-			ch <- err
-		}()
-		s.dispatch(sets, elems)
-		s.omu.Unlock()
-		return ch
-	}
 	_, wait, err := d.wal.AppendStart(rec)
 	// Dispatch even when the write failed: the degrade path treats the
 	// batch as applied-but-not-durable either way, and recovery's fresh

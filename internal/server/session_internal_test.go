@@ -21,9 +21,11 @@ import (
 	"streamcover/internal/wire"
 )
 
-func newTestDurSession(t *testing.T, name string) *session {
+// newTestDurSession builds a durable session (fsync on) whose WAL and
+// checkpoints write through fsys (nil: the real filesystem).
+func newTestDurSession(t *testing.T, name string, fsys fault.FS) *session {
 	t.Helper()
-	dur, err := openDurability(t.TempDir(), name, 0, false, nil)
+	dur, err := openDurability(t.TempDir(), name, 0, false, fsys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +50,7 @@ func newTestDurSession(t *testing.T, name string) *session {
 // early would let a crash before the original's fsync lose a batch the
 // duplicate's ack vouched for.
 func TestDuplicateAckWaitsForInFlightOriginal(t *testing.T) {
-	sess := newTestDurSession(t, "seqdup")
+	sess := newTestDurSession(t, "seqdup", nil)
 	sets, elems := []uint32{1, 3}, []uint32{2, 4}
 	rec := []byte{0x00, 0x01, 0x02}
 
@@ -117,32 +119,55 @@ func TestDuplicateAckWaitsForInFlightOriginal(t *testing.T) {
 	}
 }
 
+// parkingFS blocks the first file Sync made through it — a WAL's first
+// group-commit fsync — until release closes, closing parked once it
+// blocks.
+type parkingFS struct {
+	fault.FS
+	once            sync.Once
+	parked, release chan struct{}
+}
+
+func (p *parkingFS) OpenFile(name string, flag int, perm os.FileMode) (fault.File, error) {
+	f, err := p.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return &parkingFile{File: f, fs: p}, nil
+}
+
+type parkingFile struct {
+	fault.File
+	fs *parkingFS
+}
+
+func (f *parkingFile) Sync() error {
+	f.fs.once.Do(func() {
+		close(f.fs.parked)
+		<-f.fs.release
+	})
+	return f.File.Sync()
+}
+
 // TestOverlapAckAwaitsBatchDurability pins the fsync/apply-overlap
 // contract: the WAL append and the queue dispatch run concurrently, but
 // ingestSeq must not return (and so the server must not ack) until the
-// append settles. The test parks the append via the injectable appendFn,
-// observes that the batch has already been dispatched (the overlap is
-// real), and verifies the call is still blocked until the append is
-// released.
+// append settles. The test parks the real group-commit fsync in the
+// filesystem, observes that the batch has already been dispatched (the
+// overlap is real), and verifies the call is still blocked until the
+// fsync is released.
 func TestOverlapAckAwaitsBatchDurability(t *testing.T) {
-	sess := newTestDurSession(t, "overlap")
+	fsys := &parkingFS{FS: fault.OS(), parked: make(chan struct{}), release: make(chan struct{})}
+	sess := newTestDurSession(t, "overlap", fsys)
 	sets, elems := []uint32{1, 3}, []uint32{2, 4}
 	rec := []byte{0x00, 0x01}
-
-	parked := make(chan struct{})
-	release := make(chan struct{})
+	parked, release := fsys.parked, fsys.release
 	released := false
 	defer func() {
 		if !released {
 			close(release)
 		}
 	}()
-	real := sess.dur.wal
-	sess.dur.appendFn = func(rec []byte) (uint64, error) {
-		close(parked)
-		<-release
-		return real.Append(rec)
-	}
 
 	done := make(chan error, 1)
 	go func() {
@@ -154,18 +179,18 @@ func TestOverlapAckAwaitsBatchDurability(t *testing.T) {
 	}()
 	<-parked
 
-	// The dispatch half of the overlap must complete while the append is
+	// The dispatch half of the overlap must complete while the fsync is
 	// still parked.
 	deadline := time.Now().Add(5 * time.Second)
 	for sess.batches.Load() == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("batch never dispatched while the append was in flight")
+			t.Fatal("batch never dispatched while the fsync was in flight")
 		}
 		time.Sleep(time.Millisecond)
 	}
 	select {
 	case <-done:
-		t.Fatal("ingest returned before the WAL append settled: ack would not imply durability")
+		t.Fatal("ingest returned before the WAL fsync settled: ack would not imply durability")
 	case <-time.After(50 * time.Millisecond):
 	}
 
@@ -189,7 +214,8 @@ func TestOverlapAckAwaitsBatchDurability(t *testing.T) {
 // session back to healthy in place, with the applied-but-not-durable
 // batch captured by the recovery checkpoint.
 func TestAppendFailureDegradesBatchSession(t *testing.T) {
-	sess := newTestDurSession(t, "degrade")
+	inj := fault.NewInjector(fault.OS())
+	sess := newTestDurSession(t, "degrade", inj)
 	// Pin the degraded window open: the background loop must not race the
 	// assertions below, so recovery happens only when the test asks.
 	sess.retryMin = time.Hour
@@ -197,7 +223,7 @@ func TestAppendFailureDegradesBatchSession(t *testing.T) {
 	sets, elems := []uint32{2}, []uint32{7}
 	rec := []byte{0x02}
 	wantErr := errors.New("write error")
-	sess.dur.appendFn = func(rec []byte) (uint64, error) { return 0, wantErr }
+	inj.FailWrites(-1, wantErr)
 
 	applied, err := sess.ingestSeq(5, 1, rec, sets, elems)
 	if err == nil || !errors.Is(err, wantErr) {
@@ -247,7 +273,7 @@ func TestAppendFailureDegradesBatchSession(t *testing.T) {
 	// Clear the fault and recover in place: the session returns to
 	// healthy, the next sequence is accepted, and nothing was lost or
 	// double-applied.
-	sess.dur.appendFn = nil
+	inj.Clear()
 	if !sess.tryRecover() {
 		t.Fatal("tryRecover failed after the fault cleared")
 	}
@@ -313,7 +339,7 @@ func TestDispatchBatchAllocsSteadyState(t *testing.T) {
 // hold exactly the applied batches, and the surviving horizon must be the
 // highest accepted sequence (run with -race to police the handshake).
 func TestIngestSeqConcurrentSameSource(t *testing.T) {
-	sess := newTestDurSession(t, "seqrace")
+	sess := newTestDurSession(t, "seqrace", nil)
 	sets, elems := []uint32{9}, []uint32{9}
 	rec := []byte{0x01}
 

@@ -17,5 +17,16 @@
 //
 // All sketches are single-pass, insertion-only (CountSketch also accepts
 // deletions), deterministic given their *rand.Rand, and report retained
-// state via SpaceWords (see internal/spaceacct).
+// state via SpaceWords.
+//
+// # Space accounting
+//
+// The paper's results are space bounds (Θ̃(m/α²) words, etc.), so every
+// sketch and streaming structure in this repository reports the number of
+// machine words it actually retains — not Go heap size, which is
+// dominated by allocator and header overheads. SpaceWords() int returns
+// the 64-bit words of state retained at the moment of the call: the
+// counters, stored (set, element) pairs, hash-function coefficients and
+// candidate tables a careful C implementation would keep. Per-batch
+// working memory holds nothing that survives the batch and is excluded.
 package sketch

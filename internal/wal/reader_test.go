@@ -215,42 +215,80 @@ func TestOpenReaderTruncatedPosition(t *testing.T) {
 	}
 }
 
-func TestInitPos(t *testing.T) {
+// TestResetTo pins the re-base a follower bootstrap makes: ResetTo(next)
+// leaves the log empty with its next append at position next, whether
+// the log was empty or held records (which it discards), and the
+// position space survives a reopen.
+func TestResetTo(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.InitPos(101); err != nil {
+	// An empty log re-bases.
+	if err := l.ResetTo(101); err != nil {
 		t.Fatal(err)
 	}
-	pos, err := l.Append([]byte("a"))
+	if got := l.LastPos(); got != 100 {
+		t.Fatalf("LastPos after ResetTo(101) on an empty log %d, want 100", got)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := l.Append([]byte{byte('a' + i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := l.LastPos(); got != 103 {
+		t.Fatalf("LastPos after three appends %d, want 103", got)
+	}
+
+	// A log holding records discards them and re-bases.
+	if err := l.ResetTo(201); err != nil {
+		t.Fatal(err)
+	}
+	if got := l.LastPos(); got != 200 {
+		t.Fatalf("LastPos after ResetTo(201) %d, want 200", got)
+	}
+	pos, err := l.Append([]byte("z"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pos != 101 {
-		t.Fatalf("first append at %d, want 101", pos)
+	if pos != 201 {
+		t.Fatalf("first append after the re-base at %d, want 201", pos)
 	}
-	if err := l.InitPos(7); err == nil {
-		t.Fatal("InitPos on non-empty log succeeded")
+	var got []uint64
+	if err := l.Replay(201, func(pos uint64, rec []byte) error {
+		got = append(got, pos)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0] != 201 {
+		t.Fatalf("replayed positions %v, want [201]", got)
+	}
+	segs, err := listSegments(l.fs, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) != 1 || segs[0].name != segName(201) {
+		t.Fatalf("segments %v after the re-base, want single %s: the discarded records survived", segs, segName(201))
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// The position space survives reopen via the segment name.
+
+	// The position space survives a reopen via the segment name.
 	l2, err := Open(dir, Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	if l2.LastPos() != 101 {
-		t.Fatalf("LastPos after reopen %d, want 101", l2.LastPos())
+	if l2.LastPos() != 201 {
+		t.Fatalf("LastPos after reopen %d, want 201", l2.LastPos())
 	}
-	segs, err := listSegments(l2.fs, dir)
-	if err != nil {
+	if segs, err = listSegments(l2.fs, dir); err != nil {
 		t.Fatal(err)
 	}
-	if len(segs) != 1 || segs[0].name != segName(101) {
-		t.Fatalf("segments %v, want single %s", segs, segName(101))
+	if len(segs) != 1 || segs[0].name != segName(201) {
+		t.Fatalf("segments %v after reopen, want single %s", segs, segName(201))
 	}
 }

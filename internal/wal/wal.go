@@ -507,32 +507,6 @@ func (l *Log) Pins() int {
 	return len(l.pins)
 }
 
-// InitPos places an empty log's position space so that the next Append
-// receives position next. A follower bootstrapping from a leader
-// checkpoint at WAL position p calls InitPos(p+1) so that mirrored
-// appends land at the same positions as the leader's originals — the two
-// logs then stay byte-identical segment for segment. It is an error on a
-// log that already holds records.
-func (l *Log) InitPos(next uint64) error {
-	if next == 0 {
-		return fmt.Errorf("wal: InitPos(0): positions are 1-based")
-	}
-	segs, err := listSegments(l.fs, l.dir)
-	if err != nil {
-		return err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(segs) > 0 || l.next != 1 || l.file != nil {
-		return fmt.Errorf("wal: InitPos on non-empty log (next=%d)", l.next)
-	}
-	l.next = next
-	l.segPos = next
-	l.synced = next - 1
-	l.appended = next - 1
-	return nil
-}
-
 // ResetTo discards every record and re-bases the position space so the
 // next Append lands at next — a follower being re-bootstrapped from a
 // leader checkpoint covering position next-1 calls this to make its
