@@ -31,14 +31,12 @@ func batchStream(nOcc int, universe int, rng *rand.Rand) (keys []uint64, occ []i
 	return
 }
 
-// candSet materializes the candidate set (slot layout is representation,
+// candSet materializes the candidate set (list order is representation,
 // the set is the state).
 func (hh *HeavyHitters) candSet() map[uint64]bool {
-	out := make(map[uint64]bool, hh.n)
-	for i, u := range hh.used {
-		if u {
-			out[hh.ids[i]] = true
-		}
+	out := make(map[uint64]bool, len(hh.ids))
+	for _, id := range hh.ids {
+		out[id] = true
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -13,10 +14,10 @@ import (
 // thresholds, interleaving their batches at random split points, exactly
 // as one engine worker feeds many oracle units. Every instance must end
 // bit-identical to a twin fed the same keys through scalar Add: counters,
-// totals, candidate sets and reports. All instances index the same keys
-// slice, so a key index resident in one sketch's batch is non-resident in
-// the next borrower's first batch; the small φ forces refreshes in the
-// middle of batches.
+// totals, candidate sets and reports, also after a merge and a checkpoint
+// round trip. All instances index the same keys slice, so a key that is a
+// candidate of one sketch's batch is not one in the next borrower's first
+// batch; the small φ forces refreshes in the middle of batches.
 func TestBatchMemorySharedEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	keys, occ, _ := batchStream(24000, 500, rng)
@@ -27,12 +28,13 @@ func TestBatchMemorySharedEquivalence(t *testing.T) {
 	// A domain of 0 hashes every key; 500 makes a dense-domain sketch
 	// beside the hashing ones, and 450 one that a key past its domain
 	// widens (mid-batch on bat).
-	for i, phi := range []float64{0.5, 0.05, 0.2, 0.1} {
-		seed := int64(40 + i)
+	buildHH := func(i int) *HeavyHitters {
+		phi := []float64{0.5, 0.05, 0.2, 0.1}[i]
 		domain := []int{0, 0, 500, 450}[i]
-		seq := newF2HeavyHitters(phi, domain, rand.New(rand.NewSource(seed)))
-		bat := newF2HeavyHitters(phi, domain, rand.New(rand.NewSource(seed)))
-		hhs = append(hhs, hhPair{seq, bat})
+		return newF2HeavyHitters(phi, domain, rand.New(rand.NewSource(int64(40+i))))
+	}
+	for i := 0; i < 4; i++ {
+		hhs = append(hhs, hhPair{buildHH(i), buildHH(i)})
 	}
 	var cs []cPair
 	for i, gamma := range []float64{0.05, 0.2} {
@@ -48,7 +50,7 @@ func TestBatchMemorySharedEquivalence(t *testing.T) {
 	n := len(hhs) + len(cs)
 	pos := make([]int, n)
 	// feed runs instance i's next batch, up to occurrence end, and checks
-	// its candidate sets right away: a wrong residency answer skips an
+	// its candidate sets right away: a wrong membership answer skips an
 	// admission, which a later refresh may hide again.
 	feed := func(i, end int) {
 		part := occ[pos[i]:end]
@@ -77,9 +79,9 @@ func TestBatchMemorySharedEquivalence(t *testing.T) {
 			}
 		}
 	}
-	// Every instance's first batch in turn, over the same leading keys: a
-	// per-sketch epoch would be equal across these first batches, so the
-	// previous borrower's residency marks would read as valid.
+	// Every instance's first batch in turn, over the same leading keys:
+	// memory that kept anything of a borrower's batch would hand it to the
+	// next borrower.
 	for i := 0; i < n; i++ {
 		feed(i, 300)
 	}
@@ -117,6 +119,39 @@ func TestBatchMemorySharedEquivalence(t *testing.T) {
 	}
 	if hhs[2].bat.cs.domain == 0 || hhs[3].bat.cs.domain != 0 {
 		t.Error("hh 2 must stay dense and hh 3 must widen")
+	}
+	// Merges and checkpoints carry the candidate sets, candidates at or
+	// above the domain included: each side merges a third sketch fed
+	// keys past every domain (the union outgrows the capacity and is
+	// trimmed), then bat restores from its own checkpoint. Both must stay
+	// equal to the scalar twin.
+	for i, p := range hhs {
+		name := fmt.Sprintf("hh %d", i)
+		other := buildHH(i)
+		for j := 0; j < 4000; j++ {
+			other.Add(uint64(rng.Intn(700)))
+		}
+		for _, hh := range []*HeavyHitters{p.seq, p.bat} {
+			if err := hh.Merge(other); err != nil {
+				t.Fatal(err)
+			}
+		}
+		same(name+" merged", p.seq, p.bat)
+		if i == 3 && (len(p.bat.wide) == 0 || len(p.bat.wide) == len(p.bat.ids)) {
+			t.Errorf("hh 3 holds %d candidates, %d of them past its domain; want both kinds", len(p.bat.ids), len(p.bat.wide))
+		}
+		blob, err := p.bat.appendState(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored := buildHH(i)
+		if err := restored.restoreState(blob); err != nil {
+			t.Fatal(err)
+		}
+		same(name+" restored", p.seq, restored)
+		if want, _ := p.seq.appendState(nil); !bytes.Equal(blob, want) {
+			t.Errorf("%s: checkpoint differs from the scalar twin's", name)
+		}
 	}
 	for i, p := range cs {
 		for l := range p.seq.levels {

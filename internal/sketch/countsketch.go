@@ -50,14 +50,18 @@ type denseLayout struct {
 	start [6]int32 // compact index of row r's first cell; start[5] is the cell count
 }
 
-// dense5 packs one in-domain key's five compact cell offsets and five
-// signs into a single 32-byte record (two per cache line), so a dense add
-// or estimate touches one cache line, and the fixed-size arrays are
+// dense5 holds one in-domain key's five cells, one per row, in 20 bytes:
+// each entry is the compact cell index shifted left by one, with the sign
+// in bit 0 (1 for −1: Poly.Sign maps an odd hash to −1). Compact indices
+// stay below 2³⁰, so the shifted index fits. The fixed-size array is
 // indexed without bounds checks.
-type dense5 struct {
-	off [5]int32
-	sg  [5]int8
-	_   [7]byte
+type dense5 [5]uint32
+
+// signed applies the sign in bit 0 of entry v to x. It does not branch:
+// a branch on the sign measured slower on the dense add path.
+func signed(v uint32, x int64) int64 {
+	m := -int64(v & 1)
+	return (x ^ m) - m
 }
 
 // maxDenseDomain bounds a dense domain so the layout stays under the
@@ -125,11 +129,11 @@ func (cs *CountSketch) layout() *denseLayout {
 		hv = cs.bucket[r].RangeBatch(keys, uint64(cs.width), hv)
 		for x, b := range hv {
 			row[b>>6] |= 1 << (b & 63)
-			lay.cell[x].off[r] = int32(b)
+			lay.cell[x][r] = uint32(b) << 1
 		}
 		hv = cs.sign[r].EvalBatch(keys, hv)
 		for x, v := range hv {
-			lay.cell[x].sg[r] = int8(1 - 2*int(v&1)) // Poly.Sign: even hash → +1
+			lay.cell[x][r] |= uint32(v & 1)
 		}
 	}
 	rank := make([]int32, words)
@@ -142,8 +146,10 @@ func (cs *CountSketch) layout() *denseLayout {
 			k += int32(bits.OnesCount64(v))
 		}
 		for x := range lay.cell {
-			b := lay.cell[x].off[r]
-			lay.cell[x].off[r] = rank[b>>6] + int32(bits.OnesCount64(row[b>>6]&(1<<(b&63)-1)))
+			v := lay.cell[x][r]
+			b := v >> 1
+			k := rank[b>>6] + int32(bits.OnesCount64(row[b>>6]&(1<<(b&63)-1)))
+			lay.cell[x][r] = uint32(k)<<1 | v&1
 		}
 	}
 	lay.start[5] = k
@@ -296,11 +302,11 @@ func (cs *CountSketch) addDense(x uint64, delta int64) {
 	}
 	c := &cs.lay.cell[x]
 	t := cs.table
-	t[c.off[0]] += int64(c.sg[0]) * delta
-	t[c.off[1]] += int64(c.sg[1]) * delta
-	t[c.off[2]] += int64(c.sg[2]) * delta
-	t[c.off[3]] += int64(c.sg[3]) * delta
-	t[c.off[4]] += int64(c.sg[4]) * delta
+	t[c[0]>>1] += signed(c[0], delta)
+	t[c[1]>>1] += signed(c[1], delta)
+	t[c[2]>>1] += signed(c[2], delta)
+	t[c[3]>>1] += signed(c[3], delta)
+	t[c[4]>>1] += signed(c[4], delta)
 }
 
 // median5 selects the median of five values with six comparisons — the
@@ -345,11 +351,11 @@ func (cs *CountSketch) Estimate(x uint64) int64 {
 		c := &cs.lay.cell[x]
 		t := cs.table
 		return median5(
-			int64(c.sg[0])*t[c.off[0]],
-			int64(c.sg[1])*t[c.off[1]],
-			int64(c.sg[2])*t[c.off[2]],
-			int64(c.sg[3])*t[c.off[3]],
-			int64(c.sg[4])*t[c.off[4]],
+			signed(c[0], t[c[0]>>1]),
+			signed(c[1], t[c[1]>>1]),
+			signed(c[2], t[c[2]>>1]),
+			signed(c[3], t[c[3]>>1]),
+			signed(c[4], t[c[4]>>1]),
 		)
 	}
 	if cs.domain != 0 {

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"unsafe"
 )
 
 // The dense-domain tests run a narrow domain against a wide row, as the
@@ -298,12 +299,22 @@ func TestDenseLayoutReachableCells(t *testing.T) {
 			c := cs.lay.cell[x]
 			for r := 0; r < 5; r++ {
 				b := int(cs.bucket[r].Range(uint64(x), denseWidth))
-				if c.off[r] != index[r][b] || int(c.sg[r]) != cs.sign[r].Sign(uint64(x)) {
+				off, sg := int32(c[r]>>1), 1-2*int(c[r]&1)
+				if off != index[r][b] || sg != cs.sign[r].Sign(uint64(x)) {
 					t.Fatalf("domain %d key %d row %d: memo (%d, %d), want (%d, %d)",
-						domain, x, r, c.off[r], c.sg[r], index[r][b], cs.sign[r].Sign(uint64(x)))
+						domain, x, r, off, sg, index[r][b], cs.sign[r].Sign(uint64(x)))
 				}
 			}
 		}
+	}
+}
+
+// TestDenseLayoutCellSize pins a key's layout record at 20 bytes. A
+// sketch's first write lays out its whole domain, so the record size is
+// what a built dense sketch pays per key beyond its counters.
+func TestDenseLayoutCellSize(t *testing.T) {
+	if n := unsafe.Sizeof(dense5{}); n > 20 {
+		t.Fatalf("a layout cell takes %d bytes, want at most 20", n)
 	}
 }
 

@@ -27,29 +27,22 @@ type WeightedItem struct {
 // earlier eviction. Candidates carry no weights of their own: refreshes
 // and Report re-estimate from the sketch, and checkpoints write ids only.
 //
-// The candidate set is an open-addressed linear-probing table rather
-// than a Go map: the per-update lookup is the single hottest operation in
-// the whole estimator, candidates are only ever deleted wholesale
-// (refreshEvict rebuilds the table), and every consumer of the candidate
-// SET orders it deterministically before acting — so slot layout is never
-// observable and no tombstones are needed.
+// A candidate set is its id list, in no particular order, plus a
+// membership index: a bitmap over the dense domain [0, q) the sketch was
+// built for, and a map for keys at or above it (all keys of a sketch
+// built without a domain). Every consumer of the set orders it
+// deterministically before acting, so the list order is never
+// observable.
 type HeavyHitters struct {
 	phi   float64
 	cs    *CountSketch
 	cap   int
 	total int64 // number of updates (weight 1 each)
 
-	// Open-addressed candidate table, power-of-two size > 2·cap (a merge
-	// may briefly hold up to 2·cap entries before trimming).
-	ids  []uint64
-	used []bool
-	mask uint64
-	n    int     // live candidates
-	live []int32 // occupied slots, insertion order — refreshes iterate this
-	// instead of scanning the whole table; rebuilt on every refresh/trim.
-	// Iteration order feeds the refresh quickselect, whose survivor SET is
-	// order-independent (the order is strict), so only the unobservable
-	// slot layout depends on it.
+	ids    []uint64            // the candidates; a merge may briefly hold 2·cap
+	q      uint64              // the bitmap's domain
+	bitmap []uint64            // bit x set iff x < q is a candidate; nil until the first
+	wide   map[uint64]struct{} // the candidates ≥ q; nil until the first
 
 	// The open batch (see BeginBatch): its keys and the caller's lent
 	// memory, nil outside a batch. Neither is sketch state, so both are
@@ -63,24 +56,14 @@ type HeavyHitters struct {
 // sketch at a time: HeavyHitters.BeginBatch borrows it and EndBatch gives
 // it back, and Contributing.AddBatch lends it to each level in turn.
 // Nothing in it outlives a batch — pending deltas are flushed by EndBatch
-// and residency marks expire with the epoch — so one BatchMemory per
-// worker replaces a copy per sketch. The zero value is ready to use; a
-// BatchMemory must not be shared by concurrent goroutines.
+// — so one BatchMemory per worker replaces a copy per sketch. The zero
+// value is ready to use; a BatchMemory must not be shared by concurrent
+// goroutines.
 type BatchMemory struct {
 	pending []int64 // per batch key: deferred CountSketch delta
 	touched []int32 // batch keys with pending != 0
-
-	// Residency cache: key ki is a known candidate of the borrowing sketch
-	// iff resident[ki] == epoch. epoch rises at every BeginBatch and every
-	// refresh, whichever sketch runs it, so a mark recorded for one sketch
-	// (or before an eviction) never reads as valid afterwards. It is
-	// uint64 so it never wraps; zeroed entries never match because epoch
-	// is ≥ 1 from the first batch on.
-	epoch    uint64
-	resident []uint64
-
-	refresh []hhKV // refreshEvict's candidate list
-	bits    []bool // Contributing: sampling bit per batch key
+	refresh []hhKV  // a refresh's candidate list (keepTop)
+	bits    []bool  // Contributing: sampling bit per batch key
 }
 
 // scalarMemory is the refresh buffer of the scalar Add path, which runs
@@ -91,7 +74,7 @@ type BatchMemory struct {
 // regrows the buffer.
 var scalarMemory struct {
 	sync.Mutex
-	BatchMemory
+	refresh []hhKV
 }
 
 type hhKV struct {
@@ -129,13 +112,12 @@ func newF2HeavyHitters(phi float64, domain int, rng *rand.Rand) *HeavyHitters {
 		panic(fmt.Sprintf("sketch: HeavyHitters phi %v out of (0,1]", phi))
 	}
 	width, capacity := hhDims(phi)
-	hh := &HeavyHitters{
+	return &HeavyHitters{
 		phi: phi,
 		cs:  newCountSketch(hhDepth, width, domain, rng),
 		cap: capacity,
+		q:   uint64(domain),
 	}
-	hh.initTable()
-	return hh
 }
 
 // hhDepth is the CountSketch depth of every heavy-hitter sketch.
@@ -151,92 +133,79 @@ func hhDims(phi float64) (width, capacity int) {
 	return int(24.0/phi) + 1, int(4.0/phi) + 4
 }
 
-// initTable (re)allocates the candidate table for hh.cap.
-func (hh *HeavyHitters) initTable() {
-	size := 8
-	for size <= 2*hh.cap {
-		size *= 2
+// has reports whether x is a candidate.
+func (hh *HeavyHitters) has(x uint64) bool {
+	if x < hh.q {
+		w := x >> 6
+		return w < uint64(len(hh.bitmap)) && hh.bitmap[w]&(1<<(x&63)) != 0
 	}
-	hh.ids = make([]uint64, size)
-	hh.used = make([]bool, size)
-	hh.live = make([]int32, 0, size)
-	hh.mask = uint64(size - 1)
-	hh.n = 0
+	_, ok := hh.wide[x]
+	return ok
 }
 
-// hhMix is the slot hash (Murmur3 finalizer-style avalanche).
-func hhMix(x uint64) uint64 {
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	return x
-}
-
-// findSlot probes for id, returning its slot if present or the empty slot
-// where it would be inserted.
-func (hh *HeavyHitters) findSlot(id uint64) (int, bool) {
-	i := hhMix(id) & hh.mask
-	for hh.used[i] {
-		if hh.ids[i] == id {
-			return int(i), true
+// admit adds x, which is not a candidate, to the set.
+func (hh *HeavyHitters) admit(x uint64) {
+	hh.ids = append(hh.ids, x)
+	if x < hh.q {
+		if hh.bitmap == nil {
+			hh.bitmap = make([]uint64, (hh.q+63)>>6)
 		}
-		i = (i + 1) & hh.mask
+		hh.bitmap[x>>6] |= 1 << (x & 63)
+		return
 	}
-	return int(i), false
-}
-
-// insert fills an empty slot (from findSlot) with a new candidate.
-func (hh *HeavyHitters) insert(slot int, id uint64) {
-	hh.used[slot] = true
-	hh.ids[slot] = id
-	hh.live = append(hh.live, int32(slot))
-	hh.n++
+	if hh.wide == nil {
+		hh.wide = make(map[uint64]struct{})
+	}
+	hh.wide[x] = struct{}{}
 }
 
 // Add feeds one unit-weight occurrence of key x: one CountSketch update,
-// plus an admission if x is not a candidate. A full table is refreshed
-// first (refreshEvict), through the shared scalarMemory since the scalar
-// path has no lent BatchMemory.
+// plus an admission if x is not a candidate. A full set is refreshed
+// first (keepTop keeps the stronger half), through the shared
+// scalarMemory's buffer since the scalar path has no lent BatchMemory.
 func (hh *HeavyHitters) Add(x uint64) {
 	hh.total++
 	hh.cs.Add(x, 1)
-	slot, ok := hh.findSlot(x)
-	if ok {
+	if hh.has(x) {
 		return
 	}
-	if hh.n >= hh.cap {
+	if len(hh.ids) >= hh.cap {
 		scalarMemory.Lock()
-		hh.refreshEvict(&scalarMemory.BatchMemory)
+		scalarMemory.refresh = hh.keepTop(hh.cap/2, scalarMemory.refresh)
 		scalarMemory.Unlock()
-		slot, _ = hh.findSlot(x)
 	}
-	hh.insert(slot, x)
+	hh.admit(x)
 }
 
-// refreshEvict re-estimates every candidate from the sketch and keeps the
-// stronger half — the SET of survivors under the (estimate desc, id asc)
+// keepTop re-estimates every candidate from the sketch and keeps the
+// keep strongest — the SET of survivors under the (estimate desc, id asc)
 // total order, found by quickselect rather than a full sort; since the
-// table is unordered the survivor set is all that matters. The O(cap)
-// selection runs once per cap/2 admissions, so admission cost is
-// amortized O(1). Evictions change who is resident, so it advances mem's
-// residency epoch.
-func (hh *HeavyHitters) refreshEvict(mem *BatchMemory) {
-	all := mem.refresh[:0]
-	for _, si := range hh.live {
-		id := hh.ids[si]
+// set is unordered the survivor set is all that matters. buf is scratch
+// for the estimates, returned grown. A refresh keeps cap/2, so its O(cap)
+// selection runs once per cap/2 admissions and admission cost is
+// amortized O(1).
+func (hh *HeavyHitters) keepTop(keep int, buf []hhKV) []hhKV {
+	all := buf[:0]
+	for _, id := range hh.ids {
 		all = append(all, hhKV{id: id, est: hh.cs.Estimate(id)})
 	}
-	keep := hh.cap / 2
 	selectTopKV(all, keep)
-	mem.refresh = all
-	clear(hh.used)
-	hh.live = hh.live[:0]
-	hh.n = 0
-	for _, p := range all[:keep] {
-		slot, _ := hh.findSlot(p.id)
-		hh.insert(slot, p.id)
+	for _, p := range all[keep:] {
+		if p.id < hh.q {
+			hh.bitmap[p.id>>6] &^= 1 << (p.id & 63)
+		}
 	}
-	mem.epoch++
+	// Clearing and refilling the map, not deleting from it, keeps a
+	// wide sketch's refreshes allocation-free.
+	clear(hh.wide)
+	hh.ids = hh.ids[:0]
+	for _, p := range all[:keep] {
+		hh.ids = append(hh.ids, p.id)
+		if p.id >= hh.q {
+			hh.wide[p.id] = struct{}{}
+		}
+	}
+	return all
 }
 
 // selectTopKV partially orders a so that a[:k] holds the k strongest
@@ -306,7 +275,7 @@ func selectTopKV(a []hhKV, k int) {
 // once per flush, not once per occurrence. Admissions read no counters;
 // refreshes do, so deferred deltas are flushed before every refresh, and
 // every refresh observes exactly the counters the per-occurrence path
-// would have. The candidate table therefore evolves identically to the
+// would have. The candidate set therefore evolves identically to the
 // per-occurrence path. The keys slice is only read; it must stay valid
 // until EndBatch.
 func (hh *HeavyHitters) BeginBatch(keys []uint64, mem *BatchMemory) {
@@ -315,17 +284,13 @@ func (hh *HeavyHitters) BeginBatch(keys []uint64, mem *BatchMemory) {
 	// re-zeroes what it visits), so it needs no clearing.
 	if cap(mem.pending) < len(keys) {
 		mem.pending = make([]int64, len(keys))
-		mem.resident = make([]uint64, len(keys))
 	}
 	mem.pending = mem.pending[:len(keys)]
-	mem.resident = mem.resident[:len(keys)]
 	mem.touched = mem.touched[:0]
-	mem.epoch++ // invalidate residency recorded by the previous borrower
 }
 
 // AddBatched feeds one occurrence of batchKeys[ki]; identical to
-// Add(batchKeys[ki]) given the flush discipline above. A key known to be
-// resident only accrues its pending delta.
+// Add(batchKeys[ki]) given the flush discipline above.
 func (hh *HeavyHitters) AddBatched(ki int32) {
 	hh.total++
 	mem := hh.mem
@@ -333,20 +298,15 @@ func (hh *HeavyHitters) AddBatched(ki int32) {
 		mem.touched = append(mem.touched, ki)
 	}
 	mem.pending[ki]++
-	if mem.resident[ki] == mem.epoch {
+	x := hh.batchKeys[ki]
+	if hh.has(x) {
 		return
 	}
-	x := hh.batchKeys[ki]
-	slot, ok := hh.findSlot(x)
-	if !ok {
-		if hh.n >= hh.cap {
-			hh.flushPending()
-			hh.refreshEvict(mem)
-			slot, _ = hh.findSlot(x)
-		}
-		hh.insert(slot, x)
+	if len(hh.ids) >= hh.cap {
+		hh.flushPending()
+		mem.refresh = hh.keepTop(hh.cap/2, mem.refresh)
 	}
-	mem.resident[ki] = mem.epoch
+	hh.admit(x)
 }
 
 func (hh *HeavyHitters) flushPending() {
@@ -384,11 +344,7 @@ func (hh *HeavyHitters) Report() []WeightedItem {
 	thresh := hh.phi * f2
 	noise := hh.noiseCeiling(f2)
 	var out []WeightedItem
-	for i, u := range hh.used {
-		if !u {
-			continue
-		}
-		id := hh.ids[i]
+	for _, id := range hh.ids {
 		est := float64(hh.cs.Estimate(id))
 		if est > 0 && est*est >= thresh/4 && est >= noise {
 			// /4 slack on the φ test: estimates may be off by 1/2 relative.

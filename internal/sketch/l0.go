@@ -15,12 +15,16 @@ import (
 // With k = Θ(1/ε²) the estimate is within (1±ε) with constant probability,
 // which instantiates the (1 ± 1/2)-approximation L0-estimation primitive of
 // Theorem 2.12 in Õ(1) space.
+//
+// The retained values are stored once, in the heap, with no index beside
+// them: a full sketch compares a new value with its maximum first, and a
+// value that may be new is looked for among the ≤ k retained values (k = 26
+// at the estimator's practical ε).
 type L0 struct {
 	h    *hash.Poly
 	k    int
-	vals maxHeap             // k smallest hash values, max at root
-	seen map[uint64]struct{} // members of vals, for dedup
-	adds uint64              // total updates fed (diagnostics only)
+	vals maxHeap // k smallest hash values, max at root
+	adds uint64  // total updates fed (diagnostics only)
 }
 
 // NewL0 builds an L0 sketch with relative error target eps using a
@@ -40,7 +44,6 @@ func NewL0Deg(eps float64, deg int, rng *rand.Rand) *L0 {
 		h:    hash.NewPoly(deg, rng),
 		k:    k,
 		vals: make(maxHeap, 0, k),
-		seen: make(map[uint64]struct{}, k),
 	}
 }
 
@@ -62,8 +65,7 @@ func (s *L0) Estimate() float64 {
 func (s *L0) Adds() uint64 { return s.adds }
 
 // SpaceWords reports retained state: hash coefficients plus one word per
-// stored hash value (the dedup map mirrors the heap, counted once — a tight
-// implementation stores the values once in a treap).
+// stored hash value.
 func (s *L0) SpaceWords() int { return s.h.SpaceWords() + len(s.vals) + 2 }
 
 // maxHeap is a max-heap of uint64 for container/heap.

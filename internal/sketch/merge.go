@@ -64,21 +64,23 @@ func (s *L0) Merge(other *L0) error {
 	return nil
 }
 
-// insertValue inserts a pre-hashed value into the bottom-k structure.
+// insertValue inserts a pre-hashed value into the bottom-k structure. A
+// full sketch drops a value at or above its maximum before looking for it
+// among the retained values.
 func (s *L0) insertValue(v uint64) {
-	if _, ok := s.seen[v]; ok {
+	full := len(s.vals) == s.k
+	if full && v >= s.vals[0] {
 		return
 	}
-	if len(s.vals) < s.k {
-		s.seen[v] = struct{}{}
+	for _, u := range s.vals {
+		if u == v {
+			return
+		}
+	}
+	if !full {
 		heap.Push(&s.vals, v)
 		return
 	}
-	if v >= s.vals[0] {
-		return
-	}
-	delete(s.seen, s.vals[0])
-	s.seen[v] = struct{}{}
 	s.vals[0] = v
 	heap.Fix(&s.vals, 0)
 }
@@ -118,33 +120,13 @@ func (hh *HeavyHitters) Merge(other *HeavyHitters) error {
 		return err
 	}
 	hh.total += other.total
-	// The table is sized strictly above 2·cap, so the union (≤ 2·cap
-	// entries) fits before the trim below restores the invariant.
-	for i, u := range other.used {
-		if !u {
-			continue
-		}
-		id := other.ids[i]
-		if slot, ok := hh.findSlot(id); !ok {
-			hh.insert(slot, id)
+	for _, id := range other.ids {
+		if !hh.has(id) {
+			hh.admit(id)
 		}
 	}
-	if hh.n > hh.cap {
-		all := make([]hhKV, 0, hh.n)
-		for i, u := range hh.used {
-			if !u {
-				continue
-			}
-			all = append(all, hhKV{id: hh.ids[i], est: hh.cs.Estimate(hh.ids[i])})
-		}
-		selectTopKV(all, hh.cap)
-		clear(hh.used)
-		hh.live = hh.live[:0]
-		hh.n = 0
-		for _, p := range all[:hh.cap] {
-			slot, _ := hh.findSlot(p.id)
-			hh.insert(slot, p.id)
-		}
+	if len(hh.ids) > hh.cap {
+		hh.keepTop(hh.cap, nil)
 	}
 	return nil
 }

@@ -150,12 +150,7 @@ func (hh *HeavyHitters) appendState(buf []byte) ([]byte, error) {
 	if hh.batchKeys != nil {
 		return nil, fmt.Errorf("sketch: cannot marshal HeavyHitters mid-batch")
 	}
-	ids := make([]uint64, 0, hh.n)
-	for i, u := range hh.used {
-		if u {
-			ids = append(ids, hh.ids[i])
-		}
-	}
+	ids := append([]uint64(nil), hh.ids...)
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	var err error
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(hh.phi))
@@ -172,7 +167,9 @@ func (hh *HeavyHitters) appendState(buf []byte) ([]byte, error) {
 }
 
 // restoreState reads an appendState blob into a freshly constructed
-// sketch with the same parameters and seed.
+// sketch with the same parameters and seed. The candidate ids must be
+// strictly ascending, as appendState writes them, so that an accepted
+// blob re-encodes to the same bytes.
 func (hh *HeavyHitters) restoreState(data []byte) error {
 	if len(data) < 20 {
 		return fmt.Errorf("sketch: truncated HeavyHitters header")
@@ -199,11 +196,10 @@ func (hh *HeavyHitters) restoreState(data []byte) error {
 	}
 	for i := 0; i < n; i++ {
 		id := binary.LittleEndian.Uint64(rest[8*i:])
-		slot, dup := hh.findSlot(id)
-		if dup {
-			return fmt.Errorf("sketch: HeavyHitters duplicate candidate %d", id)
+		if i > 0 && id <= hh.ids[i-1] {
+			return fmt.Errorf("sketch: HeavyHitters candidate %d is not above its predecessor", i)
 		}
-		hh.insert(slot, id)
+		hh.admit(id)
 	}
 	hh.total = int64(binary.LittleEndian.Uint64(data[12:20]))
 	return nil

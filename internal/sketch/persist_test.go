@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -328,6 +329,70 @@ func TestContributingStateRoundTrip(t *testing.T) {
 					t.Fatalf("seed %d: no level's layout reaches every cell", seed)
 				}
 			}
+		}
+	}
+}
+
+// TestRestoresRequireCanonicalOrder feeds each decoder its own encoding
+// with the values out of the strictly ascending order the encoder
+// writes: an L0 with a value duplicated or two values swapped, and a
+// heavy-hitter state with two candidate ids swapped. Each must fail to
+// decode; accepted, it would re-encode to other bytes.
+func TestRestoresRequireCanonicalOrder(t *testing.T) {
+	l0 := NewL0(0.25, 1000, 1000, rand.New(rand.NewSource(8)))
+	for x := uint64(0); x < 500; x++ {
+		l0.Add(x)
+	}
+	l0Blob, err := l0.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back L0
+	if err := back.UnmarshalBinary(l0Blob); err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := back.MarshalBinary(); !bytes.Equal(l0Blob, again) {
+		t.Fatal("L0 re-encodes differently")
+	}
+	vals := len(l0Blob) - 8*len(l0.vals) // offset of the first value
+	hh := loadedHH(9, 3000)
+	hhBlob, err := hh.appendState(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// After the 20-byte header and the CountSketch blob: the candidate
+	// count, then the ids.
+	ids := 28 + int(binary.LittleEndian.Uint32(hhBlob[20:24]))
+	if n := binary.LittleEndian.Uint32(hhBlob[ids-4:]); n < 2 {
+		t.Fatalf("%d candidates, need two", n)
+	}
+	edit := func(blob []byte, edit func([]byte)) []byte {
+		out := append([]byte(nil), blob...)
+		edit(out)
+		return out
+	}
+	swap := func(at int) func([]byte) {
+		return func(b []byte) {
+			var tmp [8]byte
+			copy(tmp[:], b[at:at+8])
+			copy(b[at:at+8], b[at+8:at+16])
+			copy(b[at+8:at+16], tmp[:])
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		data   []byte
+		decode func([]byte) error
+	}{
+		{"L0 duplicated value", edit(l0Blob, func(b []byte) { copy(b[vals+8:vals+16], b[vals:vals+8]) }),
+			func(b []byte) error { return new(L0).UnmarshalBinary(b) }},
+		{"L0 swapped pair", edit(l0Blob, swap(vals)),
+			func(b []byte) error { return new(L0).UnmarshalBinary(b) }},
+		{"unsorted candidates", edit(hhBlob, swap(ids)),
+			NewF2HeavyHitters(0.05, rand.New(rand.NewSource(9))).restoreState},
+	} {
+		if err := tc.decode(tc.data); err == nil {
+			t.Errorf("%s: decoded without error", tc.name)
 		}
 	}
 }

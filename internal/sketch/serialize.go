@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"bytes"
+	"container/heap"
 	"encoding/binary"
 	"fmt"
 	"sort"
@@ -177,12 +178,18 @@ func (s *L0) UnmarshalBinary(data []byte) error {
 	if len(rest) != 8*n {
 		return fmt.Errorf("sketch: L0 payload %d bytes, want %d", len(rest), 8*n)
 	}
-	// Size by the n values the blob holds, not the k it claims.
-	out := L0{h: h, k: k, adds: adds, vals: make(maxHeap, 0, n), seen: make(map[uint64]struct{}, n)}
+	// Size by the n values the blob holds, not the k it claims. The values
+	// must be strictly ascending, as MarshalBinary writes them, so that an
+	// accepted blob re-encodes to the same bytes.
+	out := L0{h: h, k: k, adds: adds, vals: make(maxHeap, 0, n)}
 	for i := 0; i < n; i++ {
-		out.insertValue(binary.LittleEndian.Uint64(rest[8*i:]))
+		v := binary.LittleEndian.Uint64(rest[8*i:])
+		if i > 0 && v <= out.vals[len(out.vals)-1] {
+			return fmt.Errorf("sketch: L0 value %d is not above its predecessor", i)
+		}
+		out.vals = append(out.vals, v)
 	}
-	out.adds = adds // insertValue does not touch adds
+	heap.Init(&out.vals)
 	*s = out
 	return nil
 }

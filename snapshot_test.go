@@ -245,11 +245,12 @@ func headerOnlyBlob(m, n, k int, alpha float64, reps int) []byte {
 // TestDecodeEstimatorBoundsHeaderClaims decodes blobs that hold only a
 // header, in bulk-ingest's shape (m=2000, n=100000, k=40, α=8), at ever
 // more repetitions. Construction builds every (guess, repetition) unit the
-// header claims, about 4 MB per repetition in this shape, so the decoder
+// header claims, about 0.8 MB per repetition in this shape, so the decoder
 // must reject such a blob before it constructs anything: every decode
 // must fail and allocate under 1 MB. The cases run in order and the test
-// stops at the first one over budget, so a decoder that constructs first
-// never reaches the gigabyte claimed at reps=256.
+// stops at the first one over budget (reps=4 for a decoder that
+// constructs first), so such a decoder never reaches the 200 MB claimed
+// at reps=256.
 func TestDecodeEstimatorBoundsHeaderClaims(t *testing.T) {
 	for _, reps := range []int{1, 4, 16, 256} {
 		blob := headerOnlyBlob(2000, 100000, 40, 8, reps)

@@ -2,8 +2,10 @@ package streamcover
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -207,6 +209,39 @@ func TestSpaceBreakdownSumsToTotal(t *testing.T) {
 	// The breakdown covers all but the top-level bookkeeping constants.
 	if sum > total || total-sum > 100 {
 		t.Errorf("breakdown sums to %d, total %d", sum, total)
+	}
+}
+
+// TestFreshEstimatorAllocation bounds what a session's construction
+// allocates before its first edge, on one engine worker, in paced-tenants'
+// shape and bulk-ingest's: sketches allocate their caches (layouts,
+// candidate indexes) at their first write, not at construction. Each
+// figure is the least of three constructions.
+func TestFreshEstimatorAllocation(t *testing.T) {
+	for _, sh := range []struct {
+		name    string
+		m, n, k int
+		alpha   float64
+		limit   uint64
+	}{
+		{"paced-tenant", 60, 500, 5, 4, 400 << 10},
+		{"bulk-ingest", 2000, 100000, 40, 8, 1536 << 10},
+	} {
+		least := uint64(math.MaxUint64)
+		for i := 0; i < 3; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			est, err := NewEstimator(sh.m, sh.n, sh.k, sh.alpha, WithParallelism(1))
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			est.Close()
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		if least > sh.limit {
+			t.Errorf("%s: a fresh estimator allocated %d KB, limit %d KB", sh.name, least>>10, sh.limit>>10)
+		}
 	}
 }
 
