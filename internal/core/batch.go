@@ -107,15 +107,16 @@ type BatchScratch struct {
 	bits []bool
 
 	// LargeSet superset-dedup buffers: distinct superset IDs of the
-	// chunk's distinct sets plus the sampled-edge occurrence sequence,
+	// chunk's distinct sets plus the sampled edges' superset run,
 	// feeding the contributing batteries' batch path.
-	ssDense []int32  // size-q dense dedup table (index or -1)
-	ssKeys  []uint64 // distinct superset IDs, first-appearance order
-	ssPos   []int32  // per distinct set: index into ssKeys
-	occ     []int32  // per sampled edge, in order: index into ssKeys
+	ssDense  []int32                  // size-q dense dedup table (index or -1)
+	ssKeys   []uint64                 // distinct superset IDs, first-appearance order
+	ssPos    []int32                  // per distinct set: index into ssKeys
+	run      sketch.Run               // the sampled edges' supersets, indices into ssKeys
+	fallback []sketch.DistinctCounter // per run superset: its fallback counter, or nil
 
-	// Heavy-hitter batch memory, lent to every contributing battery this
-	// worker feeds.
+	// Heavy-hitter batch memory, passed to every contributing battery
+	// this worker feeds.
 	hh sketch.BatchMemory
 }
 
@@ -164,10 +165,12 @@ func (lc *LargeCommon) processBatch(edges []stream.Edge, sc *BatchScratch) {
 // for sampled edges while the batch path computes one per distinct set;
 // the values are pure functions of the set ID, so the replayed updates
 // are identical. The supersets of the sampled edges are deduped once more
-// (they live in [0, q), far fewer values than sets) and handed to the
-// contributing batteries as a distinct-key occurrence sequence, so the
-// batteries' per-occurrence hashing collapses to one evaluation per
-// distinct superset per chunk. The batteries and the sampled-superset
+// (they live in [0, q), far fewer values than sets) into one run —
+// occurrences in arrival order plus a count per distinct superset — that
+// both batteries and all their levels read, so the batteries'
+// per-occurrence hashing collapses to one evaluation per distinct
+// superset per chunk. Each distinct superset's fallback counter is looked
+// up once per chunk, too. The batteries and the sampled-superset
 // fallback are independent structures, so updating them battery-major
 // instead of edge-major changes no state.
 func (ls *LargeSet) processBatch(edges []stream.Edge, sc *BatchScratch) {
@@ -177,21 +180,28 @@ func (ls *LargeSet) processBatch(edges []stream.Edge, sc *BatchScratch) {
 		sc.bits = rep.elemSamp.BernoulliBatch(sc.elemKeys, ls.rho, sc.bits)
 		sc.hv = rep.part.h.RangeBatch(sc.pre.sets.Keys, uint64(rep.part.q), sc.hv)
 		ssPos := sc.dedupSupersets(rep.part.q)
-		occ := sc.occ[:0]
+		run := &sc.run
+		run.Reset(len(sc.ssKeys))
 		for j := range edges {
 			if sc.bits[elemRef[j]] {
-				occ = append(occ, ssPos[setPos[j]])
+				run.Add(ssPos[setPos[j]])
 			}
 		}
-		sc.occ = occ
-		rep.cntrSmall.AddBatch(sc.ssKeys, occ, &sc.hh)
-		rep.cntrLarge.AddBatch(sc.ssKeys, occ, &sc.hh)
-		if len(rep.sampled) > 0 {
-			for j := range edges {
-				if !sc.bits[elemRef[j]] {
-					continue
-				}
-				if de, ok := rep.sampled[sc.hv[setPos[j]]]; ok {
+		rep.cntrSmall.AddBatch(sc.ssKeys, run, &sc.hh)
+		rep.cntrLarge.AddBatch(sc.ssKeys, run, &sc.hh)
+		if len(rep.sampled) == 0 {
+			continue
+		}
+		if cap(sc.fallback) < len(sc.ssKeys) {
+			sc.fallback = make([]sketch.DistinctCounter, len(sc.ssKeys))
+		}
+		fallback := sc.fallback[:len(sc.ssKeys)]
+		for _, ki := range run.Distinct() {
+			fallback[ki] = rep.sampled[sc.ssKeys[ki]]
+		}
+		for j := range edges {
+			if sc.bits[elemRef[j]] {
+				if de := fallback[ssPos[setPos[j]]]; de != nil {
 					de.Add(uint64(edges[j].Elem))
 				}
 			}

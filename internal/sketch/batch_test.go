@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -31,6 +32,15 @@ func batchStream(nOcc int, universe int, rng *rand.Rand) (keys []uint64, occ []i
 	return
 }
 
+// fill makes r the run of occ over nkeys keys.
+func (r *Run) fill(nkeys int, occ []int32) *Run {
+	r.Reset(nkeys)
+	for _, ki := range occ {
+		r.Add(ki)
+	}
+	return r
+}
+
 // candSet materializes the candidate set (list order is representation,
 // the set is the state).
 func (hh *HeavyHitters) candSet() map[uint64]bool {
@@ -41,42 +51,123 @@ func (hh *HeavyHitters) candSet() map[uint64]bool {
 	return out
 }
 
-// TestHeavyHittersBatchEquivalence drives identically-seeded sketches
-// through the scalar and batched paths (batches split at random
-// boundaries) and requires identical internal state: counters, candidate
-// set, totals, and reports.
-func TestHeavyHittersBatchEquivalence(t *testing.T) {
-	for _, phi := range []float64{0.5, 0.05, 0.005} {
-		rng := rand.New(rand.NewSource(11))
-		keys, occ, raw := batchStream(20000, 400, rng)
+// sameHH requires a and b to hold the same state: counters in the same
+// storage form, candidate set, total, report and checkpoint bytes.
+func sameHH(t *testing.T, name string, a, b *HeavyHitters) {
+	t.Helper()
+	if a.total != b.total {
+		t.Errorf("%s: total %d != %d", name, a.total, b.total)
+	}
+	if a.cs.domain != b.cs.domain || !reflect.DeepEqual(a.cs.table, b.cs.table) {
+		t.Errorf("%s: CountSketch counters diverged", name)
+	}
+	if !reflect.DeepEqual(a.candSet(), b.candSet()) {
+		t.Errorf("%s: candidate sets diverged:\n seq %v\n bat %v", name, a.candSet(), b.candSet())
+	}
+	if !reflect.DeepEqual(a.Report(), b.Report()) {
+		t.Errorf("%s: reports diverged", name)
+	}
+	sa, err := a.appendState(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb, err := b.appendState(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(sa, sb) {
+		t.Errorf("%s: checkpoint bytes differ", name)
+	}
+}
 
-		seq := NewF2HeavyHitters(phi, rand.New(rand.NewSource(5)))
-		bat := NewF2HeavyHitters(phi, rand.New(rand.NewSource(5)))
-		for _, x := range raw {
-			seq.Add(x)
-		}
+// TestHeavyHittersBatchEquivalence drives identically-seeded sketches
+// through scalar Add and the one-call batch path, one Run and one
+// BatchMemory reused across batches, and requires identical state after
+// every batch. Each batch is classified from the scalar twin's candidate
+// set before it: one whose new keys fit the free slots (the counts path)
+// or one a refresh falls inside (the per-occurrence path). The cases
+// cover wide sketches, dense-domain sketches, a split that mixes both
+// classes, and keys that cross the domain, so that a flush before a
+// refresh widens a dense sketch in the middle of a batch.
+func TestHeavyHittersBatchEquivalence(t *testing.T) {
+	type tc struct {
+		name     string
+		phi      float64
+		domain   int // 0 builds a wide sketch
+		universe int
+		maxBatch int // 0: random splits over the whole remaining stream
+		mixed    bool
+		widens   bool
+	}
+	cases := []tc{
+		{name: "wide phi=0.5", phi: 0.5, universe: 400},
+		{name: "wide phi=0.05", phi: 0.05, universe: 400},
+		{name: "wide phi=0.005", phi: 0.005, universe: 400},
+		{name: "dense phi=0.5", phi: 0.5, domain: 400, universe: 400},
+		{name: "dense phi=0.05", phi: 0.05, domain: 400, universe: 400},
+		{name: "dense phi=0.005", phi: 0.005, domain: 400, universe: 400},
+		{name: "dense mixed splits", phi: 0.05, domain: 400, universe: 400, maxBatch: 40, mixed: true},
+		{name: "wide mixed splits", phi: 0.05, universe: 400, maxBatch: 40, mixed: true},
+		{name: "crosses domain", phi: 0.5, domain: 300, universe: 400, widens: true},
+	}
+	for _, c := range cases {
+		rng := rand.New(rand.NewSource(11))
+		keys, occ, raw := batchStream(20000, c.universe, rng)
+		seq := newF2HeavyHitters(c.phi, c.domain, rand.New(rand.NewSource(5)))
+		bat := newF2HeavyHitters(c.phi, c.domain, rand.New(rand.NewSource(5)))
+
+		var run Run
 		var mem BatchMemory
+		fitting, refreshing, widenedMidBatch := 0, 0, false
 		for start := 0; start < len(occ); {
-			end := start + rng.Intn(len(occ)-start+1)
-			bat.BeginBatch(keys, &mem)
-			for _, ki := range occ[start:end] {
-				bat.AddBatched(ki)
+			span := len(occ) - start
+			if c.maxBatch > 0 && span > c.maxBatch {
+				span = c.maxBatch
 			}
-			bat.EndBatch()
+			end := start + rng.Intn(span+1)
+
+			// Classify the batch from the scalar twin's state before it.
+			fresh := map[uint64]bool{}
+			for _, x := range raw[start:end] {
+				if !seq.has(x) {
+					fresh[x] = true
+				}
+			}
+			if len(fresh) <= seq.cap-len(seq.ids) {
+				fitting++
+			} else {
+				refreshing++
+			}
+			// A key past the domain ahead of a refresh, while the sketch
+			// is still dense, is widened by that refresh's flush.
+			crossed := false
+			for _, x := range raw[start:end] {
+				before := len(seq.ids)
+				dense := seq.cs.domain != 0
+				seq.Add(x)
+				if dense && x >= uint64(c.domain) {
+					crossed = true
+				}
+				if len(seq.ids) < before && crossed {
+					widenedMidBatch = true
+				}
+			}
+
+			bat.addBatch(keys, run.fill(len(keys), occ[start:end]), nil, &mem)
+			sameHH(t, c.name, seq, bat)
+			if t.Failed() {
+				t.Fatalf("%s: diverged at occurrences [%d, %d)", c.name, start, end)
+			}
 			start = end
 		}
-
-		if seq.total != bat.total {
-			t.Errorf("phi=%v: total %d != %d", phi, seq.total, bat.total)
+		if c.domain > 0 && !c.widens && bat.cs.domain == 0 {
+			t.Errorf("%s: a dense sketch widened", c.name)
 		}
-		if !reflect.DeepEqual(seq.cs.table, bat.cs.table) {
-			t.Errorf("phi=%v: CountSketch counters diverged", phi)
+		if c.mixed && (fitting == 0 || refreshing == 0) {
+			t.Errorf("%s: %d batches fit and %d refresh inside; want both", c.name, fitting, refreshing)
 		}
-		if !reflect.DeepEqual(seq.candSet(), bat.candSet()) {
-			t.Errorf("phi=%v: candidate tables diverged:\n seq %v\n bat %v", phi, seq.candSet(), bat.candSet())
-		}
-		if !reflect.DeepEqual(seq.Report(), bat.Report()) {
-			t.Errorf("phi=%v: reports diverged", phi)
+		if c.widens && (!widenedMidBatch || bat.cs.domain != 0) {
+			t.Errorf("%s: no flush widened the sketch in the middle of a batch", c.name)
 		}
 	}
 }
@@ -93,10 +184,11 @@ func TestContributingBatchEquivalence(t *testing.T) {
 	for _, x := range raw {
 		seq.Add(x)
 	}
+	var run Run
 	var mem BatchMemory
 	for start := 0; start < len(occ); {
 		end := start + rng.Intn(len(occ)-start+1)
-		bat.AddBatch(keys, occ[start:end], &mem)
+		bat.AddBatch(keys, run.fill(len(keys), occ[start:end]), &mem)
 		start = end
 	}
 

@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-// TestBatchMemorySharedEquivalence lends ONE BatchMemory to several
+// TestBatchMemorySharedEquivalence passes ONE BatchMemory to several
 // heavy-hitter sketches and contributing batteries of different seeds and
 // thresholds, interleaving their batches at random split points, exactly
 // as one engine worker feeds many oracle units. Every instance must end
@@ -46,6 +46,7 @@ func TestBatchMemorySharedEquivalence(t *testing.T) {
 		})
 	}
 
+	var run Run
 	var mem BatchMemory
 	n := len(hhs) + len(cs)
 	pos := make([]int, n)
@@ -57,19 +58,17 @@ func TestBatchMemorySharedEquivalence(t *testing.T) {
 		pos[i] = end
 		if i < len(hhs) {
 			p := hhs[i]
-			p.bat.BeginBatch(keys, &mem)
+			p.bat.addBatch(keys, run.fill(len(keys), part), nil, &mem)
 			for _, ki := range part {
-				p.bat.AddBatched(ki)
 				p.seq.Add(keys[ki])
 			}
-			p.bat.EndBatch()
 			if !reflect.DeepEqual(p.seq.candSet(), p.bat.candSet()) {
 				t.Fatalf("hh %d: candidate sets diverged at occurrence %d", i, end)
 			}
 			return
 		}
 		p := cs[i-len(hhs)]
-		p.bat.AddBatch(keys, part, &mem)
+		p.bat.AddBatch(keys, run.fill(len(keys), part), &mem)
 		for _, ki := range part {
 			p.seq.Add(keys[ki])
 		}

@@ -130,20 +130,6 @@ func (lv *contribLevel) sampled(x uint64, m uint64) bool {
 	return lv.sampler.Bernoulli(x, lv.rate)
 }
 
-// sampleBatch is sampler.BernoulliBatch through the persistent memo —
-// identical output, but each in-domain key is hashed at most once over the
-// sketch's lifetime.
-func (lv *contribLevel) sampleBatch(keys []uint64, m uint64, dst []bool) []bool {
-	if cap(dst) < len(keys) {
-		dst = make([]bool, len(keys))
-	}
-	dst = dst[:len(keys)]
-	for i, x := range keys {
-		dst[i] = lv.sampled(x, m)
-	}
-	return dst
-}
-
 // Add feeds one unit-weight occurrence of key x to every level whose
 // coordinate sample retains x.
 func (c *Contributing) Add(x uint64) {
@@ -155,31 +141,29 @@ func (c *Contributing) Add(x uint64) {
 	}
 }
 
-// AddBatch feeds the occurrence sequence occ — each entry an index into
-// keys, in arrival order — to every level. It is bit-for-bit equivalent to
-// calling Add per occurrence: the coordinate-sampling bit is a pure
-// function of the key, so it is computed once per distinct key instead of
-// once per occurrence, and CountSketch updates are deferred per distinct
-// key through the HeavyHitters batch API. Levels are independent, so
-// running them level-major instead of occurrence-major changes no state.
-// mem is the caller's batch memory, lent to each level in turn.
-func (c *Contributing) AddBatch(keys []uint64, occ []int32, mem *BatchMemory) {
+// AddBatch feeds run, a batch of occurrences of keys, to every level. It
+// is bit-for-bit equivalent to calling Add per occurrence: the
+// coordinate-sampling bit is a pure function of the key, so it is read
+// once per distinct key instead of once per occurrence, and each level
+// takes the whole batch in one HeavyHitters call. Levels are
+// independent, so running them level-major instead of occurrence-major
+// changes no state. mem is the caller's batch memory, passed to each
+// level in turn.
+func (c *Contributing) AddBatch(keys []uint64, run *Run, mem *BatchMemory) {
 	for i := range c.levels {
 		lv := &c.levels[i]
-		lv.hh.BeginBatch(keys, mem)
-		if lv.rate >= 1 {
-			for _, ki := range occ {
-				lv.hh.AddBatched(ki)
+		var bits []bool
+		if lv.rate < 1 {
+			// Only the run's own keys are read, so only they need a bit.
+			if cap(mem.bits) < len(keys) {
+				mem.bits = make([]bool, len(keys))
 			}
-		} else {
-			mem.bits = lv.sampleBatch(keys, c.m, mem.bits)
-			for _, ki := range occ {
-				if mem.bits[ki] {
-					lv.hh.AddBatched(ki)
-				}
+			bits = mem.bits[:len(keys)]
+			for _, ki := range run.first {
+				bits[ki] = lv.sampled(keys[ki], c.m)
 			}
 		}
-		lv.hh.EndBatch()
+		lv.hh.addBatch(keys, run, bits, mem)
 	}
 }
 

@@ -294,6 +294,31 @@ func (cs *CountSketch) Add(x uint64, delta int64) {
 	}
 }
 
+// flush adds each deferred delta pending[ki], ki in touched, to key
+// keys[ki] and re-zeroes it: the heavy-hitter batch path's counter
+// kernel. An in-domain key of a built dense sketch goes straight to its
+// cells, written out here because a call per key (addDense does not
+// inline) measured slower on the refresh path; any other key goes
+// through Add, which builds the layout or widens the sketch.
+func (cs *CountSketch) flush(keys []uint64, touched []int32, pending []int64) {
+	lay, t := cs.lay, cs.table
+	for _, ki := range touched {
+		x, d := keys[ki], pending[ki]
+		pending[ki] = 0
+		if x < cs.domain && lay != nil {
+			c := &lay.cell[x]
+			t[c[0]>>1] += signed(c[0], d)
+			t[c[1]>>1] += signed(c[1], d)
+			t[c[2]>>1] += signed(c[2], d)
+			t[c[3]>>1] += signed(c[3], d)
+			t[c[4]>>1] += signed(c[4], d)
+			continue
+		}
+		cs.Add(x, d)
+		lay, t = cs.lay, cs.table
+	}
+}
+
 // addDense applies a[x] += delta for an in-domain key of a dense sketch,
 // building the layout on the sketch's first write.
 func (cs *CountSketch) addDense(x uint64, delta int64) {
@@ -309,43 +334,23 @@ func (cs *CountSketch) addDense(x uint64, delta int64) {
 	t[c[4]>>1] += signed(c[4], delta)
 }
 
-// median5 selects the median of five values with six comparisons — the
-// classic selection network, replacing an insertion sort on the hot
-// estimate path (depth is 5 throughout the estimator).
-func median5(e0, e1, e2, e3, e4 int64) int64 {
-	if e0 > e1 {
-		e0, e1 = e1, e0
-	}
-	if e2 > e3 {
-		e2, e3 = e3, e2
-	}
-	if e0 > e2 {
-		e0, e1, e2, e3 = e2, e3, e0, e1
-	}
-	// e0 is the minimum of the first four, so it cannot be the median;
-	// the median of all five is the second smallest of {e1, e2, e3, e4},
-	// with e2 ≤ e3 known.
-	if e4 < e1 {
-		e1, e4 = e4, e1
-	}
-	// Pairs (e1 ≤ e4) and (e2 ≤ e3): second smallest overall.
-	if e1 > e2 {
-		if e1 < e3 {
-			return e1
-		}
-		return e3
-	}
-	if e4 < e2 {
-		return e4
-	}
-	return e2
+// median5 selects the median of five values with a min/max network,
+// which compiles without branches: a comparison network's branches
+// mispredict on noise, and every estimate ends here (depth is 5
+// throughout the estimator). f and g are the two middle values of the
+// first four, in either order, so the median of all five is the median
+// of e, f and g, which the last line takes.
+func median5(a, b, c, d, e int64) int64 {
+	f := max(min(a, b), min(c, d))
+	g := min(max(a, b), max(c, d))
+	return max(min(e, f), min(max(e, f), g))
 }
 
 // Estimate returns the median-of-rows point estimate of a[x]. It sits on
-// the ingest hot path (every heavy-hitter refresh calls it), so depth-5
-// sketches go through a branchless-ish selection network and other
-// depths through a stack-buffer insertion sort — never sort.Slice's
-// reflection or an allocation. It never modifies the sketch.
+// hot paths (every heavy-hitter Report, and a wide sketch's refreshes),
+// so depth-5 sketches go through median5 and other depths through a
+// stack-buffer insertion sort — never sort.Slice's reflection or an
+// allocation. It never modifies the sketch.
 func (cs *CountSketch) Estimate(x uint64) int64 {
 	if x < cs.domain && cs.lay != nil {
 		c := &cs.lay.cell[x]

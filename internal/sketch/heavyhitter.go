@@ -43,28 +43,60 @@ type HeavyHitters struct {
 	q      uint64              // the bitmap's domain
 	bitmap []uint64            // bit x set iff x < q is a candidate; nil until the first
 	wide   map[uint64]struct{} // the candidates ≥ q; nil until the first
-
-	// The open batch (see BeginBatch): its keys and the caller's lent
-	// memory, nil outside a batch. Neither is sketch state, so both are
-	// excluded from SpaceWords, never serialized, and never merged.
-	batchKeys []uint64
-	mem       *BatchMemory
 }
 
 // BatchMemory is the working memory of the heavy-hitter batch path. It
-// belongs to the goroutine that runs the batch, which lends it to one
-// sketch at a time: HeavyHitters.BeginBatch borrows it and EndBatch gives
-// it back, and Contributing.AddBatch lends it to each level in turn.
-// Nothing in it outlives a batch — pending deltas are flushed by EndBatch
-// — so one BatchMemory per worker replaces a copy per sketch. The zero
-// value is ready to use; a BatchMemory must not be shared by concurrent
-// goroutines.
+// belongs to the goroutine that runs the batch, which hands it to one
+// sketch's batch call at a time: Contributing.AddBatch passes it to each
+// level in turn. Nothing in it outlives a call — pending deltas are
+// flushed before the call returns — so one BatchMemory per worker
+// replaces a copy per sketch. The zero value is ready to use; a
+// BatchMemory must not be shared by concurrent goroutines.
 type BatchMemory struct {
-	pending []int64 // per batch key: deferred CountSketch delta
+	pending []int64 // per batch key: deferred CountSketch delta, all zero between calls
 	touched []int32 // batch keys with pending != 0
 	refresh []hhKV  // a refresh's candidate list (keepTop)
 	bits    []bool  // Contributing: sampling bit per batch key
 }
+
+// Run is one batch of unit-weight occurrences over a list of distinct
+// keys, held both ways the batch path reads it: the occurrences in
+// arrival order, and per key its number of occurrences, with the keys
+// listed in first-occurrence order. Reset and Add build it; it is built
+// once per batch and read by every sketch the batch feeds. The zero
+// value is ready to use.
+type Run struct {
+	occ   []int32 // per occurrence, in arrival order: an index into the keys
+	count []int32 // per key: its entries in occ; zero for keys not in first
+	first []int32 // the keys occ names, once each, in first-occurrence order
+}
+
+// Reset empties r for a batch over nkeys keys.
+func (r *Run) Reset(nkeys int) {
+	// Invariant: count is zero outside first, so re-zeroing first clears
+	// every count the previous batch left.
+	for _, ki := range r.first {
+		r.count[ki] = 0
+	}
+	r.occ, r.first = r.occ[:0], r.first[:0]
+	if cap(r.count) < nkeys {
+		r.count = make([]int32, nkeys)
+	}
+	r.count = r.count[:nkeys]
+}
+
+// Add appends one occurrence of key index ki.
+func (r *Run) Add(ki int32) {
+	if r.count[ki] == 0 {
+		r.first = append(r.first, ki)
+	}
+	r.count[ki]++
+	r.occ = append(r.occ, ki)
+}
+
+// Distinct returns the key indices the run holds, once each, in
+// first-occurrence order.
+func (r *Run) Distinct() []int32 { return r.first }
 
 // scalarMemory is the refresh buffer of the scalar Add path, which runs
 // without a caller's BatchMemory. One buffer serves every sketch; a
@@ -90,14 +122,6 @@ func kvLess(a, b hhKV) bool {
 	}
 	return a.id < b.id
 }
-
-// hhKVs sorts by kvLess (concrete type: this sort runs on the ingest hot
-// path and sort.Slice's reflection-based swaps were measurable).
-type hhKVs []hhKV
-
-func (s hhKVs) Len() int           { return len(s) }
-func (s hhKVs) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
-func (s hhKVs) Less(i, j int) bool { return kvLess(s[i], s[j]) }
 
 // NewF2HeavyHitters builds a heavy-hitter sketch with threshold phi for a
 // stream of unit-weight updates over an arbitrary uint64 key space.
@@ -162,7 +186,7 @@ func (hh *HeavyHitters) admit(x uint64) {
 // Add feeds one unit-weight occurrence of key x: one CountSketch update,
 // plus an admission if x is not a candidate. A full set is refreshed
 // first (keepTop keeps the stronger half), through the shared
-// scalarMemory's buffer since the scalar path has no lent BatchMemory.
+// scalarMemory's buffer since the scalar path has no caller's BatchMemory.
 func (hh *HeavyHitters) Add(x uint64) {
 	hh.total++
 	hh.cs.Add(x, 1)
@@ -180,14 +204,30 @@ func (hh *HeavyHitters) Add(x uint64) {
 // keepTop re-estimates every candidate from the sketch and keeps the
 // keep strongest — the SET of survivors under the (estimate desc, id asc)
 // total order, found by quickselect rather than a full sort; since the
-// set is unordered the survivor set is all that matters. buf is scratch
-// for the estimates, returned grown. A refresh keeps cap/2, so its O(cap)
+// set is unordered the survivor set is all that matters. A built dense
+// sketch's candidates are estimated straight from its layout, as
+// Estimate would but without a call per candidate. buf is scratch for
+// the estimates, returned grown. A refresh keeps cap/2, so its O(cap)
 // selection runs once per cap/2 admissions and admission cost is
 // amortized O(1).
 func (hh *HeavyHitters) keepTop(keep int, buf []hhKV) []hhKV {
 	all := buf[:0]
+	cs := hh.cs
 	for _, id := range hh.ids {
-		all = append(all, hhKV{id: id, est: hh.cs.Estimate(id)})
+		var est int64
+		if id < cs.domain && cs.lay != nil {
+			c, t := &cs.lay.cell[id], cs.table
+			est = median5(
+				signed(c[0], t[c[0]>>1]),
+				signed(c[1], t[c[1]>>1]),
+				signed(c[2], t[c[2]>>1]),
+				signed(c[3], t[c[3]>>1]),
+				signed(c[4], t[c[4]>>1]),
+			)
+		} else {
+			est = cs.Estimate(id)
+		}
+		all = append(all, hhKV{id: id, est: est})
 	}
 	selectTopKV(all, keep)
 	for _, p := range all[keep:] {
@@ -267,62 +307,80 @@ func selectTopKV(a []hhKV, k int) {
 	}
 }
 
-// BeginBatch enters deferred-update mode for a batch whose occurrences are
-// indices into keys (one entry per distinct key), borrowing mem until
-// EndBatch. While a batch is open, CountSketch deltas accumulate per
-// distinct key in mem (the counters are plain sums, so flushing the total
-// in one update per key is bit-identical), so a key reaches the sketch
-// once per flush, not once per occurrence. Admissions read no counters;
-// refreshes do, so deferred deltas are flushed before every refresh, and
-// every refresh observes exactly the counters the per-occurrence path
-// would have. The candidate set therefore evolves identically to the
-// per-occurrence path. The keys slice is only read; it must stay valid
-// until EndBatch.
-func (hh *HeavyHitters) BeginBatch(keys []uint64, mem *BatchMemory) {
-	hh.batchKeys, hh.mem = keys, mem
-	// Invariant: pending is all zero between batches (flushPending
-	// re-zeroes what it visits), so it needs no clearing.
+// addBatch feeds the occurrences of run whose sampling bit is set (every
+// occurrence for nil bits); keys are the batch's distinct keys, which run
+// and bits index. It is bit-for-bit equivalent to calling Add per
+// occurrence, in one of two ways chosen from the batch's own keys:
+//
+//   - When the batch's new keys fit the free candidate slots, no refresh
+//     can fall inside it: each key's count lands in one counter update,
+//     and the new keys are admitted in first-occurrence order, which is
+//     the order the per-occurrence path admits them in.
+//   - Otherwise the occurrences run in arrival order. Counter deltas are
+//     deferred per distinct key in mem (the counters are plain sums, so
+//     one update per key is bit-identical) and flushed before every
+//     refresh, so each refresh observes exactly the counters the
+//     per-occurrence path would have, and the candidate set evolves
+//     identically.
+func (hh *HeavyHitters) addBatch(keys []uint64, run *Run, bits []bool, mem *BatchMemory) {
+	if hh.fits(keys, run.first, bits) {
+		for _, ki := range run.first {
+			if bits != nil && !bits[ki] {
+				continue
+			}
+			x, n := keys[ki], int64(run.count[ki])
+			hh.total += n
+			hh.cs.Add(x, n)
+			if !hh.has(x) {
+				hh.admit(x)
+			}
+		}
+		return
+	}
 	if cap(mem.pending) < len(keys) {
 		mem.pending = make([]int64, len(keys))
 	}
-	mem.pending = mem.pending[:len(keys)]
-	mem.touched = mem.touched[:0]
+	pending, touched := mem.pending[:len(keys)], mem.touched[:0]
+	for _, ki := range run.occ {
+		if bits != nil && !bits[ki] {
+			continue
+		}
+		hh.total++
+		if pending[ki] == 0 {
+			touched = append(touched, ki)
+		}
+		pending[ki]++
+		x := keys[ki]
+		if hh.has(x) {
+			continue
+		}
+		if len(hh.ids) >= hh.cap {
+			hh.cs.flush(keys, touched, pending)
+			touched = touched[:0]
+			mem.refresh = hh.keepTop(hh.cap/2, mem.refresh)
+		}
+		hh.admit(x)
+	}
+	hh.cs.flush(keys, touched, pending)
+	mem.pending, mem.touched = pending, touched[:0]
 }
 
-// AddBatched feeds one occurrence of batchKeys[ki]; identical to
-// Add(batchKeys[ki]) given the flush discipline above.
-func (hh *HeavyHitters) AddBatched(ki int32) {
-	hh.total++
-	mem := hh.mem
-	if mem.pending[ki] == 0 {
-		mem.touched = append(mem.touched, ki)
+// fits reports whether the keys of first whose bit is set (all of them
+// for nil bits) bring no more new candidates than the set has free
+// slots, so that admitting them all triggers no refresh.
+func (hh *HeavyHitters) fits(keys []uint64, first []int32, bits []bool) bool {
+	free := hh.cap - len(hh.ids)
+	if len(first) <= free {
+		return true
 	}
-	mem.pending[ki]++
-	x := hh.batchKeys[ki]
-	if hh.has(x) {
-		return
+	for _, ki := range first {
+		if (bits == nil || bits[ki]) && !hh.has(keys[ki]) {
+			if free--; free < 0 {
+				return false
+			}
+		}
 	}
-	if len(hh.ids) >= hh.cap {
-		hh.flushPending()
-		mem.refresh = hh.keepTop(hh.cap/2, mem.refresh)
-	}
-	hh.admit(x)
-}
-
-func (hh *HeavyHitters) flushPending() {
-	mem := hh.mem
-	for _, ki := range mem.touched {
-		hh.cs.Add(hh.batchKeys[ki], mem.pending[ki])
-		mem.pending[ki] = 0
-	}
-	mem.touched = mem.touched[:0]
-}
-
-// EndBatch flushes the deferred deltas, leaves batch mode and gives the
-// borrowed BatchMemory back.
-func (hh *HeavyHitters) EndBatch() {
-	hh.flushPending()
-	hh.batchKeys, hh.mem = nil, nil
+	return true
 }
 
 // Total reports the number of updates fed.

@@ -68,17 +68,45 @@ func (s *L0) Adds() uint64 { return s.adds }
 // stored hash value.
 func (s *L0) SpaceWords() int { return s.h.SpaceWords() + len(s.vals) + 2 }
 
-// maxHeap is a max-heap of uint64 for container/heap.
+// maxHeap is a binary max-heap of uint64, sifted by hand: container/heap
+// takes its values as interfaces, which boxes every pushed uint64.
 type maxHeap []uint64
 
-func (h maxHeap) Len() int            { return len(h) }
-func (h maxHeap) Less(i, j int) bool  { return h[i] > h[j] }
-func (h maxHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *maxHeap) Push(x interface{}) { *h = append(*h, x.(uint64)) }
-func (h *maxHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	v := old[n-1]
-	*h = old[:n-1]
-	return v
+// push adds v.
+func (h *maxHeap) push(v uint64) {
+	*h = append(*h, v)
+	a := *h
+	for i := len(a) - 1; i > 0; {
+		p := (i - 1) / 2
+		if a[p] >= a[i] {
+			break
+		}
+		a[p], a[i] = a[i], a[p]
+		i = p
+	}
+}
+
+// down sifts h[i] down to its place.
+func (h maxHeap) down(i int) {
+	for {
+		j := 2*i + 1
+		if j >= len(h) {
+			return
+		}
+		if r := j + 1; r < len(h) && h[r] > h[j] {
+			j = r
+		}
+		if h[i] >= h[j] {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+}
+
+// heapify orders h into a heap.
+func (h maxHeap) heapify() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
 }

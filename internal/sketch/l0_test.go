@@ -109,6 +109,29 @@ func TestL0PanicsOnBadEps(t *testing.T) {
 	}
 }
 
+// TestL0FillAllocatesNothing pins that filling a fresh L0 to its k
+// retained values allocates nothing beyond its construction: the heap is
+// sifted by hand over its []uint64, so no value is boxed.
+func TestL0FillAllocatesNothing(t *testing.T) {
+	const runs = 20
+	rng := rand.New(rand.NewSource(3))
+	fresh := make([]*L0, runs+1) // AllocsPerRun makes one warm-up call
+	for i := range fresh {
+		fresh[i] = NewL0Deg(0.4, 8, rng)
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		s := fresh[next]
+		next++
+		for x := uint64(0); len(s.vals) < s.k; x++ {
+			s.Add(x)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("filling a fresh L0 to k=%d values allocated %.0f times", fresh[0].k, allocs)
+	}
+}
+
 func BenchmarkL0Add(b *testing.B) {
 	s := NewL0(0.25, 1<<20, 1<<20, rand.New(rand.NewSource(1)))
 	b.ResetTimer()

@@ -1,9 +1,6 @@
 package sketch
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Mergeability: all three sketches are linear (CountSketch) or
 // lattice-style (L0 bottom-k, HLL max-registers) summaries, so two
@@ -78,11 +75,11 @@ func (s *L0) insertValue(v uint64) {
 		}
 	}
 	if !full {
-		heap.Push(&s.vals, v)
+		s.vals.push(v)
 		return
 	}
 	s.vals[0] = v
-	heap.Fix(&s.vals, 0)
+	s.vals.down(0)
 }
 
 // MergeDistinct folds b into a when both are the same distinct-counter

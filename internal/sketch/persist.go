@@ -31,10 +31,9 @@ import (
 // A CountSketch's MarshalBinary, which writes the full table, is the
 // Section 5 protocol message, not a checkpoint form.
 //
-// Batch working memory (BatchMemory, lent by the caller for one batch at
-// a time) is never encoded: it holds nothing that survives a batch,
-// mirroring the SpaceWords contract. Encoding is only legal between
-// batches.
+// Batch working memory (BatchMemory and Run, which the caller passes to
+// each batch call) is never encoded: it holds nothing that survives a
+// call, mirroring the SpaceWords contract.
 
 // appendBlob32 appends a 4-byte little-endian length prefix and then
 // whatever fill appends, patching the prefix once the length is known.
@@ -144,12 +143,8 @@ func (cs *CountSketch) restoreState(data []byte) error {
 }
 
 // appendState appends threshold, capacity, total, the CountSketch's state
-// and the candidate ids in ascending order, the canonical order. It fails
-// while a batch is open.
+// and the candidate ids in ascending order, the canonical order.
 func (hh *HeavyHitters) appendState(buf []byte) ([]byte, error) {
-	if hh.batchKeys != nil {
-		return nil, fmt.Errorf("sketch: cannot marshal HeavyHitters mid-batch")
-	}
 	ids := append([]uint64(nil), hh.ids...)
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	var err error
@@ -207,9 +202,7 @@ func (hh *HeavyHitters) restoreState(data []byte) error {
 
 // AppendState appends the battery's checkpoint state: γ, the level count,
 // then per level the sampling rate, the sampler hash and the heavy-hitter
-// state. Illegal mid-batch (AddBatch completes each level's batch before
-// returning, so this only guards against encoding from inside the
-// sketch's own machinery).
+// state.
 func (c *Contributing) AppendState(buf []byte) ([]byte, error) {
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c.gamma))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(c.levels)))

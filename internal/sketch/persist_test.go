@@ -76,19 +76,6 @@ func TestHeavyHittersRestoreRejectsOtherSeed(t *testing.T) {
 	}
 }
 
-func TestHeavyHittersMarshalMidBatchFails(t *testing.T) {
-	hh := loadedHH(3, 100)
-	hh.BeginBatch([]uint64{1, 2, 3}, new(BatchMemory))
-	if _, err := hh.appendState(nil); err == nil {
-		t.Fatal("mid-batch marshal must fail")
-	}
-	hh.AddBatched(0)
-	hh.EndBatch()
-	if _, err := hh.appendState(nil); err != nil {
-		t.Fatalf("post-batch marshal: %v", err)
-	}
-}
-
 func TestHeavyHittersUnmarshalMalformed(t *testing.T) {
 	blob, _ := loadedHH(5, 800).appendState(nil)
 	for _, tc := range []struct {

@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -45,7 +46,15 @@ func TestSelectTopKV(t *testing.T) {
 			}
 			rng.Shuffle(n, func(i, j int) { base[i], base[j] = base[j], base[i] })
 			sorted := append([]hhKV(nil), base...)
-			sort.Sort(hhKVs(sorted))
+			slices.SortFunc(sorted, func(a, b hhKV) int {
+				switch {
+				case kvLess(a, b):
+					return -1
+				case kvLess(b, a):
+					return 1
+				}
+				return 0
+			})
 			for _, k := range []int{0, 1, n / 3, n / 2, n - 1, n} {
 				got := append([]hhKV(nil), base...)
 				selectTopKV(got, k)

@@ -2,7 +2,6 @@ package sketch
 
 import (
 	"bytes"
-	"container/heap"
 	"encoding/binary"
 	"fmt"
 	"sort"
@@ -189,7 +188,7 @@ func (s *L0) UnmarshalBinary(data []byte) error {
 		}
 		out.vals = append(out.vals, v)
 	}
-	heap.Init(&out.vals)
+	out.vals.heapify()
 	*s = out
 	return nil
 }
