@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"streamcover/internal/hash"
 	"streamcover/internal/sketch"
 	"streamcover/internal/stream"
@@ -20,11 +22,12 @@ import (
 // ProcessColumns, the one batch entry point, is bit-for-bit identical to
 // feeding every edge through Process sequentially: the memo tables cache
 // pure functions of the IDs (identical field reductions, identical
-// thresholds), every stateful structure (distinct counters, contributing
-// batteries, stored pairs) still receives exactly the same updates in
-// exactly the same order, and subroutines are mutually independent so
-// running them batch-at-a-time instead of edge-interleaved leaves their
-// post-pass state unchanged.
+// thresholds), every stateful structure ends in the state the sequential
+// updates leave (the contributing batteries and the stored pairs take
+// the same updates in the same order; a distinct counter takes the same
+// keys and number of adds, all its state depends on), and subroutines
+// are mutually independent so running them batch-at-a-time instead of
+// edge-interleaved leaves their post-pass state unchanged.
 //
 // Space accounting: BatchScratch is transient working memory, not sketch
 // state. It holds no information that survives the current batch (every
@@ -96,20 +99,28 @@ type BatchScratch struct {
 	// Estimator-owned buffers for the universe-reduction step.
 	rawVals  []uint64      // per distinct raw element: reduced pseudo-element
 	redKeys  []uint64      // deduped reduced pseudo-elements
-	redPos   []int32       // per distinct raw element: index into redKeys
+	redPos   []int32       // per distinct raw element: index into redKeys; the oracle's element tags after
 	dense    []int32       // size-z dense dedup table (index or -1)
 	redEdges []stream.Edge // reduced-edge replay buffer
 	refBuf   []int32       // estimator-side elemRef storage
 
 	// Subroutine value buffers (memoized hash decisions per distinct key).
+	// LargeCommon and LargeSet's fallback, which feed distinct counters,
+	// also use hv for the counters' hashes and hv2 for their key lists.
 	hv   []uint64
 	hv2  []uint64
 	bits []bool
 
+	// LargeCommon's per-layer counters. The distinct-counter grouping
+	// borrows the rest: the per-element tags redPos (elemTags), the
+	// fallback's group ends ssDense, and its groups the run's occurrence
+	// storage (Run.Spare).
+	counts []int32
+
 	// LargeSet superset-dedup buffers: distinct superset IDs of the
 	// chunk's distinct sets plus the sampled edges' superset run,
 	// feeding the contributing batteries' batch path.
-	ssDense  []int32                  // size-q dense dedup table (index or -1)
+	ssDense  []int32                  // size-q dense dedup table (index or -1); the fallback's group ends after
 	ssKeys   []uint64                 // distinct superset IDs, first-appearance order
 	ssPos    []int32                  // per distinct set: index into ssKeys
 	run      sketch.Run               // the sampled edges' supersets, indices into ssKeys
@@ -145,34 +156,83 @@ func (o *Oracle) ProcessBatch(edges []stream.Edge, sc *BatchScratch) {
 }
 
 // processBatch evaluates the shared set hash once per distinct set and
-// replays the edges against the layer thresholds in arrival order.
+// turns it into the set's first sampling layer: the first whose threshold
+// the hash is below, len(layers) for none. The layers are nested, so an
+// edge reaches every layer from its set's first one up, and layer i takes
+// every pseudo-element whose first layer, the least over its edges, is at
+// most i. A counting sort orders the distinct pseudo-elements by first
+// layer, so layer i's keys are a prefix of that order: its counter takes
+// them in one AddKeys together with the number of edges whose first layer
+// is at most i, which leaves the state one Add per such edge leaves.
 func (lc *LargeCommon) processBatch(edges []stream.Edge, sc *BatchScratch) {
+	nl := int32(len(lc.layers))
 	sc.hv = lc.h.EvalBatch(sc.pre.sets.Keys, sc.hv)
-	setPos := sc.pre.sets.Pos
+	for i, v := range sc.hv {
+		f := int32(0)
+		for f < nl && v >= lc.layers[f].thresh {
+			f++
+		}
+		sc.hv[i] = uint64(f)
+	}
+	first := sc.elemTags(nl)
+	// counts[f] is the number of edges, then counts[nl+1+f] the number of
+	// distinct pseudo-elements, whose first layer is f.
+	if cap(sc.counts) < 2*int(nl+1) {
+		sc.counts = make([]int32, 2*(nl+1))
+	}
+	counts := sc.counts[:2*(nl+1)]
+	clear(counts)
+	adds, byLayer := counts[:nl+1], counts[nl+1:]
+	setPos, elemRef := sc.pre.sets.Pos, sc.elemRef
 	for j := range edges {
-		v := sc.hv[setPos[j]]
-		for i := range lc.layers {
-			if v < lc.layers[i].thresh {
-				lc.layers[i].de.Add(uint64(edges[j].Elem))
-			}
+		f := int32(sc.hv[setPos[j]])
+		e := elemRef[j]
+		first[e] = min(first[e], f)
+		adds[f]++
+	}
+	// A counting sort by first layer. Only the elements some layer takes
+	// are listed; the rest, first layer nl, all write to the one slot
+	// past them without advancing.
+	for _, f := range first {
+		byLayer[f]++
+	}
+	var off int32
+	for f, c := range byLayer {
+		byLayer[f] = off
+		off += c
+	}
+	reached := int(byLayer[nl])
+	keys := slices.Grow(sc.hv2[:0], reached+1)[:reached+1]
+	for e, f := range first {
+		keys[byLayer[f]] = sc.elemKeys[e]
+		byLayer[f] += int32(uint32(f-nl) >> 31) // 1 iff f < nl
+	}
+	sc.hv2 = keys
+	n := 0
+	for i := range lc.layers {
+		// byLayer[i] is now the end of layer i's bucket.
+		if n += int(adds[i]); n > 0 {
+			sc.hv = lc.layers[i].de.AddKeys(keys[:byLayer[i]], n, sc.hv)
 		}
 	}
 }
 
 // processBatch memoizes, per repetition, the element-sampling bit per
-// distinct element and the superset per distinct set, then replays the
-// edges in arrival order. The sequential path computes a superset only
-// for sampled edges while the batch path computes one per distinct set;
-// the values are pure functions of the set ID, so the replayed updates
-// are identical. The supersets of the sampled edges are deduped once more
-// (they live in [0, q), far fewer values than sets) into one run —
-// occurrences in arrival order plus a count per distinct superset — that
-// both batteries and all their levels read, so the batteries'
-// per-occurrence hashing collapses to one evaluation per distinct
-// superset per chunk. Each distinct superset's fallback counter is looked
-// up once per chunk, too. The batteries and the sampled-superset
-// fallback are independent structures, so updating them battery-major
-// instead of edge-major changes no state.
+// distinct element and the superset per distinct set. The sequential path
+// computes a superset only for sampled edges while the batch path
+// computes one per distinct set; the values are pure functions of the set
+// ID, so the updates are identical. The supersets of the sampled edges
+// are deduped once more (they live in [0, q), far fewer values than sets)
+// into one run — occurrences in arrival order plus a count per distinct
+// superset — that both batteries and all their levels read, so the
+// batteries' per-occurrence hashing collapses to one evaluation per
+// distinct superset per chunk. The fallback then groups the sampled edges
+// by superset, a counting sort over the run's per-key counts into the
+// run's own occurrence storage, which the batteries are done with, and
+// each sampled superset's counter takes its group's distinct elements in
+// one AddKeys with the group's size as the number of adds. The batteries
+// and the fallback are independent structures, so updating them
+// battery-major instead of edge-major changes no state.
 func (ls *LargeSet) processBatch(edges []stream.Edge, sc *BatchScratch) {
 	setPos, elemRef := sc.pre.sets.Pos, sc.elemRef
 	for i := range ls.reps {
@@ -196,17 +256,66 @@ func (ls *LargeSet) processBatch(edges []stream.Edge, sc *BatchScratch) {
 			sc.fallback = make([]sketch.DistinctCounter, len(sc.ssKeys))
 		}
 		fallback := sc.fallback[:len(sc.ssKeys)]
+		// end[ki] starts as the offset of superset ki's group and ends
+		// one past it. It borrows the dedup table, which dedupSupersets
+		// rebuilds before its next read.
+		end := sc.ssDense[:len(sc.ssKeys)]
+		var total int32
 		for _, ki := range run.Distinct() {
-			fallback[ki] = rep.sampled[sc.ssKeys[ki]]
+			de := rep.sampled[sc.ssKeys[ki]]
+			fallback[ki] = de
+			if de != nil {
+				end[ki] = total
+				total += int32(run.Count(ki))
+			}
 		}
+		if total == 0 {
+			continue
+		}
+		group := run.Spare(int(total))
 		for j := range edges {
-			if sc.bits[elemRef[j]] {
-				if de := fallback[ssPos[setPos[j]]]; de != nil {
-					de.Add(uint64(edges[j].Elem))
+			if e := elemRef[j]; sc.bits[e] {
+				if ki := ssPos[setPos[j]]; fallback[ki] != nil {
+					group[end[ki]] = e
+					end[ki]++
 				}
 			}
 		}
+		// Repeats within a group are dropped by stamping each element
+		// with the group's superset key index.
+		stamp := sc.elemTags(-1)
+		for _, ki := range run.Distinct() {
+			de := fallback[ki]
+			if de == nil {
+				continue
+			}
+			n := run.Count(ki)
+			keys := sc.hv2[:0]
+			for _, e := range group[end[ki]-int32(n) : end[ki]] {
+				if stamp[e] != ki {
+					stamp[e] = ki
+					keys = append(keys, sc.elemKeys[e])
+				}
+			}
+			sc.hv2 = keys
+			sc.hv = de.AddKeys(keys, n, sc.hv)
+		}
 	}
+}
+
+// elemTags returns a tag per distinct element of the element view, each
+// set to v. The tags live in redPos, which the universe reduction is done
+// with before the oracle runs.
+func (sc *BatchScratch) elemTags(v int32) []int32 {
+	n := len(sc.elemKeys)
+	if cap(sc.redPos) < n {
+		sc.redPos = make([]int32, n)
+	}
+	tags := sc.redPos[:n]
+	for i := range tags {
+		tags[i] = v
+	}
+	return tags
 }
 
 // dedupSupersets collapses sc.hv (superset IDs in [0, q), one per distinct

@@ -85,10 +85,12 @@ func sameHH(t *testing.T, name string, a, b *HeavyHitters) {
 // BatchMemory reused across batches, and requires identical state after
 // every batch. Each batch is classified from the scalar twin's candidate
 // set before it: one whose new keys fit the free slots (the counts path)
-// or one a refresh falls inside (the per-occurrence path). The cases
-// cover wide sketches, dense-domain sketches, a split that mixes both
-// classes, and keys that cross the domain, so that a flush before a
-// refresh widens a dense sketch in the middle of a batch.
+// or one a refresh falls inside (the replay). The cases cover wide
+// sketches, dense-domain sketches, a split that mixes both classes, keys
+// that cross the domain, so that a flush before a refresh widens a dense
+// sketch in the middle of a batch, and a sampling mask, as a subsampled
+// battery level passes, under which the replay compacts the run's
+// occurrences before refreshing inside batches.
 func TestHeavyHittersBatchEquivalence(t *testing.T) {
 	type tc struct {
 		name     string
@@ -98,6 +100,7 @@ func TestHeavyHittersBatchEquivalence(t *testing.T) {
 		maxBatch int // 0: random splits over the whole remaining stream
 		mixed    bool
 		widens   bool
+		sampled  bool // feed only the keys of a random half of the key indices
 	}
 	cases := []tc{
 		{name: "wide phi=0.5", phi: 0.5, universe: 400},
@@ -109,6 +112,8 @@ func TestHeavyHittersBatchEquivalence(t *testing.T) {
 		{name: "dense mixed splits", phi: 0.05, domain: 400, universe: 400, maxBatch: 40, mixed: true},
 		{name: "wide mixed splits", phi: 0.05, universe: 400, maxBatch: 40, mixed: true},
 		{name: "crosses domain", phi: 0.5, domain: 300, universe: 400, widens: true},
+		{name: "dense sampled", phi: 0.05, domain: 400, universe: 400, maxBatch: 400, mixed: true, sampled: true},
+		{name: "wide sampled", phi: 0.05, universe: 400, maxBatch: 400, mixed: true, sampled: true},
 	}
 	for _, c := range cases {
 		rng := rand.New(rand.NewSource(11))
@@ -116,6 +121,13 @@ func TestHeavyHittersBatchEquivalence(t *testing.T) {
 		seq := newF2HeavyHitters(c.phi, c.domain, rand.New(rand.NewSource(5)))
 		bat := newF2HeavyHitters(c.phi, c.domain, rand.New(rand.NewSource(5)))
 
+		var bits []uint8
+		if c.sampled {
+			bits = make([]uint8, len(keys))
+			for ki := range bits {
+				bits[ki] = uint8(rng.Intn(2))
+			}
+		}
 		var run Run
 		var mem BatchMemory
 		fitting, refreshing, widenedMidBatch := 0, 0, false
@@ -128,8 +140,8 @@ func TestHeavyHittersBatchEquivalence(t *testing.T) {
 
 			// Classify the batch from the scalar twin's state before it.
 			fresh := map[uint64]bool{}
-			for _, x := range raw[start:end] {
-				if !seq.has(x) {
+			for j, x := range raw[start:end] {
+				if (bits == nil || bits[occ[start+j]] == 1) && !seq.has(x) {
 					fresh[x] = true
 				}
 			}
@@ -141,7 +153,10 @@ func TestHeavyHittersBatchEquivalence(t *testing.T) {
 			// A key past the domain ahead of a refresh, while the sketch
 			// is still dense, is widened by that refresh's flush.
 			crossed := false
-			for _, x := range raw[start:end] {
+			for j, x := range raw[start:end] {
+				if bits != nil && bits[occ[start+j]] == 0 {
+					continue
+				}
 				before := len(seq.ids)
 				dense := seq.cs.domain != 0
 				seq.Add(x)
@@ -153,7 +168,7 @@ func TestHeavyHittersBatchEquivalence(t *testing.T) {
 				}
 			}
 
-			bat.addBatch(keys, run.fill(len(keys), occ[start:end]), nil, &mem)
+			bat.addBatch(keys, run.fill(len(keys), occ[start:end]), bits, &mem)
 			sameHH(t, c.name, seq, bat)
 			if t.Failed() {
 				t.Fatalf("%s: diverged at occurrences [%d, %d)", c.name, start, end)

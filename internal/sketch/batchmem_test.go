@@ -183,6 +183,54 @@ func TestHeavyHittersScalarRefreshAllocs(t *testing.T) {
 	}
 }
 
+// TestHeavyHittersBatchRefreshAllocs is the batch path's counterpart of
+// TestHeavyHittersScalarRefreshAllocs: on a warmed dense sketch and a
+// warmed wide one, a batch of fresh keys that forces a refresh inside it
+// allocates nothing, with or without a sampling mask. The replay reuses
+// the worker's BatchMemory, the candidate list's cap+1 slots, and the
+// bitmap of a dense sketch or the map of a wide one.
+func TestHeavyHittersBatchRefreshAllocs(t *testing.T) {
+	for _, domain := range []int{2000, 0} {
+		for _, sampled := range []bool{false, true} {
+			hh := newF2HeavyHitters(0.05, domain, rand.New(rand.NewSource(1)))
+			// More fresh keys than the cap/2 a refresh keeps, each twice.
+			keys := make([]uint64, hh.cap)
+			occ := make([]int32, 2*len(keys))
+			for i := range occ {
+				occ[i] = int32(i % len(keys))
+			}
+			var bits []uint8
+			if sampled {
+				// Three in four keys: still more than the free slots.
+				bits = make([]uint8, len(keys))
+				for i := range bits[:len(bits)*3/4] {
+					bits[i] = 1
+				}
+			}
+			var run Run
+			var mem BatchMemory
+			next := uint64(0)
+			feed := func() {
+				for i := range keys {
+					keys[i] = next % 2000
+					next++
+				}
+				before := hh.total
+				hh.addBatch(keys, run.fill(len(keys), occ), bits, &mem)
+				if hh.total == before {
+					t.Fatal("batch fed nothing")
+				}
+			}
+			for i := 0; i < 4; i++ {
+				feed()
+			}
+			if allocs := testing.AllocsPerRun(50, feed); allocs != 0 {
+				t.Fatalf("domain %d, sampled %v: addBatch allocated %.0f times per refresh-forcing batch", domain, sampled, allocs)
+			}
+		}
+	}
+}
+
 // TestHeavyHittersScalarConcurrentRefresh feeds independent sketches from
 // several goroutines at once, so their refreshes contend for the shared
 // scalar refresh buffer; each must end as a sketch fed alone does.

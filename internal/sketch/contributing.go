@@ -110,9 +110,10 @@ func NewF2Contributing(gamma float64, r int, m int, cfg ContribConfig, rng *rand
 	return c
 }
 
-// sampled reports lv.sampler.Bernoulli(x, lv.rate) through the persistent
-// per-key memo (in-domain keys only hash once ever).
-func (lv *contribLevel) sampled(x uint64, m uint64) bool {
+// sampled reports lv.sampler.Bernoulli(x, lv.rate) as a bit, 1 for a
+// sampled key, through the persistent per-key memo (in-domain keys only
+// hash once ever).
+func (lv *contribLevel) sampled(x uint64, m uint64) uint8 {
 	if x < m {
 		if lv.dBits == nil {
 			lv.dBits = make([]uint8, m)
@@ -125,9 +126,12 @@ func (lv *contribLevel) sampled(x uint64, m uint64) bool {
 			}
 			lv.dBits[x] = st
 		}
-		return st == 2
+		return st - 1
 	}
-	return lv.sampler.Bernoulli(x, lv.rate)
+	if lv.sampler.Bernoulli(x, lv.rate) {
+		return 1
+	}
+	return 0
 }
 
 // Add feeds one unit-weight occurrence of key x to every level whose
@@ -135,7 +139,7 @@ func (lv *contribLevel) sampled(x uint64, m uint64) bool {
 func (c *Contributing) Add(x uint64) {
 	for i := range c.levels {
 		lv := &c.levels[i]
-		if lv.rate >= 1 || lv.sampled(x, c.m) {
+		if lv.rate >= 1 || lv.sampled(x, c.m) != 0 {
 			lv.hh.Add(x)
 		}
 	}
@@ -145,18 +149,20 @@ func (c *Contributing) Add(x uint64) {
 // is bit-for-bit equivalent to calling Add per occurrence: the
 // coordinate-sampling bit is a pure function of the key, so it is read
 // once per distinct key instead of once per occurrence, and each level
-// takes the whole batch in one HeavyHitters call. Levels are
-// independent, so running them level-major instead of occurrence-major
-// changes no state. mem is the caller's batch memory, passed to each
-// level in turn.
+// takes the whole batch in one HeavyHitters call, which lands it as
+// per-key counts or replays it without a data-dependent branch (a
+// sampled level first compacts its occurrences by those bits). Levels
+// are independent, so running them level-major instead of
+// occurrence-major changes no state. mem is the caller's batch memory,
+// passed to each level in turn.
 func (c *Contributing) AddBatch(keys []uint64, run *Run, mem *BatchMemory) {
 	for i := range c.levels {
 		lv := &c.levels[i]
-		var bits []bool
+		var bits []uint8
 		if lv.rate < 1 {
 			// Only the run's own keys are read, so only they need a bit.
 			if cap(mem.bits) < len(keys) {
-				mem.bits = make([]bool, len(keys))
+				mem.bits = make([]uint8, len(keys))
 			}
 			bits = mem.bits[:len(keys)]
 			for _, ki := range run.first {

@@ -39,7 +39,7 @@ type HeavyHitters struct {
 	cap   int
 	total int64 // number of updates (weight 1 each)
 
-	ids    []uint64            // the candidates; a merge may briefly hold 2·cap
+	ids    []uint64            // the candidates, at most cap between calls; a merge may briefly hold 2·cap
 	q      uint64              // the bitmap's domain
 	bitmap []uint64            // bit x set iff x < q is a candidate; nil until the first
 	wide   map[uint64]struct{} // the candidates ≥ q; nil until the first
@@ -54,10 +54,14 @@ type HeavyHitters struct {
 // BatchMemory must not be shared by concurrent goroutines.
 type BatchMemory struct {
 	pending []int64 // per batch key: deferred CountSketch delta, all zero between calls
-	touched []int32 // batch keys with pending != 0
+	touched []int32 // batch keys with pending != 0, plus the slot replay writes past them
 	refresh []hhKV  // a refresh's candidate list (keepTop)
-	bits    []bool  // Contributing: sampling bit per batch key
+	bits    []uint8 // Contributing: sampling bit, 0 or 1, per batch key
 }
+
+// selBlock is how many of a run's occurrences a sampled level compacts at
+// a time: a fixed block on the stack, whatever the batch size.
+const selBlock = 512
 
 // Run is one batch of unit-weight occurrences over a list of distinct
 // keys, held both ways the batch path reads it: the occurrences in
@@ -97,6 +101,19 @@ func (r *Run) Add(ki int32) {
 // Distinct returns the key indices the run holds, once each, in
 // first-occurrence order.
 func (r *Run) Distinct() []int32 { return r.first }
+
+// Count returns the number of occurrences of key index ki.
+func (r *Run) Count(ki int32) int { return int(r.count[ki]) }
+
+// Spare hands the storage of the run's occurrences, n of them at most, to
+// a caller that has fed the run to every sketch it feeds, as scratch.
+// Distinct and Count still answer, but the run must not be fed again
+// before the next Reset.
+func (r *Run) Spare(n int) []int32 {
+	s := r.occ[:n]
+	r.occ = r.occ[:0]
+	return s
+}
 
 // scalarMemory is the refresh buffer of the scalar Add path, which runs
 // without a caller's BatchMemory. One buffer serves every sketch; a
@@ -307,7 +324,7 @@ func selectTopKV(a []hhKV, k int) {
 	}
 }
 
-// addBatch feeds the occurrences of run whose sampling bit is set (every
+// addBatch feeds the occurrences of run whose sampling bit is 1 (every
 // occurrence for nil bits); keys are the batch's distinct keys, which run
 // and bits index. It is bit-for-bit equivalent to calling Add per
 // occurrence, in one of two ways chosen from the batch's own keys:
@@ -316,16 +333,13 @@ func selectTopKV(a []hhKV, k int) {
 //     can fall inside it: each key's count lands in one counter update,
 //     and the new keys are admitted in first-occurrence order, which is
 //     the order the per-occurrence path admits them in.
-//   - Otherwise the occurrences run in arrival order. Counter deltas are
-//     deferred per distinct key in mem (the counters are plain sums, so
-//     one update per key is bit-identical) and flushed before every
-//     refresh, so each refresh observes exactly the counters the
-//     per-occurrence path would have, and the candidate set evolves
-//     identically.
-func (hh *HeavyHitters) addBatch(keys []uint64, run *Run, bits []bool, mem *BatchMemory) {
+//   - Otherwise replay runs the occurrences in arrival order, after a
+//     level with sampling bits has compacted its own occurrences out of
+//     the run.
+func (hh *HeavyHitters) addBatch(keys []uint64, run *Run, bits []uint8, mem *BatchMemory) {
 	if hh.fits(keys, run.first, bits) {
 		for _, ki := range run.first {
-			if bits != nil && !bits[ki] {
+			if bits != nil && bits[ki] == 0 {
 				continue
 			}
 			x, n := keys[ki], int64(run.count[ki])
@@ -337,44 +351,116 @@ func (hh *HeavyHitters) addBatch(keys []uint64, run *Run, bits []bool, mem *Batc
 		}
 		return
 	}
-	if cap(mem.pending) < len(keys) {
-		mem.pending = make([]int64, len(keys))
+	hh.beginReplay(len(keys), len(run.first), mem)
+	if bits == nil {
+		hh.replay(keys, run.occ, mem)
+	} else {
+		// Compact a block at a time, on the stack: write every index,
+		// advance by its bit.
+		var sel [selBlock]int32
+		for occ := run.occ; len(occ) > 0; {
+			block := occ[:min(len(occ), len(sel))]
+			occ = occ[len(block):]
+			n := 0
+			for _, ki := range block {
+				sel[n] = ki
+				n += int(bits[ki])
+			}
+			hh.replay(keys, sel[:n], mem)
+		}
 	}
-	pending, touched := mem.pending[:len(keys)], mem.touched[:0]
-	for _, ki := range run.occ {
-		if bits != nil && !bits[ki] {
-			continue
-		}
-		hh.total++
-		if pending[ki] == 0 {
-			touched = append(touched, ki)
-		}
-		pending[ki]++
-		x := keys[ki]
-		if hh.has(x) {
-			continue
-		}
-		if len(hh.ids) >= hh.cap {
-			hh.cs.flush(keys, touched, pending)
-			touched = touched[:0]
-			mem.refresh = hh.keepTop(hh.cap/2, mem.refresh)
-		}
-		hh.admit(x)
-	}
-	hh.cs.flush(keys, touched, pending)
-	mem.pending, mem.touched = pending, touched[:0]
+	hh.cs.flush(keys, mem.touched, mem.pending)
+	mem.touched = mem.touched[:0]
 }
 
-// fits reports whether the keys of first whose bit is set (all of them
+// beginReplay readies the sketch and the worker's memory for replay: the
+// candidate list gets its cap+1 slots at the sketch's first replay, a
+// dense sketch its bitmap, and the touched list one slot more than the
+// batch's distinct keys.
+func (hh *HeavyHitters) beginReplay(nkeys, distinct int, mem *BatchMemory) {
+	if cap(hh.ids) <= hh.cap {
+		hh.ids = append(make([]uint64, 0, hh.cap+1), hh.ids...)
+	}
+	if hh.bitmap == nil && hh.q > 0 {
+		hh.bitmap = make([]uint64, (hh.q+63)>>6)
+	}
+	if cap(mem.pending) < nkeys {
+		mem.pending = make([]int64, nkeys)
+	}
+	mem.pending = mem.pending[:nkeys]
+	if cap(mem.touched) <= distinct {
+		mem.touched = make([]int32, 0, distinct+1)
+	}
+}
+
+// replay feeds occ, occurrences of keys, in arrival order, with one
+// data-dependent branch: into a refresh, taken when the set is full and
+// the key is not a candidate. Every other step writes unconditionally
+// and advances by a bit:
+//
+//   - Counter deltas are deferred per key in mem.pending (the counters
+//     are plain sums, so one update per key is bit-identical), and each
+//     occurrence writes its key index to mem.touched, advancing past it
+//     only on the key's first touch since the last flush.
+//   - Each occurrence writes its key one slot past the live candidates
+//     and advances past it by the miss bit. An in-domain key reads the
+//     bit from the bitmap and sets it after any refresh; a key at or
+//     above the domain (every key of a sketch built without one) asks
+//     the map instead, which the replay fills on a miss. Which of the
+//     two a key takes follows the sketch's form, not the data.
+//
+// The deltas are flushed before every refresh, so each refresh observes
+// exactly the counters the per-occurrence path would have, and the
+// candidate set evolves identically. Deltas still pending when replay
+// returns are the caller's to flush.
+func (hh *HeavyHitters) replay(keys []uint64, occ []int32, mem *BatchMemory) {
+	pending, touched := mem.pending, mem.touched[:cap(mem.touched)]
+	ids, bitmap, q := hh.ids[:hh.cap+1], hh.bitmap, hh.q
+	n, nt := len(hh.ids), len(mem.touched)
+	for _, ki := range occ {
+		touched[nt] = ki
+		nt += int(uint64(pending[ki]-1) >> 63) // 1 iff pending[ki] == 0
+		pending[ki]++
+		x := keys[ki]
+		ids[n] = x
+		var miss int
+		if x < q {
+			miss = int(^bitmap[x>>6] >> (x & 63) & 1)
+		} else if _, ok := hh.wide[x]; !ok {
+			miss = 1
+		}
+		if n+miss > hh.cap {
+			hh.ids = ids[:n]
+			hh.cs.flush(keys, touched[:nt], pending)
+			nt = 0
+			mem.refresh = hh.keepTop(hh.cap/2, mem.refresh)
+			n = len(hh.ids)
+			ids[n] = x
+		}
+		if x < q {
+			bitmap[x>>6] |= 1 << (x & 63)
+		} else if miss != 0 {
+			if hh.wide == nil {
+				hh.wide = make(map[uint64]struct{})
+			}
+			hh.wide[x] = struct{}{}
+		}
+		n += miss
+	}
+	hh.ids, mem.touched = ids[:n], touched[:nt]
+	hh.total += int64(len(occ))
+}
+
+// fits reports whether the keys of first whose bit is 1 (all of them
 // for nil bits) bring no more new candidates than the set has free
 // slots, so that admitting them all triggers no refresh.
-func (hh *HeavyHitters) fits(keys []uint64, first []int32, bits []bool) bool {
+func (hh *HeavyHitters) fits(keys []uint64, first []int32, bits []uint8) bool {
 	free := hh.cap - len(hh.ids)
 	if len(first) <= free {
 		return true
 	}
 	for _, ki := range first {
-		if (bits == nil || bits[ki]) && !hh.has(keys[ki]) {
+		if (bits == nil || bits[ki] != 0) && !hh.has(keys[ki]) {
 			if free--; free < 0 {
 				return false
 			}

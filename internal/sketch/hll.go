@@ -25,9 +25,16 @@ type HLL struct {
 }
 
 // DistinctCounter is the streaming distinct-count contract both L0
-// implementations satisfy.
+// implementations satisfy. AddKeys is the batch form of Add: it feeds n
+// occurrences whose distinct keys are those in keys, which may repeat,
+// and leaves the state n calls of Add would. Neither implementation's
+// state depends on the order or multiplicity of its keys, only on their
+// set and on the number of occurrences (Adds), so one hash evaluation
+// per distinct key of a batch does. hv is scratch for the hashes,
+// returned grown.
 type DistinctCounter interface {
 	Add(x uint64)
+	AddKeys(keys []uint64, n int, hv []uint64) []uint64
 	Estimate() float64
 	SpaceWords() int
 }
@@ -52,15 +59,33 @@ func NewHLL(p uint8, rng *rand.Rand) *HLL {
 // Add feeds one key occurrence; duplicates do not change the estimate.
 func (s *HLL) Add(x uint64) {
 	s.adds++
+	s.insertHash(s.h.Eval(x))
+}
+
+// insertHash routes a key's hash to its register and raises it to the
+// hash's rank.
+func (s *HLL) insertHash(v uint64) {
 	// Spread the 61-bit field value to 64 bits by multiplying into the
 	// high bits, then split register index / rank.
-	hv := s.h.Eval(x) << 3
+	hv := v << 3
 	idx := hv >> (64 - s.p)
 	rest := hv << s.p
 	rank := uint8(bits.LeadingZeros64(rest|1)) + 1
 	if rank > s.regs[idx] {
 		s.regs[idx] = rank
 	}
+}
+
+// AddKeys feeds n occurrences whose distinct keys are those of keys, as
+// n calls of Add would: a register keeps the maximum rank routed to it,
+// which no order or repeat changes.
+func (s *HLL) AddKeys(keys []uint64, n int, hv []uint64) []uint64 {
+	s.adds += uint64(n)
+	hv = s.h.EvalBatch(keys, hv)
+	for _, v := range hv {
+		s.insertHash(v)
+	}
+	return hv
 }
 
 // Estimate returns the distinct-count estimate with the standard

@@ -53,6 +53,19 @@ func (s *L0) Add(x uint64) {
 	s.insertValue(s.h.Eval(x))
 }
 
+// AddKeys feeds n occurrences whose distinct keys are those of keys, as
+// n calls of Add would: the retained values are the k smallest distinct
+// hashes, a set no order or repeat changes, and MarshalBinary writes them
+// sorted.
+func (s *L0) AddKeys(keys []uint64, n int, hv []uint64) []uint64 {
+	s.adds += uint64(n)
+	hv = s.h.EvalBatch(keys, hv)
+	for _, v := range hv {
+		s.insertValue(v)
+	}
+	return hv
+}
+
 // Estimate returns the current distinct-count estimate.
 func (s *L0) Estimate() float64 {
 	if len(s.vals) < s.k {

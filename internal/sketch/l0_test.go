@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -137,5 +138,99 @@ func BenchmarkL0Add(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Add(uint64(i))
+	}
+}
+
+// TestAddKeysMatchesAdd feeds the same occurrences to twin distinct
+// counters, one per-occurrence Add each and one AddKeys per batch over a
+// key list that holds duplicates, in shuffled order. The twins must
+// encode to the same bytes and count the same adds: an L0 below its
+// capacity k (exact count), one far above it (bottom-k eviction), and an
+// HLL.
+func TestAddKeysMatchesAdd(t *testing.T) {
+	type counter interface {
+		DistinctCounter
+		Adds() uint64
+		MarshalBinary() ([]byte, error)
+	}
+	cases := []struct {
+		name     string
+		universe int
+		build    func(rng *rand.Rand) counter
+	}{
+		{"L0 below k", 12, func(rng *rand.Rand) counter { return NewL0Deg(0.4, 8, rng) }},
+		{"L0 above k", 5000, func(rng *rand.Rand) counter { return NewL0Deg(0.4, 8, rng) }},
+		{"HLL", 5000, func(rng *rand.Rand) counter { return NewHLL(8, rng) }},
+	}
+	for _, c := range cases {
+		seq := c.build(rand.New(rand.NewSource(7)))
+		bat := c.build(rand.New(rand.NewSource(7)))
+		if seq.Adds() != 0 || bat.Adds() != 0 {
+			t.Fatalf("%s: fresh counter has adds", c.name)
+		}
+		if c.name == "L0 below k" && c.universe >= seq.(*L0).k {
+			t.Fatalf("%s: universe %d is not below k", c.name, c.universe)
+		}
+		rng := rand.New(rand.NewSource(9))
+		var hv []uint64
+		for batch := 0; batch < 40; batch++ {
+			occ := rng.Intn(300)
+			keys := make([]uint64, 0, occ)
+			for i := 0; i < occ; i++ {
+				x := uint64(rng.Intn(c.universe))
+				seq.Add(x)
+				keys = append(keys, x)
+			}
+			// Each key at least once, some several times, in any order.
+			keys = append(keys, keys[:len(keys)/3]...)
+			rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+			hv = bat.AddKeys(keys, occ, hv)
+			if seq.Adds() != bat.Adds() {
+				t.Fatalf("%s batch %d: Adds %d != %d", c.name, batch, bat.Adds(), seq.Adds())
+			}
+			a, err := seq.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := bat.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a, b) {
+				t.Fatalf("%s batch %d: AddKeys encodes differently from per-occurrence Add", c.name, batch)
+			}
+		}
+		if l, ok := bat.(*L0); ok && c.universe > l.k && len(l.vals) != l.k {
+			t.Fatalf("%s: holds %d values, want k=%d", c.name, len(l.vals), l.k)
+		}
+	}
+}
+
+// TestAddKeysAllocatesNothing pins that a warmed distinct counter takes a
+// batch of keys through AddKeys with no allocation once its hash buffer
+// has grown.
+func TestAddKeysAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	keys := make([]uint64, 500)
+	for i := range keys {
+		keys[i] = uint64(rng.Intn(3000))
+	}
+	for _, de := range []DistinctCounter{NewL0Deg(0.4, 8, rng), NewHLL(10, rng)} {
+		var hv []uint64
+		for i := 0; i < 4; i++ {
+			hv = de.AddKeys(keys, len(keys), hv)
+		}
+		off := uint64(0)
+		allocs := testing.AllocsPerRun(50, func() {
+			// Fresh keys each run, so an L0 keeps evicting.
+			for i := range keys {
+				keys[i] += off
+			}
+			off++
+			hv = de.AddKeys(keys, len(keys), hv)
+		})
+		if allocs != 0 {
+			t.Fatalf("%T: AddKeys allocated %.0f times per batch", de, allocs)
+		}
 	}
 }

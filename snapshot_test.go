@@ -88,74 +88,112 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 // byte-identically) and rebuilt lazily after decode (a decoded estimator
 // immediately takes the batch path and stays bit-identical to the scalar
 // path). Clone sits in the middle: clone-then-encode equals encode.
+//
+// The byte comparison is also the scalar-vs-batch check of both
+// distinct-counter backends: a batch feeds each counter one AddKeys per
+// chunk over its distinct keys, which must leave the values, registers
+// and add counts that one Add per edge leaves. Two shapes run: a small
+// one, and query-mix's (m=200, n=2000, k=10, α=4, in 8192-edge batches),
+// whose cntrLarge levels refresh inside batches and whose two top
+// battery levels sample below rate 1.
 func TestSnapshotBatchScratchInterplay(t *testing.T) {
-	edges := snapEdges(11, 40, 250, 4000)
-	scalar, err := NewEstimator(40, 250, 3, 4, WithSeed(21))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range edges {
-		if err := scalar.Process(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	batched, err := NewEstimator(40, 250, 3, 4, WithSeed(21))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for off := 0; off < len(edges); off += 300 {
-		end := off + 300
-		if end > len(edges) {
-			end = len(edges)
-		}
-		if err := batched.ProcessBatch(edges[off:end]); err != nil {
-			t.Fatal(err)
-		}
-	}
+	for _, tc := range []struct {
+		name          string
+		m, n, k       int
+		alpha         float64
+		edges, suffix int
+		batch         int
+		opts          []Option
+	}{
+		{"small", 40, 250, 3, 4, 4000, 1500, 300, nil},
+		{"small hll", 40, 250, 3, 4, 4000, 1500, 300, []Option{WithHLLBackend()}},
+		{"query-mix", 200, 2000, 10, 4, 30000, 10000, 8192, nil},
+		{"query-mix hll", 200, 2000, 10, 4, 30000, 10000, 8192, []Option{WithHLLBackend()}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := append([]Option{WithSeed(21)}, tc.opts...)
+			build := func() *Estimator {
+				est, err := NewEstimator(tc.m, tc.n, tc.k, tc.alpha, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return est
+			}
+			edges := snapEdges(11, tc.m, tc.n, tc.edges)
+			scalar := build()
+			for _, e := range edges {
+				if err := scalar.Process(e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			batched := build()
+			for off := 0; off < len(edges); off += tc.batch {
+				end := off + tc.batch
+				if end > len(edges) {
+					end = len(edges)
+				}
+				if err := batched.ProcessBatch(edges[off:end]); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	bScalar, err := scalar.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	bBatched, err := batched.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(bScalar, bBatched) {
-		t.Fatal("batch scratch leaked into the encoding")
-	}
+			bScalar, err := scalar.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			bBatched, err := batched.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(bScalar, bBatched) {
+				t.Fatal("batch scratch leaked into the encoding")
+			}
 
-	// Clone must encode identically to its source (the clone's scratch
-	// starts empty, the source's may be warm — neither is state).
-	clone, err := batched.Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
-	bClone, err := clone.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(bClone, bBatched) {
-		t.Fatal("clone encodes differently from its source")
-	}
+			// Clone must encode identically to its source (the clone's
+			// scratch starts empty, the source's may be warm — neither is
+			// state).
+			clone, err := batched.Clone()
+			if err != nil {
+				t.Fatal(err)
+			}
+			bClone, err := clone.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(bClone, bBatched) {
+				t.Fatal("clone encodes differently from its source")
+			}
 
-	// A decoded estimator's first act is a batch: the lazily rebuilt
-	// scratch must reproduce the scalar path bit for bit.
-	dec, err := DecodeEstimator(bScalar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	suffix := snapEdges(12, 40, 250, 1500)
-	if err := dec.ProcessBatch(suffix); err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range suffix {
-		if err := scalar.Process(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if r1, r2 := scalar.Result(), dec.Result(); !reflect.DeepEqual(r1, r2) {
-		t.Fatalf("post-decode batch path diverged from scalar:\n  scalar  %+v\n  decoded %+v", r1, r2)
+			// A decoded estimator's first act is a batch: the lazily
+			// rebuilt scratch must reproduce the scalar path bit for bit.
+			dec, err := DecodeEstimator(bScalar)
+			if err != nil {
+				t.Fatal(err)
+			}
+			suffix := snapEdges(12, tc.m, tc.n, tc.suffix)
+			if err := dec.ProcessBatch(suffix); err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range suffix {
+				if err := scalar.Process(e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if r1, r2 := scalar.Result(), dec.Result(); !reflect.DeepEqual(r1, r2) {
+				t.Fatalf("post-decode batch path diverged from scalar:\n  scalar  %+v\n  decoded %+v", r1, r2)
+			}
+			bScalar, err = scalar.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			bDec, err := dec.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(bScalar, bDec) {
+				t.Fatal("post-decode batch path encodes differently from the scalar path")
+			}
+		})
 	}
 }
 
