@@ -1,13 +1,15 @@
 package streamcover
 
-// Cross-path equivalence suite for the batched hot path: Process (one
-// edge at a time), ProcessBatch (whole stream and arbitrary splits),
-// ProcessAll and ProcessAllParallel must produce bit-identical
-// Estimate/Report results — same coverage, same feasibility, same
-// reported set IDs, same retained space — on every seed, workload family
-// and shuffled arrival order. This is the contract that lets kcoverd
-// ingest batches while distributed merging and the sequential reference
-// implementation stay exact mirrors.
+// Split-invariance suite for the facade's ingest entries: Process (one
+// edge at a time, buffered into fixed runs), ProcessBatch (whole stream
+// and arbitrary splits), ProcessAll and ProcessAll on four engine
+// workers must produce bit-identical Estimate/Report results — same
+// coverage, same feasibility, same reported set IDs, same retained space
+// — on every seed, workload family and shuffled arrival order. Every
+// entry feeds the one batch path, so this checks that batch boundaries
+// and worker counts change nothing; internal/core's
+// TestReferenceEquivalence holds that path to the paper's per-edge
+// chain.
 
 import (
 	"math/rand"
@@ -62,7 +64,7 @@ func TestCrossPathEquivalence(t *testing.T) {
 				return est
 			}
 
-			// Reference: strictly sequential per-edge processing.
+			// One Process call per edge, which buffers fixed runs.
 			seq := build()
 			for _, e := range edges {
 				if err := seq.Process(e); err != nil {
@@ -94,7 +96,8 @@ func TestCrossPathEquivalence(t *testing.T) {
 			}
 			variants["process-all"] = all
 			par := build()
-			if err := par.ProcessAllParallel(edges, 4); err != nil {
+			par.SetParallelism(4)
+			if err := par.ProcessAll(edges); err != nil {
 				t.Fatal(err)
 			}
 			variants["parallel"] = par

@@ -1,13 +1,17 @@
 package streamcover
 
-// Hot-path benchmarks: the per-edge ingest loop vs the batched one on the
-// default kcovergen workload (planted, n=20000 m=2000 k=40 frac=0.8,
+// Hot-path benchmarks: a Process call per edge vs kcoverd-sized batches on
+// the default kcovergen workload (planted, n=20000 m=2000 k=40 frac=0.8,
 // estimator alpha 4 — the same instance `kcovergen | kcover` processes out
-// of the box). Both benchmarks stream into a pre-warmed estimator, so they
+// of the box). Every benchmark streams into a pre-warmed estimator, so they
 // measure steady-state ingest cost, not sketch construction. The headline
 // numbers live in BENCH_hotpath.json; regenerate with
 //
-//	go test -run=NONE -bench='ProcessEdge|ProcessBatch$' -benchtime=3x .
+//	go test -run=NONE -bench='ProcessEdge$|ProcessBatch$|ProcessBatchParallel' -benchtime=2s -benchmem .
+//
+// A pass over the stream takes 40–400 ms here, so a count-based
+// -benchtime of a few passes is too short to average out the host's
+// drift; 2s gives tens of passes per run.
 
 import (
 	"fmt"
@@ -44,8 +48,9 @@ func hotpathStream(b *testing.B) ([]Edge, *Estimator) {
 	return edges, est
 }
 
-// BenchmarkProcessEdge is the sequential baseline: one Process call per
-// edge, every sub-sketch re-hashing the edge's IDs itself.
+// BenchmarkProcessEdge streams the edges one Process call at a time:
+// Process validates and buffers each edge and feeds every processRun of
+// them to the batch path.
 func BenchmarkProcessEdge(b *testing.B) {
 	edges, est := hotpathStream(b)
 	b.ResetTimer()

@@ -89,9 +89,20 @@ func BenchmarkUniverseReduction(b *testing.B) {
 	})
 }
 
+// columnsOf splits edges into the set and element columns that
+// ProcessColumns and BatchScratch.IndexColumns take.
+func columnsOf(edges []stream.Edge) (sets, elems []uint32) {
+	sets, elems = make([]uint32, len(edges)), make([]uint32, len(edges))
+	for i, e := range edges {
+		sets[i], elems[i] = e.Set, e.Elem
+	}
+	return sets, elems
+}
+
 // BenchmarkLargeCommon, BenchmarkLargeSet and BenchmarkSmallSet are
 // experiments E6–E8: each oracle subroutine standalone on its designed
-// instance family, measuring estimate quality and per-edge throughput.
+// instance family, measuring estimate quality and per-edge throughput of
+// its ingest path (the stream's prepass, then one ProcessBatch).
 func BenchmarkLargeCommon(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	in := workload.CommonHeavy(5000, 1000, 10, 200, 0.4, 2, rng)
@@ -100,12 +111,13 @@ func BenchmarkLargeCommon(b *testing.B) {
 		b.Fatal(err)
 	}
 	edges := stream.Linearize(in.System, stream.Shuffled, rng).Edges()
+	sets, elems := columnsOf(edges)
+	sc := core.NewBatchScratch()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lc := core.NewLargeCommon(d, rng)
-		for _, e := range edges {
-			lc.Process(e)
-		}
+		sc.IndexColumns(sets, elems)
+		lc.ProcessBatch(edges, sc)
 		if _, _, ok := lc.Estimate(); !ok {
 			b.Fatal("LargeCommon rejected its designed family")
 		}
@@ -121,12 +133,13 @@ func BenchmarkLargeSet(b *testing.B) {
 		b.Fatal(err)
 	}
 	edges := stream.Linearize(in.System, stream.Shuffled, rng).Edges()
+	sets, elems := columnsOf(edges)
+	sc := core.NewBatchScratch()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ls := core.NewLargeSet(d, rng)
-		for _, e := range edges {
-			ls.Process(e)
-		}
+		sc.IndexColumns(sets, elems)
+		ls.ProcessBatch(edges, sc)
 		if !ls.Estimate().Feasible {
 			b.Fatal("LargeSet rejected its designed family")
 		}
@@ -142,12 +155,13 @@ func BenchmarkSmallSet(b *testing.B) {
 		b.Fatal(err)
 	}
 	edges := stream.Linearize(in.System, stream.Shuffled, rng).Edges()
+	sets, elems := columnsOf(edges)
+	sc := core.NewBatchScratch()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ss := core.NewSmallSet(d, rng)
-		for _, e := range edges {
-			ss.Process(e)
-		}
+		sc.IndexColumns(sets, elems)
+		ss.ProcessBatch(edges, sc)
 		if !ss.Estimate().Feasible {
 			b.Fatal("SmallSet rejected its designed family")
 		}
@@ -292,7 +306,12 @@ func BenchmarkDistributedMerge(b *testing.B) {
 func BenchmarkEstimatorMerge(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	in := workload.PlantedCover(5000, 500, 10, 0.8, 3, rng)
-	edges := stream.Linearize(in.System, stream.Shuffled, rng).Edges()
+	var halves [2][]stream.Edge
+	for j, e := range stream.Linearize(in.System, stream.Shuffled, rng).Edges() {
+		halves[j%2] = append(halves[j%2], e)
+	}
+	leftSets, leftElems := columnsOf(halves[0])
+	rightSets, rightElems := columnsOf(halves[1])
 	build := func() *core.Estimator {
 		e, err := core.NewEstimator(in.System.M(), in.System.N, in.K, 4, core.Practical(),
 			core.NewOracleFactory(), rand.New(rand.NewSource(3)))
@@ -305,13 +324,8 @@ func BenchmarkEstimatorMerge(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		left, right := build(), build()
-		for j, e := range edges {
-			if j%2 == 0 {
-				left.Process(e)
-			} else {
-				right.Process(e)
-			}
-		}
+		left.ProcessColumns(leftSets, leftElems)
+		right.ProcessColumns(rightSets, rightElems)
 		b.StartTimer()
 		if err := left.Merge(right); err != nil {
 			b.Fatal(err)

@@ -34,7 +34,7 @@ func main() {
 		alpha     = flag.Float64("alpha", 4, "approximation target (>= 1)")
 		seed      = flag.Int64("seed", 1, "random seed")
 		greedy    = flag.Bool("greedy", false, "also run the offline greedy baseline")
-		parallel  = flag.Int("parallel", 1, "worker goroutines (ladder-parallel; same result)")
+		parallel  = flag.Int("parallel", 0, "batch-engine workers (0 = GOMAXPROCS, 1 = sequential; same result)")
 		breakdown = flag.Bool("breakdown", false, "print per-component space breakdown")
 		server    = flag.String("server", "", "kcoverd address: ingest the input there and query the live session")
 		session   = flag.String("session", "kcovergen", "kcoverd session name (with -server)")
@@ -67,21 +67,11 @@ func main() {
 		edges = append(edges, streamcover.Edge{Set: e.Set, Elem: e.Elem})
 	}
 
-	est, err := streamcover.NewEstimator(m, n, *k, *alpha, streamcover.WithSeed(*seed))
+	est, res, elapsed, err := ingest(edges, m, n, *k, *alpha, *seed, *parallel)
 	if err != nil {
 		fatal(err)
 	}
-	start := time.Now()
-	if *parallel > 1 {
-		err = est.ProcessAllParallel(edges, *parallel)
-	} else {
-		err = est.ProcessAll(edges)
-	}
-	if err != nil {
-		fatal(err)
-	}
-	res := est.Result()
-	elapsed := time.Since(start)
+	defer est.Close()
 
 	fmt.Printf("stream: m=%d n=%d edges=%d\n", m, n, len(edges))
 	fmt.Printf("estimate: %.1f (feasible=%v)\n", res.Coverage, res.Feasible)
@@ -117,6 +107,24 @@ func main() {
 		}
 		fmt.Printf("offline greedy: %d sets covering %d elements\n", len(ids), cov)
 	}
+}
+
+// ingest runs the estimator in process: it feeds edges to a new estimator
+// on parallel batch-engine workers (0 selects GOMAXPROCS, 1 runs on the
+// calling goroutine alone) and returns it, its result and how long the
+// pass and the result took. The caller closes the estimator.
+func ingest(edges []streamcover.Edge, m, n, k int, alpha float64, seed int64, parallel int) (*streamcover.Estimator, streamcover.Result, time.Duration, error) {
+	est, err := streamcover.NewEstimator(m, n, k, alpha, streamcover.WithSeed(seed), streamcover.WithParallelism(parallel))
+	if err != nil {
+		return nil, streamcover.Result{}, 0, err
+	}
+	start := time.Now()
+	if err := est.ProcessAll(edges); err != nil {
+		est.Close()
+		return nil, streamcover.Result{}, 0, err
+	}
+	res := est.Result()
+	return est, res, time.Since(start), nil
 }
 
 // serverMode feeds an optional input file into a kcoverd session and

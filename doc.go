@@ -16,6 +16,7 @@
 //
 //	est, err := streamcover.NewEstimator(m, n, k, alpha)
 //	if err != nil { ... }
+//	defer est.Close()
 //	for _, e := range edges {            // single pass, any order
 //		est.Process(streamcover.Edge{Set: e.Set, Elem: e.Elem})
 //	}
@@ -25,6 +26,14 @@
 // The estimator is one-shot: build, stream once, read the result.
 // All randomness derives from the configurable seed, so runs are
 // reproducible.
+//
+// Every ingest call feeds one batched path. Process buffers its edges
+// and hands them over in fixed runs, and every call that reads or moves
+// state (Result, SpaceWords, SpaceBreakdown, Encode, Clone, Merge, Close)
+// flushes the buffer first, so the answer equals that of one ProcessAll
+// over the same edges. Like ProcessAll, Process runs on the estimator's
+// batch-engine workers (GOMAXPROCS by default, see WithParallelism), and
+// Close stops them.
 //
 // See DESIGN.md for the algorithm inventory and EXPERIMENTS.md for the
 // reproduction of the paper's complexity table and theorems.

@@ -1,8 +1,8 @@
 // Parallel processing demo: the estimator's coverage-guess ladder is
-// embarrassingly parallel, and ProcessAllParallel exploits it with
-// bit-for-bit identical results. This example times the same stream
-// sequentially and with workers, verifies the outputs match, and prints
-// the per-component space breakdown.
+// embarrassingly parallel, and the batch engine (WithParallelism) fans it
+// across workers with bit-for-bit identical results. This example times
+// the same stream on one worker and on one per CPU, verifies the outputs
+// match, and prints the per-component space breakdown.
 //
 //	go run ./examples/parallel
 package main
@@ -39,17 +39,13 @@ func main() {
 	rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
 
 	run := func(workers int) (streamcover.Result, time.Duration, map[string]int) {
-		est, err := streamcover.NewEstimator(m, n, k, alpha, streamcover.WithSeed(21))
+		est, err := streamcover.NewEstimator(m, n, k, alpha, streamcover.WithSeed(21), streamcover.WithParallelism(workers))
 		if err != nil {
 			log.Fatal(err)
 		}
+		defer est.Close()
 		start := time.Now()
-		if workers <= 1 {
-			err = est.ProcessAll(edges)
-		} else {
-			err = est.ProcessAllParallel(edges, workers)
-		}
-		if err != nil {
+		if err := est.ProcessAll(edges); err != nil {
 			log.Fatal(err)
 		}
 		return est.Result(), time.Since(start), est.SpaceBreakdown()

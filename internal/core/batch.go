@@ -19,10 +19,11 @@ import (
 // per batch and replays the edges in arrival order against the memoized
 // values.
 //
-// ProcessColumns, the one batch entry point, is bit-for-bit identical to
-// feeding every edge through Process sequentially: the memo tables cache
+// ProcessColumns, the one ingest entry point, is bit-for-bit identical to
+// the paper's per-edge chain (Figures 1–5), which the package's tests keep
+// as the reference (reference_test.go): the memo tables cache
 // pure functions of the IDs (identical field reductions, identical
-// thresholds), every stateful structure ends in the state the sequential
+// thresholds), every stateful structure ends in the state the per-edge
 // updates leave (the contributing batteries and the stored pairs take
 // the same updates in the same order; a distinct counter takes the same
 // keys and number of adds, all its state depends on), and subroutines
@@ -145,17 +146,18 @@ func (sc *BatchScratch) IndexColumns(sets, elems []uint32) {
 	sc.elemRef = sc.pre.elems.Pos
 }
 
-// ProcessBatch fans the batch out to all three subroutines. Each
-// subroutine consumes the whole batch before the next starts; because the
-// subroutines share no state, this is indistinguishable from the
-// edge-interleaved sequential fan-out.
+// ProcessBatch fans the batch out to all three subroutines, whose own
+// ProcessBatch methods take edges and sc on the terms CoverageOracle
+// states. Each subroutine consumes the whole batch before the next
+// starts; because the subroutines share no state, this is
+// indistinguishable from the edge-interleaved sequential fan-out.
 func (o *Oracle) ProcessBatch(edges []stream.Edge, sc *BatchScratch) {
-	o.lc.processBatch(edges, sc)
-	o.ls.processBatch(edges, sc)
-	o.ss.processBatch(edges, sc)
+	o.lc.ProcessBatch(edges, sc)
+	o.ls.ProcessBatch(edges, sc)
+	o.ss.ProcessBatch(edges, sc)
 }
 
-// processBatch evaluates the shared set hash once per distinct set and
+// ProcessBatch evaluates the shared set hash once per distinct set and
 // turns it into the set's first sampling layer: the first whose threshold
 // the hash is below, len(layers) for none. The layers are nested, so an
 // edge reaches every layer from its set's first one up, and layer i takes
@@ -164,7 +166,7 @@ func (o *Oracle) ProcessBatch(edges []stream.Edge, sc *BatchScratch) {
 // layer, so layer i's keys are a prefix of that order: its counter takes
 // them in one AddKeys together with the number of edges whose first layer
 // is at most i, which leaves the state one Add per such edge leaves.
-func (lc *LargeCommon) processBatch(edges []stream.Edge, sc *BatchScratch) {
+func (lc *LargeCommon) ProcessBatch(edges []stream.Edge, sc *BatchScratch) {
 	nl := int32(len(lc.layers))
 	sc.hv = lc.h.EvalBatch(sc.pre.sets.Keys, sc.hv)
 	for i, v := range sc.hv {
@@ -217,11 +219,11 @@ func (lc *LargeCommon) processBatch(edges []stream.Edge, sc *BatchScratch) {
 	}
 }
 
-// processBatch memoizes, per repetition, the element-sampling bit per
-// distinct element and the superset per distinct set. The sequential path
-// computes a superset only for sampled edges while the batch path
-// computes one per distinct set; the values are pure functions of the set
-// ID, so the updates are identical. The supersets of the sampled edges
+// ProcessBatch memoizes, per repetition, the element-sampling bit per
+// distinct element and the superset per distinct set. The per-edge
+// reference computes a superset only for sampled edges while the batch
+// path computes one per distinct set; the values are pure functions of
+// the set ID, so the updates are identical. The supersets of the sampled edges
 // are deduped once more (they live in [0, q), far fewer values than sets)
 // into one run — occurrences in arrival order plus a count per distinct
 // superset — that both batteries and all their levels read, so the
@@ -233,7 +235,7 @@ func (lc *LargeCommon) processBatch(edges []stream.Edge, sc *BatchScratch) {
 // one AddKeys with the group's size as the number of adds. The batteries
 // and the fallback are independent structures, so updating them
 // battery-major instead of edge-major changes no state.
-func (ls *LargeSet) processBatch(edges []stream.Edge, sc *BatchScratch) {
+func (ls *LargeSet) ProcessBatch(edges []stream.Edge, sc *BatchScratch) {
 	setPos, elemRef := sc.pre.sets.Pos, sc.elemRef
 	for i := range ls.reps {
 		rep := &ls.reps[i]
@@ -347,12 +349,12 @@ func (sc *BatchScratch) dedupSupersets(q int) []int32 {
 	return pos
 }
 
-// processBatch memoizes the set-membership bit per distinct set and the
+// ProcessBatch memoizes the set-membership bit per distinct set and the
 // two element-sample hashes per distinct element, then replays the edges
-// in arrival order through the same layer logic as Process. Dead layers
+// in arrival order through the per-edge layer logic (store). Dead layers
 // can only accumulate (a layer may die mid-batch), so the replay
-// re-checks liveness exactly like the sequential path does.
-func (ss *SmallSet) processBatch(edges []stream.Edge, sc *BatchScratch) {
+// re-checks liveness after every stored edge.
+func (ss *SmallSet) ProcessBatch(edges []stream.Edge, sc *BatchScratch) {
 	if ss.live == 0 {
 		return
 	}
@@ -375,10 +377,10 @@ func (ss *SmallSet) processBatch(edges []stream.Edge, sc *BatchScratch) {
 // elems[i] are edge i's endpoint IDs — through the batched hot path,
 // chunking internally so scratch memory stays O(maxBatchChunk) regardless
 // of batch size. The columns a wire decoder filled feed the prepass
-// interners directly, with no edge structs in between. It is bit-for-bit
-// identical to calling Process on every edge in order and, like Process,
-// not safe for concurrent use. Both slices must stay unmodified for the
-// duration of the call.
+// interners directly, with no edge structs in between. It leaves the
+// state the per-edge reference leaves after every edge in order, for any
+// split of the stream into batches, and is not safe for concurrent use.
+// Both slices must stay unmodified for the duration of the call.
 func (est *Estimator) ProcessColumns(sets, elems []uint32) {
 	if len(sets) != len(elems) {
 		panic("core: ProcessColumns with mismatched column lengths")

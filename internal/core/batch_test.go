@@ -231,7 +231,7 @@ func TestSmallSetDeadShortCircuit(t *testing.T) {
 	sc := NewBatchScratch()
 	for _, batch := range splitAt(edges, randomCuts(len(edges), 4, rng)) {
 		sc.IndexColumns(columns(batch))
-		bat.processBatch(batch, sc)
+		bat.ProcessBatch(batch, sc)
 	}
 	if seq.live != 0 {
 		t.Fatalf("expected all layers dead, %d live (caps too large for the test?)", seq.live)
@@ -251,7 +251,7 @@ func TestSmallSetDeadShortCircuit(t *testing.T) {
 		seq.Process(e)
 	}
 	sc.IndexColumns(columns(edges[:100]))
-	bat.processBatch(edges[:100], sc)
+	bat.ProcessBatch(edges[:100], sc)
 	if seq.SpaceWords() != before || bat.SpaceWords() != before {
 		t.Errorf("dead SmallSet grew: seq %d bat %d want %d", seq.SpaceWords(), bat.SpaceWords(), before)
 	}

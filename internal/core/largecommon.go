@@ -5,7 +5,6 @@ import (
 
 	"streamcover/internal/hash"
 	"streamcover/internal/sketch"
-	"streamcover/internal/stream"
 )
 
 // LargeCommon is the multi-layered set-sampling subroutine of Section 4.1
@@ -64,17 +63,6 @@ func rateThreshold(rate float64) uint64 {
 		return 0
 	}
 	return uint64(rate * float64(hash.Prime))
-}
-
-// Process feeds one edge: each layer whose (nested) sample keeps the
-// edge's set adds the element to that layer's distinct counter.
-func (lc *LargeCommon) Process(e stream.Edge) {
-	v := lc.h.Eval(uint64(e.Set))
-	for i := range lc.layers {
-		if v < lc.layers[i].thresh {
-			lc.layers[i].de.Add(uint64(e.Elem))
-		}
-	}
 }
 
 // Estimate returns the best accepted layer's estimate (Figure 3's

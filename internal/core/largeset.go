@@ -6,7 +6,6 @@ import (
 
 	"streamcover/internal/hash"
 	"streamcover/internal/sketch"
-	"streamcover/internal/stream"
 )
 
 // SupersetPartition is the random partition of F into |Q| supersets via a
@@ -137,22 +136,6 @@ func NewLargeSet(d Derived, rng *rand.Rand) *LargeSet {
 
 // Rho reports the element-sampling rate.
 func (ls *LargeSet) Rho() float64 { return ls.rho }
-
-// Process feeds one edge to every repetition whose element sample keeps it.
-func (ls *LargeSet) Process(e stream.Edge) {
-	for i := range ls.reps {
-		rep := &ls.reps[i]
-		if !rep.elemSamp.Bernoulli(uint64(e.Elem), ls.rho) {
-			continue
-		}
-		ss := rep.part.Superset(e.Set)
-		rep.cntrSmall.Add(ss)
-		rep.cntrLarge.Add(ss)
-		if de, ok := rep.sampled[ss]; ok {
-			de.Add(uint64(e.Elem))
-		}
-	}
-}
 
 // LargeSetResult is a repetition's winning superset and estimate.
 type LargeSetResult struct {

@@ -24,12 +24,12 @@ type OracleResult struct {
 // single-pass structure whose post-pass Result must (1) never overestimate
 // the optimal coverage w.h.p. and (2) reach OPT/α whenever OPT ≥ |U|/η.
 // EstimateMaxCover (Theorem 3.6) is generic over this interface.
-// ProcessBatch(edges, sc) is the estimator's ingest path: it must leave
-// the oracle in exactly the state a Process call per edge (in order)
-// would, with sc indexed over edges (the estimator's reduced view, or
-// sc.IndexColumns over the edges' columns).
+// ProcessBatch(edges, sc) is the oracle's one ingest path: it consumes
+// the edges in arrival order, with sc indexed over them (the estimator's
+// reduced view, or sc.IndexColumns over the edges' columns). The paper's
+// per-edge transcription lives in the package's tests, as the reference
+// ProcessBatch must match.
 type CoverageOracle interface {
-	Process(e stream.Edge)
 	ProcessBatch(edges []stream.Edge, sc *BatchScratch)
 	Result() OracleResult
 	SpaceWords() int
@@ -73,13 +73,6 @@ func NewOracleFactory() OracleFactory {
 	return func(d Derived, rng *rand.Rand) CoverageOracle {
 		return NewOracle(d, rng)
 	}
-}
-
-// Process fans the edge out to all three subroutines.
-func (o *Oracle) Process(e stream.Edge) {
-	o.lc.Process(e)
-	o.ls.Process(e)
-	o.ss.Process(e)
 }
 
 // Result returns the maximum of the subroutines' estimates, with the

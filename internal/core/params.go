@@ -14,9 +14,13 @@
 //     heavy hitters/contributing classes) and SmallSet (Section 4.3,
 //     set subsampling + element sampling).
 //
-// Every subroutine is a single-pass structure with Process(edge) and a
-// post-pass estimate; the top level fans each arriving edge out to all
-// parallel instances, so the whole algorithm performs exactly one pass.
+// Every subroutine is a single-pass structure with ProcessBatch and a
+// post-pass estimate; the top level's ProcessColumns fans each chunk of
+// arriving edges out to all parallel instances, so the whole algorithm
+// performs exactly one pass. The paper states each figure edge by edge;
+// that per-edge transcription is kept in the package's tests
+// (reference_test.go) as the reference the batch path must match byte
+// for byte.
 package core
 
 import (

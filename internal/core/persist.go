@@ -21,7 +21,7 @@ import (
 //     hashes against the construction's (catching snapshots from a
 //     different seed or an incompatible code version) and adopts the data
 //     state. A restored estimator is equivalent to the encoded one: same
-//     future outputs under any further Process/Merge/Result sequence,
+//     future outputs under any further ProcessColumns/Merge/Result sequence,
 //     same SpaceWords.
 //
 // Transient working memory — the BatchScratch and the heavy-hitter

@@ -46,7 +46,7 @@ type SmallSet struct {
 	pickSamp *hash.Poly
 	estSamp  *hash.Poly
 	layers   []ssLayer
-	live     int // layers not yet dead; 0 short-circuits Process entirely
+	live     int // layers not yet dead; 0 short-circuits ProcessBatch entirely
 }
 
 type ssLayer struct {
@@ -111,23 +111,9 @@ func (ss *SmallSet) KPrime() int { return ss.kPrime }
 // MRate reports the set-subsampling rate.
 func (ss *SmallSet) MRate() float64 { return ss.mRate }
 
-// Process stores the edge in every live layer whose element samples keep
-// it, provided the set is in M. A layer that exceeds its Õ(m/α²) storage
-// cap is abandoned, as Figure 5's terminate branch prescribes. Once every
-// layer is dead no edge can change any state, so processing returns
-// before evaluating any of the three hashes.
-func (ss *SmallSet) Process(e stream.Edge) {
-	if ss.live == 0 {
-		return
-	}
-	if !ss.setSamp.Bernoulli(uint64(e.Set), ss.mRate) {
-		return
-	}
-	ss.store(e, ss.pickSamp.Eval(uint64(e.Elem)), ss.estSamp.Eval(uint64(e.Elem)))
-}
-
 // store applies one sampled edge's pick/est hash values to every live
-// layer — the per-edge logic shared by the sequential and batch paths.
+// layer — the per-edge logic of the batch replay and of the tests'
+// per-edge reference.
 func (ss *SmallSet) store(e stream.Edge, pv, ev uint64) {
 	for i := range ss.layers {
 		l := &ss.layers[i]

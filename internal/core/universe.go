@@ -5,7 +5,6 @@ import (
 	"runtime"
 
 	"streamcover/internal/hash"
-	"streamcover/internal/stream"
 )
 
 // Estimator is EstimateMaxCover (Figure 1, Theorems 3.1 and 3.6): the
@@ -140,25 +139,6 @@ func scaleGuess(z int, base float64) int {
 		next = z + 1
 	}
 	return next
-}
-
-// Process feeds one edge: each guess's repetitions receive the edge with
-// the element replaced by its pseudo-element h(e) ∈ [z].
-func (est *Estimator) Process(e stream.Edge) {
-	if est.trivial {
-		return
-	}
-	for gi := range est.guesses {
-		g := &est.guesses[gi]
-		for ri := range g.reps {
-			rep := &g.reps[ri]
-			reduced := stream.Edge{
-				Set:  e.Set,
-				Elem: uint32(rep.h.Range(uint64(e.Elem), uint64(g.z))),
-			}
-			rep.oracle.Process(reduced)
-		}
-	}
 }
 
 // units flattens the (guess, repetition) grid into the engine's

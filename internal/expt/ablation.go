@@ -30,14 +30,7 @@ func SpaceComposition(seed int64) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		it := stream.Linearize(in.System, stream.Shuffled, rng)
-		for {
-			e, ok := it.Next()
-			if !ok {
-				break
-			}
-			est.Process(e)
-		}
+		feed(est, stream.Linearize(in.System, stream.Shuffled, rng).Edges())
 		br := est.SpaceBreakdown()
 		t.AddRow(alpha, br["largecommon"], br["largeset"], br["smallset"],
 			br["reduction"], est.SpaceWords())
@@ -76,13 +69,9 @@ func ArrivalOrderInvariance(seed int64) (*Table, error) {
 			return nil, err
 		}
 		tg := baseline.NewThresholdGreedy(in.System.N, in.K, 0.2)
-		it := stream.Linearize(in.System, o.ord, rng)
-		for {
-			e, ok := it.Next()
-			if !ok {
-				break
-			}
-			est.Process(e)
+		edges := stream.Linearize(in.System, o.ord, rng).Edges()
+		feed(est, edges)
+		for _, e := range edges {
 			tg.Process(e)
 		}
 		r := est.Result()
@@ -113,14 +102,8 @@ func HoldoutAblation(seed int64) (*Table, error) {
 		return nil, err
 	}
 	ss := core.NewSmallSet(d, rand.New(rand.NewSource(seed+1)))
-	it := stream.Linearize(in.System, stream.Shuffled, rng)
-	for {
-		e, ok := it.Next()
-		if !ok {
-			break
-		}
-		ss.Process(e)
-	}
+	edges := stream.Linearize(in.System, stream.Shuffled, rng).Edges()
+	ss.ProcessBatch(edges, indexed(edges))
 	held := ss.Estimate()
 	naive := ss.EstimateNaive()
 	t.AddRow("held-out (ours)", optUB, held.Value, held.Value/optUB)
@@ -150,14 +133,7 @@ func DistinctBackendAblation(seed int64) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		it := stream.Linearize(in.System, stream.Shuffled, rng)
-		for {
-			e, ok := it.Next()
-			if !ok {
-				break
-			}
-			est.Process(e)
-		}
+		feed(est, stream.Linearize(in.System, stream.Shuffled, rng).Edges())
 		r := est.Result()
 		name := "bottom-k L0 (default)"
 		if hll {
@@ -192,9 +168,8 @@ func NoiseGateAblation(seed int64) (*Table, error) {
 			return nil, err
 		}
 		ls := core.NewLargeSet(d, rng)
-		for _, e := range ins.ToCoverStream() {
-			ls.Process(e)
-		}
+		edges := ins.ToCoverStream()
+		ls.ProcessBatch(edges, indexed(edges))
 		res := ls.Estimate()
 		val := res.Value
 		if !res.Feasible {

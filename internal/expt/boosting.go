@@ -35,14 +35,7 @@ func RepetitionBoosting(seed int64) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			it := stream.Linearize(in.System, stream.Shuffled, rng)
-			for {
-				e, ok := it.Next()
-				if !ok {
-					break
-				}
-				est.Process(e)
-			}
+			feed(est, stream.Linearize(in.System, stream.Shuffled, rng).Edges())
 			r := est.Result()
 			if r.Feasible && r.Value >= opt/(1.5*4) && r.Value <= 1.4*opt {
 				success++

@@ -24,14 +24,8 @@ func runOracle(in *workload.Instance, alpha float64, seed int64) (subroutineRun,
 		return subroutineRun{}, err
 	}
 	o := core.NewOracle(d, rng)
-	it := stream.Linearize(in.System, stream.Shuffled, rng)
-	for {
-		e, ok := it.Next()
-		if !ok {
-			break
-		}
-		o.Process(e)
-	}
+	edges := stream.Linearize(in.System, stream.Shuffled, rng).Edges()
+	o.ProcessBatch(edges, indexed(edges))
 	var run subroutineRun
 	run.lcVal, _, run.lcOK = o.LargeCommonEstimate()
 	lsr := o.LargeSetEstimate()

@@ -30,9 +30,7 @@ func DistributedMerge(seed int64) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, e := range edges {
-		whole.Process(e)
-	}
+	feed(whole, edges)
 	wv := whole.Result().Value
 	for _, shards := range []int{2, 4, 8} {
 		parts := make([]*core.Estimator, shards)
@@ -41,8 +39,12 @@ func DistributedMerge(seed int64) (*Table, error) {
 				return nil, err
 			}
 		}
+		shard := make([][]stream.Edge, shards)
 		for i, e := range edges {
-			parts[i%shards].Process(e)
+			shard[i%shards] = append(shard[i%shards], e)
+		}
+		for i, part := range parts {
+			feed(part, shard[i])
 		}
 		for i := 1; i < shards; i++ {
 			if err := parts[0].Merge(parts[i]); err != nil {

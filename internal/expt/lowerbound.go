@@ -5,7 +5,6 @@ import (
 
 	"streamcover/internal/core"
 	"streamcover/internal/disjointness"
-	"streamcover/internal/stream"
 )
 
 // LowerBoundConfig sizes the E4 sweep.
@@ -88,9 +87,7 @@ func LowerBound(cfg LowerBoundConfig) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, e := range ins.ToCoverStream() {
-			est.Process(stream.Edge{Set: e.Set, Elem: e.Elem})
-		}
+		feed(est, ins.ToCoverStream())
 		r := est.Result()
 		if no {
 			noEst = r.Value

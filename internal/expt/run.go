@@ -26,14 +26,7 @@ func runOurs(in *workload.Instance, alpha float64, p core.Params, seed int64) (o
 	if err != nil {
 		return oursResult{}, err
 	}
-	it := stream.Linearize(in.System, stream.Shuffled, rng)
-	for {
-		e, ok := it.Next()
-		if !ok {
-			break
-		}
-		est.Process(e)
-	}
+	feed(est, stream.Linearize(in.System, stream.Shuffled, rng).Edges())
 	r := est.Result()
 	out := oursResult{
 		Estimate:   r.Value,
@@ -49,6 +42,31 @@ func runOurs(in *workload.Instance, alpha float64, p core.Params, seed int64) (o
 		out.ReportedSets = len(r.SetIDs)
 	}
 	return out, nil
+}
+
+// feed streams edges into est in arrival order through its one ingest
+// path, ProcessColumns, which chunks the stream itself.
+func feed(est *core.Estimator, edges []stream.Edge) {
+	cols := columnsOf(edges)
+	est.ProcessColumns(cols.Sets, cols.Elems)
+}
+
+// indexed returns a batch scratch indexed over edges, for driving a
+// standalone oracle's or subroutine's ProcessBatch with them.
+func indexed(edges []stream.Edge) *core.BatchScratch {
+	cols := columnsOf(edges)
+	sc := core.NewBatchScratch()
+	sc.IndexColumns(cols.Sets, cols.Elems)
+	return sc
+}
+
+// columnsOf splits edges into set and element columns.
+func columnsOf(edges []stream.Edge) stream.Columns {
+	var cols stream.Columns
+	for _, e := range edges {
+		cols.Append(e.Set, e.Elem)
+	}
+	return cols
 }
 
 // ratio returns opt/value, the approximation factor in the paper's

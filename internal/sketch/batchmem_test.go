@@ -162,31 +162,10 @@ func TestBatchMemorySharedEquivalence(t *testing.T) {
 	}
 }
 
-// TestHeavyHittersScalarRefreshAllocs pins that scalar Add, which has no
-// lent BatchMemory, reuses a refresh buffer: on a warmed sketch, a stream
-// of fresh keys that forces a refresh per run allocates nothing.
-func TestHeavyHittersScalarRefreshAllocs(t *testing.T) {
-	hh := NewF2HeavyHitters(0.05, rand.New(rand.NewSource(1)))
-	next := uint64(0)
-	feed := func() {
-		// More fresh keys than half the capacity: at least one refresh.
-		for i := 0; i < hh.cap; i++ {
-			hh.Add(next)
-			next++
-		}
-	}
-	for i := 0; i < 4; i++ {
-		feed()
-	}
-	if allocs := testing.AllocsPerRun(50, feed); allocs != 0 {
-		t.Fatalf("scalar Add allocated %.0f times per refresh-forcing run", allocs)
-	}
-}
-
-// TestHeavyHittersBatchRefreshAllocs is the batch path's counterpart of
-// TestHeavyHittersScalarRefreshAllocs: on a warmed dense sketch and a
-// warmed wide one, a batch of fresh keys that forces a refresh inside it
-// allocates nothing, with or without a sampling mask. The replay reuses
+// TestHeavyHittersBatchRefreshAllocs pins the ingest path's refresh
+// memory: on a warmed dense sketch and a warmed wide one, a batch of
+// fresh keys that forces a refresh inside it allocates nothing, with or
+// without a sampling mask. The replay reuses
 // the worker's BatchMemory, the candidate list's cap+1 slots, and the
 // bitmap of a dense sketch or the map of a wide one.
 func TestHeavyHittersBatchRefreshAllocs(t *testing.T) {
@@ -231,9 +210,10 @@ func TestHeavyHittersBatchRefreshAllocs(t *testing.T) {
 	}
 }
 
-// TestHeavyHittersScalarConcurrentRefresh feeds independent sketches from
-// several goroutines at once, so their refreshes contend for the shared
-// scalar refresh buffer; each must end as a sketch fed alone does.
+// TestHeavyHittersScalarConcurrentRefresh feeds independent sketches
+// through scalar Add from several goroutines at once, refreshes
+// included; each must end as a sketch fed alone does, so no refresh
+// memory is shared between sketches.
 func TestHeavyHittersScalarConcurrentRefresh(t *testing.T) {
 	const workers = 4
 	feed := func(hh *HeavyHitters, seed int64) {

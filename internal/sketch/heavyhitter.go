@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
 )
 
 // WeightedItem is a reported coordinate together with its approximate
@@ -115,17 +114,6 @@ func (r *Run) Spare(n int) []int32 {
 	return s
 }
 
-// scalarMemory is the refresh buffer of the scalar Add path, which runs
-// without a caller's BatchMemory. One buffer serves every sketch; a
-// refresh holds the lock for O(cap) work once per cap/2 admissions. A
-// sync.Pool would not do: its per-P private entries are invisible to a
-// goroutine that has moved to another P, which then reallocates and
-// regrows the buffer.
-var scalarMemory struct {
-	sync.Mutex
-	refresh []hhKV
-}
-
 type hhKV struct {
 	id  uint64
 	est int64
@@ -202,8 +190,10 @@ func (hh *HeavyHitters) admit(x uint64) {
 
 // Add feeds one unit-weight occurrence of key x: one CountSketch update,
 // plus an admission if x is not a candidate. A full set is refreshed
-// first (keepTop keeps the stronger half), through the shared
-// scalarMemory's buffer since the scalar path has no caller's BatchMemory.
+// first (keepTop keeps the stronger half) into a buffer of its own: Add
+// is Theorem 2.10's per-item interface, which the standalone sketch
+// experiments and the tests' per-edge reference call; ingest feeds a
+// level through addBatch and its worker's BatchMemory.
 func (hh *HeavyHitters) Add(x uint64) {
 	hh.total++
 	hh.cs.Add(x, 1)
@@ -211,9 +201,7 @@ func (hh *HeavyHitters) Add(x uint64) {
 		return
 	}
 	if len(hh.ids) >= hh.cap {
-		scalarMemory.Lock()
-		scalarMemory.refresh = hh.keepTop(hh.cap/2, scalarMemory.refresh)
-		scalarMemory.Unlock()
+		hh.keepTop(hh.cap/2, nil)
 	}
 	hh.admit(x)
 }

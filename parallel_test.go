@@ -122,10 +122,11 @@ func TestParallelBatchEngineRelease(t *testing.T) {
 	est.Close() // idempotent
 }
 
-// TestParallelProcessesValidPrefix checks that ProcessAllParallel is
-// SetParallelism followed by ProcessAll: an out-of-range edge at index i
-// makes both return an error after processing the i valid edges before
-// it, leaving equal edge counts and equal encodings.
+// TestParallelProcessesValidPrefix checks that ProcessAll on the batch
+// engine keeps its valid-prefix semantics: after SetParallelism(2), an
+// out-of-range edge at index i makes ProcessAll return an error after
+// processing the i valid edges before it, leaving the edge count and
+// encoding of a one-worker ProcessAll.
 func TestParallelProcessesValidPrefix(t *testing.T) {
 	edges := plantedEdges(400, 4000, 8, 3200, 9)
 	const i = 1500
@@ -143,11 +144,12 @@ func TestParallelProcessesValidPrefix(t *testing.T) {
 		if err := all.ProcessAll(in); err == nil {
 			t.Fatalf("%+v: ProcessAll accepted an out-of-range edge", bad)
 		}
-		if err := par.ProcessAllParallel(in, 2); err == nil {
-			t.Fatalf("%+v: ProcessAllParallel accepted an out-of-range edge", bad)
+		par.SetParallelism(2)
+		if err := par.ProcessAll(in); err == nil {
+			t.Fatalf("%+v: ProcessAll on 2 workers accepted an out-of-range edge", bad)
 		}
 		if all.Edges() != i || par.Edges() != all.Edges() {
-			t.Fatalf("%+v: ProcessAll consumed %d edges, ProcessAllParallel %d, want %d", bad, all.Edges(), par.Edges(), i)
+			t.Fatalf("%+v: ProcessAll consumed %d edges, on 2 workers %d, want %d", bad, all.Edges(), par.Edges(), i)
 		}
 		want, err := all.Encode()
 		if err != nil {
@@ -158,7 +160,7 @@ func TestParallelProcessesValidPrefix(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Errorf("%+v: ProcessAllParallel state differs from ProcessAll's", bad)
+			t.Errorf("%+v: state on 2 workers differs from one worker's", bad)
 		}
 	}
 }

@@ -20,6 +20,7 @@ import (
 //
 // Encode must not be called concurrently with Process.
 func (e *Estimator) Encode() ([]byte, error) {
+	e.flush()
 	buf := make([]byte, 0, 1<<16)
 	buf = binary.AppendUvarint(buf, uint64(e.m))
 	buf = binary.AppendUvarint(buf, uint64(e.n))

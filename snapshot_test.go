@@ -83,19 +83,17 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 // TestSnapshotBatchScratchInterplay pins the contract between snapshots
-// and PR 2's batch scratch: the scratch is excluded from encoding (a
-// scalar-path and a batch-path estimator with equal state encode
-// byte-identically) and rebuilt lazily after decode (a decoded estimator
-// immediately takes the batch path and stays bit-identical to the scalar
-// path). Clone sits in the middle: clone-then-encode equals encode.
-//
-// The byte comparison is also the scalar-vs-batch check of both
-// distinct-counter backends: a batch feeds each counter one AddKeys per
-// chunk over its distinct keys, which must leave the values, registers
-// and add counts that one Add per edge leaves. Two shapes run: a small
-// one, and query-mix's (m=200, n=2000, k=10, α=4, in 8192-edge batches),
-// whose cntrLarge levels refresh inside batches and whose two top
-// battery levels sample below rate 1.
+// and the batch scratch: the scratch is excluded from encoding (an
+// estimator fed by Process and one fed in other batches encode
+// byte-identically at equal state) and rebuilt lazily after decode (a
+// decoded estimator's first batch stays bit-identical to the Process-fed
+// one). Clone sits in the middle: clone-then-encode equals encode. Two
+// shapes run on both distinct-counter backends: a small one, and
+// query-mix's (m=200, n=2000, k=10, α=4, in 8192-edge batches), whose
+// cntrLarge levels refresh inside batches and whose two top battery
+// levels sample below rate 1. Process buffers into the batch path, so
+// the one-Add-per-edge side of the distinct counters' byte check is
+// internal/core's TestCrossPathReferenceEquivalence.
 func TestSnapshotBatchScratchInterplay(t *testing.T) {
 	for _, tc := range []struct {
 		name          string

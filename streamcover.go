@@ -3,10 +3,10 @@ package streamcover
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"streamcover/internal/core"
 	"streamcover/internal/setsystem"
-	"streamcover/internal/stream"
 )
 
 // Edge is one (set, element) arrival: element Elem belongs to set Set.
@@ -75,9 +75,9 @@ func WithGuessBase(base float64) Option {
 	}
 }
 
-// WithParallelism sets how many workers the batch engine fans each
-// ProcessBatch/ProcessAll call across (default GOMAXPROCS; 1 disables the
-// engine entirely). The coverage-guess ladder is embarrassingly parallel
+// WithParallelism sets how many workers the batch engine fans each batch
+// of every ingest call (Process*) across (default GOMAXPROCS; 1 disables
+// the engine entirely). The coverage-guess ladder is embarrassingly parallel
 // — every (guess, repetition) oracle is independent — so results are
 // bit-for-bit identical for every worker count; only wall-clock time
 // changes. Workers beyond the oracle-unit count are never started, and
@@ -111,11 +111,16 @@ type Estimator struct {
 	opts    []Option
 	cfg     config // resolved options, captured for Encode
 	inner   *core.Estimator
-	edges   int
-	// Reusable set and element columns that ProcessAll and ProcessBatch
-	// split edge slices into (transient, not sketch state).
+	edges   int // edges fed to inner; Edges adds the buffered ones
+	// The column buffer every edge-struct entry fills: accepted edges
+	// that flush has not yet fed to the batch path (transient, not
+	// sketch state; every call that reads or moves state flushes first).
 	sets, elems []uint32
 }
+
+// processRun is how many edges Process buffers before it feeds them to
+// the batch path in one call: the kcoverd client's default batch.
+const processRun = 8192
 
 // NewEstimator builds an estimator for a stream over m sets and n elements
 // with cover budget k and approximation target alpha ≥ 1. Space scales as
@@ -137,6 +142,7 @@ func NewEstimator(m, n, k int, alpha float64, opts ...Option) (*Estimator, error
 // original while another encodes or finalizes the clone — this is how
 // kcoverd checkpoints a session without stalling its ingest.
 func (e *Estimator) Clone() (*Estimator, error) {
+	e.flush()
 	fresh, err := NewEstimator(e.m, e.n, e.k, e.alpha, e.opts...)
 	if err != nil {
 		return nil, err
@@ -149,26 +155,27 @@ func (e *Estimator) Clone() (*Estimator, error) {
 }
 
 // Process consumes one edge. Edges may arrive in any order and repeat;
-// out-of-range IDs are rejected.
+// out-of-range IDs are rejected. A valid edge is buffered and reaches the
+// sketches with the next processRun edges through the batched hot path,
+// or earlier, when any call that reads or moves the state flushes the
+// buffer; so Process is bit-for-bit identical to ProcessAll over the
+// same edges. Like the batch entries, it runs on the batch engine's
+// workers, which Close stops.
 func (e *Estimator) Process(edge Edge) error {
-	if int(edge.Set) >= e.m {
-		return fmt.Errorf("streamcover: set id %d >= m=%d", edge.Set, e.m)
+	err := e.buffer([]Edge{edge})
+	if len(e.sets) >= processRun {
+		e.flush()
 	}
-	if int(edge.Elem) >= e.n {
-		return fmt.Errorf("streamcover: element id %d >= n=%d", edge.Elem, e.n)
-	}
-	e.inner.Process(stream.Edge(edge))
-	e.edges++
-	return nil
+	return err
 }
 
 // ProcessAll consumes a slice of edges through the batched hot path,
 // stopping at the first invalid one (the valid prefix is processed, as
-// the per-edge loop it replaces did). The outcome is bit-for-bit
-// identical to calling Process on every edge in order.
+// a loop of Process calls would). The outcome is bit-for-bit identical
+// to calling Process on every edge in order.
 func (e *Estimator) ProcessAll(edges []Edge) error {
-	n, err := e.split(edges)
-	e.processSplit(n)
+	err := e.buffer(edges)
+	e.flush()
 	return err
 }
 
@@ -181,12 +188,13 @@ func (e *Estimator) ProcessAll(edges []Edge) error {
 // batch is validated up front and rejected atomically: on error no edge
 // of the batch has been processed.
 func (e *Estimator) ProcessBatch(edges []Edge) error {
-	n, err := e.split(edges)
+	n := len(e.sets)
+	err := e.buffer(edges)
 	if err != nil {
-		return err
+		e.sets, e.elems = e.sets[:n], e.elems[:n]
 	}
-	e.processSplit(n)
-	return nil
+	e.flush()
+	return err
 }
 
 // ProcessColumns consumes one batch of edges in struct-of-arrays form:
@@ -198,6 +206,7 @@ func (e *Estimator) ProcessBatch(edges []Edge) error {
 // bit-for-bit identical to calling Process on every (sets[i], elems[i])
 // in order. The columns must stay unmodified for the duration of the call.
 func (e *Estimator) ProcessColumns(sets, elems []uint32) error {
+	e.flush()
 	if len(sets) != len(elems) {
 		return fmt.Errorf("streamcover: column length mismatch (%d sets, %d elems)", len(sets), len(elems))
 	}
@@ -216,83 +225,73 @@ func (e *Estimator) ProcessColumns(sets, elems []uint32) error {
 	return nil
 }
 
-// split validates edges in order and copies them into the reusable
-// columns, stopping at the first invalid edge. It returns how many
-// leading edges are valid and the error that stopped it, if any.
-func (e *Estimator) split(edges []Edge) (int, error) {
-	if cap(e.sets) < len(edges) {
-		e.sets, e.elems = make([]uint32, len(edges)), make([]uint32, len(edges))
-	}
-	sets, elems := e.sets[:len(edges)], e.elems[:len(edges)]
-	for i, edge := range edges {
+// buffer validates edges in order and appends them to the column
+// buffer, stopping at the first invalid one, whose error it returns.
+func (e *Estimator) buffer(edges []Edge) error {
+	e.sets, e.elems = slices.Grow(e.sets, len(edges)), slices.Grow(e.elems, len(edges))
+	for _, edge := range edges {
 		if int(edge.Set) >= e.m {
-			return i, fmt.Errorf("streamcover: set id %d >= m=%d", edge.Set, e.m)
+			return fmt.Errorf("streamcover: set id %d >= m=%d", edge.Set, e.m)
 		}
 		if int(edge.Elem) >= e.n {
-			return i, fmt.Errorf("streamcover: element id %d >= n=%d", edge.Elem, e.n)
+			return fmt.Errorf("streamcover: element id %d >= n=%d", edge.Elem, e.n)
 		}
-		sets[i], elems[i] = edge.Set, edge.Elem
+		e.sets, e.elems = append(e.sets, edge.Set), append(e.elems, edge.Elem)
 	}
-	return len(edges), nil
+	return nil
 }
 
-// processSplit feeds the first n edges of the split columns to the core
-// batch path.
-func (e *Estimator) processSplit(n int) {
-	e.inner.ProcessColumns(e.sets[:n], e.elems[:n])
-	e.edges += n
+// flush feeds the column buffer to the core batch path and empties it.
+func (e *Estimator) flush() {
+	if len(e.sets) == 0 {
+		return
+	}
+	e.inner.ProcessColumns(e.sets, e.elems)
+	e.edges += len(e.sets)
+	e.sets, e.elems = e.sets[:0], e.elems[:0]
 }
 
 // SetParallelism changes the batch-engine worker count for all future
-// ProcessBatch/ProcessAll calls (≤ 0 selects GOMAXPROCS, 1 disables the
-// engine). Results stay bit-for-bit identical at every setting. The
+// ingest (≤ 0 selects GOMAXPROCS, 1 disables the engine). Results stay bit-for-bit identical at every setting. The
 // workers start with the next batch; Close stops them. Not safe to call
 // concurrently with Process* calls.
 func (e *Estimator) SetParallelism(workers int) { e.inner.SetParallelism(workers) }
 
-// Close releases the estimator's batch working memory: the split edge
-// columns, the batch scratch, and the batch engine's helper goroutines
-// with their scratch. None of it is sketch state, so Close changes no
-// answer, SpaceWords or encoding, and the estimator remains fully usable
-// — the next batch reallocates lazily. Long-lived owners call it when an
-// estimator goes idle or is retired (kcoverd sessions do both). Not safe
-// concurrently with Process* calls.
+// Close flushes the edges Process buffered, then releases the
+// estimator's batch working memory: the column buffer, the batch scratch,
+// and the batch engine's helper goroutines with their scratch. None of it
+// is sketch state, so Close changes no answer, SpaceWords or encoding, and
+// the estimator remains fully usable — the next batch reallocates lazily.
+// Long-lived owners call it when an estimator goes idle or is retired
+// (kcoverd sessions do both). Not safe concurrently with Process* calls.
 func (e *Estimator) Close() {
+	e.flush()
 	e.inner.Close()
 	e.sets, e.elems = nil, nil
 }
 
-// ProcessAllParallel consumes an in-memory edge slice using up to
-// `workers` goroutines (the coverage-guess ladder is embarrassingly
-// parallel). It is SetParallelism(workers) followed by ProcessAll: the
-// fan-out runs on the estimator's persistent engine and the parallelism
-// setting remains in effect for subsequent batches. The outcome is
-// bit-for-bit identical to ProcessAll; only wall-clock time changes. The
-// slice must not be mutated during the call, and must not be interleaved
-// with concurrent Process calls.
-func (e *Estimator) ProcessAllParallel(edges []Edge, workers int) error {
-	e.SetParallelism(workers)
-	return e.ProcessAll(edges)
-}
-
-// Edges reports how many edges have been consumed.
-func (e *Estimator) Edges() int { return e.edges }
+// Edges reports how many edges have been consumed, buffered ones included.
+func (e *Estimator) Edges() int { return e.edges + len(e.sets) }
 
 // Result finalizes the pass. It may be called repeatedly; further Process
 // calls after Result are permitted but unusual.
 func (e *Estimator) Result() Result {
+	words := e.SpaceWords() // flushes the buffer before the state is read
 	r := e.inner.Result()
 	return Result{
 		Coverage:   r.Value,
 		Feasible:   r.Feasible,
 		SetIDs:     r.SetIDs,
-		SpaceWords: e.SpaceWords(),
+		SpaceWords: words,
 	}
 }
 
 // SpaceWords is the number of 64-bit words of state the estimator
 // retains, the figure Result reports, read without finalizing.
-func (e *Estimator) SpaceWords() int { return e.inner.SpaceWords() }
+func (e *Estimator) SpaceWords() int {
+	e.flush()
+	return e.inner.SpaceWords()
+}
 
 // Merge folds another estimator into this one. Both must have been
 // created with identical dimensions, options and seed; each may have
@@ -304,6 +303,8 @@ func (e *Estimator) Merge(other *Estimator) error {
 	if other == nil {
 		return fmt.Errorf("streamcover: merge with nil estimator")
 	}
+	e.flush()
+	other.flush()
 	if err := e.inner.Merge(other.inner); err != nil {
 		return fmt.Errorf("streamcover: %w", err)
 	}
@@ -315,7 +316,10 @@ func (e *Estimator) Merge(other *Estimator) error {
 // by component ("largecommon", "largeset", "smallset", "reduction") —
 // useful for understanding which part of the Õ(m/α²) bound dominates at a
 // given configuration.
-func (e *Estimator) SpaceBreakdown() map[string]int { return e.inner.SpaceBreakdown() }
+func (e *Estimator) SpaceBreakdown() map[string]int {
+	e.flush()
+	return e.inner.SpaceBreakdown()
+}
 
 // Coverage computes the exact number of distinct elements covered by the
 // chosen sets in a stored edge list — a convenience for validating

@@ -258,7 +258,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := par.ProcessAllParallel(edges, 4); err != nil {
+	par.SetParallelism(4)
+	if err := par.ProcessAll(edges); err != nil {
 		t.Fatal(err)
 	}
 	sr, pr := seq.Result(), par.Result()
@@ -275,13 +276,15 @@ func TestParallelValidatesInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := est.ProcessAllParallel([]Edge{{Set: 99, Elem: 0}}, 2); err == nil {
+	est.SetParallelism(2)
+	if err := est.ProcessAll([]Edge{{Set: 99, Elem: 0}}); err == nil {
 		t.Error("out-of-range set accepted by parallel path")
 	}
-	if err := est.ProcessAllParallel([]Edge{{Set: 0, Elem: 99}}, 2); err == nil {
+	if err := est.ProcessAll([]Edge{{Set: 0, Elem: 99}}); err == nil {
 		t.Error("out-of-range element accepted by parallel path")
 	}
-	if err := est.ProcessAllParallel(nil, 0); err != nil {
+	est.SetParallelism(0)
+	if err := est.ProcessAll(nil); err != nil {
 		t.Errorf("empty parallel feed errored: %v", err)
 	}
 }
