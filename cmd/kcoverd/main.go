@@ -30,14 +30,13 @@
 //
 // Multi-tenancy: with -mem-budget BYTES (requires -data) the daemon
 // oversubscribes sessions against a fixed memory budget — cold sessions
-// are LRU-evicted down to their checkpoints (estimator freed, WAL parked) and transparently rehydrated on their next ingest or
-// query, bit-identical to never having been evicted. A session counts 8
-// bytes per word of its estimator's space accounting (SpaceWords) against
-// the budget. -session-quota caps one session's resident size;
-// -rehydrate-concurrency bounds
-// simultaneous rehydrations (excess wakers get a retryable busy answer).
-// /sessions and /metrics report per-session residency and the
-// eviction/rehydration counters.
+// are LRU-evicted down to their checkpoints (estimator freed, WAL
+// parked) and transparently rehydrated on their next ingest or query,
+// bit-identical to never having been evicted. A session counts 8 bytes
+// per word of its estimator's space accounting (SpaceWords) against the
+// budget. At most two sessions rehydrate at once; excess wakers get a
+// retryable busy answer. /sessions and /metrics report per-session
+// residency and the eviction/rehydration counters.
 //
 // Cluster mode: with -peers (and -node-id naming this node's entry in
 // that list) the daemon joins an N-node replication fleet. Sessions place
@@ -84,9 +83,7 @@ func main() {
 		walSegment = flag.Int64("wal-segment", 0, "WAL segment size in bytes (0 = default)")
 		walNoSync  = flag.Bool("wal-nosync", false, "skip fsync on WAL appends (fast, loses acked batches on power loss)")
 
-		memBudget    = flag.Int64("mem-budget", 0, "session memory budget in bytes: LRU-evict cold sessions to their checkpoints past this (0 disables; requires -data)")
-		sessionQuota = flag.Int64("session-quota", 0, "per-session resident-size cap in bytes (8 per estimator space word); ingest over quota is rejected (0 = no cap)")
-		rehydrateC   = flag.Int("rehydrate-concurrency", 2, "simultaneous session rehydrations; excess wakers get a retryable busy rejection")
+		memBudget = flag.Int64("mem-budget", 0, "session memory budget in bytes, 8 per word of each hydrated session's SpaceWords: LRU-evict cold sessions to their checkpoints past this (0 disables; requires -data)")
 
 		readTimeout  = flag.Duration("read-timeout", 5*time.Minute, "per-frame read deadline; idle or hung peers are reaped after this (<=0 disables)")
 		writeTimeout = flag.Duration("write-timeout", time.Minute, "per-response write deadline (<=0 disables)")
@@ -127,23 +124,21 @@ func main() {
 		*checkpoint = -1 // Config treats 0 as "use default": make <=0 mean off
 	}
 	srv := server.New(server.Config{
-		QueueDepth:           *queue,
-		DataDir:              *dataDir,
-		CheckpointEvery:      *checkpoint,
-		WALSegmentBytes:      *walSegment,
-		WALNoSync:            *walNoSync,
-		ReadTimeout:          *readTimeout,
-		WriteTimeout:         *writeTimeout,
-		RetryMin:             *retryMin,
-		RetryMax:             *retryMax,
-		MemBudget:            *memBudget,
-		SessionQuota:         *sessionQuota,
-		RehydrateConcurrency: *rehydrateC,
-		NodeID:               *nodeID,
-		Peers:                peerList,
-		Replicas:             *replicas,
-		RepHeartbeat:         *repHeartbeat,
-		RepReadTimeout:       *repReadTimeout,
+		QueueDepth:      *queue,
+		DataDir:         *dataDir,
+		CheckpointEvery: *checkpoint,
+		WALSegmentBytes: *walSegment,
+		WALNoSync:       *walNoSync,
+		ReadTimeout:     *readTimeout,
+		WriteTimeout:    *writeTimeout,
+		RetryMin:        *retryMin,
+		RetryMax:        *retryMax,
+		MemBudget:       *memBudget,
+		NodeID:          *nodeID,
+		Peers:           peerList,
+		Replicas:        *replicas,
+		RepHeartbeat:    *repHeartbeat,
+		RepReadTimeout:  *repReadTimeout,
 	})
 	if err := srv.Start(*listen, *httpA); err != nil {
 		fmt.Fprintln(os.Stderr, "kcoverd:", err)

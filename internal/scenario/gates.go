@@ -4,9 +4,10 @@ import "fmt"
 
 // evaluateGates turns the spec's GateSpec into pass/fail rows against the
 // measured report. Zero-valued limits are skipped entirely — a scenario
-// only answers for the gates it declares. replicaConv carries the cluster
-// convergence verdict (nil when the check could not run), replicaDetail
-// the divergence, if any.
+// only answers for the gates it declares — except that a daemon.mem_budget
+// always brings the budget_rehydrated gate. replicaConv carries the
+// cluster convergence verdict (nil when the check could not run),
+// replicaDetail the divergence, if any.
 func evaluateGates(spec *Spec, rep *ScenarioReport, refMatch *bool, replicaConv *bool, replicaDetail string, baseline *ScenarioReport) []GateResult {
 	g := spec.Gates
 	var out []GateResult
@@ -93,6 +94,18 @@ func evaluateGates(spec *Spec, rep *ScenarioReport, refMatch *bool, replicaConv 
 			r.Actual = float64(len(rep.Replicas))
 		} else {
 			r.Detail = replicaDetail
+		}
+		out = append(out, r)
+	}
+
+	// A budget that never evicts measures no oversubscription: a run
+	// under one passes only if some session was brought back from its
+	// checkpoint.
+	if b := spec.Daemon.MemBudget; b > 0 {
+		n := rep.ServerCounters["rehydrations_total"]
+		r := GateResult{Name: "budget_rehydrated", Actual: float64(n), Pass: n > 0}
+		if n == 0 {
+			r.Detail = fmt.Sprintf("no session rehydrated under mem_budget %d", b)
 		}
 		out = append(out, r)
 	}

@@ -245,6 +245,41 @@ func TestRunTenantChurnMini(t *testing.T) {
 	}
 }
 
+// TestBudgetRehydratedGate: a run whose spec sets daemon.mem_budget fails
+// unless the server's counters show a rehydration, so a budget too large
+// to ever evict cannot pass as an oversubscription run; a spec without a
+// budget gets no such row.
+func TestBudgetRehydratedGate(t *testing.T) {
+	spec, err := ParseSpec([]byte(`{
+		"name": "budget", "seed": 1,
+		"workload": {"family": "uniform", "n": 100, "m": 20, "k": 3},
+		"daemon": {"durable": true, "mem_budget": 1000000},
+		"phases": [{"name": "p", "duration": "1s"}]
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := func(rehydrations int64) *GateResult {
+		rep := &ScenarioReport{ServerCounters: map[string]int64{"rehydrations_total": rehydrations}}
+		for _, g := range evaluateGates(spec, rep, nil, nil, "", nil) {
+			if g.Name == "budget_rehydrated" {
+				return &g
+			}
+		}
+		return nil
+	}
+	if g := gate(0); g == nil || g.Pass {
+		t.Fatalf("no rehydration under a budget: gate %+v, want a failing row", g)
+	}
+	if g := gate(3); g == nil || !g.Pass || g.Actual != 3 {
+		t.Fatalf("3 rehydrations under a budget: gate %+v, want a passing row with actual 3", g)
+	}
+	spec.Daemon.MemBudget = 0
+	if g := gate(0); g != nil {
+		t.Fatalf("a spec without a budget got the row %+v", g)
+	}
+}
+
 // TestRunClusterFailoverMini is the harness-level acceptance slice: a
 // 3-node fleet ingests through overlapping replication partitions (every
 // node's peer plane cut in turn, so the whole plane is severed whatever

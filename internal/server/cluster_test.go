@@ -609,6 +609,21 @@ func TestClusterPromoteInPlace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A follower whose stream opened with a snapshot bootstrap holds a
+	// checkpoint at the position it joined, which can be the head. It
+	// mirrors every record the leader logs after that, so a further batch
+	// moves the head past its checkpoint.
+	for seed := uint64(43); held.dur.ckptPos.Load() >= head && seed < 46; seed++ {
+		more := clusterEdges(seed, 256)
+		if err := cs.Send(more); err != nil {
+			t.Fatal(err)
+		}
+		if err := cs.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		pre = append(pre, more...)
+		_, head = waitClusterConverged(t, servers, name, 15*time.Second)
+	}
 	if ckpt := held.dur.ckptPos.Load(); ckpt >= head {
 		t.Fatalf("follower checkpoint at %d covers the head %d; the test needs records mirrored past it", ckpt, head)
 	}

@@ -350,21 +350,14 @@ func recoverSession(dir string, cfg Config, metrics *Metrics) (*session, error) 
 	if !ok {
 		return nil, nil
 	}
-	est, err := streamcover.DecodeEstimator(st.est)
-	if err != nil {
-		return nil, fmt.Errorf("server: %s: %w", filepath.Join(dir, checkpointFile), err)
-	}
-	// Every failure from here closes est: a replay that fails part-way has
-	// already started its engine helpers.
 	log, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{SegmentBytes: cfg.WALSegmentBytes, NoSync: cfg.WALNoSync, FS: fsys})
 	if err != nil {
-		est.Close()
 		return nil, fmt.Errorf("server: %s: %w", dir, err)
 	}
-	if err := replayTail(log, &st, est, metrics); err != nil {
+	est, err := restore(&st, dir, log, metrics)
+	if err != nil {
 		log.Close()
-		est.Close()
-		return nil, fmt.Errorf("server: %s: replay: %w", filepath.Join(dir, "wal"), err)
+		return nil, fmt.Errorf("server: %w", err)
 	}
 	// A follower bootstrap re-bases its log past the leader's checkpoint.
 	// With no record mirrored since (or a crash before the re-base), the
@@ -407,12 +400,29 @@ func loadCheckpoint(fsys fault.FS, dir string) (checkpointState, bool, error) {
 	return st, true, nil
 }
 
+// restore rebuilds the estimator of session directory dir from its
+// checkpoint st and log, the directory's WAL: it decodes the checkpoint's
+// estimator and replays the log's tail past it, advancing st.dedup to the
+// replayed horizon. Startup recovery and rehydration both restore through
+// it, so a rehydrated estimator is bit-identical to a recovered one, and
+// to one that was never evicted. An error names the file that failed; the
+// estimator is closed on failure, since a replay that fails part-way has
+// already started its engine helpers.
+func restore(st *checkpointState, dir string, log *wal.Log, metrics *Metrics) (*streamcover.Estimator, error) {
+	est, err := streamcover.DecodeEstimator(st.est)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", filepath.Join(dir, checkpointFile), err)
+	}
+	if err := replayTail(log, st, est, metrics); err != nil {
+		est.Close()
+		return nil, fmt.Errorf("%s: replay: %w", filepath.Join(dir, "wal"), err)
+	}
+	return est, nil
+}
+
 // replayTail replays the WAL tail past st.walPos into est, one
 // ProcessColumns per record exactly as the live apply does, advancing
-// st.dedup to the replayed horizon. Shared by crash recovery and
-// rehydration: an evicted session's parked WAL replays through the
-// identical code, so a rehydrated estimator is bit-identical to one that
-// was never evicted.
+// st.dedup to the replayed horizon.
 func replayTail(log *wal.Log, st *checkpointState, est *streamcover.Estimator, metrics *Metrics) error {
 	start := time.Now()
 	var batches, edgesReplayed int64

@@ -12,24 +12,18 @@ import (
 // power-of-two-bucketed latency histograms (per-batch processing, query
 // and rehydration) whose derived p50/p95/p99 let operators — and
 // the kcoverload collector — read percentile latency server-side instead
-// of inferring it from averages. The snapshot derives ingest edges/sec
-// from the edge counter and the server's uptime.
+// of inferring it from averages. A histogram's count and sum are also its
+// totals in /metrics (batches_processed, batch_nanos, query_nanos,
+// rehydrations_total, rehydration_nanos). The snapshot derives ingest
+// edges/sec from the edge counter and the server's uptime.
 type Metrics struct {
-	EdgesIngested  atomic.Int64
-	Batches        atomic.Int64
-	Queries        atomic.Int64
-	Conns          atomic.Int64 // currently open TCP connections
-	ConnsTotal     atomic.Int64
-	Frames         atomic.Int64 // frames handled (all types)
-	Errors         atomic.Int64 // error responses sent
-	QueryNanos     atomic.Int64 // cumulative query time: apply-queue wait plus Result
-	LastQueryNanos atomic.Int64
-
-	// Batched-ingest latency, measured around each session's
-	// ProcessColumns call on its apply goroutine: one sample per wire batch.
-	BatchesProcessed atomic.Int64
-	BatchNanos       atomic.Int64 // cumulative batch-processing time
-	LastBatchNanos   atomic.Int64
+	EdgesIngested atomic.Int64
+	Batches       atomic.Int64
+	Queries       atomic.Int64
+	Conns         atomic.Int64 // currently open TCP connections
+	ConnsTotal    atomic.Int64
+	Frames        atomic.Int64 // frames handled (all types)
+	Errors        atomic.Int64 // error responses sent
 
 	// Durability counters. DupBatches counts sequenced batches dropped by
 	// (source, seq) dedup — a reconnecting client resending unacked work.
@@ -68,20 +62,17 @@ type Metrics struct {
 	StaleRejects      atomic.Int64
 
 	// Oversubscription (see oversub.go). EvictionsTotal counts sessions
-	// parked at their checkpoints; RehydrationsTotal counts them brought
-	// back (RehydrationNanos is the cumulative wall time). RehydrateRejects
-	// counts wakers bounced by the admission gate, QuotaRejects ingests
-	// bounced by the per-session quota, OrphansSwept checkpoint-less
-	// session directories reclaimed at startup.
-	EvictionsTotal    atomic.Int64
-	RehydrationsTotal atomic.Int64
-	RehydrationNanos  atomic.Int64
-	RehydrateRejects  atomic.Int64
-	QuotaRejects      atomic.Int64
-	OrphansSwept      atomic.Int64
+	// parked at their checkpoints (RehydrateHist counts them brought
+	// back). RehydrateRejects counts wakers bounced by the admission gate,
+	// OrphansSwept checkpoint-less session directories reclaimed at
+	// startup.
+	EvictionsTotal   atomic.Int64
+	RehydrateRejects atomic.Int64
+	OrphansSwept     atomic.Int64
 
 	// Latency histograms. IngestHist records each batch's ProcessColumns
-	// time; QueryHist each query's wait on the apply queue plus its Result;
+	// time on its session's apply goroutine, one sample per wire batch;
+	// QueryHist each query's wait on the apply queue plus its Result;
 	// RehydrateHist each checkpoint-restore + tail-replay. All in
 	// nanoseconds.
 	IngestHist    phist.Hist
@@ -102,11 +93,10 @@ func (m *Metrics) snapshot() map[string]int64 {
 		"conns_total":       m.ConnsTotal.Load(),
 		"frames":            m.Frames.Load(),
 		"errors":            m.Errors.Load(),
-		"query_nanos":       m.QueryNanos.Load(),
-		"last_query_nanos":  m.LastQueryNanos.Load(),
-		"batches_processed": m.BatchesProcessed.Load(),
-		"batch_nanos":       m.BatchNanos.Load(),
-		"last_batch_nanos":  m.LastBatchNanos.Load(),
+		"query_nanos":       m.QueryHist.Sum(),
+		"batches_processed": m.IngestHist.Count(),
+		"batch_nanos":       m.IngestHist.Sum(),
+		"avg_batch_nanos":   m.IngestHist.Mean(),
 		"dup_batches":       m.DupBatches.Load(),
 		"checkpoints":       m.Checkpoints.Load(),
 		"checkpoint_nanos":  m.CheckpointNanos.Load(),
@@ -130,19 +120,13 @@ func (m *Metrics) snapshot() map[string]int64 {
 		"stale_rejects":       m.StaleRejects.Load(),
 
 		"evictions_total":    m.EvictionsTotal.Load(),
-		"rehydrations_total": m.RehydrationsTotal.Load(),
-		"rehydration_nanos":  m.RehydrationNanos.Load(),
+		"rehydrations_total": m.RehydrateHist.Count(),
+		"rehydration_nanos":  m.RehydrateHist.Sum(),
 		"rehydrate_rejects":  m.RehydrateRejects.Load(),
-		"quota_rejects":      m.QuotaRejects.Load(),
 		"orphans_swept":      m.OrphansSwept.Load(),
 	}
 	if n := m.ReplayNanos.Load(); n > 0 {
 		s["replay_edges_per_sec"] = int64(float64(m.ReplayEdges.Load()) / (float64(n) / 1e9))
-	}
-	if n := m.BatchesProcessed.Load(); n > 0 {
-		s["avg_batch_nanos"] = m.BatchNanos.Load() / n
-	} else {
-		s["avg_batch_nanos"] = 0
 	}
 	if m.IngestHist.Count() > 0 {
 		s["ingest_batch_p50_nanos"] = m.IngestHist.Quantile(0.50)

@@ -78,3 +78,63 @@ func TestMetricsLatencyPercentiles(t *testing.T) {
 		}
 	}
 }
+
+// TestMetricsTotalsAreHistogramTotals: /metrics derives its ingest, query
+// and rehydration totals from the latency histograms fed at the same call
+// sites, so each key equals its histogram's count, sum or mean. A 1-byte
+// budget evicts "subj" at a checkpoint and a query rehydrates it, so all
+// three histograms hold samples.
+func TestMetricsTotalsAreHistogramTotals(t *testing.T) {
+	s := server.New(server.Config{
+		QueueDepth: 8,
+		DataDir:    t.TempDir(), CheckpointEvery: -1, WALNoSync: true,
+		MemBudget: 1,
+	})
+	if err := s.Start("127.0.0.1:0", "127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer shutdownOv(t, s)
+	c := dialDur(t, s.TCPAddr().String(), client.WithBatchSize(512))
+	subj, pad := createOv(t, c, "subj"), createOv(t, c, "pad")
+	sendAll(t, subj, ovEdges(5, 2048))
+	if _, err := pad.Query(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CheckpointAll(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := subj.Query(); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := http.Get(fmt.Sprintf("http://%s/metrics", s.HTTPAddr()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out struct {
+		Counters map[string]int64 `json:"counters"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	m := s.Metrics()
+	for _, tc := range []struct {
+		key  string
+		want int64
+	}{
+		{"batches_processed", m.IngestHist.Count()},
+		{"batch_nanos", m.IngestHist.Sum()},
+		{"avg_batch_nanos", m.IngestHist.Mean()},
+		{"query_nanos", m.QueryHist.Sum()},
+		{"rehydrations_total", m.RehydrateHist.Count()},
+		{"rehydration_nanos", m.RehydrateHist.Sum()},
+	} {
+		if tc.want <= 0 {
+			t.Errorf("histogram behind %s holds %d; the run should have fed it", tc.key, tc.want)
+		}
+		if got, ok := out.Counters[tc.key]; !ok || got != tc.want {
+			t.Errorf("/metrics %s = %d (present %v), want the histogram's %d", tc.key, got, ok, tc.want)
+		}
+	}
+}

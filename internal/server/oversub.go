@@ -32,8 +32,7 @@ var ErrOverloaded = errors.New("server overloaded")
 type overseer struct {
 	srv    *Server
 	budget int64         // resident-bytes ceiling across all hydrated sessions
-	quota  int64         // per-session resident ceiling (0: none)
-	admit  chan struct{} // rehydration tokens (capacity = RehydrateConcurrency)
+	admit  chan struct{} // rehydration tokens (capacity rehydrateConcurrency)
 
 	// residentBytes is the hydrated total, maintained by
 	// session.setResidentBytes from checkpoints, rehydrations and
@@ -43,12 +42,15 @@ type overseer struct {
 	metrics *Metrics
 }
 
+// rehydrateConcurrency bounds simultaneous rehydrations: each holds a
+// decoded estimator on top of the budget until it is installed.
+const rehydrateConcurrency = 2
+
 func newOverseer(srv *Server) *overseer {
 	o := &overseer{
 		srv:     srv,
 		budget:  srv.cfg.MemBudget,
-		quota:   srv.cfg.SessionQuota,
-		admit:   make(chan struct{}, srv.cfg.RehydrateConcurrency),
+		admit:   make(chan struct{}, rehydrateConcurrency),
 		metrics: &srv.metrics,
 	}
 	for i := 0; i < cap(o.admit); i++ {
@@ -89,18 +91,11 @@ func (o *overseer) rehydrate(s *session) error {
 	if err == nil && !ok {
 		err = errors.New("checkpoint missing")
 	}
-	if err != nil {
-		s.resMu.Unlock()
-		return fmt.Errorf("server: %w: session %q rehydration: %v", ErrOverloaded, s.name, err)
-	}
-	est, err := streamcover.DecodeEstimator(st.est)
+	var est *streamcover.Estimator
 	if err == nil {
-		err = replayTail(d.wal, &st, est, o.metrics)
+		est, err = restore(&st, d.dir, d.wal, o.metrics)
 	}
 	if err != nil {
-		if est != nil {
-			est.Close()
-		}
 		s.resMu.Unlock()
 		return fmt.Errorf("server: %w: session %q rehydration: %v", ErrOverloaded, s.name, err)
 	}
@@ -110,10 +105,7 @@ func (o *overseer) rehydrate(s *session) error {
 	s.lastAccess.Store(time.Now().UnixNano())
 	s.resMu.Unlock()
 
-	nanos := time.Since(start).Nanoseconds()
-	o.metrics.RehydrationsTotal.Add(1)
-	o.metrics.RehydrationNanos.Add(nanos)
-	o.metrics.RehydrateHist.Observe(nanos)
+	o.metrics.RehydrateHist.Observe(time.Since(start).Nanoseconds())
 	// The wake may have pushed the hydrated total over budget; evict the
 	// coldest sessions (not this one — its access clock was just touched).
 	o.maybeEvict()
@@ -180,18 +172,4 @@ func (o *overseer) maybeEvict() {
 		}
 		o.evict(s)
 	}
-}
-
-// checkQuota rejects an ingest when the session's resident footprint
-// exceeds its per-session ceiling. Permanent (not a retry): the session
-// must shrink or be re-created; retrying the same batch cannot succeed.
-func (o *overseer) checkQuota(s *session) error {
-	if o == nil || o.quota <= 0 {
-		return nil
-	}
-	if rb := s.residentBytes.Load(); rb > o.quota {
-		o.metrics.QuotaRejects.Add(1)
-		return fmt.Errorf("server: session %q resident size %d exceeds per-session quota %d", s.name, rb, o.quota)
-	}
-	return nil
 }

@@ -140,7 +140,7 @@ func TestEvictRehydrateBitIdentical(t *testing.T) {
 	if ev := s.Metrics().EvictionsTotal.Load(); ev < chunks-1 {
 		t.Fatalf("only %d evictions; the subject was never parked", ev)
 	}
-	if rh := s.Metrics().RehydrationsTotal.Load(); rh < chunks-1 {
+	if rh := s.Metrics().RehydrateHist.Count(); rh < chunks-1 {
 		t.Fatalf("only %d rehydrations; the subject never came back cold", rh)
 	}
 }
@@ -220,9 +220,9 @@ func TestOversubscriptionIngestEvictRace(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if s.Metrics().EvictionsTotal.Load() == 0 || s.Metrics().RehydrationsTotal.Load() == 0 {
+	if s.Metrics().EvictionsTotal.Load() == 0 || s.Metrics().RehydrateHist.Count() == 0 {
 		t.Fatalf("budget never forced churn (evictions=%d rehydrations=%d); the race surface was not exercised",
-			s.Metrics().EvictionsTotal.Load(), s.Metrics().RehydrationsTotal.Load())
+			s.Metrics().EvictionsTotal.Load(), s.Metrics().RehydrateHist.Count())
 	}
 }
 
@@ -299,7 +299,7 @@ func TestQueryDuringRehydration(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if s.Metrics().RehydrationsTotal.Load() == 0 {
+	if s.Metrics().RehydrateHist.Count() == 0 {
 		t.Fatal("no query ever hit a cold session; the test exercised nothing")
 	}
 }

@@ -90,14 +90,6 @@ type Config struct {
 	// the next operation rehydrates them transparently. Requires a DataDir
 	// (eviction parks state on disk). 0: every session stays hydrated.
 	MemBudget int64
-	// SessionQuota, when positive, caps one session's resident size (as
-	// of its last checkpoint): ingest into a session over quota is
-	// rejected permanently until it shrinks. 0: no per-session cap.
-	SessionQuota int64
-	// RehydrateConcurrency bounds simultaneous rehydrations; excess wakers
-	// get a typed transient rejection (retry) instead of stacking decoded
-	// estimator state on top of the budget. Default 2.
-	RehydrateConcurrency int
 
 	// Cluster mode (see cluster.go), enabled when Peers is non-empty.
 	// NodeID is this node's identity — its peer-facing TCP address, as the
@@ -138,9 +130,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FS == nil {
 		c.FS = fault.OS()
-	}
-	if c.RehydrateConcurrency <= 0 {
-		c.RehydrateConcurrency = 2
 	}
 	if len(c.Peers) > 0 {
 		if c.Replicas <= 0 {
@@ -880,9 +869,6 @@ func (s *Server) prepareIngest(payload []byte, cols *stream.Columns) (ingestJob,
 		// A fenced leader rejects too: its log is frozen so a follower can
 		// drain the tail and take over without losing an acked batch.
 		return ingestJob{}, &notLeaderError{leader: s.leaderOf(name)}
-	}
-	if err := s.ovs.checkQuota(sess); err != nil {
-		return ingestJob{}, err
 	}
 	j.sess, j.source, j.sequence = sess, source, seq
 	j.rec = walRecord(sess, payload)

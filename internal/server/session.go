@@ -238,12 +238,8 @@ func (s *session) runApply(est *streamcover.Estimator, queue <-chan applyMsg) {
 		// IDs were validated against the session dims at decode time, so
 		// the batched ingest cannot fail here.
 		est.ProcessColumns(msg.sets, msg.elems)
-		d := time.Since(start).Nanoseconds()
 		if s.metrics != nil {
-			s.metrics.BatchNanos.Add(d)
-			s.metrics.LastBatchNanos.Store(d)
-			s.metrics.BatchesProcessed.Add(1)
-			s.metrics.IngestHist.Observe(d)
+			s.metrics.IngestHist.Observe(time.Since(start).Nanoseconds())
 		}
 	}
 }
@@ -478,10 +474,7 @@ func (s *session) query(metrics *Metrics) (wire.Result, error) {
 	var edges int
 	<-s.onApply(func(est *streamcover.Estimator) { res, edges = est.Result(), est.Edges() })
 	if metrics != nil {
-		d := time.Since(start).Nanoseconds()
-		metrics.QueryNanos.Add(d)
-		metrics.LastQueryNanos.Store(d)
-		metrics.QueryHist.Observe(d)
+		metrics.QueryHist.Observe(time.Since(start).Nanoseconds())
 	}
 	return wire.Result{
 		Coverage:   res.Coverage,

@@ -312,12 +312,12 @@ func TestDispatchBatchAllocsSteadyState(t *testing.T) {
 		sets[i], elems[i] = uint32(i%50), uint32(i%500)
 	}
 	run := func() {
-		want := metrics.BatchesProcessed.Load() + 1
+		want := metrics.IngestHist.Count() + 1
 		sess.dispatch(sets, elems)
 		// Wait for the apply goroutine to finish the batch, so each run
 		// counts one whole dispatch and apply.
 		deadline := time.Now().Add(5 * time.Second)
-		for metrics.BatchesProcessed.Load() < want {
+		for metrics.IngestHist.Count() < want {
 			if time.Now().After(deadline) {
 				t.Fatal("batch never applied")
 			}
@@ -457,6 +457,11 @@ func (r *recordingFS) RemoveAll(path string) error {
 	return r.FS.RemoveAll(path)
 }
 
+func (r *recordingFS) Rename(oldpath, newpath string) error {
+	r.note("rename " + newpath)
+	return r.FS.Rename(oldpath, newpath)
+}
+
 // requireRemovedThenSynced fails unless the ops recorded through rec hold
 // "removeall dir" followed, later, by "syncdir parent".
 func requireRemovedThenSynced(t *testing.T, rec *recordingFS, dir, parent string) {
@@ -503,6 +508,48 @@ func TestFaultFSCreateSyncsDataDir(t *testing.T) {
 	}
 	if !slices.Contains(ops[mkdir+1:], "syncdir "+dataDir) {
 		t.Fatalf("the data directory was not fsynced after the session directory was made: %q", ops)
+	}
+}
+
+// TestFaultFSCheckpointSyncsDirAfterRename: a checkpoint lands by
+// renaming its temporary file over checkpoint.scsn, and that rename is an
+// entry of the session directory, so every checkpoint — a create's first
+// one and a later one — must fsync the directory after its rename.
+// Unsynced, a power loss can bring back the previous checkpoint after the
+// WAL records past it were truncated.
+func TestFaultFSCheckpointSyncsDirAfterRename(t *testing.T) {
+	dataDir := t.TempDir()
+	rec := &recordingFS{FS: fault.OS()}
+	srv := New(Config{DataDir: dataDir, FS: rec, WALNoSync: true, CheckpointEvery: -1})
+	defer srv.Abort()
+	create := wire.Create{Name: "renamed", M: 50, N: 500, K: 3, Alpha: 4, Seed: 1}
+	if err := srv.createSession(create); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.CheckpointAll(); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(dataDir, sessionDirName(create.Name))
+	rec.mu.Lock()
+	ops := slices.Clone(rec.ops)
+	rec.mu.Unlock()
+	var renames []int
+	for i, op := range ops {
+		if op == "rename "+filepath.Join(dir, checkpointFile) {
+			renames = append(renames, i)
+		}
+	}
+	if len(renames) != 2 {
+		t.Fatalf("%d checkpoint renames through the server's FS, want 2 (create, CheckpointAll): %q", len(renames), ops)
+	}
+	for j, at := range renames {
+		end := len(ops)
+		if j+1 < len(renames) {
+			end = renames[j+1]
+		}
+		if !slices.Contains(ops[at+1:end], "syncdir "+dir) {
+			t.Fatalf("checkpoint %d: %s was not fsynced after the rename: %q", j+1, dir, ops)
+		}
 	}
 }
 

@@ -97,7 +97,7 @@ func TestCrashStormSoak(t *testing.T) {
 			var evictions, rehydrations int64
 			tally := func() {
 				evictions += s.Metrics().EvictionsTotal.Load()
-				rehydrations += s.Metrics().RehydrationsTotal.Load()
+				rehydrations += s.Metrics().RehydrateHist.Count()
 			}
 			var clearTimer *time.Timer
 			defer func() {
@@ -158,7 +158,7 @@ func TestCrashStormSoak(t *testing.T) {
 					s.Metrics().DegradedSessions.Load(), s.Metrics().DiskFullSessions.Load(),
 					s.Metrics().BusyRejects.Load(), s.Metrics().DurabilityRecoveries.Load(),
 					s.Metrics().WALAppendFailures.Load(), s.Metrics().CheckpointFailures.Load(),
-					s.Metrics().EvictionsTotal.Load(), s.Metrics().RehydrationsTotal.Load())
+					s.Metrics().EvictionsTotal.Load(), s.Metrics().RehydrateHist.Count())
 				if rng.Intn(2) == 0 {
 					// Close the fault window, then barrier: every batch sent
 					// so far must be durably applied before the next cycle.
