@@ -20,7 +20,9 @@
 // its sessions (idempotent server-side) and resends the unacknowledged
 // batches; the server deduplicates on (source, seq), so ingestion stays
 // exactly-once even when the loss was a server crash and the ack — not
-// the batch — is what went missing.
+// the batch — is what went missing. That replay is the client's only
+// resend path: a ClusterSession (cluster.go) rides out a failover by
+// pointing its own client at the new leader, whose redial resends there.
 //
 // Batches go over the wire in the columnar MKC2 layout: Send lays edges
 // straight into set-ID and element-ID columns, and the encoder
@@ -78,14 +80,8 @@ func wrapLost(err error) error {
 }
 
 // Result is a queried coverage estimate, mirroring streamcover.Result
-// plus the server-side edge count.
-type Result struct {
-	Coverage   float64
-	Feasible   bool
-	SetIDs     []uint32
-	SpaceWords int
-	Edges      int
-}
+// plus the server-side edge count: the TResult payload as decoded.
+type Result = wire.Result
 
 // Option customizes a Client.
 type Option func(*Client)
@@ -175,19 +171,6 @@ func WithDialTimeout(d time.Duration) Option {
 	}
 }
 
-// WithSource overrides the client's random source identity. The server
-// deduplicates sequenced batches on (source, seq), so every client a
-// Cluster routes one logical stream through must share a source — the
-// new leader's replicated dedup state then recognizes a post-failover
-// resend of a batch the old leader had already shipped.
-func WithSource(v uint64) Option {
-	return func(c *Client) {
-		if v != 0 {
-			c.source = v
-		}
-	}
-}
-
 // WithOpTimeout bounds each network operation against the server: writes
 // get a write deadline, and round-trip requests (create, ping, query,
 // close) fail if no response arrives within d. A timed-out operation
@@ -223,7 +206,7 @@ type Client struct {
 	mu     sync.Mutex // serializes frame writes, connection state, reconnects
 	cn     *netConn   // current connection epoch; failed epochs are replaced
 	closed bool
-	fatal  error // sticky: reconnect disabled or exhausted
+	fatal  error // sticky until retarget: reconnect disabled or exhausted
 
 	// payloadPool recycles sequenced-batch payload buffers: a payload
 	// lives in the resend deque from encode until the server's ack, then
@@ -455,8 +438,8 @@ func (c *Client) readLoop(cn *netConn) {
 				// busy rejection, record the redirect, and retire the
 				// epoch with a non-retryable error — redialing the same
 				// follower would only be rejected again, so connLocked
-				// fails fast and the Cluster wrapper re-routes to the
-				// leader.
+				// fails fast and a ClusterSession retargets the client
+				// at the leader.
 				cn.lost(fmt.Errorf("%w (%w)", ErrSessionClosed, err))
 				cn.c.Close()
 			}
@@ -561,8 +544,8 @@ func (c *Client) connLocked() (*netConn, error) {
 	}
 	if !c.reconnect || errors.Is(lostErr, ErrNotLeader) {
 		// A not-leader rejection is not repaired by redialing the same
-		// address: fail fast even with reconnect on, and let the Cluster
-		// wrapper (or the caller) re-route to the leader.
+		// address: fail fast even with reconnect on, and let the caller
+		// (a ClusterSession's failover) retarget the client at the leader.
 		c.fatal = lostErr
 		return nil, c.fatal
 	}
@@ -598,6 +581,21 @@ func (c *Client) connLocked() (*netConn, error) {
 	c.fatal = fmt.Errorf("client: reconnect to %s gave up after %d attempts (%w; last: %v)",
 		c.addr, c.attempts, ErrSessionClosed, dialErr)
 	return nil, c.fatal
+}
+
+// retarget points the client at addr, the node now leading its sessions:
+// later dials go there, the sticky failure is cleared, and the current
+// epoch is dropped, so the next operation redials and reestablish
+// re-creates the sessions and resends their unacknowledged batches on the
+// new leader. Nothing else moves; the source and sequence numbers stay.
+func (c *Client) retarget(addr string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.addr, c.fatal = addr, nil
+	if c.cn != nil {
+		c.cn.c.Close()
+		c.cn = nil
+	}
 }
 
 // reestablish replays client state onto a fresh connection: every
@@ -681,25 +679,18 @@ func (c *Client) sendSequenced(st *sessionState, edges int, encode func(buf []by
 		return err
 	}
 	cn, err := c.connLocked()
-	if err != nil {
-		// No epoch could be raised, but the caller's batch buffer is about
-		// to be discarded either way — park the batch so it is not lost
-		// with the connection. Nothing replays it here (replay needs an
-		// epoch), but a cluster failover adopts the deque wholesale, so
-		// the chunk still reaches the promoted leader exactly once.
-		c.amu.Lock()
-		st.nextSeq++
-		seq := st.nextSeq
-		st.unacked = append(st.unacked, seqBatch{seq: seq, payload: encode(c.payloadBuf(), seq), edges: edges, sentAt: time.Now()})
-		c.amu.Unlock()
-		return err
-	}
+	// Park the batch even when no epoch could be raised: the caller's
+	// buffer is discarded either way, and the next redial (after a
+	// retarget, for a cluster session) resends the deque exactly once.
 	c.amu.Lock()
 	st.nextSeq++
 	seq := st.nextSeq
 	payload := encode(c.payloadBuf(), seq)
 	st.unacked = append(st.unacked, seqBatch{seq: seq, payload: payload, edges: edges, sentAt: time.Now()})
 	c.amu.Unlock()
+	if err != nil {
+		return err
+	}
 	err = writeOn(cn, wire.TIngestSeq, payload, waiter{ack: c.ackFunc(st, seq)})
 	if err != nil && c.reconnect && errors.Is(err, ErrSessionClosed) {
 		// The batch is already parked in the resend deque, so a successful
@@ -864,45 +855,20 @@ func (c *Client) Role(name string) (wire.RoleInfo, error) {
 	return wire.DecodeRoleInfo(resp.payload)
 }
 
-// QueryStale queries a session with an explicit staleness bound. On a
-// leader it behaves like a plain query; on a follower it succeeds only if
-// the replica has proven itself no further than maxStale behind its
-// leader — otherwise the server answers with a transient rejection that
-// surfaces as ErrServerBusy, and the caller can fall back to the leader.
+// QueryStale queries a session with an explicit staleness bound. A leader
+// always answers; a follower answers only if its replica has proven
+// itself no further than maxStale behind its leader — otherwise the
+// server answers with a transient rejection that surfaces as
+// ErrServerBusy, and the caller can fall back to the leader.
 func (c *Client) QueryStale(name string, maxStale time.Duration) (Result, error) {
-	resp, err := c.roundTrip(wire.TQueryStale, wire.EncodeQueryStale(name, int64(maxStale)))
+	resp, err := c.roundTrip(wire.TQuery, wire.EncodeQuery(name, maxStale))
 	if err != nil {
 		return Result{}, err
 	}
-	return decodeResult(resp, "stale query")
-}
-
-// decodeResult converts a query's TResult response into a Result; op
-// names the request in the error for any other response type.
-func decodeResult(resp response, op string) (Result, error) {
 	if resp.typ != wire.TResult {
-		return Result{}, fmt.Errorf("client: unexpected response 0x%02x to %s", resp.typ, op)
+		return Result{}, fmt.Errorf("client: unexpected response 0x%02x to query", resp.typ)
 	}
-	wr, err := wire.DecodeResult(resp.payload)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Coverage:   wr.Coverage,
-		Feasible:   wr.Feasible,
-		SetIDs:     wr.SetIDs,
-		SpaceWords: wr.SpaceWords,
-		Edges:      wr.Edges,
-	}, nil
-}
-
-// permanentlyFailed reports whether the client's connection is gone for
-// good (reconnect disabled, exhausted, or retired by a not-leader
-// rejection). A Cluster replaces such node clients with fresh dials.
-func (c *Client) permanentlyFailed() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.fatal != nil
+	return wire.DecodeResult(resp.payload)
 }
 
 // Close flushes and closes the connection.
@@ -1018,7 +984,8 @@ func (s *Session) Flush() error {
 const queryBusyRetries = 8
 
 // Query flushes buffered edges and returns the live coverage estimate
-// over everything this and every other client has fed the session.
+// over everything this and every other client has fed the session, at
+// any staleness (a follower answers from what it has applied).
 // Transient busy rejections — the server is rehydrating an evicted
 // session or repairing a degraded one — are retried with backoff a
 // bounded number of times before surfacing as ErrServerBusy.
@@ -1028,20 +995,16 @@ func (s *Session) Query() (Result, error) {
 	}
 	backoff := s.c.backoffMin
 	for attempt := 0; ; attempt++ {
-		resp, err := s.c.roundTrip(wire.TQuery, wire.EncodeRef(s.name))
-		if err != nil {
-			// Busy without a dead connection: the session exists and will
-			// answer shortly; retrying here spares every caller the loop.
-			if errors.Is(err, ErrServerBusy) && !errors.Is(err, ErrSessionClosed) && attempt < queryBusyRetries {
-				time.Sleep(backoff)
-				if backoff *= 2; backoff > s.c.backoffMax {
-					backoff = s.c.backoffMax
-				}
-				continue
-			}
-			return Result{}, err
+		res, err := s.c.QueryStale(s.name, wire.AnyStaleness)
+		// Busy without a dead connection: the session exists and will
+		// answer shortly; retrying here spares every caller the loop.
+		if !errors.Is(err, ErrServerBusy) || errors.Is(err, ErrSessionClosed) || attempt >= queryBusyRetries {
+			return res, err
 		}
-		return decodeResult(resp, "query")
+		time.Sleep(backoff)
+		if backoff *= 2; backoff > s.c.backoffMax {
+			backoff = s.c.backoffMax
+		}
 	}
 }
 

@@ -1,13 +1,14 @@
 // Cluster is the cluster-aware client for a kcoverd fleet. It routes by
 // the same consistent-hash ring the servers use: a session's ingest goes
-// to its placement leader, staleness-bounded queries fan out to its
-// followers, and when the leader is lost (or a node answers "not leader")
-// the client re-resolves placement, migrates the session's unacknowledged
-// resend buffer to the new leader's connection, and replays it. Because
-// every node client shares one source identity and the followers mirror
-// the leader's dedup state, the post-failover replay is deduplicated on
-// (source, seq) exactly like an ordinary reconnect resend — ingest stays
-// exactly-once across a promotion.
+// to its placement leader and staleness-bounded queries fan out to its
+// followers. Each ClusterSession owns one Client, which always dials the
+// node leading the session. When the leader is lost (or a node answers
+// "not leader"), the session finds the new leader and retargets its
+// client there; the client's ordinary reconnect then re-creates the
+// session on the new leader and resends the unacknowledged batches.
+// Followers mirror the leader's dedup state, so that resend is
+// deduplicated on (source, seq) exactly like a resend after any
+// reconnect, and ingest stays exactly-once across a promotion.
 package client
 
 import (
@@ -31,15 +32,16 @@ type ClusterNode struct {
 	Addr string
 }
 
-// Cluster routes sessions across a kcoverd fleet. Node clients are dialed
-// lazily and replaced when they fail permanently; all of them share one
-// source identity, managed by the Cluster (a WithSource option passed by
-// the caller is overridden).
+// Cluster routes sessions across a kcoverd fleet. Every session it
+// creates gets a Client of its own; requests to any other node (follower
+// creates, role probes, follower reads, deletes) each use a short-lived
+// connection that does not redial.
 type Cluster struct {
 	ring     *replica.Ring
 	replicas int
 	opts     []Option
-	source   uint64
+	nodes    map[string]string // node ID -> dial address
+	order    []string          // node IDs in the caller's order
 
 	// FailoverWait bounds how long one failover waits for some node to
 	// take over as a session's leader before giving up. Promotion is a
@@ -47,20 +49,19 @@ type Cluster struct {
 	// the client polls for its outcome.
 	FailoverWait time.Duration
 
-	mu      sync.Mutex
-	nodes   map[string]string  // node ID -> dial address
-	order   []string           // node IDs in the caller's order
-	clients map[string]*Client // lazily dialed, replaced on permanent failure
-	leaders map[string]string  // session -> leader node ID (failover overrides)
-	closed  bool
+	mu       sync.Mutex
+	leaders  map[string]string // session -> leader node ID (failover overrides)
+	sessions []*Client         // one per ClusterSession, closed with the Cluster
+	closed   bool
 }
 
 // DialCluster builds a cluster client over the fleet. replicas is the
 // placement width per session (<= 0: min(3, len(nodes)), matching the
-// server default). Nodes are dialed lazily, so a down node does not fail
-// DialCluster. The options are applied to every node client; reconnect is
-// forced on (resend-buffer migration depends on it) and the source
-// identity is shared across all node clients.
+// server default). Nothing is dialed until Create, so a down node does
+// not fail DialCluster. The options apply to every connection the
+// Cluster makes; a session's client always redials (a caller's
+// WithReconnect still tunes the attempt budget), a control connection
+// never does.
 func DialCluster(nodes []ClusterNode, replicas int, opts ...Option) (*Cluster, error) {
 	if len(nodes) == 0 {
 		return nil, errors.New("client: cluster needs at least one node")
@@ -82,10 +83,7 @@ func DialCluster(nodes []ClusterNode, replicas int, opts ...Option) (*Cluster, e
 		ids = append(ids, n.ID)
 	}
 	if replicas <= 0 {
-		replicas = len(nodes)
-		if replicas > 3 {
-			replicas = 3
-		}
+		replicas = min(len(nodes), 3)
 	}
 	ring, err := replica.NewRing(ids, 0)
 	if err != nil {
@@ -95,18 +93,12 @@ func DialCluster(nodes []ClusterNode, replicas int, opts ...Option) (*Cluster, e
 		ring:         ring,
 		replicas:     replicas,
 		opts:         opts,
-		source:       newSource(),
-		FailoverWait: 15 * time.Second,
 		nodes:        byID,
 		order:        ids,
-		clients:      make(map[string]*Client),
+		FailoverWait: 15 * time.Second,
 		leaders:      make(map[string]string),
 	}, nil
 }
-
-// Source returns the shared source identity stamped on every sequenced
-// batch the cluster sends, on whichever node client carries it.
-func (cl *Cluster) Source() uint64 { return cl.source }
 
 // Placement returns the session's placement node IDs, leader first, with
 // any failover override applied.
@@ -127,74 +119,36 @@ func (cl *Cluster) Placement(name string) []string {
 	return out
 }
 
-func (cl *Cluster) setLeader(name, id string) {
-	cl.mu.Lock()
-	cl.leaders[name] = id
-	cl.mu.Unlock()
-}
-
-// nodeOpts are the options every node client is dialed with: the caller's
-// options, then the cluster's non-negotiables — reconnect on (a caller
-// WithReconnect still tunes the attempt budget) and the shared source.
-func (cl *Cluster) nodeOpts() []Option {
-	opts := make([]Option, 0, len(cl.opts)+2)
-	opts = append(opts, WithReconnect(0))
-	opts = append(opts, cl.opts...)
-	opts = append(opts, WithSource(cl.source))
-	return opts
-}
-
-// client returns a healthy client for the node, dialing lazily and
-// replacing one that failed permanently (reconnect exhausted, or retired
-// by a not-leader rejection — the node may well be reachable and useful
-// again, e.g. as a follower to query).
-func (cl *Cluster) client(id string) (*Client, error) {
-	cl.mu.Lock()
-	if cl.closed {
-		cl.mu.Unlock()
-		return nil, errors.New("client: cluster closed")
-	}
+// dial connects to node id with the caller's options; redial selects a
+// session's client over a control connection.
+func (cl *Cluster) dial(id string, redial bool) (*Client, error) {
 	addr, ok := cl.nodes[id]
 	if !ok {
-		cl.mu.Unlock()
 		return nil, fmt.Errorf("client: unknown cluster node %q", id)
 	}
-	c := cl.clients[id]
-	cl.mu.Unlock()
-	if c != nil && !c.permanentlyFailed() {
-		return c, nil
-	}
-	nc, err := Dial(addr, cl.nodeOpts()...)
-	if err != nil {
-		return nil, err
-	}
-	cl.mu.Lock()
-	if cur := cl.clients[id]; cur != nil && cur != c && !cur.permanentlyFailed() {
-		// Lost a replacement race; use the winner.
-		cl.mu.Unlock()
-		nc.Close()
-		return cur, nil
-	}
-	cl.clients[id] = nc
-	cl.mu.Unlock()
-	if c != nil {
-		c.Close()
-	}
-	return nc, nil
+	opts := append([]Option{WithReconnect(0)}, cl.opts...)
+	return Dial(addr, append(opts, func(c *Client) { c.reconnect = redial })...)
 }
 
-// Close closes every node client.
+// control runs req on a short-lived connection to node id.
+func (cl *Cluster) control(id string, req func(*Client) error) error {
+	c, err := cl.dial(id, false)
+	if err != nil {
+		return err
+	}
+	defer c.Close()
+	return req(c)
+}
+
+// Close closes every session's client.
 func (cl *Cluster) Close() error {
 	cl.mu.Lock()
 	cl.closed = true
-	clients := make([]*Client, 0, len(cl.clients))
-	for _, c := range cl.clients {
-		clients = append(clients, c)
-	}
-	cl.clients = make(map[string]*Client)
+	sessions := cl.sessions
+	cl.sessions = nil
 	cl.mu.Unlock()
 	var first error
-	for _, c := range clients {
+	for _, c := range sessions {
 		if err := c.Close(); err != nil && first == nil {
 			first = err
 		}
@@ -203,45 +157,54 @@ func (cl *Cluster) Close() error {
 }
 
 // Create opens the session on every node in its placement — the leader
-// first (it owns ingest), then the followers (their servers attach
-// replication appliers to the leader) — and returns a handle routed at
-// the leader.
+// first, on the session's own client (it owns ingest), then the
+// followers, on control connections (their servers attach replication
+// appliers to the leader) — and returns a handle routed at the leader.
 func (cl *Cluster) Create(name string, m, n, k int, alpha float64, seed int64) (*ClusterSession, error) {
 	ids := cl.Placement(name)
-	var sess *Session
-	for i, id := range ids {
-		c, err := cl.client(id)
-		if err != nil {
-			return nil, fmt.Errorf("client: cluster create %q on %s: %w", name, id, err)
-		}
-		s, err := c.Create(name, m, n, k, alpha, seed)
-		if err != nil {
-			return nil, fmt.Errorf("client: cluster create %q on %s: %w", name, id, err)
-		}
-		if i == 0 {
-			sess = s
+	c, err := cl.dial(ids[0], true)
+	if err != nil {
+		return nil, fmt.Errorf("client: cluster create %q on %s: %w", name, ids[0], err)
+	}
+	fail := func(id string, err error) (*ClusterSession, error) {
+		c.Close()
+		return nil, fmt.Errorf("client: cluster create %q on %s: %w", name, id, err)
+	}
+	sess, err := c.Create(name, m, n, k, alpha, seed)
+	if err != nil {
+		return fail(ids[0], err)
+	}
+	for _, id := range ids[1:] {
+		if err := cl.control(id, func(fc *Client) error {
+			_, err := fc.Create(name, m, n, k, alpha, seed)
+			return err
+		}); err != nil {
+			return fail(id, err)
 		}
 	}
-	return &ClusterSession{
-		cl: cl, name: name, m: m, n: n, k: k, alpha: alpha, seed: seed,
-		sess: sess, leaderID: ids[0],
-	}, nil
+	cl.mu.Lock()
+	closed := cl.closed
+	if !closed {
+		cl.sessions = append(cl.sessions, c)
+	}
+	cl.mu.Unlock()
+	if closed {
+		return fail(ids[0], errors.New("cluster closed"))
+	}
+	return &ClusterSession{cl: cl, c: c, sess: sess, leaderID: ids[0]}, nil
 }
 
 // ClusterSession is a cluster-routed session handle. Like Session it is
 // not safe for concurrent use; open one per goroutine.
 type ClusterSession struct {
 	cl       *Cluster
-	name     string
-	m, n, k  int
-	alpha    float64
-	seed     int64
-	sess     *Session // bound to the current leader's client
+	c        *Client  // the session's own client, dialed at its leader
+	sess     *Session // the session on c
 	leaderID string
 }
 
 // Name returns the server-side session name.
-func (s *ClusterSession) Name() string { return s.name }
+func (s *ClusterSession) Name() string { return s.sess.name }
 
 // Leader returns the node ID the session's ingest is currently routed to.
 func (s *ClusterSession) Leader() string { return s.leaderID }
@@ -250,42 +213,37 @@ func (s *ClusterSession) Leader() string { return s.leaderID }
 // before giving up (each one already waits up to FailoverWait).
 const maxFailovers = 3
 
-// failoverable reports whether the error means "re-route", not "the
-// request is wrong": a not-leader rejection, or the leader's connection
-// being gone for good.
-func failoverable(err error) bool {
-	return errors.Is(err, ErrNotLeader) || errors.Is(err, ErrSessionClosed)
+// ride runs op, riding out leader changes: when op fails because the
+// leader is gone or answered "not leader", the session fails over and op
+// runs again, up to maxFailovers times.
+func (s *ClusterSession) ride(op func() error) error {
+	for failovers := 0; ; failovers++ {
+		err := op()
+		if err == nil || failovers >= maxFailovers ||
+			!(errors.Is(err, ErrNotLeader) || errors.Is(err, ErrSessionClosed)) {
+			return err
+		}
+		if err := s.failover(err); err != nil {
+			return err
+		}
+	}
 }
 
 // Send buffers edges for ingest on the session's leader, riding out
-// leader changes. Edges are fed in chunks sized so a transport failure
-// can only happen with the whole chunk already parked in the resend
-// buffer — the failover migrates that buffer, so no edge is lost or sent
-// twice.
+// leader changes. Edges are fed in chunks that end on a batch boundary, so
+// a send can only fail with its whole chunk framed and parked in the
+// resend buffer: the redial after the failover resends it, and the retry
+// sends nothing. No edge is lost or sent twice.
 func (s *ClusterSession) Send(edges []streamcover.Edge) error {
-	failovers := 0
 	for len(edges) > 0 {
-		take := s.sess.c.batchSize - len(s.sess.sets)
-		if take <= 0 || take > len(edges) {
-			take = len(edges)
-			if room := s.sess.c.batchSize; take > room {
-				take = room
-			}
-		}
-		err := s.sess.Send(edges[:take])
-		if err == nil {
-			edges = edges[take:]
-			continue
-		}
-		if !failoverable(err) || failovers >= maxFailovers {
+		chunk := edges[:min(len(edges), s.c.batchSize-len(s.sess.sets))]
+		edges = edges[len(chunk):]
+		if err := s.ride(func() error {
+			err := s.sess.Send(chunk)
+			chunk = nil
 			return err
-		}
-		// The flush that failed fires only on the chunk's last edge, so
-		// the whole chunk is parked in the resend deque and migrates.
-		edges = edges[take:]
-		failovers++
-		if ferr := s.failover(err); ferr != nil {
-			return ferr
+		}); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -295,39 +253,17 @@ func (s *ClusterSession) Send(edges []streamcover.Edge) error {
 // acknowledged by the current leader, following a promotion if the leader
 // changes mid-flush.
 func (s *ClusterSession) Flush() error {
-	failovers := 0
-	for {
-		err := s.sess.Flush()
-		if err == nil {
-			return nil
-		}
-		if !failoverable(err) || failovers >= maxFailovers {
-			return err
-		}
-		failovers++
-		if ferr := s.failover(err); ferr != nil {
-			return ferr
-		}
-	}
+	return s.ride(s.sess.Flush)
 }
 
 // Query flushes and queries the session's leader, following a promotion
 // if the leader changes underneath.
-func (s *ClusterSession) Query() (Result, error) {
-	failovers := 0
-	for {
-		res, err := s.sess.Query()
-		if err == nil {
-			return res, nil
-		}
-		if !failoverable(err) || failovers >= maxFailovers {
-			return Result{}, err
-		}
-		failovers++
-		if ferr := s.failover(err); ferr != nil {
-			return Result{}, ferr
-		}
-	}
+func (s *ClusterSession) Query() (res Result, err error) {
+	err = s.ride(func() error {
+		res, err = s.sess.Query()
+		return err
+	})
+	return res, err
 }
 
 // QueryStale reads from one of the session's followers, accepting results
@@ -339,23 +275,22 @@ func (s *ClusterSession) QueryStale(maxStale time.Duration) (Result, error) {
 	if err := s.Flush(); err != nil {
 		return Result{}, err
 	}
+	var res Result
 	var lastErr error
-	for _, id := range s.cl.Placement(s.name) {
+	for _, id := range s.cl.Placement(s.sess.name) {
 		if id == s.leaderID {
 			continue
 		}
-		c, err := s.cl.client(id)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		res, err := c.QueryStale(s.name, maxStale)
+		err := s.cl.control(id, func(c *Client) (err error) {
+			res, err = c.QueryStale(s.sess.name, maxStale)
+			return err
+		})
 		if err == nil {
 			return res, nil
 		}
 		lastErr = err
 	}
-	res, err := s.sess.c.QueryStale(s.name, maxStale)
+	res, err := s.c.QueryStale(s.sess.name, maxStale)
 	if err != nil && lastErr != nil {
 		return Result{}, fmt.Errorf("%w (followers: %v)", err, lastErr)
 	}
@@ -364,51 +299,49 @@ func (s *ClusterSession) QueryStale(maxStale time.Duration) (Result, error) {
 
 // Role returns the current leader's view of the session's role.
 func (s *ClusterSession) Role() (wire.RoleInfo, error) {
-	return s.sess.c.Role(s.name)
+	return s.c.Role(s.sess.name)
 }
 
-// CloseSession flushes, then deletes the session on every placement node.
+// CloseSession flushes, deletes the session on every placement node and
+// closes the session's client.
 func (s *ClusterSession) CloseSession() error {
 	if err := s.Flush(); err != nil {
 		return err
 	}
 	var first error
-	for _, id := range s.cl.Placement(s.name) {
-		c, err := s.cl.client(id)
-		if err == nil {
-			_, err = c.roundTrip(wire.TClose, wire.EncodeRef(s.name))
-		}
+	for _, id := range s.cl.Placement(s.sess.name) {
+		err := s.cl.control(id, func(c *Client) error {
+			return c.Session(s.sess.name).CloseSession()
+		})
 		if err != nil && first == nil {
 			first = err
 		}
-		if err == nil {
-			c.amu.Lock()
-			delete(c.states, s.name)
-			c.amu.Unlock()
-		}
 	}
+	s.c.Close()
 	return first
 }
 
-// failover re-resolves the session's leader and migrates the session to
-// it: the old client's unacknowledged batches and sequence counter move
-// to the new leader's client, and a forced reconnect there replays the
-// create plus the whole resend deque in order through the standard
-// reestablish path. prev is the error that triggered the failover, kept
-// for the give-up message.
+// failover finds the session's leader and retargets the session's client
+// at it. Nothing moves between clients: the client's next operation
+// redials, re-creates the session on the new leader and resends the
+// unacknowledged batches, deduplicated there on (source, seq). prev is
+// the error that triggered the failover, kept for the give-up message.
 func (s *ClusterSession) failover(prev error) error {
 	deadline := time.Now().Add(s.cl.FailoverWait)
-	hint := s.sess.c.LeaderHint()
+	hint := s.c.LeaderHint()
 	for {
-		id, err := s.cl.findLeader(s.name, s.leaderID, hint)
+		id, err := s.cl.findLeader(s.sess.name, s.leaderID, hint)
 		if err == nil {
-			if err = s.adopt(id); err == nil {
-				return nil
-			}
+			s.c.retarget(s.cl.nodes[id])
+			s.leaderID = id
+			s.cl.mu.Lock()
+			s.cl.leaders[s.sess.name] = id
+			s.cl.mu.Unlock()
+			return nil
 		}
 		if time.Now().After(deadline) {
 			return fmt.Errorf("client: no leader for session %q within %v (%v; trigger: %w)",
-				s.name, s.cl.FailoverWait, err, prev)
+				s.sess.name, s.cl.FailoverWait, err, prev)
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
@@ -429,12 +362,11 @@ func (cl *Cluster) findLeader(name, avoid, hint string) (string, error) {
 	seen := map[string]bool{}
 	var lastErr error
 	probe := func(id string) (bool, []string) {
-		c, err := cl.client(id)
-		if err != nil {
-			lastErr = err
-			return false, nil
-		}
-		ri, err := c.Role(name)
+		var ri wire.RoleInfo
+		err := cl.control(id, func(c *Client) (err error) {
+			ri, err = c.Role(name)
+			return err
+		})
 		if err != nil {
 			lastErr = err
 			return false, nil
@@ -465,93 +397,4 @@ func (cl *Cluster) findLeader(name, avoid, hint string) (string, error) {
 		}
 	}
 	return "", fmt.Errorf("client: no node reports leadership of session %q (last: %v)", name, lastErr)
-}
-
-// adopt re-routes the session to node id: create the session there (a
-// no-op if it exists), move the old client's parked batches and sequence
-// counter over, then retire the new client's connection epoch so the
-// reconnect machinery replays the create and the full resend deque in
-// sequence order. The server deduplicates any batch the fleet had already
-// applied, so the replay is exactly-once.
-func (s *ClusterSession) adopt(id string) error {
-	nc, err := s.cl.client(id)
-	if err != nil {
-		return err
-	}
-	old := s.sess.c
-	if nc == old {
-		// Same client object: nothing to migrate, its own reconnect
-		// machinery already replays the deque.
-		return nil
-	}
-	ns, err := nc.Create(s.name, s.m, s.n, s.k, s.alpha, s.seed)
-	if err != nil {
-		return err
-	}
-	var batches []seqBatch
-	var nextSeq uint64
-	old.amu.Lock()
-	if ost := old.states[s.name]; ost != nil {
-		batches, nextSeq = ost.unacked, ost.nextSeq
-		ost.unacked = nil
-		delete(old.states, s.name)
-	}
-	old.amu.Unlock()
-	st := ns.st
-	resend := false
-	nc.amu.Lock()
-	if nextSeq > st.nextSeq {
-		st.nextSeq = nextSeq
-	}
-	if len(batches) > 0 {
-		st.unacked = mergeBySeq(st.unacked, batches)
-		resend = true
-	}
-	nc.amu.Unlock()
-	if resend {
-		// Retire the epoch: the redial inside connLocked replays the
-		// session create and the merged deque in order, the one path in
-		// the client that already resends exactly-once.
-		nc.mu.Lock()
-		if nc.cn != nil && !nc.cn.failed() {
-			nc.cn.lost(fmt.Errorf("%w (cluster re-route)", ErrSessionClosed))
-			nc.cn.c.Close()
-		}
-		_, cerr := nc.connLocked()
-		nc.mu.Unlock()
-		if cerr != nil {
-			return cerr
-		}
-	}
-	// Carry over edges buffered but not yet framed.
-	ns.sets = append(ns.sets, s.sess.sets...)
-	ns.elems = append(ns.elems, s.sess.elems...)
-	s.sess.sets, s.sess.elems = nil, nil
-	s.sess = ns
-	s.leaderID = id
-	s.cl.setLeader(s.name, id)
-	return nil
-}
-
-// mergeBySeq merges two sequence-ordered deques into one.
-func mergeBySeq(a, b []seqBatch) []seqBatch {
-	if len(a) == 0 {
-		return b
-	}
-	if len(b) == 0 {
-		return a
-	}
-	out := make([]seqBatch, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i].seq <= b[j].seq {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
 }

@@ -1,10 +1,5 @@
 package expt
 
-import (
-	"fmt"
-	"io"
-)
-
 // Spec names one experiment and how to produce it.
 type Spec struct {
 	ID   string
@@ -89,19 +84,4 @@ func All() []Spec {
 			return WireIngest(seed)
 		}},
 	}
-}
-
-// RunAll executes every experiment and renders to w, stopping at the
-// first error.
-func RunAll(w io.Writer, seed int64) error {
-	for _, s := range All() {
-		t, err := s.Run(seed)
-		if err != nil {
-			return fmt.Errorf("expt %s (%s): %w", s.ID, s.Name, err)
-		}
-		if err := t.Render(w); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -29,26 +29,23 @@ type ApplyTarget interface {
 
 // ApplyOptions tunes an applier.
 type ApplyOptions struct {
-	DialTimeout time.Duration // default 2s
 	// ReadTimeout bounds the gap between leader frames; heartbeats arrive
 	// every ShipOptions.HeartbeatEvery, so this doubles as the
 	// leader-death detector (default 2s).
-	ReadTimeout            time.Duration
-	BackoffMin, BackoffMax time.Duration // reconnect backoff (20ms..500ms)
+	ReadTimeout time.Duration
 }
 
+// An applier dials its leader within applyDialTimeout and backs off
+// between reconnects from applyBackoffMin, doubling up to applyBackoffMax.
+const (
+	applyDialTimeout = 2 * time.Second
+	applyBackoffMin  = 20 * time.Millisecond
+	applyBackoffMax  = 500 * time.Millisecond
+)
+
 func (o *ApplyOptions) defaults() {
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 2 * time.Second
-	}
 	if o.ReadTimeout <= 0 {
 		o.ReadTimeout = 2 * time.Second
-	}
-	if o.BackoffMin <= 0 {
-		o.BackoffMin = 20 * time.Millisecond
-	}
-	if o.BackoffMax <= 0 {
-		o.BackoffMax = 500 * time.Millisecond
 	}
 }
 
@@ -134,9 +131,6 @@ func (a *Applier) Leader() string {
 // Applied reports the replica watermark.
 func (a *Applier) Applied() uint64 { return a.applied.Load() }
 
-// Head reports the last advertised leader durable head.
-func (a *Applier) Head() uint64 { return a.head.Load() }
-
 // Staleness reports the watermark age: how long ago the replica was last
 // provably caught up (applied >= leader head, on a live stream). A
 // replica that has never caught up reports the time since Start.
@@ -150,7 +144,7 @@ func (a *Applier) Staleness() time.Duration {
 
 func (a *Applier) run() {
 	defer close(a.done)
-	backoff := a.opts.BackoffMin
+	backoff := applyBackoffMin
 	for {
 		select {
 		case <-a.stop:
@@ -166,8 +160,8 @@ func (a *Applier) run() {
 			return
 		case <-time.After(backoff):
 		}
-		if backoff *= 2; backoff > a.opts.BackoffMax {
-			backoff = a.opts.BackoffMax
+		if backoff *= 2; backoff > applyBackoffMax {
+			backoff = applyBackoffMax
 		}
 	}
 }
@@ -177,7 +171,7 @@ func (a *Applier) stream() error {
 	a.mu.Lock()
 	addr := a.addr
 	a.mu.Unlock()
-	conn, err := net.DialTimeout("tcp", addr, a.opts.DialTimeout)
+	conn, err := net.DialTimeout("tcp", addr, applyDialTimeout)
 	if err != nil {
 		return err
 	}

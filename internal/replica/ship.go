@@ -29,20 +29,19 @@ type ShipOptions struct {
 	// follower is caught up (default 250ms). Heartbeats carry the durable
 	// head, so follower staleness resolution is bounded by this.
 	HeartbeatEvery time.Duration
-	// Poll is how often a caught-up shipper re-checks the log for new
-	// records (default 2ms).
-	Poll time.Duration
 }
 
-// flushEvery bounds how many entry frames may buffer before a flush.
-const flushEvery = 64
+const (
+	// flushEvery bounds how many entry frames may buffer before a flush.
+	flushEvery = 64
+	// shipPoll is how often a caught-up shipper re-checks the log for new
+	// records.
+	shipPoll = 2 * time.Millisecond
+)
 
 func (o *ShipOptions) defaults() {
 	if o.HeartbeatEvery <= 0 {
 		o.HeartbeatEvery = 250 * time.Millisecond
-	}
-	if o.Poll <= 0 {
-		o.Poll = 2 * time.Millisecond
 	}
 }
 
@@ -50,13 +49,13 @@ func (o *ShipOptions) defaults() {
 // after the follower's applied position. When the follower is behind the
 // log's truncation horizon it first sends a TRepSnapshot bootstrap, then
 // streams entries from the checkpoint position. Ship returns when the
-// connection breaks, stop closes, or the log reports an error; a clean
-// stop returns nil.
+// connection breaks or the log reports an error: closing the connection
+// stops a shipper by its next write, at the latest its next heartbeat.
 //
 // The open reader pins the log segments it has yet to deliver, so a
 // checkpoint's TruncateBefore cannot race records out from under a slow
 // follower (see wal.Reader).
-func Ship(w *bufio.Writer, src ShipSource, applied uint64, stop <-chan struct{}, opts ShipOptions) error {
+func Ship(w *bufio.Writer, src ShipSource, applied uint64, opts ShipOptions) error {
 	opts.defaults()
 	r, err := openShipReader(w, src, applied)
 	if err != nil {
@@ -78,11 +77,6 @@ func Ship(w *bufio.Writer, src ShipSource, applied uint64, stop <-chan struct{},
 		return err
 	}
 	for {
-		select {
-		case <-stop:
-			return nil
-		default:
-		}
 		pos, rec, err := r.Next()
 		switch {
 		case err == nil:
@@ -106,11 +100,7 @@ func Ship(w *bufio.Writer, src ShipSource, applied uint64, stop <-chan struct{},
 					return err
 				}
 			}
-			select {
-			case <-stop:
-				return nil
-			case <-time.After(opts.Poll):
-			}
+			time.Sleep(shipPoll)
 		default:
 			return err
 		}

@@ -64,14 +64,18 @@ func (t *mirrorTarget) Apply(pos uint64, rec []byte) error {
 	return nil
 }
 
-// serveShipper accepts subscribe connections and ships src on each.
+// serveShipper accepts subscribe connections and ships src on each. stop
+// closes the listener and every connection, which ends each shipper at
+// its next write.
 func serveShipper(t *testing.T, src *leaderSrc) (addr string, stop func()) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	stopCh := make(chan struct{})
+	var mu sync.Mutex
+	var conns []net.Conn
+	stopped := false
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -81,6 +85,12 @@ func serveShipper(t *testing.T, src *leaderSrc) (addr string, stop func()) {
 			if err != nil {
 				return
 			}
+			mu.Lock()
+			conns = append(conns, conn)
+			if stopped {
+				conn.Close()
+			}
+			mu.Unlock()
 			wg.Add(1)
 			go func(conn net.Conn) {
 				defer wg.Done()
@@ -94,16 +104,18 @@ func serveShipper(t *testing.T, src *leaderSrc) (addr string, stop func()) {
 				if err != nil {
 					return
 				}
-				Ship(bufio.NewWriter(conn), src, applied, stopCh, ShipOptions{
-					HeartbeatEvery: 20 * time.Millisecond,
-					Poll:           time.Millisecond,
-				})
+				Ship(bufio.NewWriter(conn), src, applied, ShipOptions{HeartbeatEvery: 20 * time.Millisecond})
 			}(conn)
 		}
 	}()
 	return ln.Addr().String(), func() {
-		close(stopCh)
 		ln.Close()
+		mu.Lock()
+		stopped = true
+		for _, c := range conns {
+			c.Close()
+		}
+		mu.Unlock()
 		wg.Wait()
 	}
 }
@@ -246,11 +258,7 @@ func TestApplierSurvivesLeaderRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer flog.Close()
-	a := NewApplier("s", addr, &mirrorTarget{log: flog}, ApplyOptions{
-		ReadTimeout: 200 * time.Millisecond,
-		BackoffMin:  5 * time.Millisecond,
-		BackoffMax:  20 * time.Millisecond,
-	})
+	a := NewApplier("s", addr, &mirrorTarget{log: flog}, ApplyOptions{ReadTimeout: 200 * time.Millisecond})
 	a.Start()
 	defer a.Stop()
 	waitApplied(t, a, 10)

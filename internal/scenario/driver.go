@@ -122,8 +122,9 @@ func newFleet(spec *Spec, addr string, nodes []client.ClusterNode, edges []strea
 			// A finite reconnect budget is load-bearing here: exhausting
 			// it against a dead leader is what surfaces the failoverable
 			// error that makes the ClusterSession re-resolve placement.
-			// The Cluster re-dials replaced clients, so the budget bounds
-			// one outage's patience, not the run's.
+			// A failover clears the exhausted budget when it retargets
+			// the session's client, so the budget bounds one outage's
+			// patience, not the run's.
 			cl, err := client.DialCluster(nodes, spec.Cluster.Replicas,
 				append(dialOpts, client.WithReconnect(8))...)
 			if err != nil {

@@ -124,7 +124,7 @@ func (s *Server) serveShip(conn net.Conn, bw *bufio.Writer, payload []byte) {
 	conn.SetReadDeadline(time.Time{}) // one-way from here
 	s.metrics.RepStreams.Add(1)
 	defer s.metrics.RepStreams.Add(-1)
-	replica.Ship(w, &shipSource{sess: sess, metrics: &s.metrics}, applied, nil, replica.ShipOptions{
+	replica.Ship(w, &shipSource{sess: sess, metrics: &s.metrics}, applied, replica.ShipOptions{
 		HeartbeatEvery: s.cfg.RepHeartbeat,
 	})
 }
@@ -369,16 +369,17 @@ func (s *Server) SessionRole(name string) (wire.RoleInfo, error) {
 	return info, nil
 }
 
-// queryStaleSession is the staleness-bounded read: leaders always
+// querySession answers a query within a staleness bound: leaders always
 // qualify; a follower answers only while its watermark age is within the
 // client's bound, else the transient retry error (the replica may catch
-// up, or the client can fall back to the leader).
-func (s *Server) queryStaleSession(name string, maxStale time.Duration) (wire.Result, error) {
+// up, or the client can fall back to the leader). wire.AnyStaleness
+// takes a follower's state as it is.
+func (s *Server) querySession(name string, maxStale time.Duration) (wire.Result, error) {
 	sess, err := s.session(name)
 	if err != nil {
 		return wire.Result{}, err
 	}
-	if sess.role.Load() == roleFollower {
+	if sess.role.Load() == roleFollower && maxStale < wire.AnyStaleness {
 		a := sess.applier.Load()
 		if a == nil {
 			return wire.Result{}, fmt.Errorf("server: %w: session %q has no replication stream", ErrDegraded, name)

@@ -446,7 +446,10 @@ func TestClusterFailoverExactlyOnce(t *testing.T) {
 // a fenced leader rejects new writes with the not-leader redirect while
 // its replication streams keep shipping the frozen tail, a follower
 // drains to the fenced head, and promoting it loses nothing — the final
-// state is byte-equal to a fault-free single-node run.
+// state is byte-equal to a fault-free single-node run. A second round
+// moves the session on again (A→B→C), so one ClusterSession's client is
+// retargeted twice: once after its leader dies, once on a live fenced
+// leader's redirect.
 func TestClusterFenceDrainPromote(t *testing.T) {
 	addrs := reserveAddrs(t, 3)
 	servers := make([]*Server, 3)
@@ -513,25 +516,22 @@ func TestClusterFenceDrainPromote(t *testing.T) {
 	}
 
 	// Shipping continues against the frozen head: a follower drains to it.
-	drained := -1
-	deadline := time.Now().Add(10 * time.Second)
-	for drained < 0 && time.Now().Before(deadline) {
-		for i, srv := range servers {
-			if i == leaderIdx {
-				continue
-			}
-			if fi, err := srv.SessionRole(name); err == nil && fi.Applied >= head {
-				drained = i
-				break
+	drain := func(fenced int, head uint64) int {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+			for i, srv := range servers {
+				if i == fenced || i == leaderIdx {
+					continue
+				}
+				if fi, err := srv.SessionRole(name); err == nil && fi.Applied >= head {
+					return i
+				}
 			}
 		}
-		if drained < 0 {
-			time.Sleep(10 * time.Millisecond)
-		}
-	}
-	if drained < 0 {
 		t.Fatalf("no follower drained to the fenced head %d", head)
+		return -1
 	}
+	drained := drain(leaderIdx, head)
 
 	servers[leaderIdx].Abort()
 	if err := servers[drained].Promote(name); err != nil {
@@ -564,6 +564,49 @@ func TestClusterFenceDrainPromote(t *testing.T) {
 	}
 	if digest != wantDigest {
 		t.Fatalf("promoted leader digest %s != reference %s", digest, wantDigest)
+	}
+
+	// Second round, B→C: fence the promoted leader but keep it running, so
+	// the client meets its not-leader redirect; the last node drains to
+	// the new frozen head and is promoted.
+	if err := servers[drained].Fence(name); err != nil {
+		t.Fatalf("second fence: %v", err)
+	}
+	ri, err = servers[drained].SessionRole(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ri.Applied <= head {
+		t.Fatalf("second fenced head %d, want past the first %d", ri.Applied, head)
+	}
+	last := drain(drained, ri.Applied)
+	if err := servers[last].Promote(name); err != nil {
+		t.Fatalf("second promote: %v", err)
+	}
+	post2 := clusterEdges(88, 2048)
+	if err := cs.Send(post2); err != nil {
+		t.Fatal(err)
+	}
+	if err := cs.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	all := append(append(append([]streamcover.Edge{}, pre...), post...), post2...)
+	wantRes, wantDigest = clusterReference(t, name, all)
+	if res, err = cs.Query(); err != nil {
+		t.Fatal(err)
+	}
+	requireClusterResult(t, res, wantRes, "post-second-promotion query")
+	if res.Edges != len(all) {
+		t.Fatalf("applied %d edges, sent %d", res.Edges, len(all))
+	}
+	if digest, err = servers[last].SessionDigest(name); err != nil {
+		t.Fatal(err)
+	}
+	if digest != wantDigest {
+		t.Fatalf("second promoted leader digest %s != reference %s", digest, wantDigest)
+	}
+	if got := cs.Leader(); got != addrs[last] {
+		t.Fatalf("client routes to %q after the second promotion, want %q", got, addrs[last])
 	}
 }
 

@@ -61,7 +61,7 @@ func (s *Server) httpHandler() http.Handler {
 			http.Error(w, "missing ?session=", http.StatusBadRequest)
 			return
 		}
-		res, err := s.querySession(name)
+		res, err := s.querySession(name, wire.AnyStaleness)
 		if err != nil {
 			http.Error(w, err.Error(), errorStatus(err, http.StatusNotFound))
 			return

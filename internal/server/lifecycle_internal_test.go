@@ -32,7 +32,8 @@ func (c *frameConn) roundTrip(t *testing.T, typ byte, payload []byte) (byte, []b
 	if err := wire.WriteFrame(c, typ, payload); err != nil {
 		t.Fatal(err)
 	}
-	rtyp, rpayload, err := wire.ReadFrame(c.br, nil)
+	var scratch []byte
+	rtyp, rpayload, err := wire.ReadFrameInto(c.br, &scratch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestDegradedRejectionParksLaterBatches(t *testing.T) {
 			t.Fatalf("resend of seq %d answered 0x%02x: %s", seq, typ, msg)
 		}
 	}
-	typ, payload := r.roundTrip(t, wire.TQuery, wire.EncodeRef(name))
+	typ, payload := r.roundTrip(t, wire.TQuery, wire.EncodeQuery(name, wire.AnyStaleness))
 	if typ != wire.TResult {
 		t.Fatalf("query answered 0x%02x: %s", typ, payload)
 	}
@@ -157,7 +158,7 @@ func TestScrapeDuringEvictionKeepsLookupsFree(t *testing.T) {
 	time.Sleep(50 * time.Millisecond) // let the scrapes reach the cold session
 
 	start := time.Now()
-	if _, err := srv.querySession("hot"); err != nil {
+	if _, err := srv.querySession("hot", wire.AnyStaleness); err != nil {
 		t.Fatal(err)
 	}
 	took := time.Since(start)

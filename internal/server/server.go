@@ -488,34 +488,18 @@ func (s *Server) handleConn(conn net.Conn) {
 				return
 			}
 		case wire.TQuery:
-			name, derr := wire.DecodeRef(payload)
+			name, maxStale, derr := wire.DecodeQuery(payload)
 			if !join() {
 				return
 			}
 			var res wire.Result
 			if derr == nil {
-				res, derr = s.querySession(name)
+				res, derr = s.querySession(name, maxStale)
 			}
 			if derr != nil {
-				// A rehydration backlog (or a degraded session mid-recovery)
-				// is transient: ackFrame tells the client to retry rather
-				// than fail the query.
-				if !respond(ackFrame(derr)) {
-					return
-				}
-			} else if !respond(wire.TResult, res.Encode()) {
-				return
-			}
-		case wire.TQueryStale:
-			name, maxStale, derr := wire.DecodeQueryStale(payload)
-			if !join() {
-				return
-			}
-			var res wire.Result
-			if derr == nil {
-				res, derr = s.queryStaleSession(name, time.Duration(maxStale))
-			}
-			if derr != nil {
+				// A rehydration backlog, a degraded session mid-recovery or
+				// a replica past the bound is transient: ackFrame tells the
+				// client to retry rather than fail the query.
 				if !respond(ackFrame(derr)) {
 					return
 				}
@@ -904,15 +888,6 @@ func walRecord(sess *session, payload []byte) []byte {
 	rec := make([]byte, 0, 1+len(payload))
 	rec = append(rec, wire.TIngestSeq)
 	return append(rec, payload...)
-}
-
-func (s *Server) querySession(name string) (wire.Result, error) {
-	sess, err := s.session(name)
-	if err != nil {
-		return wire.Result{}, err
-	}
-	s.metrics.Queries.Add(1)
-	return sess.query(&s.metrics)
 }
 
 func (s *Server) closeSession(name string) error {

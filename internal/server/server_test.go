@@ -47,7 +47,7 @@ func (r *rawConn) roundTrip(t *testing.T, typ byte, payload []byte) (byte, []byt
 	if err := wire.WriteFrame(r.conn, typ, payload); err != nil {
 		t.Fatal(err)
 	}
-	rtyp, rpayload, err := wire.ReadFrame(r.br, r.scratch)
+	rtyp, rpayload, err := wire.ReadFrameInto(r.br, &r.scratch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,11 +314,11 @@ func TestQuerySeesWholeBatches(t *testing.T) {
 				return
 			default:
 			}
-			err := wire.WriteFrame(reader.conn, wire.TQuery, wire.EncodeRef(name))
+			err := wire.WriteFrame(reader.conn, wire.TQuery, wire.EncodeQuery(name, wire.AnyStaleness))
 			var typ byte
 			var payload []byte
 			if err == nil {
-				typ, payload, err = wire.ReadFrame(reader.br, reader.scratch)
+				typ, payload, err = wire.ReadFrameInto(reader.br, &reader.scratch)
 			}
 			if err == nil && typ != wire.TResult {
 				err = fmt.Errorf("query answered 0x%02x: %s", typ, payload)
@@ -358,7 +358,7 @@ func TestQuerySeesWholeBatches(t *testing.T) {
 		written <- err
 	}()
 	for range sizes {
-		typ, payload, err := wire.ReadFrame(writer.br, writer.scratch)
+		typ, payload, err := wire.ReadFrameInto(writer.br, &writer.scratch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -455,7 +455,7 @@ func TestRetiredIngestShapesRefused(t *testing.T) {
 			t.Fatalf("frame 0x%02x answered 0x%02x %q, want TErr %q", f.typ, typ, msg, f.want)
 		}
 	}
-	typ, payload := r.roundTrip(t, wire.TQuery, wire.EncodeRef(create.Name))
+	typ, payload := r.roundTrip(t, wire.TQuery, wire.EncodeQuery(create.Name, wire.AnyStaleness))
 	if typ != wire.TResult {
 		t.Fatalf("query answered 0x%02x: %s", typ, payload)
 	}

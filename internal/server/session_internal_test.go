@@ -617,6 +617,12 @@ func engineHelpers() int {
 // batches.
 func TestIdleSessionClosesEstimator(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	// Earlier tests' sessions stop their helpers within scratchIdleAfter
+	// of their last batch; wait those out, or one stopping during this
+	// test offsets the count of this session's helpers.
+	for deadline := time.Now().Add(20 * scratchIdleAfter); engineHelpers() > 0 && time.Now().Before(deadline); {
+		time.Sleep(scratchIdleAfter / 10)
+	}
 	before := engineHelpers()
 	// paced-tenants' shape: 5 (guess, repetition) units, so the engine
 	// runs min(GOMAXPROCS, 5) − 1 = 3 helpers beside the apply goroutine.

@@ -47,13 +47,19 @@ func (l *Log) OpenReader(from uint64) (*Reader, error) {
 	if from == 0 {
 		from = 1
 	}
+	// Read the head before listing the segments: every record below it is
+	// in a segment the listing sees, while a listing taken first could
+	// miss the segment an append creates right after it, and report a
+	// record that append wrote as truncated.
+	l.mu.Lock()
+	next := l.next
+	l.mu.Unlock()
 	segs, err := listSegments(l.fs, l.dir)
 	if err != nil {
 		return nil, err
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	next := l.next
 	if next > from {
 		if len(segs) == 0 || segs[0].firstPos > from {
 			return nil, fmt.Errorf("%w: reader from %d, first retained segment at %d",

@@ -3,7 +3,10 @@ package wal
 import (
 	"bytes"
 	"errors"
+	"io/fs"
 	"testing"
+
+	"streamcover/internal/fault"
 )
 
 // drainReader pulls records until ErrCaughtUp, returning them by position.
@@ -212,6 +215,53 @@ func TestOpenReaderTruncatedPosition(t *testing.T) {
 	defer r.Close()
 	if got := drainReader(t, r); len(got) != 6 {
 		t.Fatalf("delivered %d records, want 6", len(got))
+	}
+}
+
+// appendAfterList is a filesystem whose ReadDir, once armed, appends a
+// record to the log after taking the listing, as a leader's first append
+// can land between a subscribing reader's listing and its look at the
+// log's head.
+type appendAfterList struct {
+	fault.FS
+	l      *Log
+	armed  bool
+	appErr error
+}
+
+func (f *appendAfterList) ReadDir(name string) ([]fs.DirEntry, error) {
+	ents, err := f.FS.ReadDir(name)
+	if f.armed {
+		f.armed = false
+		_, f.appErr = f.l.Append([]byte("first"))
+	}
+	return ents, err
+}
+
+// TestOpenReaderRacingFirstAppend opens a reader at 1 while the log's
+// first append creates segment 1 right after the reader lists the
+// segments. The reader must deliver record 1, not report it truncated.
+func TestOpenReaderRacingFirstAppend(t *testing.T) {
+	fsys := &appendAfterList{FS: fault.OS()}
+	l, err := Open(t.TempDir(), Options{NoSync: true, FS: fsys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	fsys.l, fsys.armed = l, true
+	r, err := l.OpenReader(1)
+	if fsys.appErr != nil {
+		t.Fatal(fsys.appErr)
+	}
+	if fsys.armed {
+		t.Fatal("OpenReader listed no segments")
+	}
+	if err != nil {
+		t.Fatalf("OpenReader(1) racing the first append: %v", err)
+	}
+	defer r.Close()
+	if pos, payload, err := r.Next(); err != nil || pos != 1 || string(payload) != "first" {
+		t.Fatalf("Next = (%d, %q, %v), want record 1 %q", pos, payload, err, "first")
 	}
 }
 

@@ -7,13 +7,16 @@ import (
 	"streamcover/internal/stream"
 )
 
-// FuzzReadFrame drives the frame reader with arbitrary byte streams: it
-// must never panic or over-allocate, and any frame it accepts must
-// re-encode to the same bytes. Accepted frames of a known type are pushed
-// through their payload decoders too, so malformed length prefixes and
-// truncated batch blobs inside an intact frame are also exercised. Type
-// 0x02 (the retired unsequenced ingest) and a row MKC1 blob seed the
-// corpus as shapes no decoder accepts.
+// FuzzReadFrame drives ReadFrameInto, the frame reader the server, the
+// client and the replica use, with arbitrary byte streams read as one
+// connection through one growing scratch: it must never panic or
+// over-allocate, and every frame it accepts must re-encode to the bytes
+// it was read from. Accepted frames of a known type are pushed through
+// their payload decoders too, so malformed length prefixes and truncated
+// batch blobs inside an intact frame are also exercised. Types 0x02 (the
+// retired unsequenced ingest) and 0x07 (the retired staleness-bounded
+// query) and a row MKC1 blob seed the corpus as shapes no decoder
+// accepts.
 func FuzzReadFrame(f *testing.F) {
 	frame := func(typ byte, payload []byte) []byte {
 		var buf bytes.Buffer
@@ -30,29 +33,38 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(frame(TResult, Result{Coverage: 5, Feasible: true, SetIDs: []uint32{1}}.Encode()))
 	f.Add([]byte{0x02, 0xff, 0xff, 0xff, 0x7f})
 	f.Add([]byte{})
+	f.Add(append(frame(TQuery, EncodeQuery("s", AnyStaleness)),
+		append(frame(0x07, EncodeRef("s")), frame(TClose, EncodeRef("s"))...)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		typ, payload, err := ReadFrame(bytes.NewReader(data), make([]byte, 64))
-		if err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if err := WriteFrame(&buf, typ, payload); err != nil {
-			t.Fatalf("accepted frame failed to re-encode: %v", err)
-		}
-		if !bytes.Equal(buf.Bytes(), data[:buf.Len()]) {
-			t.Fatal("re-encoded frame differs from input prefix")
-		}
-		// Payload decoders must be panic-free on arbitrary accepted frames.
+		r := bytes.NewReader(data)
+		scratch := make([]byte, 64)
 		var cols stream.Columns
-		switch typ {
-		case TCreate:
-			_, _ = DecodeCreate(payload)
-		case TIngestSeq:
-			_, _, _, _, _, _ = DecodeIngestSeqInto(payload, &cols)
-		case TQuery, TClose:
-			_, _ = DecodeRef(payload)
-		case TResult:
-			_, _ = DecodeResult(payload)
+		for off := 0; ; {
+			typ, payload, err := ReadFrameInto(r, &scratch)
+			if err != nil {
+				return
+			}
+			var buf bytes.Buffer
+			if err := WriteFrame(&buf, typ, payload); err != nil {
+				t.Fatalf("accepted frame failed to re-encode: %v", err)
+			}
+			if !bytes.Equal(buf.Bytes(), data[off:off+buf.Len()]) {
+				t.Fatalf("frame at offset %d re-encodes to other bytes", off)
+			}
+			off += buf.Len()
+			// Payload decoders must be panic-free on arbitrary accepted frames.
+			switch typ {
+			case TCreate:
+				_, _ = DecodeCreate(payload)
+			case TIngestSeq:
+				_, _, _, _, _, _ = DecodeIngestSeqInto(payload, &cols)
+			case TQuery:
+				_, _, _ = DecodeQuery(payload)
+			case TClose, TRole:
+				_, _ = DecodeRef(payload)
+			case TResult:
+				_, _ = DecodeResult(payload)
+			}
 		}
 	})
 }

@@ -18,9 +18,6 @@
 //	              opaque checkpoint blob
 //	TRepEntry     8-byte LE WAL position, then the raw WAL record
 //	TRepHeartbeat 8-byte LE leader durable head position
-//	TQueryStale   uvarint len(name), name, 8-byte LE max staleness nanos —
-//	              a follower answers from its replica only if its
-//	              watermark age is within the bound, else TErrRetry
 //	TRole         uvarint len(name), name
 //	TRoleInfo     1 byte role, uvarint len(leaderAddr), leaderAddr,
 //	              8-byte LE applied position, 8-byte LE staleness nanos
@@ -36,8 +33,6 @@ import (
 
 // Cluster frame types.
 const (
-	// TQueryStale is TQuery with a staleness bound, servable by followers.
-	TQueryStale byte = 0x07
 	// TRole asks a node for its role in a session and its watermark.
 	TRole byte = 0x08
 	// TRepSubscribe turns the connection into a replication stream.
@@ -125,29 +120,6 @@ func DecodeHeartbeat(p []byte) (uint64, error) {
 		return 0, fmt.Errorf("wire: bad heartbeat payload (%d bytes)", len(p))
 	}
 	return binary.LittleEndian.Uint64(p), nil
-}
-
-// EncodeQueryStale frames a TQueryStale payload. maxStaleNanos bounds the
-// age of the follower's watermark; 0 demands a fully caught-up replica.
-func EncodeQueryStale(name string, maxStaleNanos int64) []byte {
-	buf := appendName(nil, name)
-	return binary.LittleEndian.AppendUint64(buf, uint64(maxStaleNanos))
-}
-
-// DecodeQueryStale parses a TQueryStale payload.
-func DecodeQueryStale(p []byte) (name string, maxStaleNanos int64, err error) {
-	name, rest, err := decodeName(p)
-	if err != nil {
-		return "", 0, err
-	}
-	if len(rest) != 8 {
-		return "", 0, fmt.Errorf("wire: bad stale-query tail (%d bytes)", len(rest))
-	}
-	ns := int64(binary.LittleEndian.Uint64(rest))
-	if ns < 0 {
-		return "", 0, fmt.Errorf("wire: negative staleness bound")
-	}
-	return name, ns, nil
 }
 
 // EncodeNotLeader frames a TErrNotLeader payload.

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"testing"
+	"time"
 )
 
 func TestSubscribeRoundTrip(t *testing.T) {
@@ -58,16 +59,20 @@ func TestHeartbeatRoundTrip(t *testing.T) {
 }
 
 func TestQueryStaleRoundTrip(t *testing.T) {
-	p := EncodeQueryStale("s", 5_000_000_000)
-	name, ns, err := DecodeQueryStale(p)
-	if err != nil {
-		t.Fatal(err)
+	for _, bound := range []time.Duration{0, 5 * time.Second, AnyStaleness} {
+		name, got, err := DecodeQuery(EncodeQuery("s", bound))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name != "s" || got != bound {
+			t.Fatalf("got (%q, %v), want (%q, %v)", name, got, "s", bound)
+		}
 	}
-	if name != "s" || ns != 5_000_000_000 {
-		t.Fatalf("got (%q, %d)", name, ns)
-	}
-	if _, _, err := DecodeQueryStale(EncodeQueryStale("s", -1)); err == nil {
+	if _, _, err := DecodeQuery(EncodeQuery("s", -1)); err == nil {
 		t.Fatal("negative staleness bound decoded")
+	}
+	if _, _, err := DecodeQuery(EncodeRef("s")); err == nil {
+		t.Fatal("query without a staleness bound decoded")
 	}
 }
 

@@ -21,7 +21,10 @@
 //	            acking and dedups on (source, seq), so a client that
 //	            resends after a reconnect gets exactly-once application
 //	            even across a server crash.
-//	TQuery      uvarint len(name), name
+//	TQuery      uvarint len(name), name, 8-byte LE max staleness nanos —
+//	            a leader always answers; a follower answers from its
+//	            replica only if its watermark age is within the bound,
+//	            else TErrRetry (AnyStaleness accepts any replica state)
 //	TClose      uvarint len(name), name
 //	TOK         empty
 //	TErr        UTF-8 error message
@@ -31,8 +34,10 @@
 // A batch blob is columnar "MKC2" (stream.AppendBinaryColumns) and its
 // declared dims must equal the session's. TIngestSeq is the only ingest
 // frame. Type 0x02, the unsequenced ingest of earlier clients, is retired:
-// a server answers it as any unknown type, with TErr. A row "MKC1" blob
-// (stream.WriteBinary's file format) is not a batch blob either.
+// a server answers it as any unknown type, with TErr; so is type 0x07,
+// their staleness-bounded query, which TQuery's bound replaces. A row
+// "MKC1" blob (stream.WriteBinary's file format) is not a batch blob
+// either.
 package wire
 
 import (
@@ -41,6 +46,7 @@ import (
 	"io"
 	"math"
 	"math/bits"
+	"time"
 )
 
 // Frame types.
@@ -92,34 +98,11 @@ func WriteFrame(w io.Writer, typ byte, payload []byte) error {
 	return err
 }
 
-// ReadFrame reads one frame, reusing scratch for the payload when it fits.
-// The returned payload aliases scratch and is only valid until the next
-// call with the same scratch.
-func ReadFrame(r io.Reader, scratch []byte) (typ byte, payload []byte, err error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[1:])
-	if n > MaxFrame {
-		return 0, nil, fmt.Errorf("wire: frame payload %d exceeds limit %d", n, MaxFrame)
-	}
-	if int(n) <= len(scratch) {
-		payload = scratch[:n]
-	} else {
-		payload = make([]byte, n)
-	}
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, fmt.Errorf("wire: truncated frame: %w", err)
-	}
-	return hdr[0], payload, nil
-}
-
-// ReadFrameInto reads one frame like ReadFrame, but grows *scratch in
-// place (next power of two, capped at MaxFrame) when the payload doesn't
-// fit, so the enlarged buffer survives into later calls and a connection
-// carrying steady large batches allocates once instead of per frame. The
-// returned payload aliases *scratch and is only valid until the next call.
+// ReadFrameInto reads one frame into *scratch, growing it in place (next
+// power of two, capped at MaxFrame) when the payload doesn't fit, so the
+// enlarged buffer survives into later calls and a connection carrying
+// steady large batches allocates once instead of per frame. The returned
+// payload aliases *scratch and is only valid until the next call.
 func ReadFrameInto(r io.Reader, scratch *[]byte) (typ byte, payload []byte, err error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -199,10 +182,10 @@ func DecodeCreate(p []byte) (Create, error) {
 	return c, nil
 }
 
-// EncodeRef frames a session reference (TQuery / TClose payload).
+// EncodeRef frames a session reference (TClose / TRole payload).
 func EncodeRef(name string) []byte { return appendName(nil, name) }
 
-// DecodeRef parses a TQuery / TClose payload.
+// DecodeRef parses a TClose / TRole payload.
 func DecodeRef(p []byte) (string, error) {
 	name, rest, err := decodeName(p)
 	if err != nil {
@@ -212,6 +195,33 @@ func DecodeRef(p []byte) (string, error) {
 		return "", fmt.Errorf("wire: %d trailing bytes after session name", len(rest))
 	}
 	return name, nil
+}
+
+// AnyStaleness is the staleness bound of a query that takes a replica's
+// state as it is.
+const AnyStaleness time.Duration = math.MaxInt64
+
+// EncodeQuery frames a TQuery payload. maxStale bounds the age of a
+// follower's watermark; 0 demands a fully caught-up replica.
+func EncodeQuery(name string, maxStale time.Duration) []byte {
+	buf := appendName(nil, name)
+	return binary.LittleEndian.AppendUint64(buf, uint64(maxStale))
+}
+
+// DecodeQuery parses a TQuery payload.
+func DecodeQuery(p []byte) (name string, maxStale time.Duration, err error) {
+	name, rest, err := decodeName(p)
+	if err != nil {
+		return "", 0, err
+	}
+	if len(rest) != 8 {
+		return "", 0, fmt.Errorf("wire: bad query tail (%d bytes)", len(rest))
+	}
+	maxStale = time.Duration(binary.LittleEndian.Uint64(rest))
+	if maxStale < 0 {
+		return "", 0, fmt.Errorf("wire: negative staleness bound")
+	}
+	return name, maxStale, nil
 }
 
 // Result is the payload of a TResult frame — the estimator's answer plus

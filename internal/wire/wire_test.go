@@ -19,7 +19,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	scratch := make([]byte, 16)
 	for i, want := range payloads {
-		typ, got, err := ReadFrame(&buf, scratch)
+		typ, got, err := ReadFrameInto(&buf, &scratch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -27,6 +27,11 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Errorf("frame %d: type %d payload %d bytes, want type %d payload %d bytes",
 				i, typ, len(got), i+1, len(want))
 		}
+	}
+	// The 100000-byte payload grew the scratch to the next power of two,
+	// which later frames reuse.
+	if cap(scratch) != 1<<17 {
+		t.Errorf("scratch capacity %d after a 100000-byte frame, want %d", cap(scratch), 1<<17)
 	}
 }
 
@@ -37,15 +42,16 @@ func TestFrameLimits(t *testing.T) {
 	}
 	// Corrupt length prefix beyond the cap must be rejected before any
 	// allocation.
+	var scratch []byte
 	bad := []byte{TIngestSeq, 0xff, 0xff, 0xff, 0xff}
-	if _, _, err := ReadFrame(bytes.NewReader(bad), nil); err == nil {
+	if _, _, err := ReadFrameInto(bytes.NewReader(bad), &scratch); err == nil {
 		t.Error("oversized read frame accepted")
 	}
 	// Truncated payload.
 	var tr bytes.Buffer
 	WriteFrame(&tr, TOK, []byte("abcdef"))
 	trunc := tr.Bytes()[:tr.Len()-2]
-	if _, _, err := ReadFrame(bytes.NewReader(trunc), nil); err == nil {
+	if _, _, err := ReadFrameInto(bytes.NewReader(trunc), &scratch); err == nil {
 		t.Error("truncated frame accepted")
 	}
 }
