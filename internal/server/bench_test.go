@@ -3,12 +3,14 @@ package server_test
 import (
 	"context"
 	"math/rand"
+	"strconv"
 	"testing"
 	"time"
 
 	"streamcover"
 	"streamcover/internal/client"
 	"streamcover/internal/server"
+	"streamcover/internal/wire"
 )
 
 // BenchmarkServerIngest measures client→server edge throughput over
@@ -66,4 +68,29 @@ func BenchmarkServerIngest(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "edges/s")
+}
+
+// BenchmarkCreateSession measures one create in paced-tenants' shape
+// (m=60, n=500, k=5, α=4) on a real data dir with fsync on: the fresh
+// estimator, the session directory and WAL, and the first checkpoint's
+// write, fsyncs and rename. Each session is deleted with the timer
+// stopped, so the heap holds one session at a time.
+//
+//	go test -run=NONE -bench=CreateSession -benchtime=200x ./internal/server/
+func BenchmarkCreateSession(b *testing.B) {
+	s := server.New(server.Config{DataDir: b.TempDir(), CheckpointEvery: -1})
+	defer s.Abort()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		name := "tenant-" + strconv.Itoa(i)
+		if err := s.CreateSession(wire.Create{Name: name, M: 60, N: 500, K: 5, Alpha: 4, Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := s.CloseSession(name); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
 }

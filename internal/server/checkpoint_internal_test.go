@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -68,8 +69,9 @@ func checkpointedSession(t *testing.T, c wire.Create) (string, []byte) {
 
 // writtenCheckpoint returns the payload writeCheckpoint writes for an
 // estimator fed batches batches, one source per batch parity, at the WAL
-// position past them. No goroutine outlives it: a fuzz worker must owe
-// its coverage to the target alone.
+// position past them: the parameters-only form (estimator count 0) for 0
+// batches, else one estimator blob. No goroutine outlives it: a fuzz
+// worker must owe its coverage to the target alone.
 func writtenCheckpoint(t testing.TB, c wire.Create, batches int) []byte {
 	t.Helper()
 	est, err := streamcover.NewEstimator(c.M, c.N, c.K, c.Alpha, streamcover.WithSeed(c.Seed), streamcover.WithParallelism(1))
@@ -131,6 +133,52 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 			t.Fatalf("checkpoint %+v came back as %+v", st, again)
 		}
 	})
+}
+
+// TestDecodeCheckpointForms: a checkpoint payload takes one of two forms,
+// estimator count 0 with no blob (a session that has taken no edge) or
+// count 1 with a non-empty blob, and each re-encodes to its own bytes.
+// A count of 1 with an empty blob, and any count of 2 or more, is
+// refused.
+func TestDecodeCheckpointForms(t *testing.T) {
+	c := wire.Create{Name: "forms", M: 8, N: 100, K: 2, Alpha: 4, Seed: 3}
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		blob    bool
+	}{
+		{"count 0", writtenCheckpoint(t, c, 0), false},
+		{"count 1", writtenCheckpoint(t, c, 6), true},
+	} {
+		st, err := decodeCheckpoint(tc.payload)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := st.est != nil; got != tc.blob {
+			t.Fatalf("%s: decoded blob present = %v, want %v", tc.name, got, tc.blob)
+		}
+		if !bytes.Equal(encodeCheckpoint(st), tc.payload) {
+			t.Fatalf("%s: the payload does not re-encode to its own bytes", tc.name)
+		}
+	}
+
+	// Everything up to the estimator count, which the count-0 form ends
+	// in, and one length-prefixed blob.
+	head := writtenCheckpoint(t, c, 0)
+	head = head[:len(head)-1]
+	blob := []byte{4, 'b', 'l', 'o', 'b'}
+	for _, tc := range []struct {
+		name, detail string
+		payload      []byte
+	}{
+		{"count 1, empty blob", "bad estimator blob", slices.Concat(head, []byte{1, 0})},
+		{"count 2", "2 estimators", slices.Concat(head, []byte{2}, blob, blob)},
+		{"count 0 with a blob", "trailing bytes", slices.Concat(head, []byte{0}, blob)},
+	} {
+		if _, err := decodeCheckpoint(tc.payload); err == nil || !strings.Contains(err.Error(), tc.detail) {
+			t.Fatalf("%s: decode error %v, want one naming %q", tc.name, err, tc.detail)
+		}
+	}
 }
 
 // dirContents maps every file under root to its bytes (directories to
@@ -211,14 +259,14 @@ func TestStartRefusesLegacyDataDir(t *testing.T) {
 		}
 		dataDir := filepath.Dir(dir)
 		before := dirContents(t, dataDir)
-		helpers := engineHelpers()
+		helpers := waitEngineHelpers(0)
 		srv := New(Config{DataDir: dataDir, WALNoSync: true, CheckpointEvery: -1})
 		err := srv.Start("127.0.0.1:0", "")
 		srv.Abort()
 		if err == nil {
 			t.Fatalf("%s: Start recovered a legacy session directory", tc.name)
 		}
-		if got := engineHelpers() - helpers; got != 0 {
+		if got := waitEngineHelpers(helpers) - helpers; got > 0 {
 			t.Fatalf("%s: %d engine helpers outlived the failed Start", tc.name, got)
 		}
 		if msg := err.Error(); !strings.Contains(msg, filepath.Join(dir, tc.artifact)) || !strings.Contains(msg, tc.detail) {

@@ -238,7 +238,7 @@ func (s *session) rebootstrap(walPos uint64, payload []byte, metrics *Metrics) e
 		return fmt.Errorf("server: bootstrap checkpoint is for session %q (%d,%d,%d), want %q (%d,%d,%d)",
 			st.name, st.m, st.n, st.k, s.name, s.m, s.n, s.k)
 	}
-	est, err := streamcover.DecodeEstimator(st.est)
+	est, err := st.estimator()
 	if err != nil {
 		return err
 	}

@@ -123,13 +123,15 @@ type checkpointState struct {
 	seed    int64
 	walPos  uint64
 	dedup   map[uint64]uint64
-	est     []byte // the session's sealed Estimator.Encode blob
+	est     []byte // the session's sealed Estimator.Encode blob; nil if it took no edge
 }
 
 // encodeCheckpoint serializes a checkpoint payload (the caller seals it).
-// Dedup entries are sorted by source so equal states encode equally. The
-// estimator blob follows a count, always 1: checkpoints of kcoverds that
-// split a session into shard estimators held one blob per shard.
+// Dedup entries are sorted by source so equal states encode equally. An
+// estimator count follows: 0 and no blob for an estimator that has taken
+// no edge, which the parameters alone rebuild (checkpointState.estimator),
+// else 1 and the blob. Checkpoints of kcoverds that split a session into
+// shard estimators held one blob per shard.
 func encodeCheckpoint(st checkpointState) []byte {
 	buf := binary.AppendUvarint(nil, uint64(len(st.name)))
 	buf = append(buf, st.name...)
@@ -148,6 +150,9 @@ func encodeCheckpoint(st checkpointState) []byte {
 	for _, src := range sources {
 		buf = binary.AppendUvarint(buf, src)
 		buf = binary.AppendUvarint(buf, st.dedup[src])
+	}
+	if len(st.est) == 0 {
+		return binary.AppendUvarint(buf, 0)
 	}
 	buf = binary.AppendUvarint(buf, 1)
 	buf = binary.AppendUvarint(buf, uint64(len(st.est)))
@@ -219,14 +224,17 @@ func decodeCheckpoint(data []byte) (checkpointState, error) {
 	if !ok {
 		return bad("estimator count")
 	}
-	if nEst != 1 {
-		return st, fmt.Errorf("checkpoint holds %d estimators, want 1 (shard-era checkpoints are not read)", nEst)
+	switch nEst {
+	case 0: // an estimator that had taken no edge: the parameters rebuild it
+	case 1:
+		l, ok := next()
+		if !ok || l == 0 || uint64(len(data)) < l {
+			return bad("estimator blob")
+		}
+		st.est, data = data[:l], data[l:]
+	default:
+		return st, fmt.Errorf("checkpoint holds %d estimators, want 0 or 1 (shard-era checkpoints are not read)", nEst)
 	}
-	l, ok := next()
-	if !ok || uint64(len(data)) < l {
-		return bad("estimator blob")
-	}
-	st.est, data = data[:l], data[l:]
 	if len(data) != 0 {
 		return bad("trailing bytes")
 	}
@@ -293,13 +301,19 @@ func (s *session) checkpointLocked(metrics *Metrics) error {
 }
 
 // writeCheckpoint writes est, which the caller owns, as the checkpoint at
-// WAL position pos and drops the WAL segments it subsumes. The caller
-// holds ckptMu or owns the session outright.
+// WAL position pos and drops the WAL segments it subsumes. Figure 1 draws
+// every hash function before the first edge, so an estimator that has
+// taken no edge is a pure function of the session's parameters: its
+// checkpoint holds no blob. The caller holds ckptMu or owns the session
+// outright.
 func (s *session) writeCheckpoint(est *streamcover.Estimator, pos uint64, dedup map[uint64]uint64, metrics *Metrics, start time.Time) error {
 	d := s.dur
-	blob, err := est.Encode()
-	if err != nil {
-		return err
+	var blob []byte
+	if est.Edges() > 0 {
+		var err error
+		if blob, err = est.Encode(); err != nil {
+			return err
+		}
 	}
 	payload := encodeCheckpoint(checkpointState{
 		name: s.name, m: s.m, n: s.n, k: s.k, alpha: s.alpha, seed: s.seed,
@@ -329,9 +343,10 @@ func residentCharge(est *streamcover.Estimator) int64 {
 	return 8 * int64(est.SpaceWords())
 }
 
-// recoverSession rebuilds one session from its data directory: decode the
-// checkpoint's estimator, then replay the WAL tail into it one batch per
-// record, as the live server applies them. Returns nil (no
+// recoverSession rebuilds one session from its data directory: restore
+// the checkpoint's estimator (decoded, or built fresh from the parameters
+// of a session that had taken no edge), then replay the WAL tail into it
+// one batch per record, as the live server applies them. Returns nil (no
 // error) for directories without a checkpoint — a crash between directory
 // creation and the initial checkpoint left nothing acknowledged to lose.
 // Checkpoint temp files orphaned by a crash mid-write are swept first.
@@ -400,8 +415,25 @@ func loadCheckpoint(fsys fault.FS, dir string) (checkpointState, bool, error) {
 	return st, true, nil
 }
 
+// newEstimator builds a session's estimator from its parameters alone:
+// what a create starts and what a checkpoint without a blob restores to.
+func newEstimator(m, n, k int, alpha float64, seed int64) (*streamcover.Estimator, error) {
+	return streamcover.NewEstimator(m, n, k, alpha, streamcover.WithSeed(seed))
+}
+
+// estimator turns the checkpoint into the estimator it holds: a fresh one
+// built from its parameters if it holds no blob, else its blob decoded.
+// Every checkpoint reader (restore and a follower's rebootstrap) goes
+// through it.
+func (st *checkpointState) estimator() (*streamcover.Estimator, error) {
+	if st.est == nil {
+		return newEstimator(st.m, st.n, st.k, st.alpha, st.seed)
+	}
+	return streamcover.DecodeEstimator(st.est)
+}
+
 // restore rebuilds the estimator of session directory dir from its
-// checkpoint st and log, the directory's WAL: it decodes the checkpoint's
+// checkpoint st and log, the directory's WAL: it restores the checkpoint's
 // estimator and replays the log's tail past it, advancing st.dedup to the
 // replayed horizon. Startup recovery and rehydration both restore through
 // it, so a rehydrated estimator is bit-identical to a recovered one, and
@@ -409,7 +441,7 @@ func loadCheckpoint(fsys fault.FS, dir string) (checkpointState, bool, error) {
 // estimator is closed on failure, since a replay that fails part-way has
 // already started its engine helpers.
 func restore(st *checkpointState, dir string, log *wal.Log, metrics *Metrics) (*streamcover.Estimator, error) {
-	est, err := streamcover.DecodeEstimator(st.est)
+	est, err := st.estimator()
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", filepath.Join(dir, checkpointFile), err)
 	}

@@ -59,7 +59,7 @@ func newOverseer(srv *Server) *overseer {
 	return o
 }
 
-// rehydrate brings an evicted session back to hydrated: decode the
+// rehydrate brings an evicted session back to hydrated: restore the
 // checkpoint's estimator, replay the parked WAL's tail (empty unless a
 // crash interleaved), restore the dedup horizons, restart the apply
 // goroutine. Runs under resMu's write side, so every operation parked in

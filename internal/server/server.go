@@ -40,7 +40,6 @@ import (
 	"sync"
 	"time"
 
-	"streamcover"
 	"streamcover/internal/fault"
 	"streamcover/internal/replica"
 	"streamcover/internal/stream"
@@ -600,11 +599,12 @@ func (s *Server) noteDeadline(err error) {
 // createSession makes a session, idempotently: re-creating with identical
 // parameters succeeds (so several generators can race to set up the same
 // session), differing parameters are an error. The expensive part —
-// estimator construction, the WAL open, and the initial checkpoint's
-// fsyncs — runs outside s.mu behind a per-name guard, so session lookups
-// (every ingest and query on other connections) never block on one
-// creation's disk I/O; racing creators of the same name wait for the
-// build and then re-check idempotently.
+// estimator construction, the WAL open, and the fsyncs of the initial
+// checkpoint, which holds the parameters and no estimator encoding — runs
+// outside s.mu behind a per-name guard, so session lookups (every ingest
+// and query on other connections) never block on one creation's disk
+// I/O; racing creators of the same name wait for the build and then
+// re-check idempotently. A create that fails publishes no session.
 func (s *Server) createSession(c wire.Create) error {
 	if c.Name == "" {
 		return errors.New("server: empty session name")
@@ -677,10 +677,12 @@ func (s *Server) createSession(c wire.Create) error {
 // buildSession constructs a session plus its durability state: the WAL
 // and an initial checkpoint, written from the fresh estimator before
 // install starts it, so a crash before the first cadence tick still
-// recovers the session (and its WAL tail). Runs with no server locks
-// held; the caller's per-name guard keeps it single.
+// recovers the session (and its WAL tail). The fresh estimator has taken
+// no edge, so that checkpoint holds the parameters, which rebuild it, and
+// no encoding. Runs with no server locks held; the caller's per-name
+// guard keeps it single.
 func (s *Server) buildSession(c wire.Create) (*session, error) {
-	est, err := streamcover.NewEstimator(c.M, c.N, c.K, c.Alpha, streamcover.WithSeed(c.Seed))
+	est, err := newEstimator(c.M, c.N, c.K, c.Alpha, c.Seed)
 	if err != nil {
 		return nil, err
 	}

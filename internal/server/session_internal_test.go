@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -382,12 +383,19 @@ func TestIngestSeqConcurrentSameSource(t *testing.T) {
 	}
 }
 
-// TestNewSessionCheckpointMatchesFreshEstimator: a create writes its first
-// checkpoint from the session's fresh estimator before the apply goroutine
-// owns it, with no clone. In each of the benchmark's four session shapes
-// the file must hold what the clone-based checkpoint wrote: a same-seed
-// fresh estimator's encoding at WAL position 0 with no dedup horizons.
-// The session's budget charge must be that estimator's 8 × SpaceWords.
+// TestNewSessionCheckpointMatchesFreshEstimator: Figure 1 draws every
+// hash function before the first edge, so a session that has taken no
+// edge checkpoints its parameters and no estimator encoding. In each of
+// the benchmark's four session shapes:
+//   - a create's checkpoint.scsn is the parameters-only form (estimator
+//     count 0) at WAL position 0 with no dedup horizons, under 64 bytes;
+//   - the create's budget charge is a fresh estimator's 8 × SpaceWords;
+//   - a server started on that data dir recovers the session with the
+//     /digest of a same-seed fresh estimator's encoding, and the same
+//     charge;
+//   - CheckpointAll before any batch leaves the file in that form;
+//   - after one batch CheckpointAll writes an estimator blob, and a
+//     server started on the data dir then recovers the live /digest.
 func TestNewSessionCheckpointMatchesFreshEstimator(t *testing.T) {
 	for _, c := range []wire.Create{
 		{Name: "bulk-ingest", M: 2000, N: 100000, K: 40, Alpha: 8, Seed: 1},
@@ -395,36 +403,110 @@ func TestNewSessionCheckpointMatchesFreshEstimator(t *testing.T) {
 		{Name: "query-mix", M: 200, N: 2000, K: 10, Alpha: 4, Seed: 3},
 		{Name: "crash-recover", M: 2000, N: 20000, K: 40, Alpha: 8, Seed: 4},
 	} {
-		srv := New(Config{DataDir: t.TempDir(), WALNoSync: true})
-		t.Cleanup(srv.Abort)
-		if err := srv.createSession(c); err != nil {
-			t.Fatal(err)
+		cfg := Config{DataDir: t.TempDir(), WALNoSync: true, CheckpointEvery: -1}
+		start := func() (*Server, *session) {
+			t.Helper()
+			srv := New(cfg)
+			t.Cleanup(srv.Abort)
+			if err := srv.recover(); err != nil {
+				t.Fatal(err)
+			}
+			sess, _ := srv.session(c.Name)
+			return srv, sess
 		}
-		sess, err := srv.session(c.Name)
+		// The parameters-only form: estimator count 0 at WAL position 0
+		// with no dedup horizons.
+		paramsOnly := encodeCheckpoint(checkpointState{name: c.Name, m: c.M, n: c.N, k: c.K, alpha: c.Alpha, seed: c.Seed})
+		readPayload := func(sess *session) []byte {
+			t.Helper()
+			payload, err := snapshot.ReadFileFS(fault.OS(), filepath.Join(sess.dur.dir, checkpointFile))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return payload
+		}
+		requireParamsOnly := func(sess *session, when string) {
+			t.Helper()
+			if payload := readPayload(sess); !bytes.Equal(payload, paramsOnly) || len(payload) >= 64 {
+				t.Fatalf("%s: %s the checkpoint is %d bytes %x, want the %d-byte parameters-only form %x",
+					c.Name, when, len(payload), payload, len(paramsOnly), paramsOnly)
+			}
+		}
+		digestOf := func(srv *Server) string {
+			t.Helper()
+			digest, err := srv.SessionDigest(c.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return digest
+		}
+
+		fresh, err := streamcover.NewEstimator(c.M, c.N, c.K, c.Alpha, streamcover.WithSeed(c.Seed))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := snapshot.ReadFileFS(fault.OS(), filepath.Join(sess.dur.dir, checkpointFile))
+		t.Cleanup(fresh.Close)
+		blob, err := fresh.Encode()
 		if err != nil {
 			t.Fatal(err)
 		}
-		est, err := streamcover.NewEstimator(c.M, c.N, c.K, c.Alpha, streamcover.WithSeed(c.Seed))
+		sum := sha256.Sum256(blob)
+		freshDigest, freshCharge := hex.EncodeToString(sum[:]), 8*int64(fresh.SpaceWords())
+
+		created, _ := start()
+		if err := created.createSession(c); err != nil {
+			t.Fatal(err)
+		}
+		sess, err := created.session(c.Name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(est.Close)
-		blob, err := est.Encode()
+		requireParamsOnly(sess, "after the create")
+		if got := sess.residentBytes.Load(); got != freshCharge {
+			t.Fatalf("%s: resident charge %d, want 8 × SpaceWords = %d", c.Name, got, freshCharge)
+		}
+		created.Abort()
+
+		srv, sess := start()
+		if sess == nil {
+			t.Fatalf("%s: a server started on the create's data dir did not recover the session", c.Name)
+		}
+		if got := digestOf(srv); got != freshDigest {
+			t.Fatalf("%s: recovered /digest %s, want a fresh estimator's %s", c.Name, got, freshDigest)
+		}
+		if got := sess.residentBytes.Load(); got != freshCharge {
+			t.Fatalf("%s: recovered resident charge %d, want 8 × SpaceWords = %d", c.Name, got, freshCharge)
+		}
+		if err := srv.CheckpointAll(); err != nil {
+			t.Fatal(err)
+		}
+		requireParamsOnly(sess, "after CheckpointAll before any batch")
+
+		sets, elems := testBatch(c, 1)
+		payload := wire.EncodeIngestSeqColumns(nil, c.Name, 10, 1, sets, elems, c.M, c.N)
+		if _, err := sess.ingestSeq(10, 1, walRecord(sess, payload), sets, elems); err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.CheckpointAll(); err != nil {
+			t.Fatal(err)
+		}
+		st, err := decodeCheckpoint(readPayload(sess))
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := encodeCheckpoint(checkpointState{name: c.Name, m: c.M, n: c.N, k: c.K,
-			alpha: c.Alpha, seed: c.Seed, est: blob})
-		if !bytes.Equal(got, want) {
-			t.Fatalf("%s: the new session's checkpoint (%d bytes) differs from the fresh estimator's (%d bytes)",
-				c.Name, len(got), len(want))
+		if st.est == nil || st.walPos != 1 || st.dedup[10] != 1 {
+			t.Fatalf("%s: checkpoint after one batch holds a %d-byte blob at WAL position %d with horizons %v, want a blob at 1 with {10: 1}",
+				c.Name, len(st.est), st.walPos, st.dedup)
 		}
-		if got, want := sess.residentBytes.Load(), 8*int64(est.SpaceWords()); got != want {
-			t.Fatalf("%s: resident charge %d, want 8 × SpaceWords = %d", c.Name, got, want)
+		live := digestOf(srv)
+		srv.Abort()
+
+		restarted, sess := start()
+		if sess == nil {
+			t.Fatalf("%s: a server started after the batch did not recover the session", c.Name)
+		}
+		if got := digestOf(restarted); got != live {
+			t.Fatalf("%s: recovered /digest %s after one batch, want the live %s", c.Name, got, live)
 		}
 	}
 }
@@ -553,6 +635,90 @@ func TestFaultFSCheckpointSyncsDirAfterRename(t *testing.T) {
 	}
 }
 
+// syncDirFailsAfterRename fails the first directory fsync after each
+// rename that lands: a checkpoint's fsync of its directory, and no
+// directory fsync before its rename.
+type syncDirFailsAfterRename struct{ *fault.Injector }
+
+func (f syncDirFailsAfterRename) Rename(oldpath, newpath string) error {
+	if err := f.Injector.Rename(oldpath, newpath); err != nil {
+		return err
+	}
+	f.FailSyncDirs(1, nil)
+	return nil
+}
+
+// TestFaultFSCreateCheckpointFailure: a create is acknowledged only once
+// its first checkpoint is durable. Failing, in turn, the checkpoint temp
+// file's write, its fsync, the rename over checkpoint.scsn and the
+// session directory's fsync after that rename must fail the create and
+// publish no session. A server then started on the data dir reclaims the
+// session directory when no checkpoint landed, or recovers the session
+// with a fresh estimator's /digest when it did (only the directory fsync
+// failed), and a retried create succeeds.
+func TestFaultFSCreateCheckpointFailure(t *testing.T) {
+	c := wire.Create{Name: "first", M: 60, N: 500, K: 5, Alpha: 4, Seed: 7}
+	fresh, err := streamcover.NewEstimator(c.M, c.N, c.K, c.Alpha, streamcover.WithSeed(c.Seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := fresh.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(blob)
+	freshDigest := hex.EncodeToString(sum[:])
+
+	for _, tc := range []struct {
+		name      string
+		arm       func(inj *fault.Injector) fault.FS
+		detail    string // the failed operation, %s the session directory
+		recovered bool   // the checkpoint landed before the failure
+	}{
+		{"temp file write", func(inj *fault.Injector) fault.FS { inj.FailWrites(1, nil); return inj },
+			"fault: write %s/" + checkpointFile + ".tmp", false},
+		{"temp file fsync", func(inj *fault.Injector) fault.FS { inj.FailSyncs(1, nil); return inj },
+			"fault: fsync %s/" + checkpointFile + ".tmp", false},
+		{"rename", func(inj *fault.Injector) fault.FS { inj.FailRenames(1, nil); return inj },
+			"fault: rename %s/" + checkpointFile + ":", false},
+		{"directory fsync after the rename", func(inj *fault.Injector) fault.FS { return syncDirFailsAfterRename{inj} },
+			"fault: fsync dir %s:", true},
+	} {
+		dataDir := t.TempDir()
+		sessDir := filepath.Join(dataDir, sessionDirName(c.Name))
+		failing := New(Config{DataDir: dataDir, FS: tc.arm(fault.NewInjector(fault.OS())), CheckpointEvery: -1})
+		err := failing.createSession(c)
+		if err == nil || !errors.Is(err, fault.ErrInjected) || !strings.Contains(err.Error(), fmt.Sprintf(tc.detail, sessDir)) {
+			t.Fatalf("%s: create returned %v, want the injected failure of %q", tc.name, err, fmt.Sprintf(tc.detail, sessDir))
+		}
+		if _, err := failing.session(c.Name); err == nil {
+			t.Fatalf("%s: a failed create published its session", tc.name)
+		}
+		failing.Abort()
+
+		restarted := New(Config{DataDir: dataDir, CheckpointEvery: -1})
+		t.Cleanup(restarted.Abort)
+		if err := restarted.recover(); err != nil {
+			t.Fatalf("%s: start-up after the failed create: %v", tc.name, err)
+		}
+		_, err = restarted.session(c.Name)
+		if recovered := err == nil; recovered != tc.recovered {
+			t.Fatalf("%s: session recovered = %v, want %v", tc.name, recovered, tc.recovered)
+		}
+		if _, err := os.Stat(sessDir); !tc.recovered && !os.IsNotExist(err) {
+			t.Fatalf("%s: start-up did not reclaim the session directory (stat: %v)", tc.name, err)
+		}
+		// A retried create of a recovered session is a no-op, so this
+		// checks the recovered /digest too.
+		if err := restarted.createSession(c); err != nil {
+			t.Fatalf("%s: retried create: %v", tc.name, err)
+		}
+		if digest, err := restarted.SessionDigest(c.Name); err != nil || digest != freshDigest {
+			t.Fatalf("%s: /digest after the retried create %s (%v), want a fresh estimator's %s", tc.name, digest, err, freshDigest)
+		}
+	}
+}
+
 // TestFaultFSDeleteSyncsDataDir: deleting a session removes its directory
 // through the server's FS and then fsyncs the data directory that held
 // its entry, so a power loss cannot bring the session back. Both deletes
@@ -606,6 +772,21 @@ func engineHelpers() int {
 			return strings.Count(string(buf[:n]), "core.(*engine).helper(")
 		}
 		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// waitEngineHelpers waits until at most n engine helpers run, or for
+// 20 × scratchIdleAfter, and returns how many run. A helper that an
+// engine's close has already waited for can still be on its way out of
+// the stack, and an idle session stops its helpers within
+// scratchIdleAfter.
+func waitEngineHelpers(n int) int {
+	deadline := time.Now().Add(20 * scratchIdleAfter)
+	for {
+		if got := engineHelpers(); got <= n || time.Now().After(deadline) {
+			return got
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
