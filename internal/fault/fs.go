@@ -9,6 +9,7 @@ import (
 // implementations wrap a real file and interpose on Write and Sync.
 type File interface {
 	Name() string
+	ReadAt(p []byte, off int64) (int, error)
 	Write(p []byte) (int, error)
 	Sync() error
 	Close() error

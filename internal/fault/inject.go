@@ -223,7 +223,8 @@ type injectFile struct {
 	inj   *Injector
 }
 
-func (f *injectFile) Name() string { return f.inner.Name() }
+func (f *injectFile) Name() string                            { return f.inner.Name() }
+func (f *injectFile) ReadAt(p []byte, off int64) (int, error) { return f.inner.ReadAt(p, off) }
 
 func (f *injectFile) Write(p []byte) (int, error) {
 	i := f.inj

@@ -65,27 +65,29 @@ func sessionDirName(name string) string {
 }
 
 // openDurability prepares (or reopens) a session's data directory, durably,
-// sweeping any checkpoint temp files a crashed writer left behind.
+// sweeping any checkpoint temp files a crashed writer left behind. A
+// failure once the directory is made removes it again, best effort.
 func openDurability(dataDir, name string, segBytes int64, noSync bool, fsys fault.FS) (*durability, error) {
 	if fsys == nil {
 		fsys = fault.OS()
 	}
-	dir := filepath.Join(dataDir, sessionDirName(name))
-	if err := fsys.MkdirAll(dir, 0o755); err != nil {
+	d := &durability{dir: filepath.Join(dataDir, sessionDirName(name)), fs: fsys}
+	if err := fsys.MkdirAll(d.dir, 0o755); err != nil {
 		return nil, err
 	}
 	// dataDir holds the new entry; unsynced, a power loss can drop the session.
-	if err := fsys.SyncDir(dataDir); err != nil {
-		return nil, err
+	err := fsys.SyncDir(dataDir)
+	if err == nil {
+		_, err = snapshot.SweepTemps(fsys, d.dir, checkpointFile)
 	}
-	if _, err := snapshot.SweepTemps(fsys, dir, checkpointFile); err != nil {
-		return nil, err
+	if err == nil {
+		d.wal, err = wal.Open(filepath.Join(d.dir, "wal"), wal.Options{SegmentBytes: segBytes, NoSync: noSync, FS: fsys})
 	}
-	log, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{SegmentBytes: segBytes, NoSync: noSync, FS: fsys})
 	if err != nil {
+		_ = removeSessionDir(fsys, d.dir) // best effort: err fails the create either way
 		return nil, err
 	}
-	return &durability{dir: dir, wal: log, fs: fsys}, nil
+	return d, nil
 }
 
 func (d *durability) close() {

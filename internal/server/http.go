@@ -118,11 +118,11 @@ func (s *Server) httpHandler() http.Handler {
 				evicted++
 			}
 			if d := sess.dur; d != nil {
-				ckptPos := d.ckptPos.Load()
+				ckptPos, lastPos := d.ckptPos.Load(), d.wal.LastPos()
 				durability[sess.name] = durabilityInfo{
-					WALLastPos:    d.wal.LastPos(),
+					WALLastPos:    lastPos,
 					CheckpointPos: ckptPos,
-					WALDepth:      d.wal.Depth(ckptPos + 1),
+					WALDepth:      lastPos - min(ckptPos, lastPos),
 					CheckpointAge: time.Since(time.Unix(0, d.lastCkptNanos.Load())).Seconds(),
 				}
 			}

@@ -661,7 +661,7 @@ func (s *Server) createSession(c wire.Create) error {
 		close(pending)
 		if aborted {
 			sess.close()
-			sess.dur.close()
+			_ = sess.dur.destroy() // best effort, as in buildSession
 		}
 		if err == nil && followerOf != "" {
 			s.attachFollower(sess, followerOf)
@@ -679,8 +679,9 @@ func (s *Server) createSession(c wire.Create) error {
 // install starts it, so a crash before the first cadence tick still
 // recovers the session (and its WAL tail). The fresh estimator has taken
 // no edge, so that checkpoint holds the parameters, which rebuild it, and
-// no encoding. Runs with no server locks held; the caller's per-name
-// guard keeps it single.
+// no encoding. A failed build removes the session directory, best
+// effort, so no start-up recovers a session whose create failed. Runs
+// with no server locks held; the caller's per-name guard keeps it single.
 func (s *Server) buildSession(c wire.Create) (*session, error) {
 	est, err := newEstimator(c.M, c.N, c.K, c.Alpha, c.Seed)
 	if err != nil {
@@ -695,7 +696,7 @@ func (s *Server) buildSession(c wire.Create) (*session, error) {
 		}
 		if err := sess.writeCheckpoint(est, sess.dur.wal.LastPos(), nil, &s.metrics, time.Now()); err != nil {
 			est.Close()
-			sess.dur.close()
+			_ = sess.dur.destroy() // best effort: err fails the create either way
 			return nil, err
 		}
 	}

@@ -296,20 +296,19 @@ func (s *session) pin() (func(), error) {
 	}
 }
 
-// logAndDispatch logs one batch and queues it for the estimator, returning
-// a channel that delivers the append's durability error. The WAL position
-// assignment and the dispatch happen as one atomic step under omu:
-// replicas (and crash recovery) replay the log in position order, so the
-// leader's own apply order must equal log order — otherwise two concurrent
-// connections could interleave into the queue in one order and into the
-// log in the other, and the leader's estimator bytes would diverge from
-// every follower's. Only the group-commit fsync — the slow half — runs
-// outside the lock, so it still overlaps the dispatch and later batches. The caller must receive from
-// the channel before acknowledging (an ack still implies durability) and
-// before releasing pmu (the checkpoint invariant requires no in-flight
-// append under pmu.Lock).
-func (s *session) logAndDispatch(d *durability, rec []byte, sets, elems []uint32) <-chan error {
-	ch := make(chan error, 1)
+// logAndDispatch logs one batch, queues it for the estimator and waits
+// for the append to be durable, returning the append's error. The WAL
+// position assignment and the dispatch happen as one atomic step under
+// omu: replicas (and crash recovery) replay the log in position order, so
+// the leader's own apply order must equal log order — otherwise two
+// concurrent connections could interleave into the queue in one order and
+// into the log in the other, and the leader's estimator bytes would
+// diverge from every follower's. Only the group-commit fsync — the slow
+// half — runs outside the lock, so it still overlaps the apply and later
+// batches. The caller holds pmu across the call (the checkpoint invariant
+// requires no in-flight append under pmu.Lock) and acknowledges only on
+// its return (an ack still implies durability).
+func (s *session) logAndDispatch(d *durability, rec []byte, sets, elems []uint32) error {
 	s.omu.Lock()
 	_, wait, err := d.wal.AppendStart(rec)
 	// Dispatch even when the write failed: the degrade path treats the
@@ -318,11 +317,9 @@ func (s *session) logAndDispatch(d *durability, rec []byte, sets, elems []uint32
 	s.dispatch(sets, elems)
 	s.omu.Unlock()
 	if err != nil {
-		ch <- err
-		return ch
+		return err
 	}
-	go func() { ch <- wait() }()
-	return ch
+	return wait()
 }
 
 // ingestSeq logs one validated batch durably and queues it, overlapping
@@ -403,7 +400,7 @@ func (s *session) ingestSeq(source, seq uint64, rec []byte, sets, elems []uint32
 		s.dispatch(sets, elems)
 		return true, nil
 	}
-	err = <-s.logAndDispatch(d, rec, sets, elems)
+	err = s.logAndDispatch(d, rec, sets, elems)
 	if err != nil {
 		// Applied but not durable: count the ingest here (the handler
 		// sees an error and will not) and degrade.

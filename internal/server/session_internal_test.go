@@ -649,13 +649,14 @@ func (f syncDirFailsAfterRename) Rename(oldpath, newpath string) error {
 }
 
 // TestFaultFSCreateCheckpointFailure: a create is acknowledged only once
-// its first checkpoint is durable. Failing, in turn, the checkpoint temp
-// file's write, its fsync, the rename over checkpoint.scsn and the
-// session directory's fsync after that rename must fail the create and
-// publish no session. A server then started on the data dir reclaims the
-// session directory when no checkpoint landed, or recovers the session
-// with a fresh estimator's /digest when it did (only the directory fsync
-// failed), and a retried create succeeds.
+// its session directory and first checkpoint are durable. Failing, in
+// turn, the data directory's fsync after the session directory is made,
+// the checkpoint temp file's write, its fsync, the rename over
+// checkpoint.scsn and the session directory's fsync after that rename
+// must fail the create, publish no session and remove the session
+// directory before the create returns, even when the checkpoint had
+// landed. A server then started on the data dir finds no session, and a
+// retried create succeeds with a fresh estimator's /digest.
 func TestFaultFSCreateCheckpointFailure(t *testing.T) {
 	c := wire.Create{Name: "first", M: 60, N: 500, K: 5, Alpha: 4, Seed: 7}
 	fresh, err := streamcover.NewEstimator(c.M, c.N, c.K, c.Alpha, streamcover.WithSeed(c.Seed))
@@ -670,29 +671,34 @@ func TestFaultFSCreateCheckpointFailure(t *testing.T) {
 	freshDigest := hex.EncodeToString(sum[:])
 
 	for _, tc := range []struct {
-		name      string
-		arm       func(inj *fault.Injector) fault.FS
-		detail    string // the failed operation, %s the session directory
-		recovered bool   // the checkpoint landed before the failure
+		name   string
+		arm    func(inj *fault.Injector) fault.FS
+		detail string // the failed operation: %[1]s the session directory, %[2]s the data directory
 	}{
+		{"data directory fsync", func(inj *fault.Injector) fault.FS { inj.FailSyncDirs(1, nil); return inj },
+			"fault: fsync dir %[2]s:"},
 		{"temp file write", func(inj *fault.Injector) fault.FS { inj.FailWrites(1, nil); return inj },
-			"fault: write %s/" + checkpointFile + ".tmp", false},
+			"fault: write %[1]s/" + checkpointFile + ".tmp"},
 		{"temp file fsync", func(inj *fault.Injector) fault.FS { inj.FailSyncs(1, nil); return inj },
-			"fault: fsync %s/" + checkpointFile + ".tmp", false},
+			"fault: fsync %[1]s/" + checkpointFile + ".tmp"},
 		{"rename", func(inj *fault.Injector) fault.FS { inj.FailRenames(1, nil); return inj },
-			"fault: rename %s/" + checkpointFile + ":", false},
+			"fault: rename %[1]s/" + checkpointFile + ":"},
 		{"directory fsync after the rename", func(inj *fault.Injector) fault.FS { return syncDirFailsAfterRename{inj} },
-			"fault: fsync dir %s:", true},
+			"fault: fsync dir %[1]s:"},
 	} {
 		dataDir := t.TempDir()
 		sessDir := filepath.Join(dataDir, sessionDirName(c.Name))
+		detail := fmt.Sprintf(tc.detail, sessDir, dataDir)
 		failing := New(Config{DataDir: dataDir, FS: tc.arm(fault.NewInjector(fault.OS())), CheckpointEvery: -1})
 		err := failing.createSession(c)
-		if err == nil || !errors.Is(err, fault.ErrInjected) || !strings.Contains(err.Error(), fmt.Sprintf(tc.detail, sessDir)) {
-			t.Fatalf("%s: create returned %v, want the injected failure of %q", tc.name, err, fmt.Sprintf(tc.detail, sessDir))
+		if err == nil || !errors.Is(err, fault.ErrInjected) || !strings.Contains(err.Error(), detail) {
+			t.Fatalf("%s: create returned %v, want the injected failure of %q", tc.name, err, detail)
 		}
 		if _, err := failing.session(c.Name); err == nil {
 			t.Fatalf("%s: a failed create published its session", tc.name)
+		}
+		if _, err := os.Stat(sessDir); !os.IsNotExist(err) {
+			t.Fatalf("%s: the failed create left its session directory (stat: %v)", tc.name, err)
 		}
 		failing.Abort()
 
@@ -701,21 +707,62 @@ func TestFaultFSCreateCheckpointFailure(t *testing.T) {
 		if err := restarted.recover(); err != nil {
 			t.Fatalf("%s: start-up after the failed create: %v", tc.name, err)
 		}
-		_, err = restarted.session(c.Name)
-		if recovered := err == nil; recovered != tc.recovered {
-			t.Fatalf("%s: session recovered = %v, want %v", tc.name, recovered, tc.recovered)
+		if _, err := restarted.session(c.Name); err == nil {
+			t.Fatalf("%s: start-up recovered the session whose create failed", tc.name)
 		}
-		if _, err := os.Stat(sessDir); !tc.recovered && !os.IsNotExist(err) {
-			t.Fatalf("%s: start-up did not reclaim the session directory (stat: %v)", tc.name, err)
-		}
-		// A retried create of a recovered session is a no-op, so this
-		// checks the recovered /digest too.
 		if err := restarted.createSession(c); err != nil {
 			t.Fatalf("%s: retried create: %v", tc.name, err)
 		}
 		if digest, err := restarted.SessionDigest(c.Name); err != nil || digest != freshDigest {
 			t.Fatalf("%s: /digest after the retried create %s (%v), want a fresh estimator's %s", tc.name, digest, err, freshDigest)
 		}
+	}
+}
+
+// renameGate holds every rename until release is closed, and closes
+// reached when the first one arrives.
+type renameGate struct {
+	fault.FS
+	reached, release chan struct{}
+}
+
+func (g *renameGate) Rename(oldpath, newpath string) error {
+	select {
+	case <-g.reached:
+	default:
+		close(g.reached)
+	}
+	<-g.release
+	return g.FS.Rename(oldpath, newpath)
+}
+
+// TestFaultFSCreateAbortedByShutdownRemovesDir: a create whose build
+// finishes after the server has begun to shut down fails with "shutting
+// down" and, like any failed create, removes its session directory, so
+// the next start-up does not recover the session.
+func TestFaultFSCreateAbortedByShutdownRemovesDir(t *testing.T) {
+	dataDir := t.TempDir()
+	gate := &renameGate{FS: fault.OS(), reached: make(chan struct{}), release: make(chan struct{})}
+	srv := New(Config{DataDir: dataDir, FS: gate, CheckpointEvery: -1})
+	c := wire.Create{Name: "late", M: 50, N: 500, K: 3, Alpha: 4, Seed: 1}
+	done := make(chan error, 1)
+	go func() { done <- srv.createSession(c) }()
+	<-gate.reached // the first checkpoint is about to land
+	srv.Abort()
+	close(gate.release)
+	if err := <-done; err == nil || !strings.Contains(err.Error(), "shutting down") {
+		t.Fatalf("create racing shutdown returned %v, want shutting down", err)
+	}
+	if _, err := os.Stat(filepath.Join(dataDir, sessionDirName(c.Name))); !os.IsNotExist(err) {
+		t.Fatalf("the aborted create left its session directory (stat: %v)", err)
+	}
+	restarted := New(Config{DataDir: dataDir, CheckpointEvery: -1})
+	defer restarted.Abort()
+	if err := restarted.recover(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := restarted.session(c.Name); err == nil {
+		t.Fatal("start-up recovered the session whose create failed")
 	}
 }
 

@@ -1,42 +1,214 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
+	"os"
 	"path/filepath"
+	"sort"
+
+	"streamcover/internal/fault"
 )
 
 // ErrCaughtUp is returned by Reader.Next when every durable record has
 // been delivered; the caller should wait for new appends and retry.
 var ErrCaughtUp = errors.New("wal: reader caught up")
 
-// ErrTruncated is returned by OpenReader when the requested position has
-// already been truncated away; the caller must bootstrap from a
-// checkpoint instead of the log.
+// ErrTruncated is returned when the requested position has already been
+// truncated away: by OpenReader, whose caller must bootstrap from a
+// checkpoint instead of the log, and by a Replay or Reader whose segment
+// is gone.
 var ErrTruncated = errors.New("wal: position truncated")
 
-// refillBudget bounds the bytes of record payloads one refill buffers, so
-// a reader far behind a large log does not materialize the whole backlog.
-const refillBudget = 1 << 20
+// errTorn marks bytes at a cursor that are not a whole record: cut short,
+// implausibly long, or failing their CRC. At the end of the last segment
+// that is a write that never completed; below a position the log has
+// acknowledged it is corruption.
+var errTorn = errors.New("torn record")
+
+// cursor is the log's one record reader. It holds one segment open
+// read-only at the byte offset of position pos, reads each record once,
+// and leaves a segment only at its clean end, for the segment that starts
+// at the next position.
+type cursor struct {
+	fs  fault.FS
+	dir string
+	f   fault.File // the segment holding pos; nil until the first read
+	seg segment
+	pos uint64
+	off int64
+	hdr [recHeader]byte
+	buf []byte // the last payload read, reused
+}
+
+func (c *cursor) open(seg segment) error {
+	f, err := c.fs.OpenFile(filepath.Join(c.dir, seg.name), os.O_RDONLY, 0)
+	if err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	c.f, c.seg, c.pos, c.off = f, seg, seg.firstPos, 0
+	return nil
+}
+
+func (c *cursor) close() {
+	if c.f != nil {
+		c.f.Close()
+		c.f = nil
+	}
+}
+
+// record reads the record at the cursor and advances past it. It returns
+// io.EOF at the segment's clean end and an error wrapping errTorn when the
+// bytes there are not a whole record. The payload is valid until the next
+// call.
+func (c *cursor) record() ([]byte, error) {
+	n, err := c.f.ReadAt(c.hdr[:], c.off)
+	if n == 0 && err == io.EOF {
+		return nil, io.EOF
+	}
+	if n < recHeader {
+		return nil, c.short(err)
+	}
+	size := binary.LittleEndian.Uint32(c.hdr[:4])
+	if size > MaxRecord {
+		return nil, fmt.Errorf("wal: %s: %w: length %d at offset %d", c.seg.name, errTorn, size, c.off)
+	}
+	if cap(c.buf) < int(size) {
+		c.buf = make([]byte, size)
+	}
+	c.buf = c.buf[:size]
+	if n, err := c.f.ReadAt(c.buf, c.off+recHeader); n < len(c.buf) {
+		return nil, c.short(err)
+	}
+	if crc32.Checksum(c.buf, castagnoli) != binary.LittleEndian.Uint32(c.hdr[4:]) {
+		return nil, fmt.Errorf("wal: %s: %w: CRC mismatch at offset %d", c.seg.name, errTorn, c.off)
+	}
+	c.off += recHeader + int64(size)
+	c.pos++
+	return c.buf, nil
+}
+
+// short reports a read that ended inside a record: torn at end of file,
+// else the read's own error.
+func (c *cursor) short(err error) error {
+	if err == io.EOF {
+		return fmt.Errorf("wal: %s: %w: cut short at offset %d", c.seg.name, errTorn, c.off)
+	}
+	return fmt.Errorf("wal: %w", err)
+}
+
+// next returns the record at position c.pos and advances past it. The
+// caller knows the record exists (c.pos is at most the log's last or
+// durable position), so a missing segment, a gap between segments or a
+// torn record is an error. The payload is valid until the next call.
+func (c *cursor) next() ([]byte, error) {
+	if c.f == nil {
+		if err := c.seek(); err != nil {
+			return nil, err
+		}
+	}
+	for {
+		rec, err := c.record()
+		if err != io.EOF {
+			return rec, err
+		}
+		if err := c.nextSegment(); err != nil {
+			return nil, err
+		}
+	}
+}
+
+// seek opens the segment holding c.pos and reads up to it.
+func (c *cursor) seek() error {
+	want := c.pos
+	segs, err := listSegments(c.fs, c.dir)
+	if err != nil {
+		return err
+	}
+	seg, err := segmentHolding(segs, want)
+	if err != nil {
+		return err
+	}
+	if err := c.open(seg); err != nil {
+		return err
+	}
+	for c.pos < want {
+		if _, err := c.next(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// nextSegment moves the cursor from the segment it has read to its end
+// into the segment that follows, which must start at the next position.
+func (c *cursor) nextSegment() error {
+	segs, err := listSegments(c.fs, c.dir)
+	if err != nil {
+		return err
+	}
+	i := sort.Search(len(segs), func(i int) bool { return segs[i].firstPos > c.seg.firstPos })
+	if i == len(segs) || segs[i].firstPos != c.pos {
+		return fmt.Errorf("wal: gap after %s: no segment starts at position %d", c.seg.name, c.pos)
+	}
+	c.close()
+	return c.open(segs[i])
+}
+
+// segmentHolding returns the segment holding position pos: the last one
+// that starts at or below it.
+func segmentHolding(segs []segment, pos uint64) (segment, error) {
+	i := sort.Search(len(segs), func(i int) bool { return segs[i].firstPos > pos })
+	if i == 0 {
+		return segment{}, fmt.Errorf("%w: no retained segment holds position %d", ErrTruncated, pos)
+	}
+	return segs[i-1], nil
+}
+
+// Replay streams every record from position from through LastPos, in
+// order, to fn; the payload is valid only during the call. Positions
+// below the first retained segment are expected to be gone (truncated
+// after a checkpoint); a segment holding positions >= from that has
+// vanished out from under the log is a loud error — those records were
+// acknowledged, and replaying around the hole would silently drop them.
+func (l *Log) Replay(from uint64, fn func(pos uint64, payload []byte) error) error {
+	c := cursor{fs: l.fs, dir: l.dir, pos: max(from, 1)}
+	defer c.close()
+	for last := l.LastPos(); c.pos <= last; {
+		pos := c.pos
+		rec, err := c.next()
+		if err != nil {
+			return err
+		}
+		if err := fn(pos, rec); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // Reader streams records in position order, starting at a fixed position
-// and tailing new appends. While open it pins its cursor position:
-// TruncateBefore never deletes a segment holding records at or beyond the
-// lowest open reader cursor, so a shipping reader can lag a checkpoint
-// without the ground vanishing underneath it. Close the reader to unpin.
+// and tailing new appends. It reads through the same cursor as Replay: one
+// segment held open, each record read once from its byte offset, and a
+// move only to the segment that starts where the last one ended, so a
+// missing segment stops the reader with an error instead of a skip.
 //
-// A Reader delivers only durable records (synced in sync mode, written in
-// NoSync mode): a record that could still be discarded as a torn tail
-// must never reach a follower.
+// While open it pins its cursor position: TruncateBefore never deletes a
+// segment holding records at or beyond the lowest open reader cursor, so
+// a shipping reader can lag a checkpoint without the ground vanishing
+// underneath it. Close the reader to unpin.
+//
+// A Reader delivers only durable records (DurablePos): a record that could
+// still be discarded as a torn tail must never reach a follower.
 //
 // A Reader is not safe for concurrent use by multiple goroutines.
 type Reader struct {
 	l      *Log
-	next   uint64 // next position to deliver; mirrored into l.pins under l.mu
-	queue  [][]byte
-	qpos   []uint64
+	c      cursor // c.pos is the next position to deliver
 	closed bool
 }
 
@@ -44,34 +216,24 @@ type Reader struct {
 // start). It fails with ErrTruncated when records at or after from
 // existed but the segments holding them are gone.
 func (l *Log) OpenReader(from uint64) (*Reader, error) {
-	if from == 0 {
-		from = 1
-	}
+	from = max(from, 1)
 	// Read the head before listing the segments: every record below it is
 	// in a segment the listing sees, while a listing taken first could
 	// miss the segment an append creates right after it, and report a
 	// record that append wrote as truncated.
-	l.mu.Lock()
-	next := l.next
-	l.mu.Unlock()
+	head := l.LastPos()
 	segs, err := listSegments(l.fs, l.dir)
 	if err != nil {
 		return nil, err
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if next > from {
-		if len(segs) == 0 || segs[0].firstPos > from {
-			return nil, fmt.Errorf("%w: reader from %d, first retained segment at %d",
-				ErrTruncated, from, func() uint64 {
-					if len(segs) == 0 {
-						return next
-					}
-					return segs[0].firstPos
-				}())
+	if head >= from {
+		if _, err := segmentHolding(segs, from); err != nil {
+			return nil, err
 		}
 	}
-	r := &Reader{l: l, next: from}
+	r := &Reader{l: l, c: cursor{fs: l.fs, dir: l.dir, pos: from}}
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.pins == nil {
 		l.pins = make(map[*Reader]uint64)
 	}
@@ -86,108 +248,23 @@ func (r *Reader) Next() (uint64, []byte, error) {
 	if r.closed {
 		return 0, nil, errors.New("wal: reader closed")
 	}
-	if len(r.queue) == 0 {
-		if err := r.refill(); err != nil {
-			return 0, nil, err
-		}
-	}
-	pos, payload := r.qpos[0], r.queue[0]
-	r.queue[0] = nil
-	r.queue = r.queue[1:]
-	r.qpos = r.qpos[1:]
-	return pos, payload, nil
-}
-
-// refill scans forward from the cursor, copying durable records into the
-// queue up to the refill budget, then advances the pin to the cursor.
-func (r *Reader) refill() error {
-	l := r.l
+	l, pos := r.l, r.c.pos
 	l.mu.Lock()
-	if l.syncErr != nil {
-		err := l.syncErr
-		l.mu.Unlock()
-		return err
-	}
-	limit := l.synced
-	if l.opts.NoSync {
-		limit = l.appended
-	}
+	l.pins[r] = pos
+	durable, err := l.durableLocked(), l.syncErr
 	l.mu.Unlock()
-	if r.next > limit {
-		return ErrCaughtUp
-	}
-	segs, err := listSegments(l.fs, l.dir)
 	if err != nil {
-		return err
+		return 0, nil, err
 	}
-	if len(segs) == 0 || segs[0].firstPos > r.next {
-		// The cursor's segment was truncated despite the pin — only
-		// possible if the log was Reset out from under us.
-		return fmt.Errorf("%w: reader at %d", ErrTruncated, r.next)
+	if pos > durable {
+		return 0, nil, ErrCaughtUp
 	}
-	budget := refillBudget
-	for i, seg := range segs {
-		segEnd := limit + 1 // exclusive upper bound on positions we read
-		if i+1 < len(segs) && segs[i+1].firstPos < segEnd {
-			segEnd = segs[i+1].firstPos
-		}
-		if segEnd <= r.next {
-			continue
-		}
-		if seg.firstPos > limit || budget <= 0 {
-			break
-		}
-		if err := r.scanFrom(seg, limit, &budget); err != nil {
-			return err
-		}
-	}
-	if len(r.queue) == 0 {
-		return ErrCaughtUp
-	}
-	l.mu.Lock()
-	l.pins[r] = r.next
-	l.mu.Unlock()
-	return nil
-}
-
-// scanFrom walks one segment, appending records with position in
-// [r.next, limit] to the queue. Appends race this read, but a record at
-// or below limit is fully written before the durability watermark moves
-// (both happen under l.mu), so inside the scanned range a torn record or
-// CRC mismatch is genuine corruption, not an in-flight write.
-func (r *Reader) scanFrom(seg segment, limit uint64, budget *int) error {
-	data, err := r.l.fs.ReadFile(filepath.Join(r.l.dir, seg.name))
+	rec, err := r.c.next()
 	if err != nil {
-		return fmt.Errorf("wal: %w", err)
+		return 0, nil, err
 	}
-	pos := seg.firstPos
-	var off int64
-	for int64(len(data))-off >= recHeader && pos <= limit && *budget > 0 {
-		n := binary.LittleEndian.Uint32(data[off:])
-		wantCRC := binary.LittleEndian.Uint32(data[off+4:])
-		if n > MaxRecord || int64(len(data))-off-recHeader < int64(n) {
-			return fmt.Errorf("wal: %s: truncated durable record at position %d", seg.name, pos)
-		}
-		payload := data[off+recHeader : off+recHeader+int64(n)]
-		if crc32.Checksum(payload, castagnoli) != wantCRC {
-			return fmt.Errorf("wal: %s: CRC mismatch at position %d", seg.name, pos)
-		}
-		if pos >= r.next {
-			cp := make([]byte, len(payload))
-			copy(cp, payload)
-			r.queue = append(r.queue, cp)
-			r.qpos = append(r.qpos, pos)
-			r.next = pos + 1
-			*budget -= recHeader + len(payload)
-		}
-		off += recHeader + int64(n)
-		pos++
-	}
-	return nil
+	return pos, bytes.Clone(rec), nil
 }
-
-// Pos reports the position of the next record the reader will deliver.
-func (r *Reader) Pos() uint64 { return r.next }
 
 // Close unpins the reader's segments. Idempotent.
 func (r *Reader) Close() {
@@ -198,5 +275,5 @@ func (r *Reader) Close() {
 	r.l.mu.Lock()
 	delete(r.l.pins, r)
 	r.l.mu.Unlock()
-	r.queue, r.qpos = nil, nil
+	r.c.close()
 }

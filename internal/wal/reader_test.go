@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"io/fs"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"streamcover/internal/fault"
@@ -67,8 +69,11 @@ func TestReaderTailsAppends(t *testing.T) {
 	if len(want) != 0 {
 		t.Fatalf("%d records never delivered", len(want))
 	}
-	if r.Pos() != 41 {
-		t.Fatalf("reader cursor %d, want 41", r.Pos())
+	if _, err := l.Append([]byte("next")); err != nil {
+		t.Fatal(err)
+	}
+	if pos, _, err := r.Next(); err != nil || pos != 41 {
+		t.Fatalf("reader delivered position %d (%v) after 40, want 41", pos, err)
 	}
 }
 
@@ -148,6 +153,10 @@ func TestTruncateDuringShip(t *testing.T) {
 	}
 }
 
+// TestReaderRefillBudgetPreservesOrder catches a reader up on a backlog
+// of records each larger than a segment, so every record ends its
+// segment and the cursor crosses a segment boundary per delivery; the
+// records must arrive in position order with their own payloads.
 func TestReaderRefillBudgetPreservesOrder(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{NoSync: true, SegmentBytes: 1 << 16})
@@ -155,7 +164,7 @@ func TestReaderRefillBudgetPreservesOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	// Payloads large enough that the backlog exceeds one refill budget.
+	// 200 KiB payloads over 64 KiB segments: one record per segment.
 	big := bytes.Repeat([]byte{0xAB}, 200<<10)
 	for i := 1; i <= 12; i++ {
 		big[0] = byte(i)
@@ -340,5 +349,119 @@ func TestResetTo(t *testing.T) {
 	}
 	if len(segs) != 1 || segs[0].name != segName(201) {
 		t.Fatalf("segments %v after reopen, want single %s", segs, segName(201))
+	}
+}
+
+// countingFS counts directory fsyncs, and the bytes read through
+// ReadFile and through the ReadAt of every file it opens.
+type countingFS struct {
+	fault.FS
+	read     int64
+	syncDirs int
+}
+
+func (f *countingFS) ReadFile(name string) ([]byte, error) {
+	data, err := f.FS.ReadFile(name)
+	f.read += int64(len(data))
+	return data, err
+}
+
+func (f *countingFS) OpenFile(name string, flag int, perm os.FileMode) (fault.File, error) {
+	file, err := f.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return countingFile{file, f}, nil
+}
+
+func (f *countingFS) SyncDir(dir string) error {
+	f.syncDirs++
+	return f.FS.SyncDir(dir)
+}
+
+type countingFile struct {
+	fault.File
+	fs *countingFS
+}
+
+func (f countingFile) ReadAt(p []byte, off int64) (int, error) {
+	n, err := f.File.ReadAt(p, off)
+	f.fs.read += int64(n)
+	return n, err
+}
+
+// TestReaderTailReadsEachRecordOnce tails a log one append at a time, as
+// a shipper tails its leader, across several segment rotations. The
+// reader must read each record once: at most 1.1 times the bytes
+// appended, where rereading the active segment per record reads about
+// N/2 times as much for N records per segment.
+func TestReaderTailReadsEachRecordOnce(t *testing.T) {
+	fsys := &countingFS{FS: fault.OS()}
+	l, err := Open(t.TempDir(), Options{NoSync: true, SegmentBytes: 64 << 10, FS: fsys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	r, err := l.OpenReader(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	payload := bytes.Repeat([]byte{0x5A}, 1<<10)
+	var appended int64
+	for i := 1; i <= 256; i++ {
+		payload[0] = byte(i)
+		if _, err := l.Append(payload); err != nil {
+			t.Fatal(err)
+		}
+		appended += recHeader + int64(len(payload))
+		got := drainReader(t, r)
+		if p, ok := got[uint64(i)]; len(got) != 1 || !ok || !bytes.Equal(p, payload) {
+			t.Fatalf("after append %d the reader delivered %d records, want record %d alone", i, len(got), i)
+		}
+	}
+	if float64(fsys.read) > 1.1*float64(appended) {
+		t.Fatalf("tailing %d appended bytes read %d bytes (%.1fx)", appended, fsys.read, float64(fsys.read)/float64(appended))
+	}
+}
+
+// TestReaderStopsAtSegmentGap removes a middle segment from a log and
+// reads it from the start: the reader must deliver the records before the
+// gap, then fail, and never deliver a position past the gap.
+func TestReaderStopsAtSegmentGap(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{NoSync: true, SegmentBytes: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	for i := 1; i <= 20; i++ {
+		if _, err := l.Append(bytes.Repeat([]byte{byte(i)}, 24)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	segs, err := listSegments(l.fs, dir)
+	if err != nil || len(segs) < 3 {
+		t.Fatalf("want >=3 segments, got %d (err %v)", len(segs), err)
+	}
+	if err := os.Remove(filepath.Join(dir, segs[1].name)); err != nil {
+		t.Fatal(err)
+	}
+	r, err := l.OpenReader(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for want := uint64(1); ; want++ {
+		pos, _, err := r.Next()
+		if err != nil {
+			if errors.Is(err, ErrCaughtUp) || want != segs[1].firstPos {
+				t.Fatalf("reader stopped at %d with %v, want a gap error at %d", want, err, segs[1].firstPos)
+			}
+			return
+		}
+		if pos != want || pos >= segs[1].firstPos {
+			t.Fatalf("reader delivered position %d, want %d before the gap at %d", pos, want, segs[1].firstPos)
+		}
 	}
 }

@@ -13,10 +13,18 @@
 //
 // Records are opaque to the WAL (kcoverd stores framed batch payloads).
 // Appends go to the newest segment until it exceeds the configured size,
-// then a new segment starts. Sync uses leader-based group commit: all
+// then a new segment starts. Durability uses leader-based group commit: all
 // appends that arrived while the current fsync was in flight ride the
 // next one, so sustained multi-client load pays ~one fsync per queue
 // drain rather than one per batch.
+//
+// Every read of the log goes through one cursor: Open and Reset walk the
+// last segment to its intact end, Replay walks from a position to the
+// last append, and a Reader tails the durable prefix. The cursor holds one
+// segment open read-only, reads each record once from its byte offset,
+// checks it (length bound, CRC-32C), and moves on only to the segment
+// that starts at the next position, so a missing segment is an error,
+// never a skip.
 //
 // Recovery tolerates a torn tail: a truncated or corrupt record at the
 // END of the LAST segment is discarded (the write never completed, so it
@@ -29,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -93,8 +102,8 @@ type Log struct {
 	pins map[*Reader]uint64
 }
 
-// Open opens (or creates) the log in dir and prepares it for appending.
-// It scans existing segments, truncates a torn tail in the last one, and
+// Open opens (or creates) the log in dir and prepares it for appending,
+// as Reset does: it truncates a torn tail in the last segment and
 // positions the next append after the last intact record.
 func Open(dir string, opts Options) (*Log, error) {
 	if opts.SegmentBytes <= 0 {
@@ -103,36 +112,14 @@ func Open(dir string, opts Options) (*Log, error) {
 	if opts.FS == nil {
 		opts.FS = fault.OS()
 	}
-	fsys := opts.FS
-	if err := fsys.MkdirAll(dir, 0o755); err != nil {
+	if err := opts.FS.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	segs, err := listSegments(fsys, dir)
-	if err != nil {
+	l := &Log{dir: dir, opts: opts, fs: opts.FS, next: 1}
+	l.flushCond = sync.NewCond(&l.mu)
+	if err := l.Reset(); err != nil {
 		return nil, err
 	}
-	l := &Log{dir: dir, opts: opts, fs: fsys, next: 1, segPos: 1}
-	l.flushCond = sync.NewCond(&l.mu)
-	if len(segs) > 0 {
-		last := segs[len(segs)-1]
-		count, intact, err := scanSegment(fsys, filepath.Join(dir, last.name), true, nil)
-		if err != nil {
-			return nil, err
-		}
-		if err := truncateFile(fsys, filepath.Join(dir, last.name), intact); err != nil {
-			return nil, err
-		}
-		l.segPos = last.firstPos
-		l.next = last.firstPos + uint64(count)
-		l.size = intact
-		f, err := fsys.OpenFile(filepath.Join(dir, last.name), os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return nil, fmt.Errorf("wal: %w", err)
-		}
-		l.file = f
-	}
-	l.synced = l.next - 1
-	l.appended = l.next - 1
 	return l, nil
 }
 
@@ -166,67 +153,6 @@ func listSegments(fsys fault.FS, dir string) ([]segment, error) {
 		}
 	}
 	return segs, nil
-}
-
-// scanSegment walks a segment's records. With tolerateTail, a torn record
-// at EOF stops the scan cleanly; otherwise it is an error. Returns the
-// number of intact records and the byte offset after the last one. fn, if
-// non-nil, receives each record's payload (valid only during the call).
-func scanSegment(fsys fault.FS, path string, tolerateTail bool, fn func([]byte) error) (int, int64, error) {
-	data, err := fsys.ReadFile(path)
-	if err != nil {
-		return 0, 0, fmt.Errorf("wal: %w", err)
-	}
-	var off int64
-	count := 0
-	for int64(len(data))-off >= recHeader {
-		n := binary.LittleEndian.Uint32(data[off:])
-		wantCRC := binary.LittleEndian.Uint32(data[off+4:])
-		if n > MaxRecord {
-			if tolerateTail {
-				break
-			}
-			return 0, 0, fmt.Errorf("wal: %s: implausible record length %d at offset %d", path, n, off)
-		}
-		if int64(len(data))-off-recHeader < int64(n) {
-			if tolerateTail {
-				break
-			}
-			return 0, 0, fmt.Errorf("wal: %s: truncated record at offset %d", path, off)
-		}
-		payload := data[off+recHeader : off+recHeader+int64(n)]
-		if crc32.Checksum(payload, castagnoli) != wantCRC {
-			if tolerateTail {
-				break
-			}
-			return 0, 0, fmt.Errorf("wal: %s: CRC mismatch at offset %d", path, off)
-		}
-		if fn != nil {
-			if err := fn(payload); err != nil {
-				return 0, 0, err
-			}
-		}
-		off += recHeader + int64(n)
-		count++
-	}
-	if !tolerateTail && off != int64(len(data)) {
-		return 0, 0, fmt.Errorf("wal: %s: %d trailing bytes", path, int64(len(data))-off)
-	}
-	return count, off, nil
-}
-
-func truncateFile(fsys fault.FS, path string, size int64) error {
-	info, err := fsys.Stat(path)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	if info.Size() == size {
-		return nil
-	}
-	if err := fsys.Truncate(path, size); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	return nil
 }
 
 func segName(firstPos uint64) string {
@@ -404,60 +330,6 @@ func (l *Log) ensureSegmentLocked() error {
 	return nil
 }
 
-// Replay streams every record with position >= from, in order, to fn.
-// Positions below the first retained segment are expected to be gone
-// (truncated after a checkpoint); a segment holding positions >= from
-// that has vanished out from under the log is a loud error — those
-// records were acknowledged, and replaying around the hole would silently
-// drop them.
-func (l *Log) Replay(from uint64, fn func(pos uint64, payload []byte) error) error {
-	if from == 0 {
-		from = 1
-	}
-	segs, err := listSegments(l.fs, l.dir)
-	if err != nil {
-		return err
-	}
-	l.mu.Lock()
-	next := l.next
-	l.mu.Unlock()
-	if len(segs) == 0 {
-		if next > from {
-			return fmt.Errorf("wal: replay from %d: no segments on disk but records through %d exist", from, next-1)
-		}
-		return nil
-	}
-	if next > from && segs[0].firstPos > from {
-		return fmt.Errorf("wal: replay from %d: first retained segment starts at %d (records missing)", from, segs[0].firstPos)
-	}
-	for i, seg := range segs {
-		segEnd := next // exclusive
-		if i+1 < len(segs) {
-			segEnd = segs[i+1].firstPos
-		}
-		if segEnd <= from {
-			continue
-		}
-		pos := seg.firstPos
-		last := i == len(segs)-1
-		count, _, err := scanSegment(l.fs, filepath.Join(l.dir, seg.name), last, func(payload []byte) error {
-			defer func() { pos++ }()
-			if pos < from {
-				return nil
-			}
-			return fn(pos, payload)
-		})
-		if err != nil {
-			return err
-		}
-		if !last && segs[i+1].firstPos != seg.firstPos+uint64(count) {
-			return fmt.Errorf("wal: gap after %s: next segment starts at %d, want %d",
-				seg.name, segs[i+1].firstPos, seg.firstPos+uint64(count))
-		}
-	}
-	return nil
-}
-
 // TruncateBefore deletes whole segments every record of which has
 // position < pos. Records at or above pos are always retained; some
 // records below pos usually survive in the segment that straddles the
@@ -478,6 +350,7 @@ func (l *Log) TruncateBefore(pos uint64) error {
 		}
 	}
 	l.mu.Unlock()
+	removed := 0
 	for i, seg := range segs {
 		if hasFile && seg.firstPos >= activePos {
 			break // never delete the active segment
@@ -492,6 +365,10 @@ func (l *Log) TruncateBefore(pos uint64) error {
 		if err := l.fs.Remove(filepath.Join(l.dir, seg.name)); err != nil {
 			return fmt.Errorf("wal: %w", err)
 		}
+		removed++
+	}
+	if removed == 0 {
+		return nil // no directory entry changed
 	}
 	return syncDir(l.fs, l.dir)
 }
@@ -522,13 +399,7 @@ func (l *Log) ResetTo(next uint64) error {
 	if len(l.pins) > 0 {
 		return fmt.Errorf("wal: ResetTo with %d open readers", len(l.pins))
 	}
-	for l.syncActive {
-		l.flushCond.Wait()
-	}
-	if l.file != nil {
-		l.file.Close()
-		l.file = nil
-	}
+	l.dropFileLocked()
 	segs, err := listSegments(l.fs, l.dir)
 	if err != nil {
 		return err
@@ -541,13 +412,7 @@ func (l *Log) ResetTo(next uint64) error {
 	if err := syncDir(l.fs, l.dir); err != nil {
 		return err
 	}
-	l.next = next
-	l.segPos = next
-	l.size = 0
-	l.syncErr = nil
-	l.synced = next - 1
-	l.appended = next - 1
-	l.flushCond.Broadcast()
+	l.restartLocked(next, next, 0)
 	return nil
 }
 
@@ -558,44 +423,20 @@ func (l *Log) LastPos() uint64 {
 	return l.next - 1
 }
 
-// DurablePos reports the highest position a Reader can currently deliver
-// (the durability watermark: synced in sync mode, appended with NoSync).
+// DurablePos reports the highest position a Reader can currently deliver.
 func (l *Log) DurablePos() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	return l.durableLocked()
+}
+
+// durableLocked is the durability watermark: synced in sync mode,
+// appended with NoSync.
+func (l *Log) durableLocked() uint64 {
 	if l.opts.NoSync {
 		return l.appended
 	}
 	return l.synced
-}
-
-// Depth reports how many records the retained segments hold at or above
-// from — the replay backlog a recovery starting at from would process.
-func (l *Log) Depth(from uint64) uint64 {
-	l.mu.Lock()
-	next := l.next
-	l.mu.Unlock()
-	if from == 0 {
-		from = 1
-	}
-	if next <= from {
-		return 0
-	}
-	return next - from
-}
-
-// Sync forces durability of everything appended so far (used by NoSync
-// callers at known barriers, and by checkpoints). It rides the group
-// commit like any appender, so it cannot race a rotation's or Close's
-// Close of the file it is flushing.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	target := l.appended
-	l.mu.Unlock()
-	if target == 0 {
-		return nil
-	}
-	return l.waitDurable(target)
 }
 
 // Close syncs and closes the active segment, waiting out any in-flight
@@ -636,46 +477,68 @@ func (l *Log) Close() error {
 func (l *Log) Reset() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for l.syncActive {
-		l.flushCond.Wait()
-	}
-	if l.file != nil {
-		l.file.Close() // best effort: the handle may be the faulted one
-		l.file = nil
-	}
+	l.dropFileLocked()
 	segs, err := listSegments(l.fs, l.dir)
 	if err != nil {
 		return err
 	}
-	if len(segs) > 0 {
-		last := segs[len(segs)-1]
-		path := filepath.Join(l.dir, last.name)
-		count, intact, err := scanSegment(l.fs, path, true, nil)
-		if err != nil {
-			return err
-		}
-		if err := truncateFile(l.fs, path, intact); err != nil {
-			return err
-		}
-		f, err := l.fs.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return fmt.Errorf("wal: %w", err)
-		}
-		l.file = f
-		l.segPos = last.firstPos
-		l.next = last.firstPos + uint64(count)
-		l.size = intact
-	} else {
+	if len(segs) == 0 {
 		// No segments survived: the next append creates a fresh segment at
 		// the preserved position.
-		l.segPos = l.next
-		l.size = 0
+		l.restartLocked(l.next, l.next, 0)
+		return nil
 	}
-	l.syncErr = nil
-	l.synced = l.next - 1
-	l.appended = l.next - 1
-	l.flushCond.Broadcast()
+	c := cursor{fs: l.fs, dir: l.dir}
+	if err := c.open(segs[len(segs)-1]); err != nil {
+		return err
+	}
+	defer c.close()
+	path := filepath.Join(l.dir, c.seg.name)
+	for {
+		_, err := c.record()
+		if err == io.EOF {
+			break
+		}
+		if errors.Is(err, errTorn) {
+			if err := l.fs.Truncate(path, c.off); err != nil {
+				return fmt.Errorf("wal: %w", err)
+			}
+			break
+		}
+		if err != nil {
+			return err
+		}
+	}
+	f, err := l.fs.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	l.file = f
+	l.restartLocked(c.seg.firstPos, c.pos, c.off)
 	return nil
+}
+
+// dropFileLocked waits out any in-flight group commit and closes the
+// active segment, best effort: the handle may be the faulted one.
+func (l *Log) dropFileLocked() {
+	for l.syncActive {
+		l.flushCond.Wait()
+	}
+	if l.file != nil {
+		l.file.Close()
+		l.file = nil
+	}
+}
+
+// restartLocked points the append state at the end of the active segment,
+// which starts at position segPos and holds size bytes: the next append
+// lands at next, every record before it counts as durable, and no error
+// is sticky.
+func (l *Log) restartLocked(segPos, next uint64, size int64) {
+	l.segPos, l.next, l.size = segPos, next, size
+	l.syncErr = nil
+	l.synced, l.appended = next-1, next-1
+	l.flushCond.Broadcast()
 }
 
 func syncDir(fsys fault.FS, dir string) error {

@@ -164,8 +164,8 @@ func TestResetAfterFsyncFailure(t *testing.T) {
 	if payloads[len(payloads)-1] != "post" {
 		t.Fatalf("last payload %q, want \"post\"", payloads[len(payloads)-1])
 	}
-	if err := l.Sync(); err != nil {
-		t.Fatalf("sync after reset: %v", err)
+	if err := l.Close(); err != nil {
+		t.Fatalf("close after reset: %v", err)
 	}
 }
 
@@ -225,5 +225,45 @@ func TestResetPreservesPositionsWhenSegmentsGone(t *testing.T) {
 	}
 	if pos != last+1 {
 		t.Fatalf("append reissued position %d (last acked was %d)", pos, last)
+	}
+}
+
+// TestTruncateBeforeSyncsDirOnlyWhenRemoving: a truncation changes the
+// log directory only when it removes a segment, so one that removes
+// nothing (a create's checkpoint at position 0, a checkpoint that frees
+// no whole segment) makes no directory fsync, and one that removes
+// segments makes exactly one.
+func TestTruncateBeforeSyncsDirOnlyWhenRemoving(t *testing.T) {
+	fsys := &countingFS{FS: fault.OS()}
+	dir := t.TempDir()
+	l, err := Open(dir, Options{SegmentBytes: 64, NoSync: true, FS: fsys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	appendN(t, l, 20, "rec")
+	before, err := listSegments(fault.OS(), dir)
+	if err != nil || len(before) < 3 {
+		t.Fatalf("want >=3 segments, got %d (err %v)", len(before), err)
+	}
+	for _, pos := range []uint64{1, before[1].firstPos - 1} {
+		fsys.syncDirs = 0
+		if err := l.TruncateBefore(pos); err != nil {
+			t.Fatal(err)
+		}
+		if fsys.syncDirs != 0 {
+			t.Fatalf("TruncateBefore(%d) removed nothing and made %d directory fsyncs, want 0", pos, fsys.syncDirs)
+		}
+	}
+	fsys.syncDirs = 0
+	if err := l.TruncateBefore(l.LastPos()); err != nil {
+		t.Fatal(err)
+	}
+	after, _ := listSegments(fault.OS(), dir)
+	if len(after) >= len(before) {
+		t.Fatalf("no segment removed: %d before, %d after", len(before), len(after))
+	}
+	if fsys.syncDirs != 1 {
+		t.Fatalf("TruncateBefore removed %d segments with %d directory fsyncs, want 1", len(before)-len(after), fsys.syncDirs)
 	}
 }
